@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SingularInformation
-from .gradients import compute_pass
-from .model import BetaParam, estimable_mask, layout_from_design
+from .errors import NoConvergence
+from .gradients import InformationMatrix, compute_pass
+from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
 from .weights import basis_matrix
 
@@ -140,46 +140,6 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
                              iterations=iters, max_residual=max_resid)
 
 
-def efficient_score(nuisance: FittedNuisance, beta: BetaParam) -> np.ndarray:
-    """Per-row efficient score for the shift parameters, (n, t)."""
-    return compute_pass(nuisance, beta).scores_eff
-
-
-@dataclass(frozen=True)
-class InformationMatrix:
-    matrix: np.ndarray
-    pinv: np.ndarray
-    rank: int
-    eig_min: float
-    cond: float
-
-
-def information_matrix(nuisance: FittedNuisance, beta: BetaParam) -> InformationMatrix:
-    """Empirical second moment of the efficient score, inverted on the
-    estimable block. Known-threshold coordinates stay zero on both sides."""
-    S = compute_pass(nuisance, beta).scores_eff
-    n = S.shape[0]
-    t = S.shape[1]
-    info = S.T @ S / n
-    mask = estimable_mask(nuisance.design)
-    idx = np.flatnonzero(mask)
-    pinv = np.zeros((t, t))
-    if idx.size == 0:
-        return InformationMatrix(info, pinv, 0, 0.0, np.inf)
-    sub = info[np.ix_(idx, idx)]
-    vals, vecs = np.linalg.eigh(0.5 * (sub + sub.T))
-    eig_min = float(vals.min())
-    if eig_min < 1e-10:
-        warnings.warn("efficient information is numerically singular",
-                      SingularInformation, stacklevel=2)
-    keep = np.abs(vals) > 1e-12 * max(float(np.abs(vals).max()), 1e-300)
-    inv_vals = np.where(keep, 1.0 / np.where(vals != 0, vals, 1.0), 0.0)
-    sub_pinv = (vecs * inv_vals) @ vecs.T
-    pinv[np.ix_(idx, idx)] = sub_pinv
-    cond = float(np.abs(vals).max() / np.abs(vals).min()) if eig_min > 0 else np.inf
-    return InformationMatrix(info, pinv, int(keep.sum()), eig_min, cond)
-
-
 @dataclass
 class OneStepBeta:
     beta: BetaParam
@@ -190,10 +150,11 @@ class OneStepBeta:
 
 def one_step_beta(nuisance: FittedNuisance, beta_init: BetaParam) -> OneStepBeta:
     """Single Newton step from the initial value along the efficient score."""
-    S = efficient_score(nuisance, beta_init)
+    p = compute_pass(nuisance, beta_init)
+    S = p.scores_eff
     n = S.shape[0]
     sbar = S.mean(axis=0)
-    info = information_matrix(nuisance, beta_init)
+    info = p.information
     update = info.pinv @ sbar
     beta1 = beta_init.replace_values(beta_init.values + update)
     se = np.sqrt(np.maximum(np.diag(info.pinv), 0.0) / n)

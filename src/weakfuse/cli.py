@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .estimator import (
 )
 from .gradients import EstimandSpec
 from .model import BetaParam, Dataset, FusionDesign, layout_from_design, validate_design
-from .nuisance import BandwidthRule, NuisanceOptions
+from .nuisance import NuisanceOptions
 from .simulation import (
     ALIGNMENT_LEVELS,
     named_scenario,
@@ -42,6 +43,7 @@ from .simulation import (
 from .weights import WeightSpec
 
 _DEFAULT_VARIANTS = "target_only,naive_fusion,efficient_fusion"
+_MAX_GRID_POINTS = 100_000
 
 
 # ---------------------------------------------------------------- config ----
@@ -179,11 +181,10 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     opt = cfg.get("options") or {}
     if not isinstance(opt, dict):
         raise ParseError("config.options: expected an object")
-    _expect_keys(opt, {"bandwidth", "ratio_clip", "propensity_clip", "grid_points",
-                       "cross_fit"}, "config.options")
+    _expect_keys(opt, {"ratio_clip", "propensity_clip", "grid_points", "cross_fit"},
+                 "config.options")
     try:
         options = NuisanceOptions(
-            bandwidth_rule=BandwidthRule.parse(opt.get("bandwidth", "silverman")),
             ratio_clip=tuple(opt.get("ratio_clip", (1e-3, 1e3))),
             propensity_clip=tuple(opt.get("propensity_clip", (0.01, 0.99))),
             grid_points=int(opt.get("grid_points", 301)),
@@ -253,9 +254,8 @@ def default_config_dict() -> dict:
         },
         "estimand": {"kind": "ate"},
         "variant": {"kind": "efficient_fusion", "extra_terms": 0},
-        "options": {"bandwidth": "silverman", "ratio_clip": [1e-3, 1e3],
-                    "propensity_clip": [0.01, 0.99], "grid_points": 301,
-                    "cross_fit": False},
+        "options": {"ratio_clip": [1e-3, 1e3], "propensity_clip": [0.01, 0.99],
+                    "grid_points": 301, "cross_fit": False},
         "level": 0.95,
         "seed": None,
         "columns": {"z": ["z1", "z2", "z3"], "source": "source"},
@@ -367,18 +367,21 @@ def cmd_estimate(args) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
+    """Points start, start + step, ... up to stop (with 1e-12 slack), each
+    rounded to 12 decimals; at most _MAX_GRID_POINTS of them."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError('delta grid looks like "start:stop:step"')
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("delta grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("delta grid step must be positive")
-    out = []
-    v = start
-    while v <= stop + 1e-12:
-        out.append(round(v, 12))
-        v += step
-    return out
+    span = (stop - start + 1e-12) / step
+    if span >= _MAX_GRID_POINTS:
+        raise ValueError(f"delta grid has more than {_MAX_GRID_POINTS} points")
+    count = math.floor(span) + 1 if span >= 0 else 0
+    return [round(start + i * step, 12) for i in range(count)]
 
 
 def cmd_sensitivity(args) -> int:

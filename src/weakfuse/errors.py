@@ -37,10 +37,6 @@ class DomainError(WeakfuseError):
     """A basis transform was evaluated outside its domain."""
 
 
-class AllSingular(WeakfuseError):
-    """Every fusion matrix in a batch was numerically singular."""
-
-
 class SingularJacobian(WeakfuseError):
     """A design matrix inversion failed (for example a constant covariate)."""
 
@@ -79,10 +75,6 @@ class EmptyFile(WeakfuseError):
     """An ingested CSV has no data rows."""
 
 
-class DegenerateNormalizer(UserWarning):
-    """A fitted normalizer was nonpositive and has been floored."""
-
-
 class SingularBandwidth(UserWarning):
     """A kernel bandwidth collapsed (constant column) and has been floored."""
 
@@ -101,7 +93,3 @@ class RankDeficiency(UserWarning):
 
 class NoConvergence(UserWarning):
     """An iterative fit hit its iteration cap; the best iterate was kept."""
-
-
-class DroppedTailTerms(UserWarning):
-    """Higher-index tail adjustments were omitted at a weak index."""

@@ -13,20 +13,19 @@ alike. Rows of the dataset read grid fields through the panel's row map.
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AllSingular,
     NuisanceMissing,
     RankDeficiency,
+    SingularInformation,
     SingularJacobian,
     StructuralError,
 )
-from .model import BetaParam, layout_from_design
+from .model import BetaParam, estimable_mask, layout_from_design
 from .nuisance import FittedNuisance, fit_kernel_regression
 from .weights import eval_weight_many
 
@@ -61,9 +60,6 @@ class EstimandSpec:
             raise StructuralError("moment power must be a positive integer")
 
 
-_seed_serial = itertools.count(1)
-
-
 @dataclass
 class GradientSeed:
     """Estimand-specific ingredients, all fitted from aligned rows only.
@@ -79,21 +75,6 @@ class GradientSeed:
     plugin: float
     rows: dict[int, np.ndarray]
     sep: dict[int, list[tuple[np.ndarray, np.ndarray]]]
-    serial: int = field(default_factory=lambda: next(_seed_serial))
-    _aligned_rows: np.ndarray | None = None
-
-
-def _rowmaps(nuisance: FittedNuisance) -> dict[int, object]:
-    cache = getattr(nuisance, "_rowmap_cache", None)
-    if cache is None:
-        cache = {}
-        nuisance._rowmap_cache = cache
-    for j in nuisance.design.relevant:
-        if j not in cache:
-            panel = nuisance.panel(j)
-            Z = nuisance.data.z
-            cache[j] = panel.row_map(Z[:, :j - 1], row_idx=np.arange(nuisance.data.n))
-    return cache
 
 
 def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientSeed:
@@ -101,7 +82,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
     design = nuisance.design
     data = nuisance.data
     Z = data.z
-    rmaps = _rowmaps(nuisance)
+    rmaps = nuisance.rowmaps
     rows: dict[int, np.ndarray] = {}
     sep: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -217,8 +198,6 @@ def gradient_aligned_only(seed: GradientSeed, nuisance: FittedNuisance) -> np.nd
     increment on rows of its aligned sources, scaled by 1/P(S in A_j). The
     reference-measure correction is identically one under the pooled-aligned
     reference and is applied as such."""
-    if seed._aligned_rows is not None:
-        return seed._aligned_rows
     design = nuisance.design
     src = nuisance.data.source
     out = np.zeros(nuisance.data.n)
@@ -227,7 +206,6 @@ def gradient_aligned_only(seed: GradientSeed, nuisance: FittedNuisance) -> np.nd
             continue
         aj = sorted(design.aligned_at(j))
         out += np.isin(src, aj) * seed.rows[j] / nuisance.delta_of(aj)
-    seed._aligned_rows = out
     return out
 
 
@@ -252,19 +230,6 @@ def _batched_pinv(M: np.ndarray, force_null: bool = True):
     pinv = np.einsum("...ij,...j,...kj->...ik", vecs, inv_vals, vecs)
     dropped = (~keep).sum(axis=-1)
     return pinv, dropped
-
-
-@dataclass(frozen=True)
-class FusionMatrix:
-    """The index-j fusion matrix at one conditioning state, with its
-    pseudo-inverse and effective rank."""
-
-    j: int
-    point: tuple[float, ...]
-    matrix: np.ndarray
-    pinv: np.ndarray
-    rank: int
-    sources: tuple[int, ...]
 
 
 class _IndexMachine:
@@ -353,7 +318,7 @@ class _IndexMachine:
                 f"states (index {j})", RankDeficiency, stacklevel=3)
 
         # row-side shifts for own realized values, clipped like any ratio
-        rowmap = _rowmaps(nuisance)[j]
+        rowmap = nuisance.rowmaps[j]
         self.rowmap = rowmap
         self.in_S = np.isin(data.source, self.S)
         self.rows_S = np.flatnonzero(self.in_S)
@@ -409,6 +374,41 @@ def _interp_S(machine: _IndexMachine, fields: np.ndarray) -> np.ndarray:
     return machine.rowmap.apply(fields)[machine.rows_S]
 
 
+@dataclass(frozen=True)
+class InformationMatrix:
+    matrix: np.ndarray
+    pinv: np.ndarray
+    rank: int
+    eig_min: float
+    cond: float
+
+
+def information_matrix(scores_eff: np.ndarray, mask: np.ndarray) -> InformationMatrix:
+    """Empirical second moment of the efficient score, inverted on the
+    estimable block `mask`. Known-threshold coordinates stay zero on both
+    sides."""
+    S = scores_eff
+    n = S.shape[0]
+    t = S.shape[1]
+    info = S.T @ S / n
+    idx = np.flatnonzero(mask)
+    pinv = np.zeros((t, t))
+    if idx.size == 0:
+        return InformationMatrix(info, pinv, 0, 0.0, np.inf)
+    sub = info[np.ix_(idx, idx)]
+    vals, vecs = np.linalg.eigh(0.5 * (sub + sub.T))
+    eig_min = float(vals.min())
+    if eig_min < 1e-10:
+        warnings.warn("efficient information is numerically singular",
+                      SingularInformation, stacklevel=2)
+    keep = np.abs(vals) > 1e-12 * max(float(np.abs(vals).max()), 1e-300)
+    inv_vals = np.where(keep, 1.0 / np.where(vals != 0, vals, 1.0), 0.0)
+    sub_pinv = (vecs * inv_vals) @ vecs.T
+    pinv[np.ix_(idx, idx)] = sub_pinv
+    cond = float(np.abs(vals).max() / np.abs(vals).min()) if eig_min > 0 else np.inf
+    return InformationMatrix(info, pinv, int(keep.sum()), eig_min, cond)
+
+
 @dataclass
 class EnginePass:
     """Everything one β evaluation produces at the data rows."""
@@ -416,19 +416,15 @@ class EnginePass:
     beta: BetaParam
     scores_raw: np.ndarray
     scores_eff: np.ndarray
+    information: InformationMatrix
     dtilde: np.ndarray | None
-    dP: np.ndarray | None
-    machines: dict[int, _IndexMachine]
 
 
 def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                  seed: GradientSeed | None = None) -> EnginePass:
-    """Run the engine at one parameter value: efficient scores always, plus
-    the projected gradient rows when a seed is supplied. Cached per (β, seed)."""
-    key = (beta.values.tobytes(), seed.serial if seed is not None else 0)
-    cached = nuisance.pass_cache.get(key)
-    if cached is not None:
-        return cached
+    """Run the engine at one parameter value: efficient scores and their
+    information always, plus the projected gradient rows when a seed is
+    supplied."""
     design = nuisance.design
     data = nuisance.data
     n = data.n
@@ -443,9 +439,9 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
     scores_raw = np.zeros((n, t))
     scores_eff = np.zeros((n, t))
     dtilde = np.zeros(n) if seed is not None else None
-    dP = np.zeros(n) if seed is not None else None
+    # per-index inverse-shift-weighted seed rows; the tail adjustments below
+    # regress on them
     cterm: dict[int, np.ndarray] = {}
-    machines: dict[int, _IndexMachine] = {}
     any_weak = bool(design.weak_pairs())
 
     for j in design.relevant:
@@ -463,12 +459,10 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                 # construction under the pooled reference
                 term = in_Sj * seed.rows[j] / dSj
                 dtilde += term
-                dP += term
                 cterm[j] = term
             continue
 
         mach = _IndexMachine(nuisance, beta, j)
-        machines[j] = mach
         rows_S = mach.rows_S
         src_S = src[rows_S]
 
@@ -520,8 +514,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                 cq += coef * mach._rowmean(np.broadcast_to(col, (E, T)), mach.panel)
             dtsum_e = mach.dt_e.sum(axis=1)
             lam_e = dSj / dtsum_e
-            kappa = lam_e * dtsum_e / dSj            # identically one, kept literal
-            dmat = kappa[:, None] * mach.R * Dmat - (lam_e * cq / dSj)[:, None]
+            dmat = mach.R * Dmat - (lam_e * cq / dSj)[:, None]
             Ed, Dd, ud, dcenters = mach.project(dmat)
 
             dq_own = seed.rows[j][rows_S]
@@ -543,7 +536,6 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                 lam_dag = np.where(src_S == m, lam_own / mach.wst_own[m], lam_dag)
             crow = np.zeros(n)
             crow[rows_S] = lam_dag * dq_own / dSj
-            dP += crow
             cterm[j] = crow
 
     # ---- tail adjustments at single-source indices (finite-sample variance
@@ -572,19 +564,17 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                 # against the target conditional at every state
                 center_tr += fit.predict(Z[panel.train_idx, :j])
             cfield = panel.mean_field(center_tr)
-            center_rows = _rowmaps(nuisance)[j].apply(cfield)[m_rows]
+            center_rows = nuisance.rowmaps[j].apply(cfield)[m_rows]
             add = np.zeros(n)
             add[m_rows] = tailval - center_rows
             dtilde += add
 
     if seed is not None and not any_weak:
         dtilde = gradient_aligned_only(seed, nuisance)
-        dP = dtilde
 
-    result = EnginePass(beta=beta, scores_raw=scores_raw, scores_eff=scores_eff,
-                        dtilde=dtilde, dP=dP, machines=machines)
-    nuisance.pass_cache[key] = result
-    return result
+    info = information_matrix(scores_eff, estimable_mask(design))
+    return EnginePass(beta=beta, scores_raw=scores_raw, scores_eff=scores_eff,
+                      information=info, dtilde=dtilde)
 
 
 def _row_wr(mach: _IndexMachine) -> np.ndarray:
@@ -596,117 +586,6 @@ def _row_wr(mach: _IndexMachine) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def canonical_gradient_fixed_beta(seed: GradientSeed, beta: BetaParam,
-                                  nuisance: FittedNuisance) -> np.ndarray:
-    """Per-row canonical gradient treating the shift parameters as known."""
-    return compute_pass(nuisance, beta, seed).dtilde.copy()
-
-
-def gradient_known_beta(seed: GradientSeed, beta: BetaParam,
-                        nuisance: FittedNuisance) -> np.ndarray:
-    """Per-row inverse-shift-weighted gradient (no projection): each index
-    contributes its seed increment reweighted by the estimated reference
-    ratio over the realized source's shift."""
-    return compute_pass(nuisance, beta, seed).dP.copy()
-
-
-def lambda_dagger(j: int, s: int, beta: BetaParam, nuisance: FittedNuisance,
-                  zbar: np.ndarray) -> np.ndarray:
-    """Clipped per-row reference-measure factor for source s at index j:
-    λ_{j-1} for aligned sources, additionally divided by the normalized shift
-    for weakly aligned ones. `zbar` holds full z̄_j prefixes."""
-    design = nuisance.design
-    zbar = np.atleast_2d(np.asarray(zbar, dtype=float))
-    ratio = nuisance.ratio_fits(j)
-    lam = ratio.lambda_prev(nuisance.delta, zbar[:, :j - 1])
-    if s in design.weak_at(j):
-        spec = design.spec_for(j, s)
-        sl = beta.offsets()[(j, s)]
-        w = eval_weight_many(spec, beta.values[sl], zbar)
-        wf = np.array([nuisance.normalizer_at(j, s, beta.values[sl], row[:j - 1])[0]
-                       for row in zbar])
-        lo, hi = nuisance.options.ratio_clip
-        wstar = np.clip(w / wf, lo, hi)
-        return lam / wstar
-    if s not in design.sources_at(j):
-        raise StructuralError(f"source {s} does not participate at index {j}")
-    return lam
-
-
-def fusion_matrix(j: int, beta: BetaParam, nuisance: FittedNuisance,
-                  zbar_prev) -> FusionMatrix:
-    """Exact pointwise fusion matrix M_j(z̄_{j-1}) with its pseudo-inverse."""
-    design = nuisance.design
-    panel = nuisance.panel(j)
-    S = sorted(design.sources_at(j))
-    point = np.atleast_1d(np.asarray(zbar_prev, dtype=float))
-    kw = panel.weights_at(point)
-    tot = float(kw.sum())
-    if tot < 1e-300:
-        raise AllSingular(f"no support near {tuple(point)} at index {j}")
-    probs = kw / tot
-    ratio = nuisance.ratio_fits(j)
-    offs = beta.offsets()
-    dt = np.array([nuisance.delta[m] * float(ratio.rho(m, point[None, :])[0]) for m in S])
-    wst = {}
-    for s in sorted(design.weak_at(j)):
-        spec = design.spec_for(j, s)
-        b = beta.values[offs[(j, s)]]
-        pairs = np.column_stack([np.tile(point, (panel.zj.size, 1)), panel.zj])
-        w = eval_weight_many(spec, b, pairs)
-        wf = max(float(probs @ w), nuisance.options.eps_w)
-        wst[s] = w / wf
-    den = np.zeros(panel.zj.size)
-    for i, m in enumerate(S):
-        den += dt[i] * (wst[m] if m in wst else 1.0)
-    R = 1.0 / den
-    k = len(S)
-    M = np.diag(1.0 / dt)
-    for a in range(k):
-        for b_ in range(k):
-            F = R.copy()
-            if S[a] in wst:
-                F = F * wst[S[a]]
-            if S[b_] in wst:
-                F = F * wst[S[b_]]
-            M[a, b_] -= float(probs @ F)
-    pinv, dropped = _batched_pinv(M[None])
-    rank = k - int(dropped[0])
-    if rank == 0:
-        raise AllSingular(f"fusion matrix at index {j} is numerically zero")
-    return FusionMatrix(j=j, point=tuple(float(v) for v in point), matrix=M,
-                        pinv=pinv[0], rank=rank, sources=tuple(S))
-
-
-def gamma_derivative(seed: GradientSeed, beta: BetaParam, nuisance: FittedNuisance,
-                     method: str = "moment", h: float = 1e-4) -> np.ndarray:
-    """Derivative of the estimand along the shift parameters.
-
-    The moment form averages the projected gradient against the raw score.
-    The finite-difference form perturbs β in the projected-gradient map while
-    holding every aligned-data fit fixed; its sign is flipped because moving
-    the model parameter by h moves the implied estimand by -∇γ·h.
-    """
-    if method == "moment":
-        p = compute_pass(nuisance, beta, seed)
-        return p.scores_raw.T @ p.dtilde / nuisance.data.n
-    if method != "fd":
-        raise ValueError(f"unknown method {method!r}")
-    from .model import estimable_mask
-
-    mask = estimable_mask(nuisance.design)
-    out = np.zeros(beta.t)
-    for c in range(beta.t):
-        if not mask[c]:
-            continue
-        e = np.zeros(beta.t)
-        e[c] = h
-        up = compute_pass(nuisance, beta.replace_values(beta.values + e), seed)
-        dn = compute_pass(nuisance, beta.replace_values(beta.values - e), seed)
-        out[c] = -(up.dtilde.mean() - dn.dtilde.mean()) / (2 * h)
-    return out
-
-
 def efficient_gradient(seed: GradientSeed, beta: BetaParam,
                        nuisance: FittedNuisance) -> dict:
     """Per-row efficient gradient and its components at a parameter value.
@@ -715,10 +594,8 @@ def efficient_gradient(seed: GradientSeed, beta: BetaParam,
     efficient scores, the information matrix and its pseudo-inverse, and the
     estimand derivative along β (raw-score form).
     """
-    from .betafit import information_matrix
-
     p = compute_pass(nuisance, beta, seed)
-    info = information_matrix(nuisance, beta)
+    info = p.information
     grad_gamma = p.scores_raw.T @ p.dtilde / nuisance.data.n
     adj = info.pinv @ grad_gamma
     rows = p.dtilde - p.scores_eff @ adj

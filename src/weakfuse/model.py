@@ -10,21 +10,13 @@ are only weakly aligned through a parametric tilt (set W_j). Index numbering is
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import StructuralError
 from .weights import WeightSpec
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single row: outcome vector z and integer source label s."""
-
-    z: tuple[float, ...]
-    s: int
 
 
 class Dataset:
@@ -78,17 +70,6 @@ class Dataset:
 
     def source_counts(self) -> dict[int, int]:
         return {s: self.rows_of(s).size for s in range(1, self.k + 1)}
-
-    def row(self, i: int) -> Observation:
-        return Observation(tuple(float(v) for v in self.z[i]), int(self.source[i]))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Observation], k: int | None = None) -> "Dataset":
-        rows = list(rows)
-        z = np.array([r.z for r in rows], dtype=float).reshape(len(rows), -1)
-        s = np.array([r.s for r in rows], dtype=int)
-        return cls(z, s, k)
-
 
 def _freeze_sets(m: Mapping[int, Iterable[int]]) -> tuple[tuple[int, frozenset[int]], ...]:
     return tuple(sorted((int(j), frozenset(int(s) for s in v)) for j, v in m.items()))
@@ -177,20 +158,14 @@ class ValidationReport:
     n: int
     k: int
     per_index: tuple[IndexReport, ...]
-    overlap: tuple[tuple[tuple[int, int], OverlapDiagnostics], ...]
     warnings: tuple[str, ...]
 
 
-def validate_design(
-    design: FusionDesign,
-    data: Dataset,
-    ratio_fits=None,
-) -> ValidationReport:
+def validate_design(design: FusionDesign, data: Dataset) -> ValidationReport:
     """Check a design against a dataset; hard violations raise StructuralError.
 
-    Soft issues (poor overlap of fitted density ratios) are reported, not
-    raised. `ratio_fits` is an optional fitted marginal-density-ratio bundle
-    (see nuisance module); without it the overlap section stays empty.
+    Soft issues (weak sources at an index the estimand ignores) are reported
+    and warned about, not raised.
     """
     if data.d != design.d or data.k != design.k:
         raise StructuralError(
@@ -228,24 +203,10 @@ def validate_design(
         if s not in weak_map.get(j, frozenset()):
             raise StructuralError(f"weight model given for ({j}, {s}) but source not weak there")
         spec.check_index(j)
-    overlap: list[tuple[tuple[int, int], OverlapDiagnostics]] = []
-    if ratio_fits is not None:
-        for j in design.relevant:
-            for s in sorted(design.sources_at(j)):
-                diag = ratio_fits.overlap_diagnostics(j, s)
-                if diag is None:
-                    continue
-                overlap.append(((j, s), diag))
-                if diag.frac_clipped > 0.02:
-                    warn.append(
-                        f"poor overlap for source {s} at index {j}: "
-                        f"{diag.frac_clipped:.1%} of fitted ratios clipped"
-                    )
     report = ValidationReport(
         n=data.n,
         k=data.k,
         per_index=tuple(per_index),
-        overlap=tuple(overlap),
         warnings=tuple(warn),
     )
     for msg in warn:

@@ -1,12 +1,11 @@
 """Nuisance fits: kernel regressions, propensity, density ratios, and the
 conditional-moment panels that back the gradient engine.
 
-Everything here is deterministic given the data: bandwidths are closed-form or
-grid-selected, logistic fits use IRLS from a zero start, and conditional-mean
-fields are evaluated on fixed grids. Panels evaluate Nadaraya-Watson fields at
-a set of conditioning states and map data rows onto those states by linear
-interpolation; the observation-level helpers recompute the same estimator
-exactly at the queried point.
+Everything here is deterministic given the data: bandwidths are closed-form,
+logistic fits use IRLS from a zero start, and conditional-mean fields are
+evaluated on fixed grids. Panels evaluate Nadaraya-Watson fields at a set of
+conditioning states and map data rows onto those states by linear
+interpolation.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    DegenerateNormalizer,
     InsufficientData,
     NonBinaryTreatment,
     NuisanceMissing,
@@ -27,43 +25,13 @@ from .errors import (
     StructuralError,
 )
 from .model import Dataset, FusionDesign, OverlapDiagnostics
-from .weights import eval_weight_many
 
 _MIN_ROWS = 5
 _H_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class BandwidthRule:
-    """How to pick kernel bandwidths: silverman, fixed(h), or cv_loo(grid)."""
-
-    kind: str = "silverman"
-    h: float | None = None
-    grid: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("silverman", "fixed", "cv_loo"):
-            raise ValueError(f"unknown bandwidth rule {self.kind!r}")
-        if self.kind == "fixed" and (self.h is None or self.h <= 0):
-            raise ValueError("fixed rule needs a positive bandwidth")
-        if self.kind == "cv_loo" and not self.grid:
-            raise ValueError("cv_loo rule needs a candidate grid")
-
-    @classmethod
-    def parse(cls, text: str) -> "BandwidthRule":
-        text = text.strip()
-        if text == "silverman":
-            return cls()
-        if text.startswith("fixed:"):
-            return cls("fixed", h=float(text[6:]))
-        if text.startswith("cv_loo:"):
-            return cls("cv_loo", grid=tuple(float(v) for v in text[7:].split(",")))
-        raise ValueError(f"cannot parse bandwidth rule {text!r}")
-
-
-@dataclass(frozen=True)
 class NuisanceOptions:
-    bandwidth_rule: BandwidthRule = BandwidthRule()
     ratio_clip: tuple[float, float] = (1e-3, 1e3)
     propensity_clip: tuple[float, float] = (0.01, 0.99)
     eps_w: float = 1e-8
@@ -80,9 +48,6 @@ class ClipCounter:
     def bump(self, what: str, j: int, by: int = 1):
         key = f"{what}_j{j}"
         self.counts[key] = self.counts.get(key, 0) + int(by)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def silverman_bandwidths(X: np.ndarray) -> np.ndarray:
@@ -127,22 +92,10 @@ class RegressionFit:
                                         fallback)
         return out
 
-    def _loo_sse(self, h: np.ndarray) -> float:
-        w = _gauss_weights(self.X, self.X, h)
-        np.fill_diagonal(w, 0.0)
-        den = w.sum(axis=1)
-        ok = den > 1e-300
-        pred = np.where(ok, (w @ self.y) / np.where(ok, den, 1.0), self.y.mean())
-        return float(np.sum((pred - self.y) ** 2))
 
-
-def fit_kernel_regression(X, y, rule: BandwidthRule | None = None) -> RegressionFit:
-    """Fit a kernel regression of y on X under the given bandwidth rule.
-
-    Needs at least five rows. The cv_loo rule treats its grid entries as a
-    common scalar bandwidth for every column and keeps the entry with the
-    smallest leave-one-out squared error (first wins on ties).
-    """
+def fit_kernel_regression(X, y) -> RegressionFit:
+    """Fit a kernel regression of y on X with Silverman bandwidths; needs at
+    least five rows."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -151,16 +104,7 @@ def fit_kernel_regression(X, y, rule: BandwidthRule | None = None) -> Regression
         raise StructuralError("X and y row counts differ")
     if X.shape[0] < _MIN_ROWS:
         raise InsufficientData(f"kernel regression needs >= {_MIN_ROWS} rows, got {X.shape[0]}")
-    rule = rule or BandwidthRule()
-    if rule.kind == "fixed":
-        h = np.full(X.shape[1], float(rule.h))
-    elif rule.kind == "silverman":
-        h = silverman_bandwidths(X)
-    else:
-        probe = RegressionFit(X, y, np.ones(X.shape[1]))
-        sses = [probe._loo_sse(np.full(X.shape[1], hv)) for hv in rule.grid]
-        h = np.full(X.shape[1], rule.grid[int(np.argmin(sses))])
-    return RegressionFit(X, y, h)
+    return RegressionFit(X, y, silverman_bandwidths(X))
 
 
 def _irls_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
@@ -368,7 +312,6 @@ class KernelPanel:
         self.zj = data.z[self.train_idx, j - 1].copy()
         zprev_all = data.z[:, :p]
         zprev_tr = data.z[self.train_idx, :p]
-        self._zpt = zprev_tr
         self.binary = np.array([set(np.unique(zprev_all[:, c])) <= {0.0, 1.0}
                                 for c in range(p)], dtype=bool)
         self.cont_cols = np.flatnonzero(~self.binary) if p else np.empty(0, dtype=int)
@@ -478,20 +421,6 @@ class KernelPanel:
             frac = np.zeros(m)
         return RowMap(branch * G + lo, branch * G + hi, frac)
 
-    def weights_at(self, zbar_prev) -> np.ndarray:
-        """Exact kernel weights from one conditioning point to the train rows."""
-        if self.j == 1:
-            return np.ones(self.train_idx.size)
-        z = np.atleast_1d(np.asarray(zbar_prev, dtype=float))
-        w = np.ones(self.train_idx.size)
-        for pos, c in enumerate(self.cont_cols):
-            h = self.h[pos] if self._mode == "exact" else self.h[0]
-            diff = (z[c] - self._zpt[:, c]) / h
-            w = w * np.exp(-0.5 * diff * diff)
-        for c in self.bin_cols:
-            w = w * (self._zpt[:, c] == z[c])
-        return w
-
 
 class DiscretePanel:
     """Exact conditional-moment evaluator over a finite support.
@@ -530,10 +459,6 @@ class DiscretePanel:
                 raise StructuralError("row state not in the declared support")
             idx[r] = hit[0]
         return RowMap(idx, idx, np.zeros(Zprev.shape[0]))
-
-    def weights_at(self, zbar_prev) -> np.ndarray:
-        rm = self.row_map(np.atleast_2d(zbar_prev))
-        return self.W[rm.lo[0]]
 
 
 class CrossFitPanel:
@@ -579,35 +504,31 @@ class CrossFitPanel:
         frac = np.where(use1, rm1.frac, rm0.frac)
         return RowMap(lo, hi, frac)
 
-    def weights_at(self, zbar_prev) -> np.ndarray:
-        return np.concatenate([self.sub[0].weights_at(zbar_prev),
-                               self.sub[1].weights_at(zbar_prev)])
-
 
 class FittedNuisance:
     """Everything the estimator and gradient engine need, fitted once.
 
-    Holds source frequencies, per-index panels, the propensity and marginal
-    density-ratio fits, and a registry of named conditional-mean evaluators.
-    Weight-dependent fields (normalizers, score means, fusion-matrix moments)
-    are computed per β by the gradient engine and cached here, so refreshing β
-    never touches the β-free fits.
+    Holds source frequencies, per-index panels with the row map of every data
+    row onto each panel's states, and the propensity and marginal
+    density-ratio fits. Weight-dependent fields (normalizers, score means,
+    fusion-matrix moments) are computed per β by the gradient engine, so
+    refreshing β never touches the β-free fits.
     """
 
     def __init__(self, data: Dataset, design: FusionDesign, options: NuisanceOptions,
                  delta: dict[int, float], panels: dict[int, object],
                  ratios: dict[int, MarginalRatioFits], propensity: PropensityFit | None,
-                 registry: dict[tuple, tuple], clips: ClipCounter):
+                 clips: ClipCounter):
         self.data = data
         self.design = design
         self.options = options
         self.delta = delta
         self.panels = panels
+        self.rowmaps = {j: p.row_map(data.z[:, :j - 1], row_idx=np.arange(data.n))
+                        for j, p in panels.items()}
         self.ratios = ratios
         self.propensity = propensity
-        self.registry = registry
         self.clips = clips
-        self.pass_cache: dict[bytes, object] = {}
 
     def panel(self, j: int):
         p = self.panels.get(j)
@@ -624,42 +545,6 @@ class FittedNuisance:
     def delta_of(self, sources) -> float:
         return float(sum(self.delta[s] for s in sources))
 
-    def normalizer_at(self, j: int, s: int, beta_js: np.ndarray,
-                      zbar_prev) -> tuple[float, bool]:
-        """Exact pointwise normalizer estimate; floored when degenerate."""
-        spec = self.design.spec_for(j, s)
-        if spec is None:
-            raise NuisanceMissing(f"no weight model for index {j}, source {s}")
-        panel = self.panel(j)
-        w = panel.weights_at(zbar_prev)
-        point = np.atleast_1d(np.asarray(zbar_prev, dtype=float))
-        pairs = np.column_stack([np.tile(point, (panel.zj.size, 1)), panel.zj])
-        wvals = eval_weight_many(spec, beta_js, pairs)
-        den = float(w.sum())
-        num = float(w @ wvals)
-        if den < 1e-300 or num <= 0 or num / den < self.options.eps_w:
-            warnings.warn(f"degenerate normalizer at index {j}, source {s}",
-                          DegenerateNormalizer, stacklevel=2)
-            return self.options.eps_w, True
-        return num / den, False
-
-
-def conditional_mean(bundle: FittedNuisance, tag: tuple, zbar_prev) -> float:
-    """Evaluate a registered conditional-mean fit at one point; the tag names
-    the regression (for example ("mu",) for the outcome mean given past)."""
-    entry = bundle.registry.get(tuple(tag))
-    if entry is None:
-        raise NuisanceMissing(f"no registered regression under tag {tag!r}")
-    panel, values = entry
-    values = np.asarray(values)
-    w = panel.weights_at(zbar_prev)
-    # same dot-product accumulation order for both sums, so a constant field
-    # comes back unchanged
-    den = float(w @ np.ones(values.size))
-    if den < 1e-300:
-        return float(values.mean())
-    return float(w @ values) / den
-
 
 def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
                         options: NuisanceOptions | None = None) -> FittedNuisance:
@@ -671,7 +556,6 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     delta = {s: c / data.n for s, c in data.source_counts().items()}
     panels: dict[int, object] = {}
     ratios: dict[int, MarginalRatioFits] = {}
-    registry: dict[tuple, tuple] = {}
     for j in design.relevant:
         rows = np.concatenate([data.rows_of(s) for s in sorted(design.aligned_at(j))])
         rows.sort()
@@ -682,13 +566,6 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     for j in design.relevant:
         ratios[j] = MarginalRatioFits(j, design, data, options, clips)
     propensity = None
-    kind = getattr(estimand, "kind", None)
-    if kind == "ate":
+    if getattr(estimand, "kind", None) == "ate":
         propensity = fit_propensity(data, design, options)
-        jd = max(design.relevant)
-        panel = panels[jd]
-        registry[("mu",)] = (panel, panel.zj.copy())
-    elif kind == "working_linear" and 2 in panels:
-        registry[("mu_y",)] = (panels[2], panels[2].zj.copy())
-    return FittedNuisance(data, design, options, delta, panels, ratios,
-                          propensity, registry, clips)
+    return FittedNuisance(data, design, options, delta, panels, ratios, propensity, clips)

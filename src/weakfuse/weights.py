@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NuisanceMissing, ParseError, UnsupportedFamily
+from .errors import DomainError, ParseError, UnsupportedFamily
 
 TERMINALS = ("identity", "square", "log", "log1m")
 
@@ -189,20 +189,6 @@ def eval_weight_many(spec: WeightSpec, beta_js: np.ndarray, zbar: np.ndarray) ->
     return np.exp(basis_matrix(spec, zbar) @ beta_js)
 
 
-def eval_weight(spec: WeightSpec, beta_js, zbar_j) -> float:
-    """Unnormalized weight w(z̄_j; β) at a single point."""
-    return float(eval_weight_many(spec, beta_js, np.atleast_2d(zbar_j))[0])
-
-
-def eval_weight_logderiv(spec: WeightSpec, beta_js, zbar_j) -> np.ndarray:
-    """∂ log w / ∂β at one point; for the exponential tilt this is the basis
-    vector t(z̄_j) and does not depend on β."""
-    if spec.family != "exponential_tilt":
-        raise UnsupportedFamily("log-derivative undefined for truncation thresholds")
-    np.asarray(beta_js, dtype=float)  # shape errors surface via eval paths
-    return basis_matrix(spec, np.atleast_2d(zbar_j))[0]
-
-
 def complex_family(index: int) -> list[BasisTerm]:
     """Deterministic ordered pool of redundant tilt terms for one index.
 
@@ -221,54 +207,3 @@ def complex_family(index: int) -> list[BasisTerm]:
         for mono in monomials:
             out.append(BasisTerm(index, tuple((i, 1) for i in mono), terminal))
     return out
-
-
-@dataclass(frozen=True)
-class NormalizerEstimate:
-    """Fitted conditional normalizer W(z̄_{j-1}; β) at one point."""
-
-    value: float
-    method: str
-    point: tuple[float, ...]
-    floored: bool = False
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("normalizer must be positive")
-
-
-def estimate_normalizer(spec, beta_js, zbar_prev, nuisance, j: int, design) -> NormalizerEstimate:
-    """Kernel estimate of the normalizer at a single past-prefix point.
-
-    The bundle must already hold aligned-row training data for index j; the
-    value is the Nadaraya-Watson mean of w(·; β) there, floored at a small
-    positive constant (with a warning) when the local fit degenerates.
-    """
-    spec.check_index(j)
-    source = None
-    for (jj, ss), sp in dict(design.weight_specs).items():
-        if jj == j and sp == spec:
-            source = ss
-            break
-    if source is None:
-        raise NuisanceMissing(f"design has no matching weight model at index {j}")
-    value, floored = nuisance.normalizer_at(j, source, np.asarray(beta_js, float), zbar_prev)
-    return NormalizerEstimate(
-        value=value,
-        method="nadaraya_watson",
-        point=tuple(float(v) for v in np.atleast_1d(zbar_prev)),
-        floored=floored,
-    )
-
-
-def density_ratio(spec, beta_js, zbar_j, nuisance, j: int, design) -> float:
-    """Normalized shift w*(z̄_j; β) = w / Ŵ, clipped to the overlap bounds."""
-    zbar_j = np.atleast_1d(np.asarray(zbar_j, dtype=float))
-    w = eval_weight(spec, beta_js, zbar_j)
-    west = estimate_normalizer(spec, beta_js, zbar_j[: j - 1], nuisance, j, design)
-    lo, hi = nuisance.options.ratio_clip
-    raw = w / west.value
-    clipped = min(max(raw, lo), hi)
-    if clipped != raw:
-        nuisance.clips.bump("wstar", j)
-    return clipped

@@ -111,7 +111,7 @@ class DiscreteLaw:
         return assemble_beta(layout_from_design(self.design()),
                              {(3, 2): [self.beta2], (3, 3): [self.beta3]})
 
-    def bundle(self) -> FittedNuisance:
+    def bundle(self, options: NuisanceOptions | None = None) -> FittedNuisance:
         st3 = np.array([[self.Z1[b1], self.Z2[b2]]
                         for b1 in range(2) for b2 in range(2)])
         q3rows = np.array([self.Q3[(b1, b2)] for b1 in range(2) for b2 in range(2)])
@@ -122,9 +122,8 @@ class DiscreteLaw:
         }
         ratios = {1: _ExactRatio(self, 1, [1]), 2: _ExactRatio(self, 2, [1]),
                   3: _ExactRatio(self, 3, [1, 2, 3])}
-        return FittedNuisance(self.dataset(), self.design(), NuisanceOptions(),
-                              dict(self.DELTA), panels, ratios, None, {},
-                              ClipCounter())
+        return FittedNuisance(self.dataset(), self.design(), options or NuisanceOptions(),
+                              dict(self.DELTA), panels, ratios, None, ClipCounter())
 
     # ---- dense projection oracle ----
 

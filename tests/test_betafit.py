@@ -4,14 +4,18 @@ import pytest
 from weakfuse.betafit import (
     _pair_moment_and_jac,
     _pair_moment_system,
-    efficient_score,
-    information_matrix,
     moment_match_beta,
     one_step_beta,
 )
 from weakfuse.errors import SingularInformation
-from weakfuse.gradients import compute_pass
-from weakfuse.model import BetaParam, Dataset, FusionDesign, beta_slice, layout_from_design
+from weakfuse.gradients import compute_pass, information_matrix
+from weakfuse.model import (
+    Dataset,
+    FusionDesign,
+    beta_slice,
+    estimable_mask,
+    layout_from_design,
+)
 from weakfuse.nuisance import fit_nuisance_bundle
 from weakfuse.weights import WeightSpec
 
@@ -123,13 +127,20 @@ def test_raw_score_residualizes_through_the_panel():
 def test_information_matrix_properties():
     law = DiscreteLaw()
     nuis = law.bundle()
-    info = information_matrix(nuis, law.beta_param())
+    info = compute_pass(nuis, law.beta_param()).information
     assert np.all(np.abs(info.matrix - info.matrix.T) == 0.0)
     assert np.all(np.linalg.eigvalsh(info.matrix) >= -1e-12)
     assert info.rank == 2
     assert info.eig_min > 0
     # pinv inverts on the estimable block
     np.testing.assert_allclose(info.pinv @ info.matrix, np.eye(2), atol=1e-10)
+    # the pass's information is a pure function of its scores and the mask
+    S = compute_pass(nuis, law.beta_param()).scores_eff
+    again = information_matrix(S, estimable_mask(law.design()))
+    np.testing.assert_array_equal(again.pinv, info.pinv)
+    masked = information_matrix(S, np.array([True, False]))
+    assert masked.rank == 1
+    assert np.all(masked.pinv[1] == 0.0) and np.all(masked.pinv[:, 1] == 0.0)
 
 
 def _collinear_binary_instance(n_per, seed=5):
@@ -158,7 +169,7 @@ def test_singular_information_warns_and_uses_pinv():
     res = moment_match_beta(nuis)
     assert res.all_converged
     with pytest.warns(SingularInformation):
-        info = information_matrix(nuis, res.beta)
+        info = compute_pass(nuis, res.beta).information
     assert info.rank == 1
     assert info.cond == np.inf
     np.testing.assert_allclose(info.pinv, info.pinv.T, atol=1e-15)
@@ -173,7 +184,7 @@ def test_one_step_beta_moves_to_root():
     assert step.se.shape == (1,)
     assert np.all(step.se > 0)
     # the efficient score empirically re-centers at the updated value
-    S1 = efficient_score(nuis, step.beta)
+    S1 = compute_pass(nuis, step.beta).scores_eff
     assert np.linalg.norm(S1.mean(axis=0)) <= 10 / np.sqrt(data.n)
 
 
@@ -204,5 +215,5 @@ def test_score_blocks_decouple_across_indices():
     res = moment_match_beta(nuis)
     assert beta_slice(res.beta, 1, 2)[0] == pytest.approx(ba, abs=0.2)
     assert beta_slice(res.beta, 2, 2)[0] == pytest.approx(bb, abs=0.2)
-    info = information_matrix(nuis, res.beta)
+    info = compute_pass(nuis, res.beta).information
     assert abs(info.matrix[0, 1]) <= 0.05

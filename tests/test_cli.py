@@ -12,6 +12,7 @@ from weakfuse.errors import (
     SemanticError,
 )
 from weakfuse.cli import (
+    _MAX_GRID_POINTS,
     _parse_grid,
     config_hash,
     default_config_dict,
@@ -20,6 +21,7 @@ from weakfuse.cli import (
     parse_config,
     parse_config_dict,
 )
+from weakfuse.estimator import one_step_estimate
 from weakfuse.simulation import generate_dataset, named_scenario
 
 
@@ -104,6 +106,28 @@ def test_truncation_threshold_becomes_start_value():
     offs = cfg.beta0.offsets()
     assert cfg.beta0.values[offs[(3, 2)]][0] == 0.6
     assert np.all(cfg.beta0.values[offs[(3, 3)]] == 0.0)
+
+
+# non-default values measured to move the estimate or its se on one
+# 300-row-per-source study replicate
+BINDING_OPTIONS = {"ratio_clip": [0.8, 1.25], "propensity_clip": [0.55, 0.6],
+                   "grid_points": 51, "cross_fit": True}
+
+
+def test_every_parsed_option_changes_the_estimate():
+    assert set(BINDING_OPTIONS) == set(default_config_dict()["options"])
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), seed=11)
+
+    def run(blob):
+        cfg = parse_config_dict(blob)
+        rep = one_step_estimate(data, cfg.design, cfg.estimand, options=cfg.options)
+        return rep.estimate, rep.se
+
+    base = run(default_config_dict())
+    for key, value in BINDING_OPTIONS.items():
+        blob = default_config_dict()
+        blob["options"][key] = value
+        assert run(blob) != base, key
 
 
 def test_parse_config_file_errors(tmp_path):
@@ -195,6 +219,16 @@ def test_parse_grid_inclusive_endpoint():
         _parse_grid("0:0.1")
     with pytest.raises(ValueError, match="positive"):
         _parse_grid("0:0.1:-0.01")
+
+
+def test_parse_grid_length_cap():
+    grid = _parse_grid("0:0.05:0.0001")
+    assert len(grid) == 501
+    assert grid == [round(i * 0.0001, 12) for i in range(501)]
+    assert len(_parse_grid(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        _parse_grid(f"0:{_MAX_GRID_POINTS}:1")
+    assert _parse_grid("1:0:0.5") == []
 
 
 # -------------------------------------------------------------- commands
@@ -325,6 +359,33 @@ def test_user_errors_exit_one(tmp_path, capsys):
                  "--delta-grid", "0:0.1", "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0:1:1e-300", f"more than {_MAX_GRID_POINTS} points"),
+    ("0:inf:1", "must be finite"),
+    ("nan:1:0.1", "must be finite"),
+    ("0:nan:0.1", "must be finite"),
+])
+def test_sensitivity_rejects_unbounded_grids(tmp_path, capsys, grid, message):
+    data = _study_csv(tmp_path, n=60, seed=3)
+    cfgp = _study_config(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main(["sensitivity", "--config", str(cfgp), "--data", str(data),
+                 "--delta-grid", grid, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bandwidth_option_is_rejected(tmp_path, capsys):
+    blob = default_config_dict()
+    blob["options"]["bandwidth"] = "silverman"
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    data = _study_csv(tmp_path, n=60, seed=3)
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "config.options.bandwidth: unknown key" in capsys.readouterr().err
 
 
 def test_internal_errors_exit_two(tmp_path, monkeypatch, capsys):

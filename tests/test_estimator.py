@@ -13,8 +13,11 @@ from weakfuse.estimator import (
     sensitivity_interval,
     wald_interval,
 )
+import weakfuse.betafit
+import weakfuse.gradients
 from weakfuse.gradients import EstimandSpec
 from weakfuse.model import Dataset, FusionDesign
+from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec, complex_family
 
 MOMENT2 = EstimandSpec("moment", index=2)
@@ -339,11 +342,10 @@ def test_mean_difference_needs_three_coordinates():
         one_step_estimate(data, design, EstimandSpec("ate"))
 
 
-def test_working_linear_pipeline():
-    rng = np.random.default_rng(10)
-    n_per = 1600
-    sigma = 0.4
-    beta_true = -0.6
+def _linear_instance(n_per, beta_true=-0.6, sigma=0.4, seed=10):
+    """d = 2 with a linear outcome; source 2's outcome is a normal tilted by
+    exp(b*y), which is the same normal with mean shifted by b*sigma^2."""
+    rng = np.random.default_rng(seed)
     z1 = rng.uniform(0.0, 1.0, 2 * n_per)
     mu = 0.3 + 0.9 * z1
     shift = np.repeat([0.0, beta_true * sigma ** 2], n_per)
@@ -355,6 +357,33 @@ def test_working_linear_pipeline():
         weak={2: {2}},
         weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])},
     )
+    return data, design
+
+
+def test_working_linear_pipeline():
+    beta_true = -0.6
+    data, design = _linear_instance(1600, beta_true=beta_true)
     rep = one_step_estimate(data, design, EstimandSpec("working_linear", coefficient="slope"))
     assert abs(rep.estimate - 0.9) < 4 * rep.se
     assert rep.beta[0] == pytest.approx(beta_true, abs=0.45)
+
+
+@pytest.mark.parametrize("variant, passes", [
+    ("efficient_fusion", 2), ("target_only", 0), ("naive_fusion", 0)])
+def test_engine_pass_count(monkeypatch, variant, passes):
+    # one pass at the initial beta for the Newton step, one seeded pass at
+    # the updated beta for the gradient; variants without weak pairs skip
+    # the engine
+    calls = []
+    real = weakfuse.gradients.compute_pass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weakfuse.betafit, "compute_pass", counting)
+    monkeypatch.setattr(weakfuse.gradients, "compute_pass", counting)
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1)
+    one_step_estimate(data, study_design(), EstimandSpec("ate"),
+                      variant=EstimatorVariant(variant))
+    assert len(calls) == passes

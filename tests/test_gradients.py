@@ -2,21 +2,17 @@ import numpy as np
 import pytest
 
 from weakfuse.betafit import moment_match_beta
-from weakfuse.errors import AllSingular, StructuralError
+from weakfuse.errors import StructuralError
 from weakfuse.gradients import (
     EstimandSpec,
     _batched_pinv,
-    canonical_gradient_fixed_beta,
+    _IndexMachine,
     compute_pass,
     efficient_gradient,
-    fusion_matrix,
-    gamma_derivative,
     gradient_aligned_only,
-    gradient_known_beta,
-    lambda_dagger,
     seed_gradient,
 )
-from weakfuse.model import BetaParam, Dataset, FusionDesign
+from weakfuse.model import BetaParam, Dataset, FusionDesign, estimable_mask
 from weakfuse.nuisance import fit_nuisance_bundle
 
 from oracles import DiscreteLaw
@@ -100,7 +96,7 @@ def test_aligned_only_gradient_is_exact(law_pass):
 
 def test_projected_gradient_matches_dense_least_squares(law_pass):
     law, nuis, seed = law_pass
-    got = canonical_gradient_fixed_beta(seed, law.beta_param(), nuis)
+    got = compute_pass(nuis, law.beta_param(), seed).dtilde
     np.testing.assert_allclose(got, law.projected_gradient(), atol=1e-10)
 
 
@@ -108,7 +104,7 @@ def test_projection_certificates(law_pass):
     # the engine output must lie in the tangent space with a residual that is
     # orthogonal to it, and it must be mean zero under the sampling law
     law, nuis, seed = law_pass
-    dt = canonical_gradient_fixed_beta(seed, law.beta_param(), nuis)
+    dt = compute_pass(nuis, law.beta_param(), seed).dtilde
     B = law.tangent_basis()
     resid = law.aligned_gradient() - dt
     np.testing.assert_allclose(B.T @ (law.pi * resid), 0.0, atol=1e-12)
@@ -120,32 +116,40 @@ def test_projection_certificates(law_pass):
 
 def test_projection_reduces_variance(law_pass):
     law, nuis, seed = law_pass
-    dt = canonical_gradient_fixed_beta(seed, law.beta_param(), nuis)
+    dt = compute_pass(nuis, law.beta_param(), seed).dtilde
     da = law.aligned_gradient()
     var_dt = law.pi @ (dt * dt)
     var_da = law.pi @ (da * da)
     assert var_dt < var_da  # strict: the aligned-only gradient is not tangent
 
 
-def test_known_beta_gradient_pointwise(law_pass):
-    # inverse-shift form: each row carries lambda-dagger times its seed
-    # increment over the participating mass
-    law, nuis, seed = law_pass
-    dp = gradient_known_beta(seed, law.beta_param(), nuis)
-    Z = law.dataset().z
-    want = np.zeros(law.n)
-    for j in (1, 2):
-        dS = law.DELTA[1]
-        want += (law.src == 1) * seed.rows[j] / dS
-    lam = nuis.ratio_fits(3).lambda_prev(nuis.delta, Z[:, :2])
+def _oracle_wstar(law, Z):
+    """Exact normalized shift w/W at each row's own value (1 on aligned rows)."""
     wst = np.ones(law.n)
     for s in (2, 3):
         w = law.weight(s, Z[:, 0], Z[:, 2])
         W = np.array([law.p3_table(1, b1, b2) @ law.weight(s, law.Z1[b1], law.Z3)
                       for b1, b2 in zip(law.i1, law.i2)])
         wst = np.where(law.src == s, w / W, wst)
-    want += lam / wst * seed.rows[3] / 1.0  # delta of S_3 is the full mass
-    np.testing.assert_allclose(dp, want, atol=1e-12)
+    return wst
+
+
+def test_known_beta_gradient_pointwise(law_pass):
+    # inverse-shift form at the weak index: each row carries lambda-dagger
+    # times its seed increment over the participating mass, read off the
+    # machine's row-side mixture weights and clipped shifts
+    law, nuis, seed = law_pass
+    mach = _IndexMachine(nuis, law.beta_param(), 3)
+    Z = law.dataset().z
+    lam = nuis.ratio_fits(3).lambda_prev(nuis.delta, Z[:, :2])
+    want = lam / _oracle_wstar(law, Z) * seed.rows[3] / 1.0  # S_3 holds the full mass
+    src_S = law.src[mach.rows_S]
+    lam_dag = mach.dSj / mach.dtsum_own
+    for s in mach.Wk:
+        lam_dag = np.where(src_S == s, lam_dag / mach.wst_own[s], lam_dag)
+    got = lam_dag * seed.rows[3][mach.rows_S] / mach.dSj
+    np.testing.assert_array_equal(mach.rows_S, np.arange(law.n))
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +181,11 @@ def test_batched_pinv_symmetrizes():
 
 def test_fusion_matrix_pointwise_oracle(law):
     nuis = law.bundle()
-    beta = law.beta_param()
+    mach = _IndexMachine(nuis, law.beta_param(), 3)
+    assert mach.S == [1, 2, 3]
     b1, b2 = 0, 1
-    point = np.array([law.Z1[b1], law.Z2[b2]])
-    fm = fusion_matrix(3, beta, nuis, point)
-    assert fm.sources == (1, 2, 3)
+    e = b1 * 2 + b2
+    np.testing.assert_array_equal(mach.panel.eval_states[e], [law.Z1[b1], law.Z2[b2]])
     probs = law.Q3[(b1, b2)]
     dt = np.array([law.DELTA[s] * law.P_Z1[s][b1] * law.p2_table(s, b1)[b2]
                    for s in (1, 2, 3)])
@@ -196,34 +200,28 @@ def test_fusion_matrix_pointwise_oracle(law):
     for a, sa in enumerate((1, 2, 3)):
         for c, sc in enumerate((1, 2, 3)):
             M[a, c] -= probs @ (wst[sa] * wst[sc] * R)
-    np.testing.assert_allclose(fm.matrix, M, atol=1e-12)
+    np.testing.assert_allclose(mach.M[e], M, atol=1e-12)
     # the local mixture weights span the exact null space
-    np.testing.assert_allclose(fm.matrix @ dt, 0.0, atol=1e-12)
-    assert fm.rank == 2
-    np.testing.assert_allclose(fm.pinv @ fm.matrix @ fm.pinv, fm.pinv, atol=1e-10)
-
-
-def test_fusion_matrix_no_support():
-    data, design = _tilted_instance(300, beta_true=0.5, seed=11)
-    nuis = fit_nuisance_bundle(data, design)
-    beta = moment_match_beta(nuis).beta
-    with pytest.raises(AllSingular, match="no support"):
-        fusion_matrix(2, beta, nuis, np.array([1e9]))
+    np.testing.assert_allclose(mach.M[e] @ dt, 0.0, atol=1e-12)
+    _, dropped = _batched_pinv(mach.M[e:e + 1])
+    assert 3 - dropped[0] == 2
+    pinv = mach.Minv[e]
+    np.testing.assert_allclose(pinv @ mach.M[e] @ pinv, pinv, atol=1e-10)
 
 
 def test_lambda_dagger_values(law):
+    # lambda_{j-1} on aligned rows, additionally divided by the clipped
+    # normalized shift on weakly aligned ones
     nuis = law.bundle()
-    beta = law.beta_param()
-    Z = law.dataset().z[:6]
+    mach = _IndexMachine(nuis, law.beta_param(), 3)
+    Z = law.dataset().z
     lam = nuis.ratio_fits(3).lambda_prev(nuis.delta, Z[:, :2])
-    np.testing.assert_allclose(lambda_dagger(3, 1, beta, nuis, Z), lam, atol=1e-12)
-    w = law.weight(2, Z[:, 0], Z[:, 2])
-    West = np.array([law.p3_table(1, b1, b2) @ law.weight(2, law.Z1[b1], law.Z3)
-                     for b1, b2 in zip(law.i1[:6], law.i2[:6])])
-    np.testing.assert_allclose(lambda_dagger(3, 2, beta, nuis, Z),
-                               lam / (w / West), atol=1e-12)
-    with pytest.raises(StructuralError, match="participate"):
-        lambda_dagger(2, 3, beta, nuis, Z[:, :2])
+    got = mach.dSj / mach.dtsum_own
+    on1 = law.src == 1
+    np.testing.assert_allclose(got[on1], lam[on1], atol=1e-12)
+    on2 = law.src == 2
+    np.testing.assert_allclose((got / mach.wst_own[2])[on2],
+                               (lam / _oracle_wstar(law, Z))[on2], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +233,20 @@ def test_gamma_derivative_moment_matches_fd():
     nuis = fit_nuisance_bundle(data, design)
     beta = moment_match_beta(nuis).beta
     seed = seed_gradient(EstimandSpec("moment", index=2), nuis)
-    gm = gamma_derivative(seed, beta, nuis, method="moment")
-    gf = gamma_derivative(seed, beta, nuis, method="fd")
+    gm = efficient_gradient(seed, beta, nuis)["grad_gamma"]
+    # perturb beta in the projected-gradient map with every aligned-data fit
+    # held fixed; moving the model parameter by h moves the implied estimand
+    # by -grad_gamma * h
+    h = 1e-4
+    gf = np.zeros(beta.t)
+    for c in np.flatnonzero(estimable_mask(design)):
+        e = np.zeros(beta.t)
+        e[c] = h
+        up = compute_pass(nuis, beta.replace_values(beta.values + e), seed).dtilde
+        dn = compute_pass(nuis, beta.replace_values(beta.values - e), seed).dtilde
+        gf[c] = -(up.mean() - dn.mean()) / (2 * h)
     np.testing.assert_allclose(gm, gf, atol=1.5e-3)
     assert gm[0] > 0  # a positive tilt raises the outcome mean
-    with pytest.raises(ValueError, match="method"):
-        gamma_derivative(seed, beta, nuis, method="secant")
 
 
 def test_efficient_gradient_composition(law_pass):
@@ -254,17 +260,21 @@ def test_efficient_gradient_composition(law_pass):
     assert out["scores_eff"].shape == (law.n, 2)
 
 
-def test_compute_pass_caching(law_pass):
+def test_compute_pass_is_stateless(law_pass):
+    # every call recomputes from the fitted bundle; the seed only adds the
+    # gradient rows and leaves the scores and their information untouched
     law, nuis, seed = law_pass
     beta = law.beta_param()
     p1 = compute_pass(nuis, beta, seed)
     p2 = compute_pass(nuis, beta, seed)
-    assert p1 is p2
-    shifted = beta.replace_values(beta.values + 0.01)
-    assert compute_pass(nuis, shifted, seed) is not p1
+    assert p1 is not p2
+    np.testing.assert_array_equal(p1.dtilde, p2.dtilde)
+    np.testing.assert_array_equal(p1.scores_eff, p2.scores_eff)
     p_noseed = compute_pass(nuis, beta)
-    assert p_noseed is not p1
     assert p_noseed.dtilde is None
+    np.testing.assert_array_equal(p_noseed.scores_raw, p1.scores_raw)
+    np.testing.assert_array_equal(p_noseed.scores_eff, p1.scores_eff)
+    np.testing.assert_array_equal(p_noseed.information.pinv, p1.information.pinv)
 
 
 def test_pass_rejects_foreign_layout(law):
@@ -304,6 +314,5 @@ def test_all_paths_coincide_without_weak_sources():
     p = compute_pass(nuis, beta, seed)
     da = gradient_aligned_only(seed, nuis)
     np.testing.assert_array_equal(p.dtilde, da)
-    np.testing.assert_array_equal(p.dP, da)
     out = efficient_gradient(seed, beta, nuis)
     np.testing.assert_array_equal(out["rows"], da)

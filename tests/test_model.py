@@ -6,7 +6,6 @@ from weakfuse.model import (
     BetaParam,
     Dataset,
     FusionDesign,
-    Observation,
     assemble_beta,
     beta_slice,
     estimable_mask,
@@ -78,14 +77,6 @@ def test_dataset_immutable():
     idx = data.rows_of(1)
     before = idx.copy()
     np.testing.assert_array_equal(data.rows_of(1), before)
-
-
-def test_dataset_from_rows_round_trip():
-    rows = [Observation((0.1, 0.9), 1), Observation((0.4, 0.2), 2)]
-    data = Dataset.from_rows(rows, k=3)
-    assert data.k == 3
-    assert data.row(0) == rows[0]
-    assert data.row(1) == rows[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,22 @@ import numpy as np
 import pytest
 
 from weakfuse.errors import (
-    DegenerateNormalizer,
     InsufficientData,
     NonBinaryTreatment,
     NuisanceMissing,
     SingularBandwidth,
     StructuralError,
 )
-from weakfuse.model import Dataset, FusionDesign
+from weakfuse.gradients import _IndexMachine
+from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
 from weakfuse.nuisance import (
-    BandwidthRule,
     ClipCounter,
     CrossFitPanel,
     DiscretePanel,
     KernelPanel,
     NuisanceOptions,
+    RegressionFit,
     RowMap,
-    conditional_mean,
     fit_kernel_regression,
     fit_marginal_density_ratio,
     fit_nuisance_bundle,
@@ -35,18 +34,7 @@ from oracles import DiscreteLaw, beta_mean
 
 
 # ---------------------------------------------------------------------------
-# bandwidth rules and kernel regression
-
-
-def test_bandwidth_rule_parse():
-    assert BandwidthRule.parse("silverman") == BandwidthRule()
-    assert BandwidthRule.parse("fixed:0.3") == BandwidthRule("fixed", h=0.3)
-    assert BandwidthRule.parse("cv_loo:0.1,0.2") == BandwidthRule("cv_loo", grid=(0.1, 0.2))
-    for bad in ("", "adaptive", "fixed:", "fixed:-1"):
-        with pytest.raises(ValueError):
-            BandwidthRule.parse(bad)
-    with pytest.raises(ValueError):
-        BandwidthRule("cv_loo")
+# bandwidths and kernel regression
 
 
 def test_silverman_oracle():
@@ -75,7 +63,7 @@ def test_kernel_regression_tracks_smooth_signal():
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 1, 1500)
     y = np.sin(2 * np.pi * x) + rng.normal(scale=0.05, size=1500)
-    fit = fit_kernel_regression(x, y, BandwidthRule("fixed", h=0.03))
+    fit = RegressionFit(x[:, None], y, np.array([0.03]))
     xq = np.linspace(0.1, 0.9, 9)[:, None]
     np.testing.assert_allclose(fit.predict(xq), np.sin(2 * np.pi * xq.ravel()), atol=0.05)
 
@@ -84,10 +72,8 @@ def test_kernel_regression_rules_and_errors():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, 200)
     y = np.sin(6 * x)
-    fixed = fit_kernel_regression(x, y, BandwidthRule("fixed", h=0.07))
-    assert np.all(fixed.h == 0.07)
-    cv = fit_kernel_regression(x, y, BandwidthRule("cv_loo", grid=(0.05, 5.0)))
-    assert np.all(cv.h == 0.05)  # wiggly signal prefers the narrow candidate
+    fit = fit_kernel_regression(x, y)
+    np.testing.assert_array_equal(fit.h, silverman_bandwidths(x[:, None]))
     with pytest.raises(StructuralError):
         fit_kernel_regression(x, y[:-1])
     with pytest.raises(InsufficientData):
@@ -289,10 +275,12 @@ def test_kernel_panel_weights_at_matches_kernel():
     rng = np.random.default_rng(25)
     data = _panel_data(200, rng, d=2)
     panel = KernelPanel(2, data, np.arange(200), NuisanceOptions())
-    point = np.array([0.4])
-    w = panel.weights_at(point)
-    manual = np.exp(-0.5 * ((0.4 - data.z[:, 0]) / panel.h[0]) ** 2)
-    np.testing.assert_allclose(w, manual, rtol=1e-12)
+    # each panel row holds the kernel weights from its grid state to the
+    # training rows
+    e = 120
+    x = panel.eval_states[e, 0]
+    manual = np.exp(-0.5 * ((x - data.z[:, 0]) / panel.h[0]) ** 2)
+    np.testing.assert_allclose(panel.W[e], manual, rtol=1e-12)
 
 
 def test_kernel_panel_insufficient_rows():
@@ -312,7 +300,8 @@ def test_discrete_panel_exactness():
     assert rm.lo[0] == 2
     with pytest.raises(StructuralError, match="support"):
         panel.row_map(np.array([[5.0, 5.0]]))
-    np.testing.assert_array_equal(panel.weights_at([law.Z1[0], law.Z2[1]]), law.Q3[(0, 1)])
+    e = panel.row_map(np.array([[law.Z1[0], law.Z2[1]]])).lo[0]
+    np.testing.assert_array_equal(panel.W[e], law.Q3[(0, 1)])
 
 
 def test_discrete_panel_guards():
@@ -368,24 +357,29 @@ def test_bundle_registers_outcome_regression_for_ate():
                           aligned={1: {1}, 2: {1}, 3: {1}})
     bundle = fit_nuisance_bundle(data, design, estimand=types.SimpleNamespace(kind="ate"))
     assert bundle.propensity is not None
-    mu = conditional_mean(bundle, ("mu",), [1.5, 1.0])
-    assert mu == pytest.approx(0.5 * 1.5 + 1.0, abs=0.15)
-    with pytest.raises(NuisanceMissing):
-        conditional_mean(bundle, ("nu",), [1.5, 1.0])
-    # a constant field comes back exactly
+    # the outcome regression is the terminal panel's mean field of z3
     panel = bundle.panel(3)
-    bundle.registry[("const",)] = (panel, np.full(panel.zj.size, 0.5))
-    assert conditional_mean(bundle, ("const",), [1.5, 1.0]) == 0.5
+    point = panel.row_map(np.array([[1.5, 1.0]]))
+    mu = point.apply(panel.mean_field(panel.zj))[0]
+    assert mu == pytest.approx(0.5 * 1.5 + 1.0, abs=0.15)
+    # a constant field comes back unchanged
+    const = point.apply(panel.mean_field(np.full(panel.zj.size, 0.5)))[0]
+    assert const == pytest.approx(0.5, rel=1e-14)
 
 
-def test_normalizer_degenerates_with_warning():
+def test_normalizer_floor_is_counted():
+    # an extreme tilt drives the normalizer below eps_w at every index-3
+    # state; the engine floors it there and counts each floored state once
     law = DiscreteLaw()
     bundle = law.bundle()
-    with pytest.warns(DegenerateNormalizer):
-        value, floored = bundle.normalizer_at(3, 2, np.array([1000.0]),
-                                              [law.Z1[0], law.Z2[0]])
-    assert floored
-    assert value == bundle.options.eps_w
+    beta = assemble_beta(layout_from_design(law.design()),
+                         {(3, 2): [1000.0], (3, 3): [law.beta3]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mach = _IndexMachine(bundle, beta, 3)
+    np.testing.assert_array_equal(mach.wfield[2], bundle.options.eps_w)
+    assert mach.wfield[3].min() > bundle.options.eps_w
+    assert bundle.clips.counts["normalizer_floor_j3"] == 4
 
 
 def test_fitted_evaluations_are_deterministic():

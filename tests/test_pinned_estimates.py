@@ -17,12 +17,10 @@ import pytest
 from weakfuse.cli import default_config_dict, parse_config_dict
 from weakfuse.estimator import EstimatorVariant, one_step_estimate
 from weakfuse.gradients import EstimandSpec
-from weakfuse.model import Dataset, FusionDesign
 from weakfuse.nuisance import NuisanceOptions
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
-from weakfuse.weights import WeightSpec
 
-from test_estimator import _tilted_instance
+from test_estimator import _linear_instance, _tilted_instance
 
 _PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_estimates.json")
 N_PER_SOURCE = 300
@@ -32,23 +30,6 @@ ATE = EstimandSpec("ate")
 def _study_data():
     scenario = named_scenario("moderately_aligned", n_per_source=N_PER_SOURCE)
     return generate_dataset(scenario, 1, 0)
-
-
-def _linear_instance(n_per, beta_true=-0.6, sigma=0.4, seed=10):
-    """Source 2's outcome is a normal tilted by exp(b*y): the same normal
-    with its mean shifted by b*sigma^2."""
-    rng = np.random.default_rng(seed)
-    z1 = rng.uniform(0.0, 1.0, 2 * n_per)
-    shift = np.repeat([0.0, beta_true * sigma ** 2], n_per)
-    z2 = 0.3 + 0.9 * z1 + shift + rng.normal(0.0, sigma, 2 * n_per)
-    data = Dataset(np.column_stack([z1, z2]), np.repeat([1, 2], n_per), k=2)
-    design = FusionDesign(
-        d=2, k=2, relevant=(1, 2),
-        aligned={1: {1, 2}, 2: {1}},
-        weak={2: {2}},
-        weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])},
-    )
-    return data, design
 
 
 def _study(variant="efficient_fusion", options=None):

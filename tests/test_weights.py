@@ -5,20 +5,17 @@ import pytest
 
 from weakfuse.errors import (
     DomainError,
-    NuisanceMissing,
     ParseError,
     UnsupportedFamily,
 )
+from weakfuse.gradients import _IndexMachine
+from weakfuse.model import assemble_beta, layout_from_design
+from weakfuse.nuisance import NuisanceOptions
 from weakfuse.weights import (
     BasisTerm,
-    NormalizerEstimate,
     WeightSpec,
     basis_matrix,
     complex_family,
-    density_ratio,
-    estimate_normalizer,
-    eval_weight,
-    eval_weight_logderiv,
     eval_weight_many,
     parse_term,
 )
@@ -141,7 +138,7 @@ def test_eval_weight_tilt_oracle():
     beta = np.array([0.4, -0.7])
     z = np.array([1.3, 0.6])
     expect = math.exp(0.4 * 1.3 * 0.6 - 0.7 * math.log(0.6))
-    assert eval_weight(spec, beta, z) == pytest.approx(expect, rel=1e-14)
+    assert eval_weight_many(spec, beta, z)[0] == pytest.approx(expect, rel=1e-14)
     many = eval_weight_many(spec, beta, np.array([[1.3, 0.6], [0.2, 0.9]]))
     assert many[0] == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError, match="parameters"):
@@ -152,7 +149,7 @@ def test_eval_weight_truncation():
     spec = WeightSpec("truncated_above_threshold", 2)
     z = np.array([[0.0, 0.2], [0.0, 0.5], [0.0, 0.9]])
     np.testing.assert_array_equal(eval_weight_many(spec, [0.5], z), [0.0, 1.0, 1.0])
-    assert eval_weight(spec, [0.5], [7.0, 0.49]) == 0.0
+    assert eval_weight_many(spec, [0.5], [7.0, 0.49])[0] == 0.0
 
 
 def test_weight_positivity_and_log_linearity():
@@ -175,21 +172,22 @@ def test_weight_positivity_and_log_linearity():
 
 
 def test_logderiv_matches_finite_differences():
+    # the tilt's score basis t(z̄) is d log w / d beta
     rng = np.random.default_rng(7)
     spec = WeightSpec.tilt(3, ["z1*log(z3)", "z1*z2*log(z3)", "z3^2"])
     h = 1e-6
     for _ in range(25):
         zbar = np.array([rng.uniform(0.5, 2.0), rng.integers(0, 2), rng.uniform(0.1, 0.9)])
         beta = rng.normal(scale=0.5, size=3)
-        grad = eval_weight_logderiv(spec, beta, zbar)
+        grad = basis_matrix(spec, zbar)[0]
         for c in range(3):
             e = np.zeros(3)
             e[c] = h
-            fd = (math.log(eval_weight(spec, beta + e, zbar))
-                  - math.log(eval_weight(spec, beta - e, zbar))) / (2 * h)
+            fd = (math.log(eval_weight_many(spec, beta + e, zbar)[0])
+                  - math.log(eval_weight_many(spec, beta - e, zbar)[0])) / (2 * h)
             assert grad[c] == pytest.approx(fd, rel=1e-6, abs=1e-8)
     with pytest.raises(UnsupportedFamily):
-        eval_weight_logderiv(WeightSpec("truncated_above_threshold", 3), [0.5], zbar)
+        basis_matrix(WeightSpec("truncated_above_threshold", 3), zbar)
 
 
 def test_complex_family_order_and_uniqueness():
@@ -208,75 +206,68 @@ def test_complex_family_order_and_uniqueness():
 
 
 # ---------------------------------------------------------------------------
-# normalizers and density ratios (exact on the finite-support instance)
+# normalizers and normalized shifts as the engine builds them (exact on the
+# finite-support instance)
 
 
-def test_normalizer_estimate_validation():
-    est = NormalizerEstimate(1.2, "nadaraya_watson", (0.5,))
-    assert not est.floored
-    with pytest.raises(ValueError, match="positive"):
-        NormalizerEstimate(0.0, "nadaraya_watson", (0.5,))
+def _machine(law, beta2=None, options=None):
+    bundle = law.bundle(options)
+    beta = assemble_beta(layout_from_design(law.design()), {
+        (3, 2): [law.beta2 if beta2 is None else beta2], (3, 3): [law.beta3]})
+    return bundle, _IndexMachine(bundle, beta, 3)
 
 
-def _law_spec(law, s):
-    return dict(law.design().weight_specs)[(3, s)]
+def _at_rows(law, field):
+    """Read an (E, T) index-3 field at every row's own state and value."""
+    return field[law.i1 * 2 + law.i2, law.i3]
 
 
 def test_estimate_normalizer_exact_on_discrete():
     law = DiscreteLaw()
-    bundle = law.bundle()
-    spec = _law_spec(law, 2)
+    _, mach = _machine(law)
     for b1 in range(2):
         for b2 in range(2):
-            prev = np.array([law.Z1[b1], law.Z2[b2]])
-            est = estimate_normalizer(spec, [law.beta2], prev, bundle, 3, law.design())
             want = float(law.Q3[(b1, b2)] @ law.weight(2, law.Z1[b1], law.Z3))
-            assert est.value == pytest.approx(want, rel=1e-13)
-            assert est.method == "nadaraya_watson"
-            assert est.point == tuple(prev)
-            assert not est.floored
-
-
-def test_estimate_normalizer_unknown_spec():
-    law = DiscreteLaw()
-    stranger = WeightSpec.tilt(3, ["z2*log(z3)"])
-    with pytest.raises(NuisanceMissing):
-        estimate_normalizer(stranger, [0.1], [1.0, 0.0], law.bundle(), 3, law.design())
+            assert mach.wfield[2][b1 * 2 + b2] == pytest.approx(want, rel=1e-13)
 
 
 def test_density_ratio_exact_on_discrete():
     law = DiscreteLaw()
-    bundle = law.bundle()
-    spec = _law_spec(law, 3)
+    bundle, mach = _machine(law)
     for b1 in range(2):
         for b2 in range(2):
-            for b3 in range(3):
-                zbar = np.array([law.Z1[b1], law.Z2[b2], law.Z3[b3]])
-                got = density_ratio(spec, [law.beta3], zbar, bundle, 3, law.design())
-                w = law.weight(3, law.Z1[b1], law.Z3)
-                want = w[b3] / float(law.Q3[(b1, b2)] @ w)
-                assert got == pytest.approx(want, rel=1e-13)
-    assert bundle.clips.total() == 0
+            w = law.weight(3, law.Z1[b1], law.Z3)
+            want = w / float(law.Q3[(b1, b2)] @ w)
+            np.testing.assert_allclose(mach.wst[3][b1 * 2 + b2], want, rtol=1e-13)
+    # row-side shifts carry the same values at each row's own z3
+    on3 = law.src[mach.rows_S] == 3
+    np.testing.assert_allclose(mach.wst_own[3][on3], _at_rows(law, mach.wst[3])[on3],
+                               rtol=1e-13)
+    assert bundle.clips.counts == {}
 
 
 def test_density_ratio_is_one_at_zero_beta():
     # with beta = 0 the weight is constant 1 and the fitted normalizer is
     # exactly 1, so the normalized shift is exactly 1
     law = DiscreteLaw()
-    bundle = law.bundle()
-    spec = _law_spec(law, 2)
-    for b3 in range(3):
-        zbar = np.array([law.Z1[0], law.Z2[1], law.Z3[b3]])
-        assert density_ratio(spec, [0.0], zbar, bundle, 3, law.design()) == 1.0
+    _, mach = _machine(law, beta2=0.0)
+    np.testing.assert_array_equal(mach.wfield[2], 1.0)
+    np.testing.assert_array_equal(mach.wst[2], 1.0)
+    np.testing.assert_array_equal(mach.wst_own[2], 1.0)
 
 
 def test_density_ratio_clipping_counted():
+    # an extreme tilt drives w/W at z3 in {0.2, 0.5} far below the lower
+    # clip bound; the shift is evaluated, and each clip counted, at every
+    # row of S_3 (two of the three z3 values on each of 12 prefixes)
     law = DiscreteLaw()
-    bundle = law.bundle()
-    spec = _law_spec(law, 2)
+    bundle, mach = _machine(law, beta2=40.0)
     lo, hi = bundle.options.ratio_clip
-    # an extreme tilt drives w(z3=0.2)/W far below the lower clip bound
-    zbar = np.array([law.Z1[0], law.Z2[0], law.Z3[0]])
-    got = density_ratio(spec, [40.0], zbar, bundle, 3, law.design())
-    assert got == lo
-    assert bundle.clips.counts.get("wstar_j3", 0) == 1
+    raw = _at_rows(law, mach.wst[2])
+    np.testing.assert_array_equal(mach.wst_own[2], np.clip(raw, lo, hi))
+    assert int(np.sum(raw < lo)) == 24
+    assert bundle.clips.counts == {"wstar_j3": 24}
+    # a narrow clip binds at the true parameter too
+    bundle, mach = _machine(law, options=NuisanceOptions(ratio_clip=(0.8, 1.25)))
+    assert bundle.clips.counts["wstar_j3"] > 0
+    assert mach.wst_own[2].min() >= 0.8 and mach.wst_own[2].max() <= 1.25
