@@ -1,5 +1,7 @@
 """Pinned estimates: a refactor of the engine or the β fit must reproduce
-these reports to 1e-12 relative error, flags included.
+these reports to 1e-12 relative error, with flags and clip counts equal.
+The fixed-β gradient variance pins the projected rows, tail adjustment
+included, independently of the β update.
 
 The pinned values live in pinned_estimates.json next to this file. After a
 deliberate numerical change, regenerate them with
@@ -60,6 +62,7 @@ CASES = {
     "study_overparametrized+2": lambda: _study("overparametrized+2"),
     "study_truncation_threshold": _truncation,
     "study_cross_fit": lambda: _study(options=NuisanceOptions(cross_fit=True)),
+    "study_ratio_clip": lambda: _study(options=NuisanceOptions(ratio_clip=(0.8, 1.25))),
     "working_linear": _working_linear,
     "moment": _moment,
 }
@@ -67,7 +70,9 @@ CASES = {
 
 def _record(report) -> dict:
     return {"estimate": report.estimate, "se": report.se, "beta": report.beta,
-            "beta_se": report.beta_se, "flags": report.extras["flags"]}
+            "beta_se": report.beta_se, "flags": report.extras["flags"],
+            "clip_counts": report.clip_counts,
+            "gradient_variances": report.extras["gradient_variances"]}
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +86,12 @@ def test_estimate_matches_pinned_value(name, pinned):
     got = _record(CASES[name]())
     want = pinned[name]
     assert got["flags"] == want["flags"]
+    assert got["clip_counts"] == want["clip_counts"]
     for key in ("estimate", "se", "beta", "beta_se"):
         np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
+    for key, value in want["gradient_variances"].items():
+        np.testing.assert_allclose(got["gradient_variances"][key], value, rtol=1e-12,
+                                   atol=0, err_msg=key)
 
 
 if __name__ == "__main__":
