@@ -32,17 +32,18 @@ class MomentMatchResult:
 
 def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int):
     """Precompute everything the per-pair Newton solve reuses: the basis split
-    into (state factor, value factor) on the index panel, the basis at the
-    source's own rows, and the reweighting that maps pooled aligned rows to
-    the source's conditioning-state marginal."""
+    into state factors G and value columns V = [1, ψ] on the index panel, the
+    basis at the source's own rows, and the reweighting that maps pooled
+    aligned rows to the source's conditioning-state marginal."""
     design = nuisance.design
     data = nuisance.data
     spec = design.spec_for(j, s)
     panel = nuisance.panel(j)
     ratio = nuisance.ratio_fits(j)
 
-    pairs = [(t.prefactor(panel.eval_states), t.terminal_values(panel.zj))
-             for t in spec.terms]
+    G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
+    V = np.column_stack([np.ones(panel.zj.size)]
+                        + [t.terminal_values(panel.zj) for t in spec.terms])
 
     rows_s = data.rows_of(s)
     t_s = basis_matrix(spec, data.z[rows_s, :j])
@@ -53,23 +54,16 @@ def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int):
     t_a = basis_matrix(spec, data.z[rows_a, :j])
     rho_a = ratio.rho(s, data.z[rows_a, :j - 1])
     rmap = panel.row_map(data.z[rows_a, :j - 1])
-    return panel, pairs, tbar, rows_a, t_a, rho_a, rmap
+    return panel, (G, V), tbar, rows_a, t_a, rho_a, rmap
 
 
-def _pair_moment_and_jac(b, panel, pairs, tbar, t_a, rho_a, rmap, eps_w):
-    E = panel.eval_states.shape[0]
-    T = panel.zj.size
-    L = np.zeros((E, T))
-    for bc, (g, psi) in zip(b, pairs):
-        L += bc * np.outer(g, psi)
-    wmat = np.exp(np.clip(L, -60.0, 60.0))
-    Wsum = panel.W
-    wsafe = panel._wsafe
-    wfield = np.maximum((Wsum * wmat).sum(axis=1) / wsafe, eps_w)
-    c = len(pairs)
-    wcfield = np.empty((E, c))
-    for ci, (g, psi) in enumerate(pairs):
-        wcfield[:, ci] = g * ((Wsum * (wmat * psi[None, :])).sum(axis=1) / wsafe)
+def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap, eps_w):
+    # tilt exponent and its row means against [1, ψ] in one matmul per block
+    G, V = basis
+    wmat = [np.exp(np.clip(L, -60.0, 60.0)) for L in panel.outer_sum(G * b, V[:, 1:].T)]
+    raw = panel.rowmean(wmat, values=V)
+    wfield = np.maximum(raw[:, 0], eps_w)
+    wcfield = G * raw[:, 1:]
 
     wf_rows = rmap.apply(wfield)
     wtilda = rho_a * np.exp(np.clip(t_a @ b, -60.0, 60.0)) / wf_rows
@@ -102,9 +96,9 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
             continue
         sl = offs[(j, s)]
         b = values[sl].copy()
-        panel, pairs, tbar, rows_a, t_a, rho_a, rmap = _pair_moment_system(nuisance, j, s)
+        panel, basis, tbar, rows_a, t_a, rho_a, rmap = _pair_moment_system(nuisance, j, s)
         eps_w = nuisance.options.eps_w
-        m, J = _pair_moment_and_jac(b, panel, pairs, tbar, t_a, rho_a, rmap, eps_w)
+        m, J = _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap, eps_w)
         ok = False
         it = 0
         for it in range(1, max_iter + 1):
@@ -119,7 +113,7 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
             scale = 1.0
             for _ in range(25):
                 m_new, J_new = _pair_moment_and_jac(
-                    b + scale * step, panel, pairs, tbar, t_a, rho_a, rmap, eps_w)
+                    b + scale * step, panel, basis, tbar, t_a, rho_a, rmap, eps_w)
                 if np.max(np.abs(m_new)) < resid or scale < 1e-6:
                     break
                 scale *= 0.5

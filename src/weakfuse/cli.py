@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -330,11 +331,17 @@ def _parse_variants(text: str) -> list[EstimatorVariant]:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    threads = min(args.threads, os.cpu_count() or 1)
+    if threads < args.threads:
+        print(f"note: --threads {args.threads} clamped to the {threads} available CPUs",
+              file=sys.stderr)
     variants = _parse_variants(args.variants)
     scenario = named_scenario(args.scenario, covariate_shift=args.shift,
                               n_per_source=args.n, variants=variants)
     rows = run_monte_carlo([scenario], reps=args.reps, master_seed=args.seed,
-                           threads=args.threads)
+                           threads=threads)
     _write_text(args.out, summary_to_csv(rows))
     print(f"wrote {len(rows)} summary rows to {args.out}", file=sys.stderr)
     return 0
@@ -385,8 +392,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sensitivity(args) -> int:
+    grid = _parse_grid(args.delta_grid)      # before any input is read
     cfg, data, label_map = _load_run(args)
-    grid = _parse_grid(args.delta_grid)
     fused = one_step_estimate(data, cfg.design, cfg.estimand, variant=cfg.variant,
                               options=cfg.options, level=cfg.level,
                               beta0=cfg.beta0, seed_value=cfg.seed)

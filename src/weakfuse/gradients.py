@@ -3,9 +3,9 @@ and the efficient one-step gradient.
 
 The machinery for one relevant index j with weak sources works on panels of
 conditional moments (see the nuisance module). Every object indexed by
-(conditioning state e, current value v) lives in an (E, T) matrix: normalized
-shifts w*_s, the local posterior weights r, and the working gradient d. All
-conditional means of such objects are taken against the panel's target
+(conditioning state e, current value v) lives on the panel's (E, T) weight
+blocks: normalized shifts w*_s, the local posterior weights r, and the working
+gradient d. All conditional means of such objects are taken against the target
 conditional weights, so the identities E_Q[w*_s | e] = 1 and the seed
 centerings hold exactly by construction, for kernel and exact-table backends
 alike. Rows of the dataset read grid fields through the panel's row map.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     StructuralError,
 )
 from .model import BetaParam, estimable_mask, layout_from_design
-from .nuisance import FittedNuisance, fit_kernel_regression
+from .nuisance import FittedNuisance, RowMap, fit_kernel_regression
 from .weights import eval_weight_many
 
 _EIG_TOL = 1e-10
@@ -99,8 +100,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         pi_st = nuisance.propensity.predict(st[:, 0])
         h_st = st[:, 1] / pi_st - (1.0 - st[:, 1]) / (1.0 - pi_st)
         sep[3] = [(h_st, p3.zj.copy()), (-h_st * mu_field, np.ones(p3.zj.size))]
-        rm3 = rmaps[3]
-        mu_rows = rm3.apply(mu_field)
+        mu_rows = rmaps[3].apply(mu_field)
         pi_rows = nuisance.propensity.predict(Z[:, 0])
         h_rows = Z[:, 1] / pi_rows - (1.0 - Z[:, 1]) / (1.0 - pi_rows)
         rows[3] = h_rows * (Z[:, 2] - mu_rows)
@@ -108,8 +108,6 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         # arm means as functions of z1 come from the same index-3 fields, read
         # along the two branches, so their contrast is exactly centered below
         p1 = nuisance.panel(1)
-        br1 = np.column_stack([st[:, 0], np.ones(st.shape[0])])
-        br0 = np.column_stack([st[:, 0], np.zeros(st.shape[0])])
         mu1_rows = p3.row_map(np.column_stack([Z[:, 0], np.ones(data.n)])).apply(mu_field)
         mu0_rows = p3.row_map(np.column_stack([Z[:, 0], np.zeros(data.n)])).apply(mu_field)
         contrast_rows = mu1_rows - mu0_rows
@@ -128,8 +126,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         p2 = nuisance.panel(2)
         p1 = nuisance.panel(1)
         muy_field = p2.mean_field(p2.zj)
-        rm2 = rmaps[2]
-        muy_rows = rm2.apply(muy_field)
+        muy_rows = rmaps[2].apply(muy_field)
         x_tr = p1.zj                                        # covariate draws under Q
         muy_tr = p2.row_map(x_tr[:, None]).apply(muy_field)
         V = np.column_stack([np.ones(x_tr.size), x_tr])
@@ -178,7 +175,8 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
                 prefixes = np.column_stack([np.repeat(st, T, axis=0),
                                             np.tile(panel_j.zj, E)])
                 mj = upper.row_map(prefixes).apply(fields[j]).reshape(E, T)
-                fields[j - 1] = (panel_j.W * mj).sum(axis=1) / panel_j._wsafe
+                fields[j - 1] = panel_j.rowmean(
+                    [mj[np.ix_(r, c)] for r, c, _ in panel_j.blocks])
             else:
                 tr_vals = upper.row_map(Z[panel_j.train_idx, :j]).apply(fields[j])
                 fields[j - 1] = panel_j.mean_field(tr_vals)
@@ -234,15 +232,20 @@ def _batched_pinv(M: np.ndarray, force_null: bool = True):
 
 class _IndexMachine:
     """All (E, T) machinery for one relevant index with weak sources, at a
-    fixed parameter value."""
+    fixed parameter value.
 
-    def __init__(self, nuisance: FittedNuisance, beta: BetaParam, j: int):
+    (E, T) objects live block by block on the panel's weight blocks. Every
+    conditional moment the projection needs is a row mean of r times a
+    product of at most two normalized shifts against a value column (1, each
+    tilt term ψ, each separable seed column), so each distinct product is
+    built once and multiplied by the whole value stack in one matmul.
+    """
+
+    def __init__(self, nuisance: FittedNuisance, beta: BetaParam, j: int, sep=None):
         design = nuisance.design
         data = nuisance.data
-        self.j = j
         self.panel = panel = nuisance.panel(j)
         self.S = sorted(design.sources_at(j))
-        self.A = sorted(design.aligned_at(j))
         self.Wk = sorted(design.weak_at(j))
         self.dSj = nuisance.delta_of(self.S)
         offs = beta.offsets()
@@ -250,128 +253,126 @@ class _IndexMachine:
         E = panel.eval_states.shape[0]
         T = panel.zj.size
         eps_w = nuisance.options.eps_w
+        lo, hi = nuisance.options.ratio_clip
 
         # local mixture weights at states and the clipped versions at rows
         self.dt_e = np.column_stack([
             nuisance.delta[m] * ratio.rho(m, panel.eval_states) for m in self.S])
-        Zprev = data.z[:, :j - 1]
-        self.dt_rows = np.column_stack([
-            nuisance.delta[m] * ratio.rho(m, Zprev) for m in self.S])
+        dt_rows = np.column_stack([
+            nuisance.delta[m] * ratio.rho(m, data.z[:, :j - 1]) for m in self.S])
+        self.rows_S = np.flatnonzero(np.isin(data.source, self.S))
+        self.src_S = data.source[self.rows_S]
+        rowmap = nuisance.rowmaps[j]
+        # interpolates (E,) or (E, q) fields to the S_j rows
+        self.at_rows = RowMap(rowmap.lo[self.rows_S], rowmap.hi[self.rows_S],
+                              rowmap.frac[self.rows_S]).apply
+        ZS = data.z[self.rows_S, :j]
 
-        # normalized shifts as (E, T) matrices: weight models are separable in
+        # value columns: 1, then each tilt term ψ, then each seed column
+        cols = [np.ones(T)]
+        # normalized shifts, blockwise: weight models are separable in
         # (state, value), so entries are exact evaluations at state-value pairs
-        self.wst: dict[int, np.ndarray] = {}
+        self.wst: dict[int, list] = {}
         self.wfield: dict[int, np.ndarray] = {}
-        self.basis_ev: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self.G: dict[int, np.ndarray] = {}          # tilt prefactors at states
+        self.psi_cols: dict[int, slice] = {}
+        self.et: dict[int, np.ndarray] = {}         # E_Q[w*_s t_c | e]
+        wnorm: dict[int, np.ndarray] = {}           # E_Q[w*_s | e]
+        self.wst_own: dict[int, np.ndarray] = {}    # at each S_j row's own value
         for s in self.Wk:
             spec = design.spec_for(j, s)
             b = beta.values[offs[(j, s)]]
             if spec.family == "exponential_tilt":
-                pairs = [(t.prefactor(panel.eval_states), t.terminal_values(panel.zj))
-                         for t in spec.terms]
-                self.basis_ev[s] = pairs
-                L = np.zeros((E, T))
-                for bc, (g, psi) in zip(b, pairs):
-                    L += bc * np.outer(g, psi)
-                wmat = np.exp(L)
+                G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
+                Psi = np.column_stack([t.terminal_values(panel.zj) for t in spec.terms])
+                wmat = [np.exp(L) for L in panel.outer_sum(G * b, Psi.T)]
+                raw = panel.rowmean(wmat, values=np.column_stack([np.ones(T), Psi]))
+                self.G[s] = G
+                self.psi_cols[s] = slice(len(cols), len(cols) + Psi.shape[1])
+                cols.extend(Psi.T)
             else:
-                wmat = np.broadcast_to((panel.zj >= b[0]).astype(float), (E, T)).copy()
-                self.basis_ev[s] = []
-            wf = self._rowmean(wmat, panel)
-            n_floor = int(np.sum(wf < eps_w))
+                step = (panel.zj >= b[0]).astype(float)
+                wmat = [np.broadcast_to(step[c], W.shape) for _, c, W in panel.blocks]
+                raw = panel.rowmean(wmat)[:, None]
+            n_floor = int(np.sum(raw[:, 0] < eps_w))
             if n_floor:
                 nuisance.clips.bump("normalizer_floor", j, n_floor)
-            wf = np.maximum(wf, eps_w)
+            wf = np.maximum(raw[:, 0], eps_w)
             self.wfield[s] = wf
-            self.wst[s] = wmat / wf[:, None]
+            self.wst[s] = [w / wf[r, None] for (r, _, _), w in zip(panel.blocks, wmat)]
+            wnorm[s] = raw[:, 0] / wf
+            if s in self.G:
+                self.et[s] = self.G[s] * raw[:, 1:] / wf[:, None]
+            ws = eval_weight_many(spec, b, ZS) / self.at_rows(wf)
+            self.wst_own[s] = np.clip(ws, lo, hi)      # clipped like any ratio
+            nclip = int(np.sum(self.wst_own[s] != ws))
+            if nclip:
+                nuisance.clips.bump("wstar", j, nclip)
 
-        den = np.zeros((E, T))
-        for i, m in enumerate(self.S):
-            den += self.dt_e[:, i:i + 1] * (self.wst[m] if m in self.wst else 1.0)
-        self.R = 1.0 / den
+        self.R = []
+        for i, (rows, _, W) in enumerate(panel.blocks):
+            den = np.zeros(W.shape)
+            for a, m in enumerate(self.S):
+                den += self.dt_e[rows, a:a + 1] * (self.wst[m][i] if m in self.wst else 1.0)
+            self.R.append(1.0 / den)
+
+        self.seed_cols = slice(len(cols), len(cols) + len(sep or ()))
+        cols.extend(np.broadcast_to(col, (T,)) for _, col in sep or ())
+        V = np.column_stack(cols)
+        self.wv = panel.rowmean(values=V)
+        self.wnorm = np.column_stack([wnorm.get(m, self.wv[:, 0]) for m in self.S])
+        self.mom = {key: panel.rowmean(self.R, *(self.wst[m] for m in key), values=V)
+                    for key in [(), *((s,) for s in self.Wk),
+                                *combinations_with_replacement(self.Wk, 2)]}
 
         # second moments of the shifts against r; aligned entries double as
         # the first-moment fields E_Q[w*_m r | e]
         k = len(self.S)
-        self.P = np.empty((E, k, k))
-        for a in range(k):
-            for bdx in range(a, k):
-                F = self.R
-                if self.S[a] in self.wst:
-                    F = F * self.wst[self.S[a]]
-                if self.S[bdx] in self.wst:
-                    F = F * self.wst[self.S[bdx]]
-                val = self._rowmean(F, panel)
-                self.P[:, a, bdx] = val
-                self.P[:, bdx, a] = val
-        a0 = self.S.index(self.A[0])
-        self.Ewr = self.P[:, :, a0]                  # (E, k)
-        M = -self.P.copy()
-        idx = np.arange(k)
-        M[:, idx, idx] += 1.0 / self.dt_e
-        self.M = M
-        self.Minv, dropped = _batched_pinv(M)
+        self.P = np.array([[self.mom[self._key(ma, mc)][:, 0] for mc in self.S]
+                           for ma in self.S]).transpose(2, 0, 1)
+        self.Ewr = self.P[:, :, self.S.index(min(design.aligned_at(j)))]   # (E, k)
+        self.M = -self.P.copy()
+        self.M[:, np.arange(k), np.arange(k)] += 1.0 / self.dt_e
+        self.Minv, dropped = _batched_pinv(self.M)
         n_extra = int(np.sum(dropped > 1))
         if n_extra:
             warnings.warn(
                 f"fusion matrix lost rank beyond the expected null at {n_extra} "
                 f"states (index {j})", RankDeficiency, stacklevel=3)
 
-        # row-side shifts for own realized values, clipped like any ratio
-        rowmap = nuisance.rowmaps[j]
-        self.rowmap = rowmap
-        self.in_S = np.isin(data.source, self.S)
-        self.rows_S = np.flatnonzero(self.in_S)
-        ZS = data.z[self.rows_S, :j]
-        lo, hi = nuisance.options.ratio_clip
-        self.wst_own: dict[int, np.ndarray] = {}
-        for s in self.Wk:
-            spec = design.spec_for(j, s)
-            b = beta.values[offs[(j, s)]]
-            w_own = eval_weight_many(spec, b, ZS)
-            wf_own = rowmap.apply(self.wfield[s])[self.rows_S]
-            ws = w_own / wf_own
-            clipped = np.clip(ws, lo, hi)
-            nclip = int(np.sum(clipped != ws))
-            if nclip:
-                nuisance.clips.bump("wstar", j, nclip)
-            self.wst_own[s] = clipped
-        dt_S = self.dt_rows[self.rows_S]
+        # posterior weights at the realized S_j rows
+        self.dt_own = dt_rows[self.rows_S]
         den_own = np.zeros(self.rows_S.size)
         for i, m in enumerate(self.S):
-            den_own += dt_S[:, i] * (self.wst_own[m] if m in self.wst_own else 1.0)
+            den_own += self.dt_own[:, i] * self.wst_own.get(m, 1.0)
         self.R_own = 1.0 / den_own
-        self.dtsum_own = dt_S.sum(axis=1)
-        self.dt_own = dt_S
+        self.dtsum_own = self.dt_own.sum(axis=1)
+        # (rows, |S|) matrix of w*_m r at the realized S_j rows
+        self.wr_own = np.column_stack([self.wst_own.get(m, 1.0) * self.R_own
+                                       for m in self.S])
 
-    @staticmethod
-    def _rowmean(F: np.ndarray, panel) -> np.ndarray:
-        return (panel.W * F).sum(axis=1) / panel._wsafe
+    def _key(self, *ms) -> tuple:
+        return tuple(sorted(m for m in ms if m in self.wst))
 
-    def project(self, mat: np.ndarray):
-        """Moment fields the projection display needs for an (E, T) function:
-        its conditional mean, its moments against each normalized shift, the
-        correction coefficients u = M⁻ D, and the per-weak-source conditional
-        means of the corrected function."""
-        panel = self.panel
-        Emean = self._rowmean(mat, panel)
-        k = len(self.S)
-        D = np.empty((mat.shape[0], k))
-        for i, m in enumerate(self.S):
-            F = mat * self.wst[m] if m in self.wst else mat
-            D[:, i] = self._rowmean(F, panel)
+    def project(self, shift: tuple, alpha: np.ndarray, own: np.ndarray,
+                free=(0.0, 0.0)) -> np.ndarray:
+        """Projected S_j rows of f = r · w*_shift · Σ_q alpha[:, q] V_q, whose
+        realized values at the rows are `own`, plus an r-free part whose
+        moments `free` = (E_Q[· | e], E_Q[· w*_m | e]) are given.
+
+        Subtracts the conditional mean, adds the correction u = M⁻ D along
+        the realized shifts and subtracts the per-weak-source centers."""
+        Emean = np.einsum("eq,eq->e", alpha, self.mom[self._key(*shift)]) + free[0]
+        D = np.column_stack([np.einsum("eq,eq->e", alpha, self.mom[self._key(*shift, m)])
+                             for m in self.S]) + free[1]
         u = np.einsum("eij,ej->ei", self.Minv, D)
-        centers = {}
+        out = (own - self.at_rows(Emean)
+               + np.einsum("ri,ri->r", self.at_rows(u), self.wr_own - self.at_rows(self.Ewr)))
         for i, m in enumerate(self.S):
             if m in self.wst:
-                centers[m] = (D[:, i] - Emean
-                              + np.einsum("ei,ei->e", u, self.P[:, :, i] - self.Ewr))
-        return Emean, D, u, centers
-
-
-def _interp_S(machine: _IndexMachine, fields: np.ndarray) -> np.ndarray:
-    """Interpolate (E,) or (E, q) fields to the machine's S_j rows."""
-    return machine.rowmap.apply(fields)[machine.rows_S]
+                center = D[:, i] - Emean + np.einsum("ei,ei->e", u, self.P[:, :, i] - self.Ewr)
+                out -= (self.src_S == m) * self.at_rows(center)
+        return out
 
 
 @dataclass(frozen=True)
@@ -445,11 +446,9 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
     any_weak = bool(design.weak_pairs())
 
     for j in design.relevant:
-        Aj = sorted(design.aligned_at(j))
         Sj = sorted(design.sources_at(j))
         Wj = sorted(design.weak_at(j))
         dSj = nuisance.delta_of(Sj)
-        in_Sj = np.isin(src, Sj)
 
         if not Wj:
             if seed is not None and j in seed.rows:
@@ -457,79 +456,60 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                 # aligned-only term (the posterior weights are value-free and
                 # the correction vanishes); centering is exactly zero by seed
                 # construction under the pooled reference
-                term = in_Sj * seed.rows[j] / dSj
+                term = np.isin(src, Sj) * seed.rows[j] / dSj
                 dtilde += term
                 cterm[j] = term
             continue
 
-        mach = _IndexMachine(nuisance, beta, j)
-        rows_S = mach.rows_S
-        src_S = src[rows_S]
-
-        # ---- efficient scores for every weak pair at this index ----
-        for s in Wj:
-            spec = design.spec_for(j, s)
-            if spec.family != "exponential_tilt":
-                continue  # known thresholds carry no estimable score
-            sl = offs[(j, s)]
-            sidx = mach.S.index(s)
-            t_own = np.column_stack([trm.evaluate(Z[rows_S, :j]) for trm in spec.terms])
-            r_own_s = mach.dt_own[:, sidx] * mach.wst_own[s] * mach.R_own
-            for c, (g, psi) in enumerate(mach.basis_ev[s]):
-                et_field = g * mach._rowmean(mach.wst[s] * psi[None, :], mach.panel)
-                et_own = _interp_S(mach, et_field)
-                resid_own = t_own[:, c] - et_own
-                raw_col = np.zeros(n)
-                raw_col[rows_S] = (src_S == s) * resid_own
-                scores_raw[:, sl.start + c] = raw_col
-
-                amat = (mach.dt_e[:, sidx:sidx + 1] * mach.wst[s] * mach.R
-                        * (np.outer(g, psi) - et_field[:, None]))
-                Ea, Da, ua, centers = mach.project(amat)
-                a_own = r_own_s * resid_own
-                astar_own = (a_own - _interp_S(mach, Ea)
-                             + np.einsum("ri,ri->r", _interp_S(mach, ua),
-                                         _row_wr(mach) - _interp_S(mach, mach.Ewr)))
-                corr = astar_own.copy()
-                for m, fld in centers.items():
-                    corr -= (src_S == m) * _interp_S(mach, fld)
-                eff_col = raw_col.copy()
-                eff_col[rows_S] -= corr
-                scores_eff[:, sl.start + c] = eff_col
-
-        # ---- projected gradient term (absent seed entries mean the estimand
-        # has no increment at this index, so the projection is zero) ----
+        sep = None
         if seed is not None and j in seed.rows:
             sep = seed.sep.get(j)
             if sep is None:
                 raise StructuralError(
                     f"estimand needs a separable seed at weak index {j}")
-            E = mach.panel.eval_states.shape[0]
-            T = mach.panel.zj.size
-            Dmat = np.zeros((E, T))
-            cq = np.zeros(E)
-            for coef, col in sep:
-                coef = np.broadcast_to(coef, (E,))
-                Dmat += coef[:, None] * col[None, :]
-                cq += coef * mach._rowmean(np.broadcast_to(col, (E, T)), mach.panel)
-            dtsum_e = mach.dt_e.sum(axis=1)
-            lam_e = dSj / dtsum_e
-            dmat = mach.R * Dmat - (lam_e * cq / dSj)[:, None]
-            Ed, Dd, ud, dcenters = mach.project(dmat)
+        mach = _IndexMachine(nuisance, beta, j, sep)
+        rows_S = mach.rows_S
+        src_S = mach.src_S
+        E = mach.panel.eval_states.shape[0]
+        q = mach.wv.shape[1]
+
+        # ---- efficient scores for every weak pair at this index; known
+        # thresholds carry no estimable score ----
+        for s in Wj:
+            if s not in mach.G:
+                continue
+            spec = design.spec_for(j, s)
+            sl = offs[(j, s)]
+            sidx = mach.S.index(s)
+            t_own = np.column_stack([trm.evaluate(Z[rows_S, :j]) for trm in spec.terms])
+            r_own_s = mach.dt_own[:, sidx] * mach.wst_own[s] * mach.R_own
+            resid_own = t_own - mach.at_rows(mach.et[s])
+            scores_raw[rows_S, sl] = (src_S == s)[:, None] * resid_own
+            scores_eff[:, sl] = scores_raw[:, sl]
+            dt_s = mach.dt_e[:, sidx]
+            for c in range(resid_own.shape[1]):
+                # a = δ̃_s w*_s r (t_c - E_Q[w*_s t_c | e]) with t_c = g_c ψ_c
+                alpha = np.zeros((E, q))
+                alpha[:, mach.psi_cols[s].start + c] = dt_s * mach.G[s][:, c]
+                alpha[:, 0] = -dt_s * mach.et[s][:, c]
+                scores_eff[rows_S, sl.start + c] -= mach.project(
+                    (s,), alpha, r_own_s * resid_own[:, c])
+
+        # ---- projected gradient term (absent seed entries mean the estimand
+        # has no increment at this index, so the projection is zero) ----
+        if sep is not None:
+            # d = r D - λ cq / δ_S with D = Σ coef ⊗ col and cq = E_Q[D | e]
+            alpha = np.zeros((E, q))
+            alpha[:, mach.seed_cols] = np.column_stack(
+                [np.broadcast_to(coef, (E,)) for coef, _ in sep])
+            cq = np.einsum("eq,eq->e", alpha, mach.wv)
+            lamcq = dSj / mach.dt_e.sum(axis=1) * cq / dSj
+            free = (-lamcq * mach.wv[:, 0], -lamcq[:, None] * mach.wnorm)
 
             dq_own = seed.rows[j][rows_S]
             lam_own = dSj / mach.dtsum_own
-            cq_own = _interp_S(mach, cq)
-            d_own = mach.R_own * dq_own - lam_own * cq_own / dSj
-            dt_own_full = (d_own - _interp_S(mach, Ed)
-                           + np.einsum("ri,ri->r", _interp_S(mach, ud),
-                                       _row_wr(mach) - _interp_S(mach, mach.Ewr)))
-            termS = dt_own_full.copy()
-            for m, fld in dcenters.items():
-                termS -= (src_S == m) * _interp_S(mach, fld)
-            term = np.zeros(n)
-            term[rows_S] = termS
-            dtilde += term
+            d_own = mach.R_own * dq_own - lam_own * mach.at_rows(cq) / dSj
+            dtilde[rows_S] += mach.project((), alpha, d_own, free)
 
             lam_dag = lam_own.copy()
             for m in Wj:
@@ -547,27 +527,25 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             if len(Sj) != 1 or nuisance.panel(j)._mode == "discrete":
                 continue
             m = Sj[0]
-            later = [jp for jp in design.relevant if jp > j and m in design.sources_at(jp)]
-            if not later:
-                continue
-            later = [jp for jp in later if jp in cterm]
+            later = [jp for jp in design.relevant
+                     if jp > j and m in design.sources_at(jp) and jp in cterm]
             if not later:
                 continue
             m_rows = data.rows_of(m)
             panel = nuisance.panel(j)
             tailval = np.zeros(m_rows.size)
             center_tr = np.zeros(panel.train_idx.size)
+            same = np.array_equal(m_rows, panel.train_idx)
             for jp in later:
                 fit = fit_kernel_regression(Z[m_rows, :j], cterm[jp][m_rows])
-                tailval += fit.predict(Z[m_rows, :j])
+                tail = fit.predict(Z[m_rows, :j])
+                tailval += tail
                 # center through the panel so the fitted tail stays mean-zero
                 # against the target conditional at every state
-                center_tr += fit.predict(Z[panel.train_idx, :j])
+                center_tr += tail if same else fit.predict(Z[panel.train_idx, :j])
             cfield = panel.mean_field(center_tr)
             center_rows = nuisance.rowmaps[j].apply(cfield)[m_rows]
-            add = np.zeros(n)
-            add[m_rows] = tailval - center_rows
-            dtilde += add
+            dtilde[m_rows] += tailval - center_rows
 
     if seed is not None and not any_weak:
         dtilde = gradient_aligned_only(seed, nuisance)
@@ -575,15 +553,6 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
     info = information_matrix(scores_eff, estimable_mask(design))
     return EnginePass(beta=beta, scores_raw=scores_raw, scores_eff=scores_eff,
                       information=info, dtilde=dtilde)
-
-
-def _row_wr(mach: _IndexMachine) -> np.ndarray:
-    """(rows, |S|) matrix of w*_m r at the realized S_j rows."""
-    cols = []
-    for m in mach.S:
-        w = mach.wst_own[m] if m in mach.wst_own else 1.0
-        cols.append(w * mach.R_own)
-    return np.column_stack(cols)
 
 
 def efficient_gradient(seed: GradientSeed, beta: BetaParam,

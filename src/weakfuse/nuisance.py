@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -289,17 +290,64 @@ class RowMap:
         return fields[self.lo] * (1.0 - f) + fields[self.hi] * f
 
 
-class KernelPanel:
+class _BlockPanel:
+    """Conditional-moment math over a panel's target conditional weights.
+
+    The weights are stored as dense blocks `(rows, cols, W)`: states `rows`
+    against training columns `cols`, each row scaled at fit time to sum to
+    one. Rows whose kernel mass underflows keep their raw weights and are
+    marked degenerate, as are states that no block covers; those carry no
+    weight at all. All (E, T) objects are handled block by block.
+    """
+
+    def _set_blocks(self, blocks: list):
+        self.blocks = []
+        self.degenerate = np.ones(self.eval_states.shape[0], dtype=bool)
+        for rows, cols, W in blocks:
+            wsum = W.sum(axis=1)
+            self.degenerate[rows] = deg = wsum < 1e-12
+            self.blocks.append((rows, cols, W / np.where(deg, 1.0, wsum)[:, None]))
+
+    def rowmean(self, *factors, values=None) -> np.ndarray:
+        """Row means against the weights of the elementwise product of
+        `factors` (each a list of per-block arrays) with the value columns
+        `values`, of shape (T,) or (T, q), when given: one einsum or one
+        matmul per block, never a temporary larger than a block."""
+        E = self.eval_states.shape[0]
+        out = np.zeros((E,) if values is None else (E,) + np.shape(values)[1:])
+        for i, (rows, cols, W) in enumerate(self.blocks):
+            fs = [f[i] for f in factors]
+            if values is None:
+                out[rows] = np.einsum(",".join(["gt"] * (1 + len(fs))) + "->g", W, *fs)
+            else:
+                out[rows] = reduce(np.multiply, fs, W) @ values[cols]
+        return out
+
+    def outer_sum(self, A: np.ndarray, B: np.ndarray) -> list:
+        """Per-block A[rows] @ B[:, cols], the sum over k of outer(A[:, k], B[k])."""
+        return [A[rows] @ B[:, cols] for rows, cols, _ in self.blocks]
+
+    def mean_field(self, train_values: np.ndarray) -> np.ndarray:
+        """NW conditional mean of train-side values at every eval state;
+        degenerate states read the train mean."""
+        out = self.rowmean(values=train_values)
+        if self.degenerate.any():
+            out[self.degenerate] = train_values.mean(axis=0)
+        return out
+
+
+class KernelPanel(_BlockPanel):
     """Kernel conditional-moment evaluator for one index j.
 
     Fields are Nadaraya-Watson means over the training rows, evaluated at a
     fixed set of conditioning states: a linspace grid along the (single)
     continuous past coordinate crossed with exact branches of the binary past
-    coordinates. Rows map onto states by linear interpolation along the grid;
-    the Gaussian kernel acts only on the continuous coordinate, binary
-    coordinates are matched exactly. With two or more continuous past
-    coordinates the panel falls back to one evaluation state per data row, in
-    data order, and `row_map` only accepts that full-row layout.
+    coordinates, one weight block per branch with training rows. Rows map
+    onto states by linear interpolation along the grid; the Gaussian kernel
+    acts only on the continuous coordinate, binary coordinates are matched
+    exactly. With two or more continuous past coordinates the panel falls
+    back to one evaluation state per data row, in data order, and `row_map`
+    only accepts that full-row layout.
     """
 
     def __init__(self, j: int, data: Dataset, train_idx: np.ndarray,
@@ -318,23 +366,24 @@ class KernelPanel:
         self.bin_cols = np.flatnonzero(self.binary) if p else np.empty(0, dtype=int)
         self._branch_vals = {int(c): np.unique(zprev_all[:, c]) for c in self.bin_cols}
         T = self.train_idx.size
+        every = np.arange(T)
 
         if p == 0:
             self._mode = "scope"
             self.eval_states = np.zeros((1, 0))
-            self.W = np.ones((1, T))
             self.h = np.empty(0)
+            self._set_blocks([(np.zeros(1, dtype=int), every, np.ones((1, T)))])
         elif self.cont_cols.size >= 2:
             self._mode = "exact"
             self.eval_states = zprev_all.copy()
             self.h = silverman_bandwidths(zprev_tr)
-            self.W = _gauss_weights(self.eval_states, zprev_tr, self.h)
+            self._set_blocks([(np.arange(data.n), every,
+                               _gauss_weights(self.eval_states, zprev_tr, self.h))])
         else:
             self._mode = "grid"
             combos: list[tuple[float, ...]] = [()]
             for c in self.bin_cols:
                 combos = [cb + (v,) for cb in combos for v in self._branch_vals[int(c)]]
-            self._branches = combos
             if self.cont_cols.size == 1:
                 c0 = int(self.cont_cols[0])
                 lo, hi = float(zprev_all[:, c0].min()), float(zprev_all[:, c0].max())
@@ -348,7 +397,7 @@ class KernelPanel:
                 self.h = np.array([1.0])
             G = self.grid.size
             states = []
-            W = np.zeros((G * len(combos), T))
+            blocks = []
             tr_branch = self._branch_of(zprev_tr)
             for b, combo in enumerate(combos):
                 st = np.zeros((G, p))
@@ -357,21 +406,18 @@ class KernelPanel:
                 for c, v in zip(self.bin_cols, combo):
                     st[:, c] = v
                 states.append(st)
-                mask = tr_branch == b
-                if not mask.any():
+                cols = np.flatnonzero(tr_branch == b)
+                if cols.size == 0:
                     continue
                 if self.cont_cols.size == 1:
-                    x = zprev_tr[mask, self.cont_cols[0]]
+                    x = zprev_tr[cols, self.cont_cols[0]]
                     diff = (self.grid[:, None] - x[None, :]) / self.h[0]
-                    W[b * G:(b + 1) * G, mask] = np.exp(-0.5 * diff * diff)
+                    W = np.exp(-0.5 * diff * diff)
                 else:
-                    W[b * G:(b + 1) * G, mask] = 1.0
+                    W = np.ones((G, cols.size))
+                blocks.append((np.arange(b * G, (b + 1) * G), cols, W))
             self.eval_states = np.vstack(states)
-            self.W = W
-
-        self.wsum = self.W.sum(axis=1)
-        self.degenerate = self.wsum < 1e-12
-        self._wsafe = np.where(self.degenerate, 1.0, self.wsum)
+            self._set_blocks(blocks)
 
     def _branch_of(self, Zprev: np.ndarray) -> np.ndarray:
         """Branch id of each row, snapping to the nearest declared value."""
@@ -386,16 +432,6 @@ class KernelPanel:
             b += pos * stride
             stride *= len(vals)
         return b
-
-    def mean_field(self, train_values: np.ndarray) -> np.ndarray:
-        """NW conditional mean of train-side values at every eval state."""
-        num = self.W @ train_values
-        if train_values.ndim == 1:
-            return np.where(self.degenerate, train_values.mean(), num / self._wsafe)
-        out = num / self._wsafe[:, None]
-        if self.degenerate.any():
-            out[self.degenerate] = train_values.mean(axis=0)
-        return out
 
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
@@ -422,13 +458,14 @@ class KernelPanel:
         return RowMap(branch * G + lo, branch * G + hi, frac)
 
 
-class DiscretePanel:
+class DiscretePanel(_BlockPanel):
     """Exact conditional-moment evaluator over a finite support.
 
-    `eval_states` enumerates the support of z̄_{j-1}; `W` holds the exact
-    target conditional probabilities q(z_j | z̄_{j-1}), so every field is an
-    exact expectation and rows map onto their support state without
-    interpolation. Backs the oracle tests and the discrete acceptance check.
+    `eval_states` enumerates the support of z̄_{j-1}; the single weight block
+    holds the exact target conditional probabilities q(z_j | z̄_{j-1}), so
+    every field is an exact expectation and rows map onto their support state
+    without interpolation. Backs the oracle tests and the discrete acceptance
+    check.
     """
 
     def __init__(self, j: int, eval_states: np.ndarray, zj_values: np.ndarray,
@@ -436,19 +473,16 @@ class DiscretePanel:
         self.j = j
         self.eval_states = np.atleast_2d(np.asarray(eval_states, dtype=float))
         self.zj = np.asarray(zj_values, dtype=float)
-        self.W = np.asarray(cond_probs, dtype=float)
-        if self.W.shape != (self.eval_states.shape[0], self.zj.size):
+        W = np.asarray(cond_probs, dtype=float)
+        E = self.eval_states.shape[0]
+        if W.shape != (E, self.zj.size):
             raise StructuralError("conditional probability table has wrong shape")
-        if np.any(np.abs(self.W.sum(axis=1) - 1.0) > 1e-12):
+        if np.any(np.abs(W.sum(axis=1) - 1.0) > 1e-12):
             raise StructuralError("conditional probabilities must sum to one")
         self.train_idx = np.arange(self.zj.size)
-        self.wsum = np.ones(self.eval_states.shape[0])
-        self.degenerate = np.zeros(self.eval_states.shape[0], dtype=bool)
-        self._wsafe = self.wsum
+        self.blocks = [(np.arange(E), self.train_idx, W)]
+        self.degenerate = np.zeros(E, dtype=bool)
         self._mode = "discrete"
-
-    def mean_field(self, train_values: np.ndarray) -> np.ndarray:
-        return self.W @ train_values
 
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
@@ -461,31 +495,27 @@ class DiscretePanel:
         return RowMap(idx, idx, np.zeros(Zprev.shape[0]))
 
 
-class CrossFitPanel:
-    """Two half-sample panels glued together: rows of one fold evaluate
-    against fields trained on the other fold."""
+class CrossFitPanel(_BlockPanel):
+    """Two half-sample panels side by side: rows of one fold evaluate against
+    fields trained on the other fold. The weight blocks are those of the two
+    sub-panels, with fold-1 states and columns placed after fold 0's."""
 
     def __init__(self, j: int, data: Dataset, rows: np.ndarray, options: NuisanceOptions):
         self.j = j
         self.sub = (KernelPanel(j, data, rows[::2], options),
                     KernelPanel(j, data, rows[1::2], options))
-        E0, T0 = self.sub[0].W.shape
-        E1, T1 = self.sub[1].W.shape
         self.eval_states = np.vstack([self.sub[0].eval_states, self.sub[1].eval_states])
         self.train_idx = np.concatenate([self.sub[0].train_idx, self.sub[1].train_idx])
         self.zj = np.concatenate([self.sub[0].zj, self.sub[1].zj])
-        self.W = np.zeros((E0 + E1, T0 + T1))
-        self.W[:E0, :T0] = self.sub[0].W
-        self.W[E0:, T0:] = self.sub[1].W
-        self.wsum = self.W.sum(axis=1)
+        self._E0 = self.sub[0].eval_states.shape[0]
+        self._T0 = self.sub[0].zj.size
+        self.blocks = self.sub[0].blocks + [(r + self._E0, c + self._T0, W)
+                                            for r, c, W in self.sub[1].blocks]
         self.degenerate = np.concatenate([self.sub[0].degenerate, self.sub[1].degenerate])
-        self._wsafe = np.where(self.degenerate, 1.0, self.wsum)
-        self._E0 = E0
-        self._T0 = T0
-        self._fold0 = set(int(r) for r in self.sub[0].train_idx)
         self._mode = "crossfit"
 
     def mean_field(self, train_values: np.ndarray) -> np.ndarray:
+        # degenerate states fall back to their own fold's train mean
         f0 = self.sub[0].mean_field(train_values[: self._T0])
         f1 = self.sub[1].mean_field(train_values[self._T0:])
         return np.concatenate([f0, f1], axis=0)
@@ -498,7 +528,7 @@ class CrossFitPanel:
         rm1 = self.sub[1].row_map(Zprev)
         use1 = np.zeros(Zprev.shape[0], dtype=bool)
         if row_idx is not None:
-            use1 = np.array([int(r) in self._fold0 for r in row_idx])
+            use1 = np.isin(row_idx, self.sub[0].train_idx)
         lo = np.where(use1, rm1.lo + self._E0, rm0.lo)
         hi = np.where(use1, rm1.hi + self._E0, rm0.hi)
         frac = np.where(use1, rm1.frac, rm0.frac)

@@ -1,5 +1,5 @@
 """Shared fixtures. The Monte Carlo summary used by the acceptance tests is
-expensive (about two hours single-threaded), so it is built once per cache key
+expensive (about 17 minutes single-threaded), so it is built once per cache key
 and persisted to .mc_cache.json next to this file. Delete that file to force
 a rebuild."""
 

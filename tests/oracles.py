@@ -1,9 +1,9 @@
 """Independent oracles the tests compare the package against.
 
 Everything here is computed from first principles: finite-support laws with
-exact tables, dense least-squares projections onto the tangent space, and
-closed-form Beta/Gaussian moments. None of it reuses engine code paths beyond
-plain data containers.
+exact tables, dense least-squares projections onto the tangent space, dense
+kernel-panel weights, and closed-form Beta/Gaussian moments. None of it
+reuses engine code paths beyond plain data containers.
 """
 
 import math
@@ -22,6 +22,55 @@ def beta_mean(a: float, b: float) -> float:
 def beta_logpdf(x: float, a: float, b: float) -> float:
     lb = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - lb
+
+
+# ------------------------------------------------------- kernel panels ----
+
+def dense_weights(panel, data: Dataset) -> np.ndarray:
+    """A kernel or cross-fit panel's weights as one dense, unnormalized
+    (E, T) matrix rebuilt from the kernel formula: a Gaussian product kernel
+    over every past coordinate in exact mode; otherwise a Gaussian in the
+    continuous coordinate times an exact match on each binary one. Cross-fit
+    panels are block-diagonal in their two folds."""
+    if panel._mode == "crossfit":
+        W0, W1 = (dense_weights(sub, data) for sub in panel.sub)
+        W = np.zeros((W0.shape[0] + W1.shape[0], W0.shape[1] + W1.shape[1]))
+        W[:W0.shape[0], :W0.shape[1]] = W0
+        W[W0.shape[0]:, W0.shape[1]:] = W1
+        return W
+    st = panel.eval_states
+    zprev = data.z[panel.train_idx, :panel.j - 1]
+    W = np.ones((st.shape[0], zprev.shape[0]))
+    for c in range(zprev.shape[1]):
+        if panel._mode == "grid" and panel.binary[c]:
+            W *= st[:, c, None] == zprev[None, :, c]
+        else:
+            h = panel.h[c] if panel._mode == "exact" else panel.h[0]
+            W *= np.exp(-0.5 * ((st[:, c, None] - zprev[None, :, c]) / h) ** 2)
+    return W
+
+
+def dense_rowmean(W: np.ndarray, F: np.ndarray, values=None) -> np.ndarray:
+    """sum_t W F V / sum_t W per row (V = 1 when `values` is None); rows
+    whose weight mass is below 1e-12 keep the raw sum."""
+    wsum = W.sum(axis=1)
+    wsafe = np.where(wsum < 1e-12, 1.0, wsum)
+    X = W * F
+    num = X.sum(axis=1) if values is None else X @ values
+    return num / (wsafe if num.ndim == 1 else wsafe[:, None])
+
+
+def dense_mean_field(panel, data: Dataset, values: np.ndarray) -> np.ndarray:
+    """Nadaraya-Watson means of train-side values at every state; states
+    without weight mass read the train mean (per fold when cross-fit)."""
+    if panel._mode == "crossfit":
+        T0 = panel.sub[0].zj.size
+        return np.concatenate([dense_mean_field(panel.sub[0], data, values[:T0]),
+                               dense_mean_field(panel.sub[1], data, values[T0:])])
+    W = dense_weights(panel, data)
+    out = dense_rowmean(W, np.ones_like(W), values)
+    out[W.sum(axis=1) < 1e-12] = values.mean(axis=0)
+    return out
 
 
 # --------------------------------------------------------- discrete law ----

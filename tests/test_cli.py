@@ -377,6 +377,33 @@ def test_sensitivity_rejects_unbounded_grids(tmp_path, capsys, grid, message):
     assert not out.exists()
 
 
+def test_sensitivity_parses_grid_before_reading_data(tmp_path, capsys):
+    cfgp = _study_config(tmp_path)
+    assert main(["sensitivity", "--config", str(cfgp),
+                 "--data", str(tmp_path / "missing.csv"), "--delta-grid", "0:1:1e-300",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"more than {_MAX_GRID_POINTS} points" in err
+    assert "missing.csv" not in err
+
+
+def test_simulate_bounds_threads(tmp_path, monkeypatch, capsys):
+    # two reps start at most two worker threads, whatever the pool size
+    args = ["simulate", "--scenario", "strongly_aligned", "--reps", "2", "--n", "50",
+            "--seed", "5", "--variants", "target_only,efficient_fusion"]
+    zero = tmp_path / "zero.csv"
+    assert main(args + ["--threads", "0", "--out", str(zero)]) == 1
+    assert "--threads must be at least 1, got 0" in capsys.readouterr().err
+    assert not zero.exists()
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    assert main(args + ["--threads", "1", "--out", str(one)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert main(args + ["--threads", "3", "--out", str(many)]) == 0
+    assert "--threads 3 clamped to the 2 available CPUs" in capsys.readouterr().err
+    assert many.read_bytes() == one.read_bytes()
+
+
 def test_bandwidth_option_is_rejected(tmp_path, capsys):
     blob = default_config_dict()
     blob["options"]["bandwidth"] = "silverman"

@@ -63,7 +63,7 @@ def test_seed_rows_match_exact_tower(law_pass):
 def test_seed_separable_form_reproduces_rows(law_pass):
     law, nuis, seed = law_pass
     panel = nuis.panel(3)
-    E, T = panel.W.shape
+    E, T = panel.eval_states.shape[0], panel.zj.size
     Dmat = np.zeros((E, T))
     for coef, col in seed.sep[3]:
         Dmat += np.broadcast_to(coef, (E,))[:, None] * np.broadcast_to(col, (T,))[None, :]
@@ -75,12 +75,12 @@ def test_seed_increments_center_through_panels(law_pass):
     law, nuis, seed = law_pass
     for j, sep in seed.sep.items():
         panel = nuis.panel(j)
-        E, T = panel.W.shape
+        E, T = panel.eval_states.shape[0], panel.zj.size
         Dmat = np.zeros((E, T))
         for coef, col in sep:
             Dmat += (np.broadcast_to(coef, (E,))[:, None]
                      * np.broadcast_to(col, (T,))[None, :])
-        centered = (panel.W * Dmat).sum(axis=1) / panel._wsafe
+        centered = panel.rowmean([Dmat[np.ix_(rows, cols)] for rows, cols, _ in panel.blocks])
         np.testing.assert_allclose(centered, 0.0, atol=1e-12)
 
 

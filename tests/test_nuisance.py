@@ -30,7 +30,7 @@ from weakfuse.nuisance import (
 )
 from weakfuse.weights import WeightSpec
 
-from oracles import DiscreteLaw, beta_mean
+from oracles import DiscreteLaw, beta_mean, dense_mean_field, dense_rowmean, dense_weights
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,13 @@ def test_kernel_panel_weights_at_matches_kernel():
     e = 120
     x = panel.eval_states[e, 0]
     manual = np.exp(-0.5 * ((x - data.z[:, 0]) / panel.h[0]) ** 2)
-    np.testing.assert_allclose(panel.W[e], manual, rtol=1e-12)
+    np.testing.assert_allclose(dense_weights(panel, data)[e], manual, rtol=1e-12)
+    # without binary coordinates one block covers every state and training
+    # row, each row normalized at fit time
+    (rows, cols, W), = panel.blocks
+    np.testing.assert_array_equal(rows, np.arange(panel.eval_states.shape[0]))
+    np.testing.assert_array_equal(cols, np.arange(200))
+    np.testing.assert_allclose(W[e], manual / manual.sum(), rtol=1e-12)
 
 
 def test_kernel_panel_insufficient_rows():
@@ -301,7 +307,97 @@ def test_discrete_panel_exactness():
     with pytest.raises(StructuralError, match="support"):
         panel.row_map(np.array([[5.0, 5.0]]))
     e = panel.row_map(np.array([[law.Z1[0], law.Z2[1]]])).lo[0]
-    np.testing.assert_array_equal(panel.W[e], law.Q3[(0, 1)])
+    (rows, cols, W), = panel.blocks
+    np.testing.assert_array_equal(W[e], law.Q3[(0, 1)])
+
+
+def _grid_data(n, n_binary, rng):
+    """z1 continuous, then `n_binary` binary coordinates, then an outcome."""
+    z = rng.uniform(0.1, 0.9, size=(n, n_binary + 2))
+    z[:, 1:n_binary + 1] = rng.integers(0, 2, size=(n, n_binary)).astype(float)
+    return Dataset(z, np.ones(n, dtype=int), k=1)
+
+
+@pytest.fixture(scope="module")
+def block_panels():
+    rng = np.random.default_rng(29)
+    cases = {}
+    for nb in (0, 1, 2):
+        data = _grid_data(300, nb, rng)
+        cases[f"grid_{nb}_binary"] = (data, KernelPanel(nb + 2, data, np.arange(300),
+                                                        NuisanceOptions()))
+    data = _grid_data(300, 1, rng)
+    data.z[:, 0] = data.z[:, 1]                  # every past coordinate binary
+    cases["grid_only_binary"] = (data, KernelPanel(2, data, np.arange(300),
+                                                   NuisanceOptions()))
+    data = _grid_data(300, 1, rng)
+    cases["grid_empty_branch"] = (data, KernelPanel(
+        3, data, np.flatnonzero(data.z[:, 1] == 0.0), NuisanceOptions()))
+    data = _panel_data(120, rng)
+    cases["scope"] = (data, KernelPanel(1, data, np.arange(120), NuisanceOptions()))
+    cases["exact"] = (data, KernelPanel(3, data, np.arange(120), NuisanceOptions()))
+    data = _grid_data(300, 1, rng)
+    cases["cross_fit"] = (data, CrossFitPanel(3, data, np.arange(300), NuisanceOptions()))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["cross_fit", "exact", "grid_0_binary", "grid_1_binary",
+                                  "grid_2_binary", "grid_empty_branch", "grid_only_binary",
+                                  "scope"])
+def test_block_panel_matches_dense_oracle(block_panels, name):
+    data, panel = block_panels[name]
+    W = dense_weights(panel, data)
+    E, T = W.shape
+    assert E == panel.eval_states.shape[0] and T == panel.zj.size
+    # blocks cover exactly the nonzero weights, and never a dense (E, T)
+    # array when there are binary branches or folds
+    cover = np.zeros((E, T), dtype=bool)
+    for rows, cols, _ in panel.blocks:
+        cover[np.ix_(rows, cols)] = True
+    assert not np.any(W[~cover])
+    rng = np.random.default_rng(30)
+    F = rng.uniform(0.5, 2.0, size=(E, T))
+    V = rng.normal(size=(T, 3))
+    Fb = [F[np.ix_(rows, cols)] for rows, cols, _ in panel.blocks]
+    tol = dict(rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(panel.rowmean(Fb), dense_rowmean(W, F), **tol)
+    np.testing.assert_allclose(panel.rowmean(Fb, Fb, values=V),
+                               dense_rowmean(W, F * F, V), **tol)
+    np.testing.assert_allclose(panel.rowmean(values=V[:, 0]),
+                               dense_rowmean(W, np.ones_like(F), V[:, 0]), **tol)
+    np.testing.assert_allclose(panel.mean_field(V), dense_mean_field(panel, data, V), **tol)
+    np.testing.assert_allclose(panel.mean_field(V[:, 1]),
+                               dense_mean_field(panel, data, V[:, 1]), **tol)
+
+
+def test_block_panel_shapes(block_panels):
+    assert len(block_panels["grid_2_binary"][1].blocks) == 4
+    assert len(block_panels["cross_fit"][1].blocks) == 4
+    for name in ("grid_1_binary", "grid_2_binary", "cross_fit", "grid_empty_branch"):
+        data, panel = block_panels[name]
+        E, T = panel.eval_states.shape[0], panel.zj.size
+        assert sum(W.size for _, _, W in panel.blocks) <= E * T // 2
+    # a branch without training rows gets no block; its states are
+    # degenerate and read the train mean
+    data, panel = block_panels["grid_empty_branch"]
+    G = panel.grid.size
+    (rows, cols, _), = panel.blocks
+    np.testing.assert_array_equal(rows, np.arange(G))
+    assert panel.degenerate[G:].all() and not panel.degenerate[:G].any()
+    v = data.z[panel.train_idx, 2]
+    np.testing.assert_array_equal(panel.mean_field(v)[G:], v.mean())
+    np.testing.assert_array_equal(panel.rowmean(values=v)[G:], 0.0)
+
+
+def test_discrete_panel_block_rowmeans():
+    law = DiscreteLaw()
+    panel = law.bundle().panel(3)
+    Q = np.array([law.Q3[(b1, b2)] for b1 in range(2) for b2 in range(2)])
+    F = np.arange(12.0).reshape(4, 3) + 1.0
+    np.testing.assert_allclose(panel.rowmean([F]), (Q * F).sum(axis=1), rtol=1e-13)
+    np.testing.assert_allclose(panel.rowmean([F], values=law.Z3), (Q * F) @ law.Z3,
+                               rtol=1e-13)
+    np.testing.assert_array_equal(panel.mean_field(law.Z3), Q @ law.Z3)
 
 
 def test_discrete_panel_guards():

@@ -217,9 +217,16 @@ def _machine(law, beta2=None, options=None):
     return bundle, _IndexMachine(bundle, beta, 3)
 
 
+def _dense(field):
+    """The machine's blockwise (E, T) index-3 field as one matrix: the
+    discrete panel is a single block over every state and value."""
+    (dense,) = field
+    return dense
+
+
 def _at_rows(law, field):
-    """Read an (E, T) index-3 field at every row's own state and value."""
-    return field[law.i1 * 2 + law.i2, law.i3]
+    """Read a blockwise index-3 field at every row's own state and value."""
+    return _dense(field)[law.i1 * 2 + law.i2, law.i3]
 
 
 def test_estimate_normalizer_exact_on_discrete():
@@ -238,7 +245,7 @@ def test_density_ratio_exact_on_discrete():
         for b2 in range(2):
             w = law.weight(3, law.Z1[b1], law.Z3)
             want = w / float(law.Q3[(b1, b2)] @ w)
-            np.testing.assert_allclose(mach.wst[3][b1 * 2 + b2], want, rtol=1e-13)
+            np.testing.assert_allclose(_dense(mach.wst[3])[b1 * 2 + b2], want, rtol=1e-13)
     # row-side shifts carry the same values at each row's own z3
     on3 = law.src[mach.rows_S] == 3
     np.testing.assert_allclose(mach.wst_own[3][on3], _at_rows(law, mach.wst[3])[on3],
@@ -252,7 +259,7 @@ def test_density_ratio_is_one_at_zero_beta():
     law = DiscreteLaw()
     _, mach = _machine(law, beta2=0.0)
     np.testing.assert_array_equal(mach.wfield[2], 1.0)
-    np.testing.assert_array_equal(mach.wst[2], 1.0)
+    np.testing.assert_array_equal(_dense(mach.wst[2]), 1.0)
     np.testing.assert_array_equal(mach.wst_own[2], 1.0)
 
 
