@@ -3,12 +3,10 @@ one-step update based on projected (efficient) scores."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
 from .gradients import InformationMatrix, compute_pass
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
@@ -81,7 +79,8 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
     """Initial shift parameters: for each estimable weak pair, damped Newton
     on the self-normalized moment condition that the reweighted aligned rows
     reproduce the source's own basis means. Known-threshold blocks are left
-    at their supplied (or zero) values."""
+    at their supplied (or zero) values. A pair that hits the iteration cap
+    keeps its last iterate and reads False in `converged`."""
     design = nuisance.design
     layout = layout_from_design(design)
     beta = beta0 if beta0 is not None else BetaParam.zeros(layout)
@@ -122,10 +121,6 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
         resid = float(np.max(np.abs(m)))
         if resid < tol:
             ok = True
-        if not ok:
-            warnings.warn(
-                f"moment matching did not converge for index {j}, source {s} "
-                f"(residual {resid:.3g})", NoConvergence, stacklevel=2)
         converged[(j, s)] = ok
         iters[(j, s)] = it
         max_resid = max(max_resid, resid)
@@ -140,6 +135,7 @@ class OneStepBeta:
     se: np.ndarray
     information: InformationMatrix
     score_mean: np.ndarray
+    flags: frozenset[str]
 
 
 def one_step_beta(nuisance: FittedNuisance, beta_init: BetaParam) -> OneStepBeta:
@@ -152,4 +148,5 @@ def one_step_beta(nuisance: FittedNuisance, beta_init: BetaParam) -> OneStepBeta
     update = info.pinv @ sbar
     beta1 = beta_init.replace_values(beta_init.values + update)
     se = np.sqrt(np.maximum(np.diag(info.pinv), 0.0) / n)
-    return OneStepBeta(beta=beta1, se=se, information=info, score_mean=sbar)
+    return OneStepBeta(beta=beta1, se=se, information=info, score_mean=sbar,
+                       flags=p.flags)

@@ -353,9 +353,11 @@ def _load_run(args):
                               "source": "source"}
     data, label_map = ingest_csv(args.data, mapping)
     try:
-        validate_design(cfg.design, data)
+        report = validate_design(cfg.design, data)
     except WeakfuseError as exc:
         raise SemanticError(str(exc)) from None
+    for note in report.warnings:
+        print(f"note: {note}", file=sys.stderr)
     return cfg, data, label_map
 
 

@@ -1,7 +1,10 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
-Hard failures are exceptions; recoverable numerical conditions are warnings so
-that long simulation runs keep going while still leaving a trace.
+Hard failures are exceptions. Recoverable numerical conditions are not
+signalled here: each fitting step returns what happened as a value, and every
+estimate reports the fallbacks that fired as flag strings
+(`SeparationWarning`, `SingularBandwidth`, `UserWarning` for a validation
+note, `NoConvergence`, `RankDeficiency`, `SingularInformation`).
 """
 
 
@@ -75,21 +78,5 @@ class EmptyFile(WeakfuseError):
     """An ingested CSV has no data rows."""
 
 
-class SingularBandwidth(UserWarning):
-    """A kernel bandwidth collapsed (constant column) and has been floored."""
-
-
-class SeparationWarning(UserWarning):
-    """Logistic fit showed separation; a ridge penalty was applied."""
-
-
-class SingularInformation(UserWarning):
-    """The information matrix is numerically singular; pseudo-inverse used."""
-
-
-class RankDeficiency(UserWarning):
-    """A fusion matrix lost more than the one expected rank."""
-
-
-class NoConvergence(UserWarning):
-    """An iterative fit hit its iteration cap; the best iterate was kept."""
+class NonFiniteNormalizer(WeakfuseError):
+    """A tilt parameter drove a weight normalizer out of floating-point range."""

@@ -4,7 +4,6 @@ and the reportable result object."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,38 +180,42 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
                       seed_value: int | None = None) -> EstimateReport:
     """Full pipeline: fit nuisances, estimate shift parameters when the
     variant keeps any, and return the one-step estimate with a Wald interval.
+
+    `extras["flags"]` names every fallback that fired: the fit-time flags
+    of the nuisance bundle, `UserWarning` for a validation note,
+    `NoConvergence` from the moment match, and the flags of both engine
+    passes. `clip_counts` are the counts of the seeded pass at β̂.
     """
     if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
         raise BadLevel(f"confidence level must be in (0, 1), got {level!r}")
     variant = variant or EstimatorVariant()
     design_v = apply_variant(design, variant)
-    flags: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        validate_design(design_v, data)
-        bundle = fit_nuisance_bundle(data, design_v, estimand, options)
-        seed = seed_gradient(estimand, bundle)
+    validation = validate_design(design_v, data)
+    bundle = fit_nuisance_bundle(data, design_v, estimand, options)
+    seed = seed_gradient(estimand, bundle)
+    flags = set(bundle.flags)
+    if validation.warnings:
+        flags.add("UserWarning")
 
-        if design_v.weak_pairs():
-            mm = moment_match_beta(bundle, beta0)
-            if not mm.all_converged:
-                flags.append("beta_no_convergence")
-            osb = one_step_beta(bundle, mm.beta)
-            beta_hat = osb.beta
-            beta_se = osb.se
-            eg = efficient_gradient(seed, beta_hat, bundle)
-            rows = eg["rows"]
-            fixed_rows = eg["fixed_beta_rows"]
-        else:
-            layout = layout_from_design(design_v)
-            beta_hat = BetaParam.zeros(layout)
-            beta_se = np.zeros(0)
-            rows = gradient_aligned_only(seed, bundle)
-            fixed_rows = rows
-    for w in caught:
-        name = type(w.message).__name__
-        if name not in flags:
-            flags.append(name)
+    if design_v.weak_pairs():
+        mm = moment_match_beta(bundle, beta0)
+        if not mm.all_converged:
+            flags.add("NoConvergence")
+        osb = one_step_beta(bundle, mm.beta)
+        beta_hat = osb.beta
+        beta_se = osb.se
+        eg = efficient_gradient(seed, beta_hat, bundle)
+        rows = eg["rows"]
+        fixed_rows = eg["fixed_beta_rows"]
+        flags |= osb.flags | eg["flags"]
+        clip_counts = eg["clip_counts"]
+    else:
+        layout = layout_from_design(design_v)
+        beta_hat = BetaParam.zeros(layout)
+        beta_se = np.zeros(0)
+        rows = gradient_aligned_only(seed, bundle)
+        fixed_rows = rows
+        clip_counts = {}
 
     n = data.n
     estimate = seed.plugin + float(rows.mean())
@@ -244,7 +247,7 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         beta=[float(v) for v in beta_hat.values],
         beta_se=[float(v) for v in np.asarray(beta_se)],
         n_per_source={s: int(c) for s, c in data.source_counts().items()},
-        clip_counts=dict(bundle.clips.counts),
+        clip_counts=clip_counts,
         seed=seed_value,
         extras=extras,
     )

@@ -13,16 +13,14 @@ alike. Rows of the dataset read grid fields through the panel's row map.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import (
+    NonFiniteNormalizer,
     NuisanceMissing,
-    RankDeficiency,
-    SingularInformation,
     SingularJacobian,
     StructuralError,
 )
@@ -239,6 +237,10 @@ class _IndexMachine:
     product of at most two normalized shifts against a value column (1, each
     tilt term ψ, each separable seed column), so each distinct product is
     built once and multiplied by the whole value stack in one matmul.
+
+    `clip_counts` holds the states whose normalizer was floored and the S_j
+    row evaluations whose shift was clipped, and `rank_lost` the states whose
+    fusion matrix lost rank beyond the expected null.
     """
 
     def __init__(self, nuisance: FittedNuisance, beta: BetaParam, j: int, sep=None):
@@ -254,6 +256,8 @@ class _IndexMachine:
         T = panel.zj.size
         eps_w = nuisance.options.eps_w
         lo, hi = nuisance.options.ratio_clip
+        self.clip_counts: dict[str, int] = {}
+        n_floor = n_clip = 0
 
         # local mixture weights at states and the clipped versions at rows
         self.dt_e = np.column_stack([
@@ -285,8 +289,10 @@ class _IndexMachine:
             if spec.family == "exponential_tilt":
                 G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
                 Psi = np.column_stack([t.terminal_values(panel.zj) for t in spec.terms])
-                wmat = [np.exp(L) for L in panel.outer_sum(G * b, Psi.T)]
-                raw = panel.rowmean(wmat, values=np.column_stack([np.ones(T), Psi]))
+                # an overflow surfaces as a non-finite normalizer, checked below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    wmat = [np.exp(L) for L in panel.outer_sum(G * b, Psi.T)]
+                    raw = panel.rowmean(wmat, values=np.column_stack([np.ones(T), Psi]))
                 self.G[s] = G
                 self.psi_cols[s] = slice(len(cols), len(cols) + Psi.shape[1])
                 cols.extend(Psi.T)
@@ -294,9 +300,12 @@ class _IndexMachine:
                 step = (panel.zj >= b[0]).astype(float)
                 wmat = [np.broadcast_to(step[c], W.shape) for _, c, W in panel.blocks]
                 raw = panel.rowmean(wmat)[:, None]
-            n_floor = int(np.sum(raw[:, 0] < eps_w))
-            if n_floor:
-                nuisance.clips.bump("normalizer_floor", j, n_floor)
+            bad = int(np.sum(~np.isfinite(raw[:, 0])))
+            if bad:
+                raise NonFiniteNormalizer(
+                    f"tilt normalizer for index {j}, source {s} is not finite at "
+                    f"{bad} states; the shift parameter diverged")
+            n_floor += int(np.sum(raw[:, 0] < eps_w))
             wf = np.maximum(raw[:, 0], eps_w)
             self.wfield[s] = wf
             self.wst[s] = [w / wf[r, None] for (r, _, _), w in zip(panel.blocks, wmat)]
@@ -305,9 +314,10 @@ class _IndexMachine:
                 self.et[s] = self.G[s] * raw[:, 1:] / wf[:, None]
             ws = eval_weight_many(spec, b, ZS) / self.at_rows(wf)
             self.wst_own[s] = np.clip(ws, lo, hi)      # clipped like any ratio
-            nclip = int(np.sum(self.wst_own[s] != ws))
-            if nclip:
-                nuisance.clips.bump("wstar", j, nclip)
+            n_clip += int(np.sum(self.wst_own[s] != ws))
+        for what, n in (("normalizer_floor", n_floor), ("wstar", n_clip)):
+            if n:
+                self.clip_counts[f"{what}_j{j}"] = n
 
         self.R = []
         for i, (rows, _, W) in enumerate(panel.blocks):
@@ -334,11 +344,7 @@ class _IndexMachine:
         self.M = -self.P.copy()
         self.M[:, np.arange(k), np.arange(k)] += 1.0 / self.dt_e
         self.Minv, dropped = _batched_pinv(self.M)
-        n_extra = int(np.sum(dropped > 1))
-        if n_extra:
-            warnings.warn(
-                f"fusion matrix lost rank beyond the expected null at {n_extra} "
-                f"states (index {j})", RankDeficiency, stacklevel=3)
+        self.rank_lost = int(np.sum(dropped > 1))
 
         # posterior weights at the realized S_j rows
         self.dt_own = dt_rows[self.rows_S]
@@ -399,9 +405,6 @@ def information_matrix(scores_eff: np.ndarray, mask: np.ndarray) -> InformationM
     sub = info[np.ix_(idx, idx)]
     vals, vecs = np.linalg.eigh(0.5 * (sub + sub.T))
     eig_min = float(vals.min())
-    if eig_min < 1e-10:
-        warnings.warn("efficient information is numerically singular",
-                      SingularInformation, stacklevel=2)
     keep = np.abs(vals) > 1e-12 * max(float(np.abs(vals).max()), 1e-300)
     inv_vals = np.where(keep, 1.0 / np.where(vals != 0, vals, 1.0), 0.0)
     sub_pinv = (vecs * inv_vals) @ vecs.T
@@ -412,13 +415,18 @@ def information_matrix(scores_eff: np.ndarray, mask: np.ndarray) -> InformationM
 
 @dataclass
 class EnginePass:
-    """Everything one β evaluation produces at the data rows."""
+    """Everything one β evaluation produces at the data rows, with the
+    fallbacks it hit: `flags` names them (`RankDeficiency`,
+    `SingularInformation`, `SingularBandwidth` from a tail regression) and
+    `clip_counts` sums the machines' counts by key."""
 
     beta: BetaParam
     scores_raw: np.ndarray
     scores_eff: np.ndarray
     information: InformationMatrix
     dtilde: np.ndarray | None
+    flags: frozenset[str]
+    clip_counts: dict[str, int]
 
 
 def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
@@ -444,6 +452,8 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
     # regress on them
     cterm: dict[int, np.ndarray] = {}
     any_weak = bool(design.weak_pairs())
+    flags: set[str] = set()
+    clip_counts: dict[str, int] = {}
 
     for j in design.relevant:
         Sj = sorted(design.sources_at(j))
@@ -468,6 +478,9 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                 raise StructuralError(
                     f"estimand needs a separable seed at weak index {j}")
         mach = _IndexMachine(nuisance, beta, j, sep)
+        clip_counts.update(mach.clip_counts)
+        if mach.rank_lost:
+            flags.add("RankDeficiency")
         rows_S = mach.rows_S
         src_S = mach.src_S
         E = mach.panel.eval_states.shape[0]
@@ -538,6 +551,8 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             same = np.array_equal(m_rows, panel.train_idx)
             for jp in later:
                 fit = fit_kernel_regression(Z[m_rows, :j], cterm[jp][m_rows])
+                if fit.floored:
+                    flags.add("SingularBandwidth")
                 tail = fit.predict(Z[m_rows, :j])
                 tailval += tail
                 # center through the panel so the fitted tail stays mean-zero
@@ -547,12 +562,13 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             center_rows = nuisance.rowmaps[j].apply(cfield)[m_rows]
             dtilde[m_rows] += tailval - center_rows
 
-    if seed is not None and not any_weak:
-        dtilde = gradient_aligned_only(seed, nuisance)
-
-    info = information_matrix(scores_eff, estimable_mask(design))
+    mask = estimable_mask(design)
+    info = information_matrix(scores_eff, mask)
+    if mask.any() and info.eig_min < 1e-10:
+        flags.add("SingularInformation")
     return EnginePass(beta=beta, scores_raw=scores_raw, scores_eff=scores_eff,
-                      information=info, dtilde=dtilde)
+                      information=info, dtilde=dtilde, flags=frozenset(flags),
+                      clip_counts=clip_counts)
 
 
 def efficient_gradient(seed: GradientSeed, beta: BetaParam,
@@ -560,8 +576,9 @@ def efficient_gradient(seed: GradientSeed, beta: BetaParam,
     """Per-row efficient gradient and its components at a parameter value.
 
     Returns a dict with the efficient rows, the fixed-β projected rows, the
-    efficient scores, the information matrix and its pseudo-inverse, and the
-    estimand derivative along β (raw-score form).
+    efficient scores, the information matrix and its pseudo-inverse, the
+    estimand derivative along β (raw-score form), and the pass's flags and
+    clip counts.
     """
     p = compute_pass(nuisance, beta, seed)
     info = p.information
@@ -575,4 +592,6 @@ def efficient_gradient(seed: GradientSeed, beta: BetaParam,
         "scores_raw": p.scores_raw,
         "information": info,
         "grad_gamma": grad_gamma,
+        "flags": p.flags,
+        "clip_counts": p.clip_counts,
     }

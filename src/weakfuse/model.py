@@ -9,7 +9,6 @@ are only weakly aligned through a parametric tilt (set W_j). Index numbering is
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -164,8 +163,8 @@ class ValidationReport:
 def validate_design(design: FusionDesign, data: Dataset) -> ValidationReport:
     """Check a design against a dataset; hard violations raise StructuralError.
 
-    Soft issues (weak sources at an index the estimand ignores) are reported
-    and warned about, not raised.
+    Soft issues (weak sources at an index the estimand ignores) are returned
+    as notes in `warnings`, not raised.
     """
     if data.d != design.d or data.k != design.k:
         raise StructuralError(
@@ -203,15 +202,12 @@ def validate_design(design: FusionDesign, data: Dataset) -> ValidationReport:
         if s not in weak_map.get(j, frozenset()):
             raise StructuralError(f"weight model given for ({j}, {s}) but source not weak there")
         spec.check_index(j)
-    report = ValidationReport(
+    return ValidationReport(
         n=data.n,
         k=data.k,
         per_index=tuple(per_index),
         warnings=tuple(warn),
     )
-    for msg in warn:
-        warnings.warn(msg, stacklevel=2)
-    return report
 
 
 @dataclass(frozen=True)

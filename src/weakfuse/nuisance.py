@@ -10,10 +10,8 @@ interpolation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping
 
 import numpy as np
 
@@ -21,8 +19,6 @@ from .errors import (
     InsufficientData,
     NonBinaryTreatment,
     NuisanceMissing,
-    SeparationWarning,
-    SingularBandwidth,
     StructuralError,
 )
 from .model import Dataset, FusionDesign, OverlapDiagnostics
@@ -40,28 +36,18 @@ class NuisanceOptions:
     cross_fit: bool = False
 
 
-class ClipCounter:
-    """Mutable clip diagnostics; the only state that changes after fitting."""
-
-    def __init__(self):
-        self.counts: dict[str, int] = {}
-
-    def bump(self, what: str, j: int, by: int = 1):
-        key = f"{what}_j{j}"
-        self.counts[key] = self.counts.get(key, 0) + int(by)
-
-
-def silverman_bandwidths(X: np.ndarray) -> np.ndarray:
-    """Per-column rule-of-thumb bandwidths; constant columns are floored."""
+def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per-column rule-of-thumb bandwidths, and whether any was floored
+    (a constant column)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, p = X.shape
     sd = X.std(axis=0, ddof=1) if n > 1 else np.zeros(p)
     factor = (4.0 / ((p + 2) * n)) ** (1.0 / (p + 4))
     h = sd * factor
-    if np.any(h < _H_FLOOR):
-        warnings.warn("constant column, bandwidth floored", SingularBandwidth, stacklevel=2)
+    floored = bool(np.any(h < _H_FLOOR))
+    if floored:
         h = np.maximum(h, _H_FLOOR)
-    return h
+    return h, floored
 
 
 def _gauss_weights(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -75,11 +61,13 @@ def _gauss_weights(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RegressionFit:
-    """Nadaraya-Watson regression with a Gaussian product kernel."""
+    """Nadaraya-Watson regression with a Gaussian product kernel; `floored`
+    records that a bandwidth hit its floor."""
 
     X: np.ndarray
     y: np.ndarray
     h: np.ndarray
+    floored: bool = False
 
     def predict(self, Xq: np.ndarray) -> np.ndarray:
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
@@ -105,7 +93,7 @@ def fit_kernel_regression(X, y) -> RegressionFit:
         raise StructuralError("X and y row counts differ")
     if X.shape[0] < _MIN_ROWS:
         raise InsufficientData(f"kernel regression needs >= {_MIN_ROWS} rows, got {X.shape[0]}")
-    return RegressionFit(X, y, silverman_bandwidths(X))
+    return RegressionFit(X, y, *silverman_bandwidths(X))
 
 
 def _irls_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
@@ -127,12 +115,18 @@ def _irls_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
     return beta
 
 
+def _separated(coef: np.ndarray) -> bool:
+    return not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > 30
+
+
 @dataclass
 class PropensityFit:
-    """Main-terms linear-logistic model of the binary index-2 coordinate."""
+    """Main-terms linear-logistic model of the binary index-2 coordinate;
+    `ridged` records that separation forced a ridge penalty."""
 
     coef: np.ndarray
     clip: tuple[float, float]
+    ridged: bool = False
 
     def predict(self, z1: np.ndarray) -> np.ndarray:
         z1 = np.asarray(z1, dtype=float).ravel()
@@ -154,11 +148,10 @@ def fit_propensity(data: Dataset, design: FusionDesign,
         raise NonBinaryTreatment("index-2 values outside {0, 1}")
     X = np.column_stack([np.ones(rows.size), data.z[rows, 0]])
     coef = _irls_logistic(X, y)
-    if not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > 30:
-        warnings.warn("separation in propensity fit, ridge applied",
-                      SeparationWarning, stacklevel=2)
+    ridged = _separated(coef)
+    if ridged:
         coef = _irls_logistic(X, y, ridge=1e-4)
-    return PropensityFit(coef=coef, clip=options.propensity_clip)
+    return PropensityFit(coef=coef, clip=options.propensity_clip, ridged=ridged)
 
 
 def _ratio_features(Zprev: np.ndarray, binary: np.ndarray,
@@ -178,13 +171,14 @@ def _ratio_features(Zprev: np.ndarray, binary: np.ndarray,
 class MarginalRatioFits:
     """Fitted marginal density ratios rho_s = p(z̄_{j-1}|s) / p(z̄_{j-1}|A_j)
     for every source participating at index j, via logistic classification
-    with a prior-odds correction. At j = 1 every ratio is exactly one."""
+    with a prior-odds correction. At j = 1 every ratio is exactly one.
+    `ridged` records that separation forced a ridge penalty on some fit."""
 
     def __init__(self, j: int, design: FusionDesign, data: Dataset,
-                 options: NuisanceOptions, clips: ClipCounter):
+                 options: NuisanceOptions):
         self.j = j
         self.options = options
-        self.clips = clips
+        self.ridged = False
         self.sources = tuple(sorted(design.sources_at(j)))
         aligned = sorted(design.aligned_at(j))
         self._coef: dict[int, np.ndarray | None] = {}
@@ -220,9 +214,8 @@ class MarginalRatioFits:
                 X = np.vstack([X0, X1])
                 yy = np.concatenate([np.zeros(X0.shape[0]), np.ones(X1.shape[0])])
                 coef = _irls_logistic(X, yy)
-                if not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > 30:
-                    warnings.warn(f"separation in ratio fit for source {s}",
-                                  SeparationWarning, stacklevel=2)
+                if _separated(coef):
+                    self.ridged = True
                     coef = _irls_logistic(X, yy, ridge=1e-4)
                 self._coef[s] = coef
                 self._ld[s] = float(np.log(pool_rows.size / rows_s.size))
@@ -247,33 +240,13 @@ class MarginalRatioFits:
 
     def rho(self, s: int, Zprev: np.ndarray) -> np.ndarray:
         """Clipped ratio estimate for source s at past-prefix rows."""
-        vals = self._rho_unclipped(s, Zprev)
         lo, hi = self.options.ratio_clip
-        out = np.clip(vals, lo, hi)
-        n_clip = int(np.sum(out != vals))
-        if n_clip:
-            self.clips.bump("rho", self.j, n_clip)
-        return out
+        return np.clip(self._rho_unclipped(s, Zprev), lo, hi)
 
     def overlap_diagnostics(self, s: int) -> OverlapDiagnostics | None:
+        """Range of the unclipped ratio over all data rows, and the fraction
+        of rows the clip bounds."""
         return self._diag.get(s)
-
-    def lambda_prev(self, delta: Mapping[int, float], Zprev: np.ndarray) -> np.ndarray:
-        """λ_{j-1} = q(z̄_{j-1}) / p(z̄_{j-1} | S ∈ S_j) with q the pooled
-        aligned reference; identically one when S_j is a single source."""
-        Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
-        dsum = sum(delta[s] for s in self.sources)
-        den = np.zeros(Zprev.shape[0])
-        for s in self.sources:
-            den += delta[s] * self.rho(s, Zprev)
-        return dsum / den
-
-
-def fit_marginal_density_ratio(data: Dataset, design: FusionDesign, j: int,
-                               options: NuisanceOptions | None = None,
-                               clips: ClipCounter | None = None) -> MarginalRatioFits:
-    return MarginalRatioFits(j, design, data, options or NuisanceOptions(),
-                             clips or ClipCounter())
 
 
 @dataclass
@@ -347,7 +320,8 @@ class KernelPanel(_BlockPanel):
     acts only on the continuous coordinate, binary coordinates are matched
     exactly. With two or more continuous past coordinates the panel falls
     back to one evaluation state per data row, in data order, and `row_map`
-    only accepts that full-row layout.
+    only accepts that full-row layout; `floored` records that one of that
+    layout's bandwidths hit its floor.
     """
 
     def __init__(self, j: int, data: Dataset, train_idx: np.ndarray,
@@ -367,6 +341,7 @@ class KernelPanel(_BlockPanel):
         self._branch_vals = {int(c): np.unique(zprev_all[:, c]) for c in self.bin_cols}
         T = self.train_idx.size
         every = np.arange(T)
+        self.floored = False
 
         if p == 0:
             self._mode = "scope"
@@ -376,7 +351,7 @@ class KernelPanel(_BlockPanel):
         elif self.cont_cols.size >= 2:
             self._mode = "exact"
             self.eval_states = zprev_all.copy()
-            self.h = silverman_bandwidths(zprev_tr)
+            self.h, self.floored = silverman_bandwidths(zprev_tr)
             self._set_blocks([(np.arange(data.n), every,
                                _gauss_weights(self.eval_states, zprev_tr, self.h))])
         else:
@@ -512,6 +487,7 @@ class CrossFitPanel(_BlockPanel):
         self.blocks = self.sub[0].blocks + [(r + self._E0, c + self._T0, W)
                                             for r, c, W in self.sub[1].blocks]
         self.degenerate = np.concatenate([self.sub[0].degenerate, self.sub[1].degenerate])
+        self.floored = self.sub[0].floored or self.sub[1].floored
         self._mode = "crossfit"
 
     def mean_field(self, train_values: np.ndarray) -> np.ndarray:
@@ -539,16 +515,17 @@ class FittedNuisance:
     """Everything the estimator and gradient engine need, fitted once.
 
     Holds source frequencies, per-index panels with the row map of every data
-    row onto each panel's states, and the propensity and marginal
-    density-ratio fits. Weight-dependent fields (normalizers, score means,
-    fusion-matrix moments) are computed per β by the gradient engine, so
-    refreshing β never touches the β-free fits.
+    row onto each panel's states, the propensity and marginal density-ratio
+    fits, and the flags of the fallbacks that fired while fitting them.
+    Weight-dependent fields (normalizers, score means, fusion-matrix moments)
+    are computed per β by the gradient engine, so refreshing β never touches
+    the β-free fits, and nothing here changes after construction.
     """
 
     def __init__(self, data: Dataset, design: FusionDesign, options: NuisanceOptions,
                  delta: dict[int, float], panels: dict[int, object],
                  ratios: dict[int, MarginalRatioFits], propensity: PropensityFit | None,
-                 clips: ClipCounter):
+                 flags: frozenset[str] = frozenset()):
         self.data = data
         self.design = design
         self.options = options
@@ -558,7 +535,7 @@ class FittedNuisance:
                         for j, p in panels.items()}
         self.ratios = ratios
         self.propensity = propensity
-        self.clips = clips
+        self.flags = flags
 
     def panel(self, j: int):
         p = self.panels.get(j)
@@ -582,7 +559,6 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     options = options or NuisanceOptions()
     if data.n == 0:
         raise StructuralError("empty dataset")
-    clips = ClipCounter()
     delta = {s: c / data.n for s, c in data.source_counts().items()}
     panels: dict[int, object] = {}
     ratios: dict[int, MarginalRatioFits] = {}
@@ -594,8 +570,14 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
         else:
             panels[j] = KernelPanel(j, data, rows, options)
     for j in design.relevant:
-        ratios[j] = MarginalRatioFits(j, design, data, options, clips)
+        ratios[j] = MarginalRatioFits(j, design, data, options)
     propensity = None
     if getattr(estimand, "kind", None) == "ate":
         propensity = fit_propensity(data, design, options)
-    return FittedNuisance(data, design, options, delta, panels, ratios, propensity, clips)
+    flags = set()
+    if any(p.floored for p in panels.values()):
+        flags.add("SingularBandwidth")
+    if any(r.ridged for r in ratios.values()) or (propensity is not None and propensity.ridged):
+        flags.add("SeparationWarning")
+    return FittedNuisance(data, design, options, delta, panels, ratios, propensity,
+                          frozenset(flags))

@@ -7,7 +7,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -195,10 +194,8 @@ def _run_one(scenario: Scenario, variant: EstimatorVariant, rep: int, master_see
              options: NuisanceOptions | None) -> ReplicateRecord:
     data = generate_dataset(scenario, master_seed, rep)
     estimand = EstimandSpec("ate")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = one_step_estimate(data, study_design(), estimand, variant=variant,
-                                   options=options, seed_value=master_seed)
+    report = one_step_estimate(data, study_design(), estimand, variant=variant,
+                               options=options, seed_value=master_seed)
     return ReplicateRecord(
         scenario=scenario.name, shift=scenario.covariate_shift, variant=variant.label(),
         rep=rep, estimate=report.estimate, se=report.se,
@@ -223,26 +220,18 @@ def run_monte_carlo(grid, reps: int, master_seed: int,
             variant = EstimatorVariant.parse(vlabel)
             cell: list[ReplicateRecord] = []
             failures: list[str] = []
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    futs = [pool.submit(_run_one, scenario, variant, r, master_seed, options)
-                            for r in range(reps)]
-                    for r, f in enumerate(futs):
-                        try:
-                            cell.append(f.result())
-                        except Exception as exc:
-                            failures.append(f"rep{r}:{type(exc).__name__}")
-            else:
-                for r in range(reps):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futs = [pool.submit(_run_one, scenario, variant, r, master_seed, options)
+                        for r in range(reps)]
+                for r, f in enumerate(futs):
                     try:
-                        cell.append(_run_one(scenario, variant, r, master_seed, options))
+                        cell.append(f.result())
                     except Exception as exc:
                         failures.append(f"rep{r}:{type(exc).__name__}")
             if len(failures) > 0.05 * reps:
                 raise RuntimeError(
                     f"{len(failures)}/{reps} replications failed for "
                     f"{scenario.name}/{variant.label()}: {failures[:3]}")
-            cell.sort(key=lambda rec: rec.rep)
             est = np.array([rec.estimate for rec in cell])
             cover = np.array([rec.ci_lo <= PSI_TRUE <= rec.ci_hi for rec in cell])
             flags = sorted(set(fl for rec in cell for fl in rec.flags))

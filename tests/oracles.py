@@ -11,8 +11,20 @@ import math
 import numpy as np
 
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
-from weakfuse.nuisance import ClipCounter, DiscretePanel, FittedNuisance, NuisanceOptions
+from weakfuse.nuisance import DiscretePanel, FittedNuisance, NuisanceOptions
 from weakfuse.weights import WeightSpec
+
+
+def lambda_prev(ratio_fits, delta, Zprev) -> np.ndarray:
+    """λ_{j-1} = q(z̄_{j-1}) / p(z̄_{j-1} | S ∈ S_j) with q the pooled aligned
+    reference, from a ratio fit's sources and clipped ratios; identically one
+    when S_j is a single source."""
+    Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
+    dsum = sum(delta[s] for s in ratio_fits.sources)
+    den = np.zeros(Zprev.shape[0])
+    for s in ratio_fits.sources:
+        den += delta[s] * ratio_fits.rho(s, Zprev)
+    return dsum / den
 
 
 def beta_mean(a: float, b: float) -> float:
@@ -172,7 +184,7 @@ class DiscreteLaw:
         ratios = {1: _ExactRatio(self, 1, [1]), 2: _ExactRatio(self, 2, [1]),
                   3: _ExactRatio(self, 3, [1, 2, 3])}
         return FittedNuisance(self.dataset(), self.design(), options or NuisanceOptions(),
-                              dict(self.DELTA), panels, ratios, None, ClipCounter())
+                              dict(self.DELTA), panels, ratios, None)
 
     # ---- dense projection oracle ----
 
@@ -245,14 +257,6 @@ class _ExactRatio:
         if self.j == 1:
             return np.ones(Zprev.shape[0])
         return self._marg(s, Zprev) / self._marg(1, Zprev)
-
-    def lambda_prev(self, delta, Zprev) -> np.ndarray:
-        Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
-        dsum = sum(delta[s] for s in self.sources)
-        den = np.zeros(Zprev.shape[0])
-        for s in self.sources:
-            den += delta[s] * self.rho(s, Zprev)
-        return dsum / den
 
     def overlap_diagnostics(self, s: int):
         return None

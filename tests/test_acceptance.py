@@ -4,7 +4,6 @@ summary (see conftest); the rest compute directly at the pinned sizes."""
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -129,13 +128,11 @@ def test_criterion_5_orthogonality_and_ordering(verdict):
     sc = named_scenario("moderately_aligned", n_per_source=2000)
     data = generate_dataset(sc, seed=505)
     estimand = EstimandSpec("ate")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bundle = fit_nuisance_bundle(data, study_design(), estimand)
-        seed = seed_gradient(estimand, bundle)
-        osb = one_step_beta(bundle, moment_match_beta(bundle).beta)
-        rows = efficient_gradient(seed, osb.beta, bundle)["rows"]
-        scores = compute_pass(bundle, osb.beta, seed).scores_raw
+    bundle = fit_nuisance_bundle(data, study_design(), estimand)
+    seed = seed_gradient(estimand, bundle)
+    osb = one_step_beta(bundle, moment_match_beta(bundle).beta)
+    rows = efficient_gradient(seed, osb.beta, bundle)["rows"]
+    scores = compute_pass(bundle, osb.beta, seed).scores_raw
     corrs = [abs(np.corrcoef(rows, scores[:, m])[0, 1])
              for m in range(scores.shape[1])]
     da = gradient_aligned_only(seed, bundle)

@@ -7,7 +7,6 @@ from weakfuse.betafit import (
     moment_match_beta,
     one_step_beta,
 )
-from weakfuse.errors import SingularInformation
 from weakfuse.gradients import compute_pass, information_matrix
 from weakfuse.model import (
     Dataset,
@@ -163,13 +162,15 @@ def _collinear_binary_instance(n_per, seed=5):
     return data, design
 
 
-def test_singular_information_warns_and_uses_pinv():
+def test_singular_information_is_flagged_and_uses_pinv():
     data, design = _collinear_binary_instance(400)
     nuis = fit_nuisance_bundle(data, design)
     res = moment_match_beta(nuis)
     assert res.all_converged
-    with pytest.warns(SingularInformation):
-        info = compute_pass(nuis, res.beta).information
+    p = compute_pass(nuis, res.beta)
+    info = p.information
+    assert p.flags == frozenset({"SingularInformation"})
+    assert info.eig_min < 1e-10
     assert info.rank == 1
     assert info.cond == np.inf
     np.testing.assert_allclose(info.pinv, info.pinv.T, atol=1e-15)

@@ -404,6 +404,37 @@ def test_simulate_bounds_threads(tmp_path, monkeypatch, capsys):
     assert many.read_bytes() == one.read_bytes()
 
 
+def test_simulate_threads_match_serial_with_flags(tmp_path, monkeypatch):
+    # two of these three reps end the moment match unconverged; the flag
+    # column must not depend on the thread count
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["simulate", "--scenario", "poorly_aligned", "--shift", "beta_shift",
+            "--reps", "3", "--n", "60", "--seed", "1"]
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(args + ["--threads", "1", "--out", str(one)]) == 0
+    assert main(args + ["--threads", "2", "--out", str(two)]) == 0
+    assert two.read_bytes() == one.read_bytes()
+    assert one.read_text().rstrip("\n").endswith(",NoConvergence")
+
+
+def test_estimate_prints_validation_notes(tmp_path, capsys):
+    # a weak source at an index the estimand ignores is a note, not an
+    # error: it goes to stderr and the report flags it
+    blob = default_config_dict()
+    blob["design"]["aligned"]["2"] = [1, 3, 4]
+    blob["design"]["weak"]["2"] = [2]
+    blob["design"]["weight_specs"]["2,2"] = {"family": "exponential_tilt", "terms": ["z2"]}
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    data = _study_csv(tmp_path, n=100)
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "note: weak sources at index 2 are ignored (index not relevant)" in err
+    assert "UserWarning" in json.loads(out.read_text())["flags"]
+
+
 def test_bandwidth_option_is_rejected(tmp_path, capsys):
     blob = default_config_dict()
     blob["options"]["bandwidth"] = "silverman"

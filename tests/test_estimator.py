@@ -17,6 +17,7 @@ import weakfuse.betafit
 import weakfuse.gradients
 from weakfuse.gradients import EstimandSpec
 from weakfuse.model import Dataset, FusionDesign
+from weakfuse.nuisance import NuisanceOptions
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec, complex_family
 
@@ -387,3 +388,15 @@ def test_engine_pass_count(monkeypatch, variant, passes):
     one_step_estimate(data, study_design(), EstimandSpec("ate"),
                       variant=EstimatorVariant(variant))
     assert len(calls) == passes
+
+
+def test_clip_counts_report_one_pass():
+    # the counts are those of the seeded pass at beta-hat, whose machine
+    # evaluates each weak source's clipped shift once at every S_3 row
+    design = study_design()
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1)
+    report = one_step_estimate(data, design, EstimandSpec("ate"),
+                               options=NuisanceOptions(ratio_clip=(0.8, 1.25)))
+    n_rows = int(np.isin(data.source, sorted(design.sources_at(3))).sum())
+    assert set(report.clip_counts) == {"wstar_j3"}
+    assert 0 < report.clip_counts["wstar_j3"] <= len(design.weak_at(3)) * n_rows

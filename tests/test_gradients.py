@@ -15,7 +15,7 @@ from weakfuse.gradients import (
 from weakfuse.model import BetaParam, Dataset, FusionDesign, estimable_mask
 from weakfuse.nuisance import fit_nuisance_bundle
 
-from oracles import DiscreteLaw
+from oracles import DiscreteLaw, lambda_prev
 from test_betafit import _tilted_instance
 
 
@@ -141,7 +141,7 @@ def test_known_beta_gradient_pointwise(law_pass):
     law, nuis, seed = law_pass
     mach = _IndexMachine(nuis, law.beta_param(), 3)
     Z = law.dataset().z
-    lam = nuis.ratio_fits(3).lambda_prev(nuis.delta, Z[:, :2])
+    lam = lambda_prev(nuis.ratio_fits(3), nuis.delta, Z[:, :2])
     want = lam / _oracle_wstar(law, Z) * seed.rows[3] / 1.0  # S_3 holds the full mass
     src_S = law.src[mach.rows_S]
     lam_dag = mach.dSj / mach.dtsum_own
@@ -215,7 +215,7 @@ def test_lambda_dagger_values(law):
     nuis = law.bundle()
     mach = _IndexMachine(nuis, law.beta_param(), 3)
     Z = law.dataset().z
-    lam = nuis.ratio_fits(3).lambda_prev(nuis.delta, Z[:, :2])
+    lam = lambda_prev(nuis.ratio_fits(3), nuis.delta, Z[:, :2])
     got = mach.dSj / mach.dtsum_own
     on1 = law.src == 1
     np.testing.assert_allclose(got[on1], lam[on1], atol=1e-12)

@@ -158,12 +158,11 @@ def test_validate_design_empty_source_rows():
         validate_design(design, data)
 
 
-def test_validate_design_warns_on_irrelevant_weak_index():
+def test_validate_design_notes_irrelevant_weak_index():
     design = small_design(relevant=(1,))
     data = _tiny_data()
-    with pytest.warns(UserWarning, match="not relevant"):
-        report = validate_design(design, data)
-    assert any("ignored" in w for w in report.warnings)
+    report = validate_design(design, data)
+    assert report.warnings == ("weak sources at index 2 are ignored (index not relevant)",)
 
 
 def test_validate_design_spec_index_mismatch():

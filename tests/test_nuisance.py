@@ -1,6 +1,5 @@
 import math
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -9,28 +8,33 @@ from weakfuse.errors import (
     InsufficientData,
     NonBinaryTreatment,
     NuisanceMissing,
-    SingularBandwidth,
     StructuralError,
 )
 from weakfuse.gradients import _IndexMachine
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
 from weakfuse.nuisance import (
-    ClipCounter,
     CrossFitPanel,
     DiscretePanel,
     KernelPanel,
+    MarginalRatioFits,
     NuisanceOptions,
     RegressionFit,
     RowMap,
     fit_kernel_regression,
-    fit_marginal_density_ratio,
     fit_nuisance_bundle,
     fit_propensity,
     silverman_bandwidths,
 )
 from weakfuse.weights import WeightSpec
 
-from oracles import DiscreteLaw, beta_mean, dense_mean_field, dense_rowmean, dense_weights
+from oracles import (
+    DiscreteLaw,
+    beta_mean,
+    dense_mean_field,
+    dense_rowmean,
+    dense_weights,
+    lambda_prev,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -40,16 +44,25 @@ from oracles import DiscreteLaw, beta_mean, dense_mean_field, dense_rowmean, den
 def test_silverman_oracle():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(400, 2))
-    h = silverman_bandwidths(X)
+    h, floored = silverman_bandwidths(X)
+    assert not floored
     factor = (4.0 / (4 * 400)) ** (1.0 / 6.0)
     np.testing.assert_allclose(h, X.std(axis=0, ddof=1) * factor, rtol=1e-14)
 
 
 def test_silverman_floors_constant_column():
-    X = np.column_stack([np.ones(50), np.linspace(0, 1, 50)])
-    with pytest.warns(SingularBandwidth):
-        h = silverman_bandwidths(X)
+    X = np.column_stack([np.full(50, 0.5), np.linspace(0, 1, 50)])
+    h, floored = silverman_bandwidths(X)
+    assert floored
     assert h[0] > 0
+    assert fit_kernel_regression(X, X[:, 1]).floored
+    # an exact-mode panel over the same two past coordinates records the
+    # floor as a fit-time flag of the bundle
+    data = Dataset(np.column_stack([X, X[::-1, 1]]), np.ones(50, dtype=int), k=1)
+    design = FusionDesign(d=3, k=1, relevant=(3,), aligned={1: {1}, 2: {1}, 3: {1}})
+    bundle = fit_nuisance_bundle(data, design)
+    assert bundle.panel(3).floored
+    assert bundle.flags == frozenset({"SingularBandwidth"})
 
 
 def test_kernel_regression_constant_is_flat():
@@ -73,7 +86,8 @@ def test_kernel_regression_rules_and_errors():
     x = rng.uniform(0, 1, 200)
     y = np.sin(6 * x)
     fit = fit_kernel_regression(x, y)
-    np.testing.assert_array_equal(fit.h, silverman_bandwidths(x[:, None]))
+    np.testing.assert_array_equal(fit.h, silverman_bandwidths(x[:, None])[0])
+    assert not fit.floored
     with pytest.raises(StructuralError):
         fit_kernel_regression(x, y[:-1])
     with pytest.raises(InsufficientData):
@@ -118,7 +132,7 @@ def test_propensity_rejects_non_binary():
 
 def test_ratio_fits_trivial_at_first_index():
     law = DiscreteLaw()
-    fits = fit_marginal_density_ratio(law.dataset(), law.design(), 1)
+    fits = MarginalRatioFits(1, law.design(), law.dataset(), NuisanceOptions())
     z0 = np.zeros((4, 0))
     np.testing.assert_array_equal(fits.rho(1, z0), np.ones(4))
     diag = fits.overlap_diagnostics(1)
@@ -127,7 +141,7 @@ def test_ratio_fits_trivial_at_first_index():
 
 def test_ratio_single_aligned_source_is_exactly_one():
     law = DiscreteLaw()
-    fits = fit_marginal_density_ratio(law.dataset(), law.design(), 3)
+    fits = MarginalRatioFits(3, law.design(), law.dataset(), NuisanceOptions())
     Zprev = law.dataset().z[:5, :2]
     np.testing.assert_array_equal(fits.rho(1, Zprev), np.ones(5))
     with pytest.raises(NuisanceMissing):
@@ -152,7 +166,7 @@ def _two_source_data(n, rng):
 def test_ratio_integrates_to_one_over_pool():
     rng = np.random.default_rng(12)
     data, design = _two_source_data(2500, rng)
-    fits = fit_marginal_density_ratio(data, design, 2)
+    fits = MarginalRatioFits(2, design, data, NuisanceOptions())
     pool = data.rows_of(1)
     mean_rho = float(fits.rho(2, data.z[pool]).mean())
     assert mean_rho == pytest.approx(1.0, abs=0.1)
@@ -161,7 +175,7 @@ def test_ratio_integrates_to_one_over_pool():
 def test_ratio_tracks_analytic_beta_ratio():
     rng = np.random.default_rng(13)
     data, design = _two_source_data(4000, rng)
-    fits = fit_marginal_density_ratio(data, design, 2)
+    fits = MarginalRatioFits(2, design, data, NuisanceOptions())
     xs = np.linspace(0.15, 0.85, 8)
     got = fits.rho(2, np.column_stack([xs, np.zeros(8)]))
     b22 = math.lgamma(2) * 2 - math.lgamma(4)
@@ -173,28 +187,32 @@ def test_ratio_tracks_analytic_beta_ratio():
 def test_ratio_clipping_is_counted():
     rng = np.random.default_rng(14)
     data, design = _two_source_data(600, rng)
-    clips = ClipCounter()
-    fits = fit_marginal_density_ratio(data, design, 2, clips=clips)
+    fits = MarginalRatioFits(2, design, data, NuisanceOptions(ratio_clip=(0.8, 1.25)))
     vals = fits.rho(2, np.array([[1e6, 0.0], [-1e6, 0.0]]))
     lo, hi = fits.options.ratio_clip
     assert set(vals) <= {lo, hi}
-    assert clips.counts.get("rho_j2", 0) == 2
+    # the overlap record counts each data row once: the share of rows whose
+    # ratio sits on a clip bound
+    at_bound = np.isin(fits.rho(2, data.z), (lo, hi))
+    frac = fits.overlap_diagnostics(2).frac_clipped
+    assert 0.0 < frac < 1.0
+    assert frac == float(np.mean(at_bound))
 
 
 def test_lambda_prev_conventions():
     rng = np.random.default_rng(15)
     data, design = _two_source_data(800, rng)
-    fits = fit_marginal_density_ratio(data, design, 2)
+    fits = MarginalRatioFits(2, design, data, NuisanceOptions())
     delta = {1: 0.5, 2: 0.5}
     Zprev = data.z[:6]
-    lam = fits.lambda_prev(delta, Zprev)
+    lam = lambda_prev(fits, delta, Zprev)
     want = 1.0 / (0.5 * fits.rho(1, Zprev) + 0.5 * fits.rho(2, Zprev))
     np.testing.assert_allclose(lam, want, rtol=1e-12)
     # single participating source collapses to exactly one
     law = DiscreteLaw()
-    fits1 = fit_marginal_density_ratio(law.dataset(), law.design(), 2)
+    fits1 = MarginalRatioFits(2, law.design(), law.dataset(), NuisanceOptions())
     np.testing.assert_array_equal(
-        fits1.lambda_prev({1: 1.0}, law.dataset().z[:4, :1]), np.ones(4))
+        lambda_prev(fits1, {1: 1.0}, law.dataset().z[:4, :1]), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +488,10 @@ def test_normalizer_floor_is_counted():
     bundle = law.bundle()
     beta = assemble_beta(layout_from_design(law.design()),
                          {(3, 2): [1000.0], (3, 3): [law.beta3]})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mach = _IndexMachine(bundle, beta, 3)
+    mach = _IndexMachine(bundle, beta, 3)
     np.testing.assert_array_equal(mach.wfield[2], bundle.options.eps_w)
     assert mach.wfield[3].min() > bundle.options.eps_w
-    assert bundle.clips.counts["normalizer_floor_j3"] == 4
+    assert mach.clip_counts["normalizer_floor_j3"] == 4
 
 
 def test_fitted_evaluations_are_deterministic():

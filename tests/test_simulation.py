@@ -3,7 +3,9 @@ import pytest
 from scipy import stats
 
 import weakfuse.simulation as simulation
-from weakfuse.errors import InvalidShape
+from weakfuse.errors import InvalidShape, NonFiniteNormalizer
+from weakfuse.estimator import one_step_estimate
+from weakfuse.gradients import EstimandSpec
 from weakfuse.model import layout_from_design
 from weakfuse.nuisance import NuisanceOptions
 from weakfuse.simulation import (
@@ -20,6 +22,9 @@ from weakfuse.simulation import (
 )
 
 FAST = NuisanceOptions()
+# a small, badly overlapping cell: at master seed 1, reps 0 and 1 end the
+# moment match unconverged and rep 3 diverges
+POOR = named_scenario("poorly_aligned", covariate_shift="beta_shift", n_per_source=60)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -203,11 +208,28 @@ def test_keep_replicates_returns_records():
     assert rows[0].bias2_e5 == pytest.approx((est.mean() - PSI_TRUE) ** 2 * 1e5)
 
 
-def test_threaded_run_matches_serial():
+def test_threaded_run_matches_serial(capsys):
     grid = [_tiny(variants=("naive_fusion",))]
     serial = run_monte_carlo(grid, reps=3, master_seed=13, options=FAST)
     threaded = run_monte_carlo(grid, reps=3, master_seed=13, options=FAST, threads=2)
     assert serial == threaded
+    # flags travel with each estimate, so threads can neither swap nor drop
+    # them, and no fallback reaches stderr
+    serial, srecs = run_monte_carlo([POOR], reps=3, master_seed=1, keep_replicates=True)
+    assert [r.flags for r in srecs] == [["NoConvergence"], ["NoConvergence"], []]
+    threaded, trecs = run_monte_carlo([POOR], reps=3, master_seed=1, threads=2,
+                                      keep_replicates=True)
+    assert [r.flags for r in trecs] == [r.flags for r in srecs]
+    assert threaded == serial
+    assert capsys.readouterr().err == ""
+
+
+def test_divergent_beta_is_a_weakfuse_error():
+    # the moment match on rep 3 runs off to a beta at which source 2's tilt
+    # normalizer overflows; the engine stops there and names the pair
+    data = generate_dataset(POOR, 1, 3)
+    with pytest.raises(NonFiniteNormalizer, match="index 3, source 2"):
+        one_step_estimate(data, study_design(), EstimandSpec("ate"))
 
 
 def test_cell_aborts_when_too_many_reps_fail(monkeypatch):
