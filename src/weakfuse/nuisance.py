@@ -126,7 +126,7 @@ class PropensityFit:
 
     coef: np.ndarray
     clip: tuple[float, float]
-    ridged: bool = False
+    ridged: bool
 
     def predict(self, z1: np.ndarray) -> np.ndarray:
         z1 = np.asarray(z1, dtype=float).ravel()
