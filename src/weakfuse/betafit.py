@@ -7,13 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import InformationMatrix, compute_pass
+from .gradients import InformationMatrix, _rowmap_at, _tilt_basis, _tilt_field, compute_pass
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
 from .weights import basis_matrix
 
 _MM_TOL = 1e-8
 _MM_MAX_ITER = 200
+# line-search step scales: 1 down to 2^-20, the first below 1e-6
+_MM_SCALES = 0.5 ** np.arange(21)
 
 
 @dataclass
@@ -28,50 +30,48 @@ class MomentMatchResult:
         return all(self.converged.values())
 
 
-def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int):
-    """Precompute everything the per-pair Newton solve reuses: the basis split
-    into state factors G and value columns V = [1, ψ] on the index panel, the
-    basis at the source's own rows, and the reweighting that maps pooled
-    aligned rows to the source's conditioning-state marginal."""
+def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int) -> tuple:
+    """Precompute everything the per-pair Newton solve reuses: the β-free
+    tilt basis on the index panel, the basis at the source's own rows, and
+    the reweighting that maps pooled aligned rows to the source's
+    conditioning-state marginal, with those rows' map onto the panel."""
     design = nuisance.design
     data = nuisance.data
     spec = design.spec_for(j, s)
     panel = nuisance.panel(j)
-    ratio = nuisance.ratio_fits(j)
 
-    G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
-    V = np.column_stack([np.ones(panel.zj.size)]
-                        + [t.terminal_values(panel.zj) for t in spec.terms])
-
-    rows_s = data.rows_of(s)
-    t_s = basis_matrix(spec, data.z[rows_s, :j])
-    tbar = t_s.mean(axis=0)
-
+    tbar = basis_matrix(spec, data.z[data.rows_of(s), :j]).mean(axis=0)
     rows_a = np.concatenate([data.rows_of(m) for m in sorted(design.aligned_at(j))])
     rows_a.sort()
     t_a = basis_matrix(spec, data.z[rows_a, :j])
-    rho_a = ratio.rho(s, data.z[rows_a, :j - 1])
-    rmap = panel.row_map(data.z[rows_a, :j - 1])
-    return panel, (G, V), tbar, rows_a, t_a, rho_a, rmap
+    rho_a = nuisance.ratio_fits(j).rho(s, data.z[rows_a, :j - 1])
+    rmap = _rowmap_at(nuisance.rowmaps[j], rows_a)
+    return panel, _tilt_basis(panel, spec), tbar, t_a, rho_a, rmap, nuisance.options.eps_w
 
 
 def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap, eps_w):
-    # tilt exponent and its row means against [1, ψ] in one matmul per block
-    G, V = basis
-    wmat = [np.exp(np.clip(L, -60.0, 60.0)) for L in panel.outer_sum(G * b, V[:, 1:].T)]
-    raw = panel.rowmean(wmat, values=V)
-    wfield = np.maximum(raw[:, 0], eps_w)
-    wcfield = G * raw[:, 1:]
-
-    wf_rows = rmap.apply(wfield)
-    wtilda = rho_a * np.exp(np.clip(t_a @ b, -60.0, 60.0)) / wf_rows
-    D = wtilda.sum()
-    N = t_a.T @ wtilda
-    m = N / D - tbar
-    score_rows = t_a - rmap.apply(wcfield) / wf_rows[:, None]
-    J = (t_a * wtilda[:, None]).T @ score_rows / D \
-        - np.outer(N / D, wtilda @ score_rows / D)
+    """Moment residual and its Jacobian at b. Nothing is clipped, so a b out
+    of range gives non-finite values, which the line search rejects."""
+    _, raw = _tilt_field(panel, b, basis)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wfield = np.maximum(raw[:, 0], eps_w)
+        wcfield = basis[0] * raw[:, 1:]
+        wf_rows = rmap.apply(wfield)
+        wtilda = rho_a * np.exp(t_a @ b) / wf_rows
+        D = wtilda.sum()
+        N = t_a.T @ wtilda
+        m = N / D - tbar
+        score_rows = t_a - rmap.apply(wcfield) / wf_rows[:, None]
+        J = (t_a * wtilda[:, None]).T @ score_rows / D \
+            - np.outer(N / D, wtilda @ score_rows / D)
     return m, J
+
+
+def _residual(m, J) -> float:
+    """Max-abs moment residual; infinite when the moments are not finite."""
+    if np.all(np.isfinite(m)) and np.all(np.isfinite(J)):
+        return float(np.max(np.abs(m)))
+    return np.inf
 
 
 def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
@@ -79,8 +79,10 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
     """Initial shift parameters: for each estimable weak pair, damped Newton
     on the self-normalized moment condition that the reweighted aligned rows
     reproduce the source's own basis means. Known-threshold blocks are left
-    at their supplied (or zero) values. A pair that hits the iteration cap
-    keeps its last iterate and reads False in `converged`."""
+    at their supplied (or zero) values. Every accepted step lowers the
+    pair's max-abs residual; a pair whose line search cannot lower it, or
+    that hits the iteration cap, keeps its last (best) iterate and reads
+    False in `converged`."""
     design = nuisance.design
     layout = layout_from_design(design)
     beta = beta0 if beta0 is not None else BetaParam.zeros(layout)
@@ -90,38 +92,30 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
     iters: dict[tuple[int, int], int] = {}
     max_resid = 0.0
     for (j, s) in design.weak_pairs():
-        spec = design.spec_for(j, s)
-        if spec.family != "exponential_tilt":
+        if design.spec_for(j, s).family != "exponential_tilt":
             continue
         sl = offs[(j, s)]
         b = values[sl].copy()
-        panel, basis, tbar, rows_a, t_a, rho_a, rmap = _pair_moment_system(nuisance, j, s)
-        eps_w = nuisance.options.eps_w
-        m, J = _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap, eps_w)
-        ok = False
+        system = _pair_moment_system(nuisance, j, s)
+        m, J = _pair_moment_and_jac(b, *system)
         it = 0
         for it in range(1, max_iter + 1):
-            resid = float(np.max(np.abs(m)))
-            if resid < tol:
-                ok = True
+            resid = _residual(m, J)
+            if resid < tol or resid == np.inf:
                 break
             try:
                 step = np.linalg.solve(J, -m)
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(J, -m, rcond=None)[0]
-            scale = 1.0
-            for _ in range(25):
-                m_new, J_new = _pair_moment_and_jac(
-                    b + scale * step, panel, basis, tbar, t_a, rho_a, rmap, eps_w)
-                if np.max(np.abs(m_new)) < resid or scale < 1e-6:
+            for scale in _MM_SCALES:
+                m_new, J_new = _pair_moment_and_jac(b + scale * step, *system)
+                if _residual(m_new, J_new) < resid:
                     break
-                scale *= 0.5
-            b = b + scale * step
-            m, J = m_new, J_new
-        resid = float(np.max(np.abs(m)))
-        if resid < tol:
-            ok = True
-        converged[(j, s)] = ok
+            else:
+                break                   # no scale lowers it: stop at the best iterate
+            b, m, J = b + scale * step, m_new, J_new
+        resid = _residual(m, J)
+        converged[(j, s)] = resid < tol
         iters[(j, s)] = it
         max_resid = max(max_resid, resid)
         values[sl] = b
@@ -134,7 +128,6 @@ class OneStepBeta:
     beta: BetaParam
     se: np.ndarray
     information: InformationMatrix
-    score_mean: np.ndarray
     flags: frozenset[str]
 
 
@@ -148,5 +141,4 @@ def one_step_beta(nuisance: FittedNuisance, beta_init: BetaParam) -> OneStepBeta
     update = info.pinv @ sbar
     beta1 = beta_init.replace_values(beta_init.values + update)
     se = np.sqrt(np.maximum(np.diag(info.pinv), 0.0) / n)
-    return OneStepBeta(beta=beta1, se=se, information=info, score_mean=sbar,
-                       flags=p.flags)
+    return OneStepBeta(beta=beta1, se=se, information=info, flags=p.flags)

@@ -79,4 +79,5 @@ class EmptyFile(WeakfuseError):
 
 
 class NonFiniteNormalizer(WeakfuseError):
-    """A tilt parameter drove a weight normalizer out of floating-point range."""
+    """A tilt parameter drove a weight normalizer out of floating-point range in
+    the engine; moment matching never accepts one, so β was supplied or updated."""

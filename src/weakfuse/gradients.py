@@ -228,6 +228,41 @@ def _batched_pinv(M: np.ndarray, force_null: bool = True):
     return pinv, dropped
 
 
+def _rowmap_at(rowmap: RowMap, rows: np.ndarray) -> RowMap:
+    """The part of a row map that covers the given data rows."""
+    return RowMap(rowmap.lo[rows], rowmap.hi[rows], rowmap.frac[rows])
+
+
+def _tilt_basis(panel, spec):
+    """β-free factors of a weak pair's tilt on a panel: the prefactors G at
+    the states and the value columns V = [1, ψ] at the training values; None
+    for a truncation step."""
+    if spec.family != "exponential_tilt":
+        return None
+    G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
+    V = np.column_stack([np.ones(panel.zj.size)]
+                        + [t.terminal_values(panel.zj) for t in spec.terms])
+    return G, V
+
+
+def _tilt_field(panel, b, basis):
+    """A weak pair's shift at b on a panel, given its `_tilt_basis`: the
+    per-block weights, and their row means against [1, ψ], that is the
+    normalizer field and then E_Q[w ψ | e] (a step has the normalizer only).
+
+    No exponent is clipped: `exp` overflows silently into a non-finite
+    field, which the engine reports as `NonFiniteNormalizer` and the moment
+    match counts as a trial step that did not lower its residual."""
+    if basis is None:
+        step = (panel.zj >= b[0]).astype(float)
+        wmat = [np.broadcast_to(step[c], W.shape) for _, c, W in panel.blocks]
+        return wmat, panel.rowmean(wmat)[:, None]
+    G, V = basis
+    with np.errstate(over="ignore", invalid="ignore"):
+        wmat = [np.exp(L) for L in panel.outer_sum(G * b, V[:, 1:].T)]
+        return wmat, panel.rowmean(wmat, values=V)
+
+
 class _IndexMachine:
     """All (E, T) machinery for one relevant index with weak sources, at a
     fixed parameter value.
@@ -239,8 +274,9 @@ class _IndexMachine:
     built once and multiplied by the whole value stack in one matmul.
 
     `clip_counts` holds the states whose normalizer was floored and the S_j
-    row evaluations whose shift was clipped, and `rank_lost` the states whose
-    fusion matrix lost rank beyond the expected null.
+    rows at which some weak source's shift was clipped (each row once), and
+    `rank_lost` the states whose fusion matrix lost rank beyond the expected
+    null.
     """
 
     def __init__(self, nuisance: FittedNuisance, beta: BetaParam, j: int, sep=None):
@@ -252,12 +288,11 @@ class _IndexMachine:
         self.dSj = nuisance.delta_of(self.S)
         offs = beta.offsets()
         ratio = nuisance.ratio_fits(j)
-        E = panel.eval_states.shape[0]
         T = panel.zj.size
         eps_w = nuisance.options.eps_w
         lo, hi = nuisance.options.ratio_clip
         self.clip_counts: dict[str, int] = {}
-        n_floor = n_clip = 0
+        n_floor = 0
 
         # local mixture weights at states and the clipped versions at rows
         self.dt_e = np.column_stack([
@@ -266,10 +301,8 @@ class _IndexMachine:
             nuisance.delta[m] * ratio.rho(m, data.z[:, :j - 1]) for m in self.S])
         self.rows_S = np.flatnonzero(np.isin(data.source, self.S))
         self.src_S = data.source[self.rows_S]
-        rowmap = nuisance.rowmaps[j]
         # interpolates (E,) or (E, q) fields to the S_j rows
-        self.at_rows = RowMap(rowmap.lo[self.rows_S], rowmap.hi[self.rows_S],
-                              rowmap.frac[self.rows_S]).apply
+        self.at_rows = _rowmap_at(nuisance.rowmaps[j], self.rows_S).apply
         ZS = data.z[self.rows_S, :j]
 
         # value columns: 1, then each tilt term ψ, then each seed column
@@ -283,23 +316,16 @@ class _IndexMachine:
         self.et: dict[int, np.ndarray] = {}         # E_Q[w*_s t_c | e]
         wnorm: dict[int, np.ndarray] = {}           # E_Q[w*_s | e]
         self.wst_own: dict[int, np.ndarray] = {}    # at each S_j row's own value
+        clipped = np.zeros(self.rows_S.size, dtype=bool)
         for s in self.Wk:
             spec = design.spec_for(j, s)
             b = beta.values[offs[(j, s)]]
-            if spec.family == "exponential_tilt":
-                G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
-                Psi = np.column_stack([t.terminal_values(panel.zj) for t in spec.terms])
-                # an overflow surfaces as a non-finite normalizer, checked below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    wmat = [np.exp(L) for L in panel.outer_sum(G * b, Psi.T)]
-                    raw = panel.rowmean(wmat, values=np.column_stack([np.ones(T), Psi]))
-                self.G[s] = G
-                self.psi_cols[s] = slice(len(cols), len(cols) + Psi.shape[1])
-                cols.extend(Psi.T)
-            else:
-                step = (panel.zj >= b[0]).astype(float)
-                wmat = [np.broadcast_to(step[c], W.shape) for _, c, W in panel.blocks]
-                raw = panel.rowmean(wmat)[:, None]
+            basis = _tilt_basis(panel, spec)
+            if basis is not None:
+                self.G[s], V = basis
+                self.psi_cols[s] = slice(len(cols), len(cols) + V.shape[1] - 1)
+                cols.extend(V[:, 1:].T)
+            wmat, raw = _tilt_field(panel, b, basis)
             bad = int(np.sum(~np.isfinite(raw[:, 0])))
             if bad:
                 raise NonFiniteNormalizer(
@@ -312,9 +338,11 @@ class _IndexMachine:
             wnorm[s] = raw[:, 0] / wf
             if s in self.G:
                 self.et[s] = self.G[s] * raw[:, 1:] / wf[:, None]
-            ws = eval_weight_many(spec, b, ZS) / self.at_rows(wf)
+            with np.errstate(over="ignore"):
+                ws = eval_weight_many(spec, b, ZS) / self.at_rows(wf)
             self.wst_own[s] = np.clip(ws, lo, hi)      # clipped like any ratio
-            n_clip += int(np.sum(self.wst_own[s] != ws))
+            clipped |= self.wst_own[s] != ws
+        n_clip = int(clipped.sum())
         for what, n in (("normalizer_floor", n_floor), ("wstar", n_clip)):
             if n:
                 self.clip_counts[f"{what}_j{j}"] = n
@@ -589,7 +617,6 @@ def efficient_gradient(seed: GradientSeed, beta: BetaParam,
         "rows": rows,
         "fixed_beta_rows": p.dtilde,
         "scores_eff": p.scores_eff,
-        "scores_raw": p.scores_raw,
         "information": info,
         "grad_gamma": grad_gamma,
         "flags": p.flags,

@@ -145,18 +145,7 @@ class OverlapDiagnostics:
 
 
 @dataclass(frozen=True)
-class IndexReport:
-    j: int
-    relevant: bool
-    aligned_counts: tuple[tuple[int, int], ...]
-    weak_counts: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    n: int
-    k: int
-    per_index: tuple[IndexReport, ...]
     warnings: tuple[str, ...]
 
 
@@ -172,7 +161,6 @@ def validate_design(design: FusionDesign, data: Dataset) -> ValidationReport:
         )
     counts = data.source_counts()
     warn: list[str] = []
-    per_index: list[IndexReport] = []
     weak_map = dict(design.weak)
     spec_map = dict(design.weight_specs)
     for j in range(1, design.d + 1):
@@ -192,22 +180,11 @@ def validate_design(design: FusionDesign, data: Dataset) -> ValidationReport:
                 raise StructuralError(f"no weight model for weak source {s} at index {j}")
         if w and j not in design.relevant:
             warn.append(f"weak sources at index {j} are ignored (index not relevant)")
-        per_index.append(IndexReport(
-            j=j,
-            relevant=j in design.relevant,
-            aligned_counts=tuple((s, counts.get(s, 0)) for s in sorted(a)),
-            weak_counts=tuple((s, counts.get(s, 0)) for s in sorted(w)),
-        ))
     for (j, s), spec in spec_map.items():
         if s not in weak_map.get(j, frozenset()):
             raise StructuralError(f"weight model given for ({j}, {s}) but source not weak there")
         spec.check_index(j)
-    return ValidationReport(
-        n=data.n,
-        k=data.k,
-        per_index=tuple(per_index),
-        warnings=tuple(warn),
-    )
+    return ValidationReport(warnings=tuple(warn))
 
 
 @dataclass(frozen=True)

@@ -320,8 +320,8 @@ class KernelPanel(_BlockPanel):
     acts only on the continuous coordinate, binary coordinates are matched
     exactly. With two or more continuous past coordinates the panel falls
     back to one evaluation state per data row, in data order, and `row_map`
-    only accepts that full-row layout; `floored` records that one of that
-    layout's bandwidths hit its floor.
+    only accepts that full-row layout. Both layouts take Silverman
+    bandwidths, and `floored` records that one of them hit its floor.
     """
 
     def __init__(self, j: int, data: Dataset, train_idx: np.ndarray,
@@ -365,8 +365,7 @@ class KernelPanel(_BlockPanel):
                 if hi <= lo:
                     hi = lo + 1.0
                 self.grid = np.linspace(lo, hi, options.grid_points)
-                sd = zprev_tr[:, c0].std(ddof=1)
-                self.h = np.array([max(sd * (4.0 / (3 * T)) ** 0.2, _H_FLOOR)])
+                self.h, self.floored = silverman_bandwidths(zprev_tr[:, [c0]])
             else:
                 self.grid = np.zeros(1)
                 self.h = np.array([1.0])

@@ -1,7 +1,7 @@
 """Shared fixtures. The Monte Carlo summary used by the acceptance tests is
-expensive (about 17 minutes single-threaded), so it is built once per cache key
-and persisted to .mc_cache.json next to this file. Delete that file to force
-a rebuild."""
+expensive (a rebuild at two threads took 1051 s on a 2-core box), so it is
+built once per cache key and persisted to .mc_cache.json next to this file.
+Delete that file to force a rebuild."""
 
 import hashlib
 import json
@@ -57,7 +57,8 @@ def ensure_mc_cache() -> list[dict]:
                 return blob["rows"]
         except (json.JSONDecodeError, KeyError):
             pass
-    rows = run_monte_carlo(study_grid(), reps=REPS, master_seed=MASTER_SEED)
+    rows = run_monte_carlo(study_grid(), reps=REPS, master_seed=MASTER_SEED,
+                           threads=min(2, os.cpu_count() or 1))
     blob = {"key": key, "rows": [asdict(r) for r in rows]}
     tmp = _CACHE_PATH + ".tmp"
     with open(tmp, "w") as fh:

@@ -7,7 +7,7 @@ from weakfuse.betafit import (
     moment_match_beta,
     one_step_beta,
 )
-from weakfuse.gradients import compute_pass, information_matrix
+from weakfuse.gradients import EstimandSpec, compute_pass, information_matrix
 from weakfuse.model import (
     Dataset,
     FusionDesign,
@@ -16,6 +16,7 @@ from weakfuse.model import (
     layout_from_design,
 )
 from weakfuse.nuisance import fit_nuisance_bundle
+from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec
 
 from oracles import DiscreteLaw
@@ -75,16 +76,39 @@ def test_moment_match_respects_start():
     np.testing.assert_allclose(warm.beta.values, cold.beta.values, atol=1e-6)
 
 
+def test_moment_match_residual_never_rises(monkeypatch):
+    # each Newton iteration solves J step = -m at the current iterate, so the
+    # solves see every accepted iterate's residual; on rep 3 of the small
+    # poorly aligned beta-shift cell, pair (3, 2) (the only two-term pair)
+    # stalls instead of climbing
+    data = generate_dataset(named_scenario(
+        "poorly_aligned", covariate_shift="beta_shift", n_per_source=60), 1, 3)
+    nuis = fit_nuisance_bundle(data, study_design(), EstimandSpec("ate"))
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(J, rhs):
+        if rhs.size == 2:
+            seen.append(float(np.max(np.abs(rhs))))
+        return solve(J, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    res = moment_match_beta(nuis)
+    assert len(seen) >= 2
+    assert all(b < a for a, b in zip(seen, seen[1:]))
+    assert not res.converged[(3, 2)]
+    assert np.all(np.abs(beta_slice(res.beta, 3, 2)) < 10)
+
+
 def test_pair_jacobian_matches_finite_differences():
     data, design = _tilted_instance(600, beta_true=0.4, seed=3)
     nuis = fit_nuisance_bundle(data, design)
-    panel, pairs, tbar, rows_a, t_a, rho_a, rmap = _pair_moment_system(nuis, 2, 2)
-    eps_w = nuis.options.eps_w
+    system = _pair_moment_system(nuis, 2, 2)
     b = np.array([0.3])
-    m, J = _pair_moment_and_jac(b, panel, pairs, tbar, t_a, rho_a, rmap, eps_w)
+    m, J = _pair_moment_and_jac(b, *system)
     h = 1e-6
-    mp, _ = _pair_moment_and_jac(b + h, panel, pairs, tbar, t_a, rho_a, rmap, eps_w)
-    mm, _ = _pair_moment_and_jac(b - h, panel, pairs, tbar, t_a, rho_a, rmap, eps_w)
+    mp, _ = _pair_moment_and_jac(b + h, *system)
+    mm, _ = _pair_moment_and_jac(b - h, *system)
     fd = (mp - mm) / (2 * h)
     assert J[0, 0] == pytest.approx(fd[0], rel=1e-4)
 

@@ -392,11 +392,33 @@ def test_engine_pass_count(monkeypatch, variant, passes):
 
 def test_clip_counts_report_one_pass():
     # the counts are those of the seeded pass at beta-hat, whose machine
-    # evaluates each weak source's clipped shift once at every S_3 row
+    # counts each S_3 row at most once, whichever weak sources' shifts clip
     design = study_design()
     data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1)
     report = one_step_estimate(data, design, EstimandSpec("ate"),
                                options=NuisanceOptions(ratio_clip=(0.8, 1.25)))
     n_rows = int(np.isin(data.source, sorted(design.sources_at(3))).sum())
     assert set(report.clip_counts) == {"wstar_j3"}
-    assert 0 < report.clip_counts["wstar_j3"] <= len(design.weak_at(3)) * n_rows
+    assert 0 < report.clip_counts["wstar_j3"] <= n_rows
+
+
+def test_efficient_estimate_on_exact_mode_panel():
+    # two continuous past coordinates put the index-3 panel in exact mode,
+    # whose row map covers only the full dataset; the moment match reads the
+    # aligned rows through it like the engine does
+    rng = np.random.default_rng(0)
+    n_per = 300
+    z12 = rng.uniform(0.5, 1.5, (2 * n_per, 2))
+    z3 = np.concatenate([rng.beta(2, 2, n_per), _tilted_beta_draws(rng, n_per, 0.8)])
+    data = Dataset(np.column_stack([z12, z3]), np.repeat([1, 2], n_per), k=2)
+    design = FusionDesign(
+        d=3, k=2, relevant=(1, 2, 3),
+        aligned={1: {1, 2}, 2: {1, 2}, 3: {1}},
+        weak={3: {2}},
+        weight_specs={(3, 2): WeightSpec.tilt(3, ["z3"])},
+    )
+    rep = one_step_estimate(data, design, EstimandSpec("moment", index=3))
+    assert np.isfinite(rep.estimate) and np.isfinite(rep.se)
+    assert rep.extras["flags"] == []
+    # target mean of z3 is exactly 1/2
+    assert abs(rep.estimate - 0.5) < 4 * rep.se

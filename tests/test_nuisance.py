@@ -10,7 +10,8 @@ from weakfuse.errors import (
     NuisanceMissing,
     StructuralError,
 )
-from weakfuse.gradients import _IndexMachine
+from weakfuse.estimator import one_step_estimate
+from weakfuse.gradients import EstimandSpec, _IndexMachine
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
 from weakfuse.nuisance import (
     CrossFitPanel,
@@ -63,6 +64,21 @@ def test_silverman_floors_constant_column():
     bundle = fit_nuisance_bundle(data, design)
     assert bundle.panel(3).floored
     assert bundle.flags == frozenset({"SingularBandwidth"})
+
+
+def test_grid_panel_records_a_floored_bandwidth():
+    # a constant z1 floors the grid panel's bandwidth at index 2, and the
+    # floor reaches the estimate's flags
+    rng = np.random.default_rng(0)
+    z2 = np.concatenate([rng.beta(2, 2, 200), rng.beta(2.5, 2, 200)])
+    data = Dataset(np.column_stack([np.full(400, 0.7), z2]), np.repeat([1, 2], 200), k=2)
+    design = FusionDesign(d=2, k=2, relevant=(1, 2), aligned={1: {1, 2}, 2: {1}},
+                          weak={2: {2}}, weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
+    bundle = fit_nuisance_bundle(data, design)
+    assert bundle.panel(2)._mode == "grid"
+    assert bundle.panel(2).floored
+    report = one_step_estimate(data, design, EstimandSpec("moment", index=2))
+    assert "SingularBandwidth" in report.extras["flags"]
 
 
 def test_kernel_regression_constant_is_flat():

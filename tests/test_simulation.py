@@ -5,9 +5,9 @@ from scipy import stats
 import weakfuse.simulation as simulation
 from weakfuse.errors import InvalidShape, NonFiniteNormalizer
 from weakfuse.estimator import one_step_estimate
-from weakfuse.gradients import EstimandSpec
-from weakfuse.model import layout_from_design
-from weakfuse.nuisance import NuisanceOptions
+from weakfuse.gradients import EstimandSpec, compute_pass
+from weakfuse.model import assemble_beta, layout_from_design
+from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
 from weakfuse.simulation import (
     ALIGNMENT_LEVELS,
     CSV_HEADER,
@@ -22,8 +22,8 @@ from weakfuse.simulation import (
 )
 
 FAST = NuisanceOptions()
-# a small, badly overlapping cell: at master seed 1, reps 0 and 1 end the
-# moment match unconverged and rep 3 diverges
+# a small, badly overlapping cell: at master seed 1, reps 0, 1 and 3 (of
+# reps 0-3) end the moment match unconverged
 POOR = named_scenario("poorly_aligned", covariate_shift="beta_shift", n_per_source=60)
 
 
@@ -224,12 +224,27 @@ def test_threaded_run_matches_serial(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_divergent_beta_is_a_weakfuse_error():
-    # the moment match on rep 3 runs off to a beta at which source 2's tilt
-    # normalizer overflows; the engine stops there and names the pair
+def test_stalled_beta_fit_is_finite_and_flagged():
+    # on rep 3 no damped Newton step lowers pair (3, 2)'s moment residual
+    # after a few iterations; the fit stops at its best iterate instead of
+    # drifting until source 2's tilt normalizer overflows
     data = generate_dataset(POOR, 1, 3)
+    report = one_step_estimate(data, study_design(), EstimandSpec("ate"))
+    assert np.isfinite(report.estimate) and np.isfinite(report.se)
+    assert np.all(np.isfinite(report.beta)) and max(map(abs, report.beta)) < 10
+    assert "NoConvergence" in report.extras["flags"]
+
+
+def test_engine_rejects_an_overflowing_beta():
+    # a supplied beta far out along z1*z2*log(z3) overflows source 2's tilt
+    # normalizer; the engine names the pair instead of failing in eigh
+    data = generate_dataset(POOR, 1, 3)
+    design = study_design()
+    bundle = fit_nuisance_bundle(data, design, EstimandSpec("ate"))
+    beta = assemble_beta(layout_from_design(design), {
+        (3, 2): [-20.9, -1708.0], (3, 3): [-0.9], (3, 4): [-4.25]})
     with pytest.raises(NonFiniteNormalizer, match="index 3, source 2"):
-        one_step_estimate(data, study_design(), EstimandSpec("ate"))
+        compute_pass(bundle, beta)
 
 
 def test_cell_aborts_when_too_many_reps_fail(monkeypatch):
