@@ -101,7 +101,7 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
         it = 0
         for it in range(1, max_iter + 1):
             resid = _residual(m, J)
-            if resid < tol or resid == np.inf:
+            if resid < tol or resid == np.inf:    # a non-finite start cannot step
                 break
             try:
                 step = np.linalg.solve(J, -m)
