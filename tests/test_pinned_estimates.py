@@ -59,6 +59,8 @@ def _moment():
 
 CASES = {
     "study_efficient_fusion": _study,
+    "study_target_only": lambda: _study("target_only"),
+    "study_naive_fusion": lambda: _study("naive_fusion"),
     "study_overparametrized+2": lambda: _study("overparametrized+2"),
     "study_truncation_threshold": _truncation,
     "study_cross_fit": lambda: _study(options=NuisanceOptions(cross_fit=True)),
