@@ -22,7 +22,6 @@ from .gradients import (
     InformationMatrix,
     compute_pass,
     efficient_gradient,
-    gradient_aligned_only,
     information_matrix,
     seed_gradient,
 )
@@ -33,7 +32,6 @@ from .model import (
     ValidationReport,
     assemble_beta,
     beta_slice,
-    estimable_mask,
     layout_from_design,
     validate_design,
 )
@@ -96,13 +94,11 @@ __all__ = [
     "compute_pass",
     "efficient_gradient",
     "errors",
-    "estimable_mask",
     "eval_weight_many",
     "fit_kernel_regression",
     "fit_nuisance_bundle",
     "fit_propensity",
     "generate_dataset",
-    "gradient_aligned_only",
     "information_matrix",
     "layout_from_design",
     "moment_match_beta",

@@ -74,34 +74,29 @@ def _residual(m, J) -> float:
     return np.inf
 
 
-def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
-                      max_iter: int = _MM_MAX_ITER, tol: float = _MM_TOL) -> MomentMatchResult:
-    """Initial shift parameters: for each estimable weak pair, damped Newton
-    on the self-normalized moment condition that the reweighted aligned rows
-    reproduce the source's own basis means. Known-threshold blocks are left
-    at their supplied (or zero) values. Every accepted step lowers the
-    pair's max-abs residual; a pair whose line search cannot lower it, or
-    that hits the iteration cap, keeps its last (best) iterate and reads
-    False in `converged`."""
-    design = nuisance.design
-    layout = layout_from_design(design)
-    beta = beta0 if beta0 is not None else BetaParam.zeros(layout)
+def moment_match_beta(nuisance: FittedNuisance,
+                      beta0: BetaParam | None = None) -> MomentMatchResult:
+    """Initial shift parameters: for each tilted pair, damped Newton from
+    `beta0` (zero by default) on the self-normalized moment condition that
+    the reweighted aligned rows reproduce the source's own basis means.
+    Every accepted step lowers the pair's max-abs residual; a pair whose
+    line search cannot lower it, or that hits the iteration cap, keeps its
+    last (best) iterate and reads False in `converged`."""
+    beta = beta0 if beta0 is not None else BetaParam.zeros(layout_from_design(nuisance.design))
     values = beta.values.copy()
     offs = beta.offsets()
     converged: dict[tuple[int, int], bool] = {}
     iters: dict[tuple[int, int], int] = {}
     max_resid = 0.0
-    for (j, s) in design.weak_pairs():
-        if design.spec_for(j, s).family != "exponential_tilt":
-            continue
+    for (j, s, _) in beta.layout:
         sl = offs[(j, s)]
         b = values[sl].copy()
         system = _pair_moment_system(nuisance, j, s)
         m, J = _pair_moment_and_jac(b, *system)
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MM_MAX_ITER + 1):
             resid = _residual(m, J)
-            if resid < tol or resid == np.inf:    # a non-finite start cannot step
+            if resid < _MM_TOL or resid == np.inf:    # a non-finite start cannot step
                 break
             try:
                 step = np.linalg.solve(J, -m)
@@ -115,7 +110,7 @@ def moment_match_beta(nuisance: FittedNuisance, beta0: BetaParam | None = None,
                 break                   # no scale lowers it: stop at the best iterate
             b, m, J = b + scale * step, m_new, J_new
         resid = _residual(m, J)
-        converged[(j, s)] = resid < tol
+        converged[(j, s)] = resid < _MM_TOL
         iters[(j, s)] = it
         max_resid = max(max_resid, resid)
         values[sl] = b

@@ -33,7 +33,7 @@ from .estimator import (
     wald_interval,
 )
 from .gradients import EstimandSpec
-from .model import BetaParam, Dataset, FusionDesign, layout_from_design, validate_design
+from .model import Dataset, FusionDesign, validate_design
 from .nuisance import NuisanceOptions
 from .simulation import (
     ALIGNMENT_LEVELS,
@@ -57,7 +57,6 @@ class RunConfig:
     options: NuisanceOptions
     level: float
     seed: int | None
-    beta0: BetaParam | None
     columns: dict
     raw: dict
 
@@ -109,7 +108,6 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     weak = _index_map(dsn.get("weak"), "config.design.weak")
 
     specs = {}
-    thresholds = {}
     spec_block = dsn.get("weight_specs") or {}
     if not isinstance(spec_block, dict):
         raise ParseError("config.design.weight_specs: expected an object")
@@ -137,12 +135,12 @@ def parse_config_dict(cfg: dict) -> RunConfig:
                 raise ParseError(
                     f"config.design.weight_specs.{key}.terms: {exc}") from None
         elif family == "truncated_above_threshold":
-            specs[(j, s)] = WeightSpec("truncated_above_threshold", j)
-            thr = body.get("threshold", 0.0)
-            if not isinstance(thr, (int, float)):
+            try:
+                specs[(j, s)] = WeightSpec("truncated_above_threshold", j,
+                                           threshold=body.get("threshold", 0.0))
+            except WeakfuseError as exc:
                 raise ParseError(
-                    f"config.design.weight_specs.{key}.threshold: expected a number")
-            thresholds[(j, s)] = float(thr)
+                    f"config.design.weight_specs.{key}.threshold: {exc}") from None
         else:
             raise ParseError(
                 f"config.design.weight_specs.{key}.family: unknown family {family!r}")
@@ -185,12 +183,7 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     _expect_keys(opt, {"ratio_clip", "propensity_clip", "grid_points", "cross_fit"},
                  "config.options")
     try:
-        options = NuisanceOptions(
-            ratio_clip=tuple(opt.get("ratio_clip", (1e-3, 1e3))),
-            propensity_clip=tuple(opt.get("propensity_clip", (0.01, 0.99))),
-            grid_points=int(opt.get("grid_points", 301)),
-            cross_fit=bool(opt.get("cross_fit", False)),
-        )
+        options = NuisanceOptions(**opt)
     except WeakfuseError as exc:
         raise ParseError(f"config.options: {exc}") from None
 
@@ -201,23 +194,13 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     if seed is not None and not isinstance(seed, int):
         raise ParseError("config.seed: expected an integer or null")
 
-    beta0 = None
-    if thresholds:
-        layout = layout_from_design(design)
-        values = np.zeros(sum(c for _, _, c in layout))
-        b = BetaParam(values, layout)
-        offs = b.offsets()
-        for (j, s), thr in thresholds.items():
-            values[offs[(j, s)]] = thr
-        beta0 = BetaParam(values, layout)
-
     columns = cfg.get("columns") or {}
     if not isinstance(columns, dict):
         raise ParseError("config.columns: expected an object")
     _expect_keys(columns, {"z", "source"}, "config.columns")
 
     return RunConfig(design=design, estimand=estimand, variant=variant,
-                     options=options, level=float(level), seed=seed, beta0=beta0,
+                     options=options, level=float(level), seed=seed,
                      columns=columns, raw=cfg)
 
 
@@ -365,7 +348,7 @@ def cmd_estimate(args) -> int:
     cfg, data, label_map = _load_run(args)
     report = one_step_estimate(data, cfg.design, cfg.estimand, variant=cfg.variant,
                                options=cfg.options, level=cfg.level,
-                               beta0=cfg.beta0, seed_value=cfg.seed)
+                               seed_value=cfg.seed)
     payload = report.to_json_dict()
     payload["source_map"] = label_map
     payload["config_hash"] = config_hash(cfg.raw)
@@ -398,7 +381,7 @@ def cmd_sensitivity(args) -> int:
     cfg, data, label_map = _load_run(args)
     fused = one_step_estimate(data, cfg.design, cfg.estimand, variant=cfg.variant,
                               options=cfg.options, level=cfg.level,
-                              beta0=cfg.beta0, seed_value=cfg.seed)
+                              seed_value=cfg.seed)
     target = one_step_estimate(data, cfg.design, cfg.estimand,
                                variant=EstimatorVariant("target_only"),
                                options=cfg.options, level=cfg.level,

@@ -53,7 +53,8 @@ class NegativeDelta(WeakfuseError):
 
 
 class ParseError(WeakfuseError):
-    """A config file, basis-term string, or CLI grid could not be parsed."""
+    """A config file, basis-term string, option or CLI grid could not be
+    parsed, or holds a value out of range."""
 
 
 class SemanticError(WeakfuseError):

@@ -5,18 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from statistics import NormalDist
 
 from .betafit import moment_match_beta, one_step_beta
 from .errors import BadLevel, NegativeDelta
-from .gradients import (
-    EstimandSpec,
-    efficient_gradient,
-    gradient_aligned_only,
-    seed_gradient,
-)
-from .model import BetaParam, FusionDesign, layout_from_design, validate_design
+from .gradients import EstimandSpec, efficient_gradient, seed_gradient
+from .model import FusionDesign, validate_design
 from .nuisance import NuisanceOptions, fit_nuisance_bundle
 from .weights import WeightSpec, complex_family
 
@@ -86,45 +80,11 @@ def apply_variant(design: FusionDesign, variant: EstimatorVariant) -> FusionDesi
                         weight_specs=specs)
 
 
-def _norm_quantile(p: float) -> float:
-    """Standard normal quantile, rational approximation polished by two
-    Newton corrections through the complementary error function."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must be in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    plow = 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - plow:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    for _ in range(2):
-        cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        x -= (cdf - p) / pdf
-    return x
-
-
 def wald_interval(estimate: float, se: float, level: float = 0.95) -> tuple[float, float]:
     """Symmetric normal-theory interval at the given two-sided level."""
     if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
         raise BadLevel(f"confidence level must be in (0, 1), got {level!r}")
-    z = _norm_quantile(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return estimate - z * se, estimate + z * se
 
 
@@ -176,10 +136,10 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
                       variant: EstimatorVariant | None = None,
                       options: NuisanceOptions | None = None,
                       level: float = 0.95,
-                      beta0: BetaParam | None = None,
                       seed_value: int | None = None) -> EstimateReport:
-    """Full pipeline: fit nuisances, estimate shift parameters when the
-    variant keeps any, and return the one-step estimate with a Wald interval.
+    """Full pipeline: fit nuisances, estimate the shift parameters the
+    variant keeps (none for `target_only` and `naive_fusion`), and return the
+    one-step estimate with a Wald interval.
 
     `extras["flags"]` names every fallback that fired: the fit-time flags
     of the nuisance bundle, `UserWarning` for a validation note,
@@ -197,25 +157,14 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
     if validation.warnings:
         flags.add("UserWarning")
 
-    if design_v.weak_pairs():
-        mm = moment_match_beta(bundle, beta0)
-        if not mm.all_converged:
-            flags.add("NoConvergence")
-        osb = one_step_beta(bundle, mm.beta)
-        beta_hat = osb.beta
-        beta_se = osb.se
-        eg = efficient_gradient(seed, beta_hat, bundle)
-        rows = eg["rows"]
-        fixed_rows = eg["fixed_beta_rows"]
-        flags |= osb.flags | eg["flags"]
-        clip_counts = eg["clip_counts"]
-    else:
-        layout = layout_from_design(design_v)
-        beta_hat = BetaParam.zeros(layout)
-        beta_se = np.zeros(0)
-        rows = gradient_aligned_only(seed, bundle)
-        fixed_rows = rows
-        clip_counts = {}
+    mm = moment_match_beta(bundle)
+    if not mm.all_converged:
+        flags.add("NoConvergence")
+    osb = one_step_beta(bundle, mm.beta)
+    eg = efficient_gradient(seed, osb.beta, bundle)
+    rows = eg["rows"]
+    fixed_rows = eg["fixed_beta_rows"]
+    flags |= osb.flags | eg["flags"]
 
     n = data.n
     estimate = seed.plugin + float(rows.mean())
@@ -244,10 +193,10 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         ci_hi=ci_hi,
         level=level,
         variant=variant.label(),
-        beta=[float(v) for v in beta_hat.values],
-        beta_se=[float(v) for v in np.asarray(beta_se)],
+        beta=[float(v) for v in osb.beta.values],
+        beta_se=[float(v) for v in osb.se],
         n_per_source={s: int(c) for s, c in data.source_counts().items()},
-        clip_counts=clip_counts,
+        clip_counts=eg["clip_counts"],
         seed=seed_value,
         extras=extras,
     )

@@ -24,7 +24,7 @@ from .errors import (
     SingularJacobian,
     StructuralError,
 )
-from .model import BetaParam, estimable_mask, layout_from_design
+from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance, RowMap, fit_kernel_regression
 from .weights import eval_weight_many
 
@@ -176,7 +176,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
                 fields[j - 1] = panel_j.rowmean(
                     [mj[np.ix_(r, c)] for r, c, _ in panel_j.blocks])
             else:
-                tr_vals = upper.row_map(Z[panel_j.train_idx, :j]).apply(fields[j])
+                tr_vals = _rowmap_at(rmaps[j + 1], panel_j.train_idx).apply(fields[j])
                 fields[j - 1] = panel_j.mean_field(tr_vals)
         for j in range(1, jm):
             m_rows[j] = rmaps[j + 1].apply(fields[j])
@@ -187,22 +187,6 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         sep[jm] = [(np.ones(1), vals_tr), (-fields[jm - 1], np.ones(pjm.zj.size))]
 
     return GradientSeed(estimand=estimand, plugin=plugin, rows=rows, sep=sep)
-
-
-def gradient_aligned_only(seed: GradientSeed, nuisance: FittedNuisance) -> np.ndarray:
-    """Per-row aligned-only gradient: each relevant index contributes its seed
-    increment on rows of its aligned sources, scaled by 1/P(S in A_j). The
-    reference-measure correction is identically one under the pooled-aligned
-    reference and is applied as such."""
-    design = nuisance.design
-    src = nuisance.data.source
-    out = np.zeros(nuisance.data.n)
-    for j in design.relevant:
-        if j not in seed.rows:
-            continue
-        aj = sorted(design.aligned_at(j))
-        out += np.isin(src, aj) * seed.rows[j] / nuisance.delta_of(aj)
-    return out
 
 
 def _batched_pinv(M: np.ndarray, force_null: bool = True):
@@ -234,11 +218,12 @@ def _rowmap_at(rowmap: RowMap, rows: np.ndarray) -> RowMap:
 
 
 def _tilt_basis(panel, spec):
-    """β-free factors of a weak pair's tilt on a panel: the prefactors G at
-    the states and the value columns V = [1, ψ] at the training values; None
-    for a truncation step."""
+    """β-free factors of a weak pair's shift on a panel, as (G, V): for a
+    tilt, the prefactors G at the states and the value columns V = [1, ψ] at
+    the training values; for a truncation, G is None and V the step at the
+    training values."""
     if spec.family != "exponential_tilt":
-        return None
+        return None, (panel.zj >= spec.threshold).astype(float)
     G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
     V = np.column_stack([np.ones(panel.zj.size)]
                         + [t.terminal_values(panel.zj) for t in spec.terms])
@@ -253,11 +238,10 @@ def _tilt_field(panel, b, basis):
     No exponent is clipped: `exp` overflows silently into a non-finite
     field, which the engine reports as `NonFiniteNormalizer` and the moment
     match counts as a trial step that did not lower its residual."""
-    if basis is None:
-        step = (panel.zj >= b[0]).astype(float)
-        wmat = [np.broadcast_to(step[c], W.shape) for _, c, W in panel.blocks]
-        return wmat, panel.rowmean(wmat)[:, None]
     G, V = basis
+    if G is None:
+        wmat = [np.broadcast_to(V[c], W.shape) for _, c, W in panel.blocks]
+        return wmat, panel.rowmean(wmat)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         wmat = [np.exp(L) for L in panel.outer_sum(G * b, V[:, 1:].T)]
         return wmat, panel.rowmean(wmat, values=V)
@@ -319,10 +303,10 @@ class _IndexMachine:
         clipped = np.zeros(self.rows_S.size, dtype=bool)
         for s in self.Wk:
             spec = design.spec_for(j, s)
-            b = beta.values[offs[(j, s)]]
-            basis = _tilt_basis(panel, spec)
-            if basis is not None:
-                self.G[s], V = basis
+            b = beta.values[offs.get((j, s), slice(0, 0))]     # empty for a truncation
+            G, V = basis = _tilt_basis(panel, spec)
+            if G is not None:
+                self.G[s] = G
                 self.psi_cols[s] = slice(len(cols), len(cols) + V.shape[1] - 1)
                 cols.extend(V[:, 1:].T)
             wmat, raw = _tilt_field(panel, b, basis)
@@ -418,25 +402,19 @@ class InformationMatrix:
     cond: float
 
 
-def information_matrix(scores_eff: np.ndarray, mask: np.ndarray) -> InformationMatrix:
-    """Empirical second moment of the efficient score, inverted on the
-    estimable block `mask`. Known-threshold coordinates stay zero on both
-    sides."""
+def information_matrix(scores_eff: np.ndarray) -> InformationMatrix:
+    """Empirical second moment of the efficient score and its
+    pseudo-inverse."""
     S = scores_eff
     n = S.shape[0]
-    t = S.shape[1]
     info = S.T @ S / n
-    idx = np.flatnonzero(mask)
-    pinv = np.zeros((t, t))
-    if idx.size == 0:
-        return InformationMatrix(info, pinv, 0, 0.0, np.inf)
-    sub = info[np.ix_(idx, idx)]
-    vals, vecs = np.linalg.eigh(0.5 * (sub + sub.T))
+    if S.shape[1] == 0:
+        return InformationMatrix(info, np.zeros((0, 0)), 0, 0.0, np.inf)
+    vals, vecs = np.linalg.eigh(0.5 * (info + info.T))
     eig_min = float(vals.min())
     keep = np.abs(vals) > 1e-12 * max(float(np.abs(vals).max()), 1e-300)
     inv_vals = np.where(keep, 1.0 / np.where(vals != 0, vals, 1.0), 0.0)
-    sub_pinv = (vecs * inv_vals) @ vecs.T
-    pinv[np.ix_(idx, idx)] = sub_pinv
+    pinv = (vecs * inv_vals) @ vecs.T
     cond = float(np.abs(vals).max() / np.abs(vals).min()) if eig_min > 0 else np.inf
     return InformationMatrix(info, pinv, int(keep.sum()), eig_min, cond)
 
@@ -514,8 +492,8 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
         E = mach.panel.eval_states.shape[0]
         q = mach.wv.shape[1]
 
-        # ---- efficient scores for every weak pair at this index; known
-        # thresholds carry no estimable score ----
+        # ---- efficient scores for every tilted pair at this index; a
+        # truncation has no parameter and so no score ----
         for s in Wj:
             if s not in mach.G:
                 continue
@@ -590,9 +568,8 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             center_rows = nuisance.rowmaps[j].apply(cfield)[m_rows]
             dtilde[m_rows] += tailval - center_rows
 
-    mask = estimable_mask(design)
-    info = information_matrix(scores_eff, mask)
-    if mask.any() and info.eig_min < 1e-10:
+    info = information_matrix(scores_eff)
+    if t and info.eig_min < 1e-10:
         flags.add("SingularInformation")
     return EnginePass(beta=beta, scores_raw=scores_raw, scores_eff=scores_eff,
                       information=info, dtilde=dtilde, flags=frozenset(flags),

@@ -252,21 +252,14 @@ def assemble_beta(layout, blocks: Mapping[tuple[int, int], Sequence[float]]) -> 
 
 
 def layout_from_design(design: FusionDesign) -> tuple[tuple[int, int, int], ...]:
-    """Parameter layout implied by a design's weak pairs, sorted by (j, s)."""
+    """Parameter layout implied by a design's weak pairs, sorted by (j, s).
+    A truncation has no parameter and so no block."""
     out = []
     for j, s in design.weak_pairs():
         spec = design.spec_for(j, s)
         if spec is None:
             raise StructuralError(f"no weight model for weak source {s} at index {j}")
-        out.append((j, s, spec.nparams))
+        if spec.nparams:
+            out.append((j, s, spec.nparams))
     return tuple(out)
 
-
-def estimable_mask(design: FusionDesign) -> np.ndarray:
-    """Boolean mask over the stacked layout; truncation thresholds are known
-    constants and excluded from score and information machinery."""
-    flags: list[bool] = []
-    for j, s in design.weak_pairs():
-        spec = design.spec_for(j, s)
-        flags.extend([spec.family == "exponential_tilt"] * spec.nparams)
-    return np.array(flags, dtype=bool)

@@ -10,8 +10,10 @@ interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -19,21 +21,45 @@ from .errors import (
     InsufficientData,
     NonBinaryTreatment,
     NuisanceMissing,
+    ParseError,
     StructuralError,
 )
 from .model import Dataset, FusionDesign, OverlapDiagnostics
 
 _MIN_ROWS = 5
 _H_FLOOR = 1e-6
+_MAX_GRID_POINTS = 2001
 
 
 @dataclass(frozen=True)
 class NuisanceOptions:
+    """Fit options, checked on construction: each clip is a pair
+    0 < lo <= hi (hi < 1 for the propensity), and `grid_points` lies in
+    2.._MAX_GRID_POINTS, since a grid weight block holds grid_points ×
+    training rows floats."""
+
     ratio_clip: tuple[float, float] = (1e-3, 1e3)
     propensity_clip: tuple[float, float] = (0.01, 0.99)
     eps_w: float = 1e-8
     grid_points: int = 301
     cross_fit: bool = False
+
+    def __post_init__(self):
+        for name, top in (("ratio_clip", math.inf), ("propensity_clip", 1.0)):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(v, Real) for v in pair)
+                    and 0 < pair[0] <= pair[1] < top):
+                bound = "" if top == math.inf else f" < {top:g}"
+                raise ParseError(f"{name}: expected [lo, hi] with 0 < lo <= hi{bound}, "
+                                 f"got {pair!r}")
+            object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
+        if not (isinstance(self.grid_points, Integral)
+                and 2 <= self.grid_points <= _MAX_GRID_POINTS):
+            raise ParseError(f"grid_points: expected an integer in 2..{_MAX_GRID_POINTS}, "
+                             f"got {self.grid_points!r}")
+        if not isinstance(self.cross_fit, bool):
+            raise ParseError(f"cross_fit: expected true or false, got {self.cross_fit!r}")
 
 
 def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -318,10 +344,12 @@ class KernelPanel(_BlockPanel):
     coordinates, one weight block per branch with training rows. Rows map
     onto states by linear interpolation along the grid; the Gaussian kernel
     acts only on the continuous coordinate, binary coordinates are matched
-    exactly. With two or more continuous past coordinates the panel falls
-    back to one evaluation state per data row, in data order, and `row_map`
-    only accepts that full-row layout. Both layouts take Silverman
-    bandwidths, and `floored` records that one of them hit its floor.
+    exactly; at index 1, with no past coordinate, the grid is one state
+    whose all-ones block averages the training rows. With two or more
+    continuous past coordinates the panel falls back to one evaluation state
+    per data row, in data order, and `row_map` only accepts that full-row
+    layout. Both layouts take Silverman bandwidths, and `floored` records
+    that one of them hit its floor.
     """
 
     def __init__(self, j: int, data: Dataset, train_idx: np.ndarray,
@@ -336,23 +364,16 @@ class KernelPanel(_BlockPanel):
         zprev_tr = data.z[self.train_idx, :p]
         self.binary = np.array([set(np.unique(zprev_all[:, c])) <= {0.0, 1.0}
                                 for c in range(p)], dtype=bool)
-        self.cont_cols = np.flatnonzero(~self.binary) if p else np.empty(0, dtype=int)
-        self.bin_cols = np.flatnonzero(self.binary) if p else np.empty(0, dtype=int)
+        self.cont_cols = np.flatnonzero(~self.binary)
+        self.bin_cols = np.flatnonzero(self.binary)
         self._branch_vals = {int(c): np.unique(zprev_all[:, c]) for c in self.bin_cols}
-        T = self.train_idx.size
-        every = np.arange(T)
         self.floored = False
 
-        if p == 0:
-            self._mode = "scope"
-            self.eval_states = np.zeros((1, 0))
-            self.h = np.empty(0)
-            self._set_blocks([(np.zeros(1, dtype=int), every, np.ones((1, T)))])
-        elif self.cont_cols.size >= 2:
+        if self.cont_cols.size >= 2:
             self._mode = "exact"
             self.eval_states = zprev_all.copy()
             self.h, self.floored = silverman_bandwidths(zprev_tr)
-            self._set_blocks([(np.arange(data.n), every,
+            self._set_blocks([(np.arange(data.n), np.arange(self.train_idx.size),
                                _gauss_weights(self.eval_states, zprev_tr, self.h))])
         else:
             self._mode = "grid"
@@ -410,9 +431,6 @@ class KernelPanel(_BlockPanel):
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
         m = Zprev.shape[0]
-        if self._mode == "scope":
-            zz = np.zeros(m, dtype=int)
-            return RowMap(zz, zz, np.zeros(m))
         if self._mode == "exact":
             if m != self.eval_states.shape[0]:
                 raise StructuralError("exact-mode panels map only the full dataset")

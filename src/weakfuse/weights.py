@@ -8,6 +8,7 @@ truncation family keeps only values above a known threshold.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -132,12 +133,14 @@ class WeightSpec:
 
     families:
       exponential_tilt        w(z̄_j; β) = exp(Σ_c β_c t_c(z̄_j))
-      truncated_above_threshold  w(z̄_j; β) = 1{z_j >= β}, β a known scalar
+      truncated_above_threshold  w(z̄_j) = 1{z_j >= threshold}, a known
+                              finite threshold; no parameter to estimate
     """
 
     family: str
     index: int
     terms: tuple[BasisTerm, ...] = ()
+    threshold: float | None = None
 
     def __post_init__(self):
         if self.family not in ("exponential_tilt", "truncated_above_threshold"):
@@ -145,6 +148,8 @@ class WeightSpec:
         if self.family == "exponential_tilt":
             if not self.terms:
                 raise ParseError("exponential tilt needs at least one basis term")
+            if self.threshold is not None:
+                raise ParseError("exponential tilt takes no threshold")
             texts = [t.text() for t in self.terms]
             if len(set(texts)) != len(texts):
                 raise ParseError(f"duplicate basis terms: {texts}")
@@ -153,12 +158,17 @@ class WeightSpec:
                     raise ParseError(
                         f"term {t.text()!r} is for index {t.index}, spec is for {self.index}"
                     )
-        elif self.terms:
+            return
+        if self.terms:
             raise ParseError("truncation family takes no basis terms")
+        if not (isinstance(self.threshold, (int, float)) and math.isfinite(self.threshold)):
+            raise ParseError(f"truncation threshold must be a finite number, "
+                             f"got {self.threshold!r}")
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     @property
     def nparams(self) -> int:
-        return len(self.terms) if self.family == "exponential_tilt" else 1
+        return len(self.terms)
 
     def check_index(self, j: int) -> None:
         if j != self.index:
@@ -185,7 +195,7 @@ def eval_weight_many(spec: WeightSpec, beta_js: np.ndarray, zbar: np.ndarray) ->
     if beta_js.size != spec.nparams:
         raise ValueError(f"expected {spec.nparams} parameters, got {beta_js.size}")
     if spec.family == "truncated_above_threshold":
-        return (zbar[:, spec.index - 1] >= beta_js[0]).astype(float)
+        return (zbar[:, spec.index - 1] >= spec.threshold).astype(float)
     return np.exp(basis_matrix(spec, zbar) @ beta_js)
 
 

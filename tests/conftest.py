@@ -3,9 +3,15 @@ expensive (a rebuild at two threads took 1051 s on a 2-core box), so it is
 built once per cache key and persisted to .mc_cache.json next to this file.
 Delete that file to force a rebuild."""
 
+import os
+
+# One BLAS thread per Monte Carlo worker thread; numpy reads these when it is
+# first imported, so they are set before anything below imports it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import hashlib
 import json
-import os
 from dataclasses import asdict
 
 import pytest

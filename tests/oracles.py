@@ -27,6 +27,22 @@ def lambda_prev(ratio_fits, delta, Zprev) -> np.ndarray:
     return dsum / den
 
 
+def gradient_aligned_only(seed, nuisance: FittedNuisance) -> np.ndarray:
+    """Per-row aligned-only gradient: each relevant index contributes its seed
+    increment on rows of its aligned sources, scaled by 1/P(S in A_j). The
+    reference-measure correction is identically one under the pooled-aligned
+    reference and is applied as such."""
+    design = nuisance.design
+    src = nuisance.data.source
+    out = np.zeros(nuisance.data.n)
+    for j in design.relevant:
+        if j not in seed.rows:
+            continue
+        aj = sorted(design.aligned_at(j))
+        out += np.isin(src, aj) * seed.rows[j] / nuisance.delta_of(aj)
+    return out
+
+
 def beta_mean(a: float, b: float) -> float:
     return a / (a + b)
 

@@ -14,7 +14,6 @@ from weakfuse.gradients import (
     EstimandSpec,
     compute_pass,
     efficient_gradient,
-    gradient_aligned_only,
     seed_gradient,
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign
@@ -22,7 +21,7 @@ from weakfuse.nuisance import fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec
 
-from oracles import DiscreteLaw
+from oracles import DiscreteLaw, gradient_aligned_only
 
 REFERENCE_VAR_E5 = {"target_only": 5.76, "naive_fusion": 1.50, "efficient_fusion": 2.26}
 COVERAGE_BAND = (0.91, 0.99)

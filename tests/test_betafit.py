@@ -12,7 +12,6 @@ from weakfuse.model import (
     Dataset,
     FusionDesign,
     beta_slice,
-    estimable_mask,
     layout_from_design,
 )
 from weakfuse.nuisance import fit_nuisance_bundle
@@ -155,15 +154,13 @@ def test_information_matrix_properties():
     assert np.all(np.linalg.eigvalsh(info.matrix) >= -1e-12)
     assert info.rank == 2
     assert info.eig_min > 0
-    # pinv inverts on the estimable block
     np.testing.assert_allclose(info.pinv @ info.matrix, np.eye(2), atol=1e-10)
-    # the pass's information is a pure function of its scores and the mask
+    # the pass's information is a pure function of its scores
     S = compute_pass(nuis, law.beta_param()).scores_eff
-    again = information_matrix(S, estimable_mask(law.design()))
+    again = information_matrix(S)
     np.testing.assert_array_equal(again.pinv, info.pinv)
-    masked = information_matrix(S, np.array([True, False]))
-    assert masked.rank == 1
-    assert np.all(masked.pinv[1] == 0.0) and np.all(masked.pinv[:, 1] == 0.0)
+    empty = information_matrix(S[:, :0])
+    assert empty.rank == 0 and empty.pinv.shape == (0, 0)
 
 
 def _collinear_binary_instance(n_per, seed=5):

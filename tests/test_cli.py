@@ -22,6 +22,7 @@ from weakfuse.cli import (
     parse_config_dict,
 )
 from weakfuse.estimator import one_step_estimate
+from weakfuse.model import layout_from_design
 from weakfuse.simulation import generate_dataset, named_scenario
 
 
@@ -35,7 +36,6 @@ def test_default_config_round_trips():
     assert cfg.variant.label() == "efficient_fusion"
     assert cfg.level == 0.95
     assert cfg.seed is None
-    assert cfg.beta0 is None
 
 
 def test_config_rejects_unknown_keys():
@@ -97,15 +97,15 @@ def test_config_level_and_seed_validation():
         parse_config_dict(blob)
 
 
-def test_truncation_threshold_becomes_start_value():
+def test_truncation_threshold_lands_in_the_spec():
     blob = default_config_dict()
     blob["design"]["weight_specs"]["3,2"] = {
         "family": "truncated_above_threshold", "threshold": 0.6}
     cfg = parse_config_dict(blob)
-    assert cfg.beta0 is not None
-    offs = cfg.beta0.offsets()
-    assert cfg.beta0.values[offs[(3, 2)]][0] == 0.6
-    assert np.all(cfg.beta0.values[offs[(3, 3)]] == 0.0)
+    spec = cfg.design.spec_for(3, 2)
+    assert spec.threshold == 0.6 and spec.nparams == 0
+    # beta holds the tilt coefficients only
+    assert layout_from_design(cfg.design) == ((3, 3, 1), (3, 4, 1))
 
 
 # non-default values measured to move the estimate or its se on one
@@ -444,6 +444,51 @@ def test_bandwidth_option_is_rejected(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfgp), "--data", str(data),
                  "--out", str(tmp_path / "r.json")]) == 1
     assert "config.options.bandwidth: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("options", "grid_points"), 0, "config.options: grid_points: expected an integer"),
+    (("options", "grid_points"), 1, "config.options: grid_points: expected an integer"),
+    (("options", "grid_points"), 2002, "config.options: grid_points: expected an integer"),
+    (("options", "ratio_clip"), "ab", "config.options: ratio_clip: expected [lo, hi]"),
+    (("options", "ratio_clip"), [5, 0.1], "config.options: ratio_clip: expected [lo, hi]"),
+    (("options", "propensity_clip"), [0.9, 0.1],
+     "config.options: propensity_clip: expected [lo, hi]"),
+    (("options", "cross_fit"), "no", "config.options: cross_fit: expected true or false"),
+    (("design", "weight_specs", "3,4"),
+     {"family": "truncated_above_threshold", "threshold": float("nan")},
+     "config.design.weight_specs.3,4.threshold: truncation threshold must be a finite"),
+])
+def test_malformed_options_exit_before_reading_data(tmp_path, capsys, path, value, message):
+    blob = default_config_dict()
+    node = blob
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    assert main(["estimate", "--config", str(cfgp), "--data", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "missing.csv" not in err
+
+
+def test_overparametrized_keeps_a_truncation_threshold(tmp_path):
+    # the threshold belongs to its weight model, so every variant sees it
+    blob = default_config_dict()
+    blob["design"]["weight_specs"]["3,4"] = {
+        "family": "truncated_above_threshold", "threshold": 0.05}
+    blob["variant"] = {"kind": "overparametrized", "extra_terms": 1}
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", str(cfgp), "--data", str(_study_csv(tmp_path)),
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["variant"] == "overparametrized+1"
+    # (3, 2) keeps 2 terms + 1 and (3, 3) 1 term + 1; (3, 4) has no parameter
+    assert len(payload["beta"]) == len(payload["beta_se"]) == 5
 
 
 def test_internal_errors_exit_two(tmp_path, monkeypatch, capsys):

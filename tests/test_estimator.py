@@ -7,7 +7,6 @@ from weakfuse.errors import BadLevel, NegativeDelta, StructuralError
 from weakfuse.estimator import (
     EstimateReport,
     EstimatorVariant,
-    _norm_quantile,
     apply_variant,
     one_step_estimate,
     sensitivity_interval,
@@ -136,7 +135,7 @@ def test_apply_variant_overparametrized_skips_existing_terms():
 
 
 def test_apply_variant_overparametrized_leaves_truncation_alone():
-    spec = WeightSpec("truncated_above_threshold", 2)
+    spec = WeightSpec("truncated_above_threshold", 2, threshold=0.3)
     design = FusionDesign(
         d=2, k=2, relevant=(1, 2),
         aligned={1: {1, 2}, 2: {1}},
@@ -149,26 +148,32 @@ def test_apply_variant_overparametrized_leaves_truncation_alone():
 
 # ---------------------------------------------------------------- intervals
 
+def _wald_z(level):
+    # the normal quantile a unit-se interval around zero uses
+    lo, hi = wald_interval(0.0, 1.0, level)
+    assert lo == -hi
+    return hi
+
+
 def test_norm_quantile_frozen_points():
-    assert _norm_quantile(0.975) == pytest.approx(Z975, abs=1e-9)
-    assert _norm_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-    assert _norm_quantile(0.9) == pytest.approx(1.2815515655446004, abs=1e-9)
+    assert _wald_z(0.95) == pytest.approx(Z975, abs=1e-15)
+    assert _wald_z(0.8) == pytest.approx(1.2815515655446004, abs=1e-15)
+    assert _wald_z(1e-12) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_norm_quantile_inverts_the_normal_cdf():
     rng = np.random.default_rng(11)
-    ps = np.concatenate([rng.uniform(size=60), [1e-6, 0.003, 0.5, 0.997, 1 - 1e-6]])
-    for p in ps:
-        x = _norm_quantile(float(p))
-        cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
-        assert abs(cdf - p) < 1e-12
-        assert _norm_quantile(1.0 - float(p)) == pytest.approx(-x, abs=1e-9)
+    levels = np.concatenate([rng.uniform(size=60), [1e-6, 0.003, 0.5, 0.997, 1 - 1e-6]])
+    for level in levels:
+        z = _wald_z(float(level))
+        cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        assert abs(cdf - (0.5 + level / 2.0)) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
 def test_norm_quantile_domain(bad):
-    with pytest.raises(ValueError):
-        _norm_quantile(bad)
+    with pytest.raises(BadLevel):
+        wald_interval(0.0, 1.0, bad)
 
 
 def test_wald_interval_frozen():
@@ -301,7 +306,7 @@ def test_level_changes_interval_not_point():
     assert b.se == a.se
     assert (b.ci_hi - b.ci_lo) < (a.ci_hi - a.ci_lo)
     ratio = (b.ci_hi - b.ci_lo) / (a.ci_hi - a.ci_lo)
-    assert ratio == pytest.approx(_norm_quantile(0.9) / _norm_quantile(0.975), abs=1e-9)
+    assert ratio == pytest.approx(1.2815515655446004 / Z975, abs=1e-12)
 
 
 def _ate_instance(n_per, beta_true=-0.8, seed=0):
@@ -370,11 +375,11 @@ def test_working_linear_pipeline():
 
 
 @pytest.mark.parametrize("variant, passes", [
-    ("efficient_fusion", 2), ("target_only", 0), ("naive_fusion", 0)])
+    ("efficient_fusion", 2), ("target_only", 2), ("naive_fusion", 2)])
 def test_engine_pass_count(monkeypatch, variant, passes):
     # one pass at the initial beta for the Newton step, one seeded pass at
-    # the updated beta for the gradient; variants without weak pairs skip
-    # the engine
+    # the updated beta for the gradient; variants without weak pairs run the
+    # same pipeline over an empty beta
     calls = []
     real = weakfuse.gradients.compute_pass
 
@@ -402,10 +407,9 @@ def test_clip_counts_report_one_pass():
     assert 0 < report.clip_counts["wstar_j3"] <= n_rows
 
 
-def test_efficient_estimate_on_exact_mode_panel():
+def _exact_mode_instance():
     # two continuous past coordinates put the index-3 panel in exact mode,
-    # whose row map covers only the full dataset; the moment match reads the
-    # aligned rows through it like the engine does
+    # whose row map covers only the full dataset
     rng = np.random.default_rng(0)
     n_per = 300
     z12 = rng.uniform(0.5, 1.5, (2 * n_per, 2))
@@ -417,8 +421,26 @@ def test_efficient_estimate_on_exact_mode_panel():
         weak={3: {2}},
         weight_specs={(3, 2): WeightSpec.tilt(3, ["z3"])},
     )
+    return data, design
+
+
+def test_efficient_estimate_on_exact_mode_panel():
+    # the moment match reads the aligned rows through the exact-mode row map
+    # like the engine does
+    data, design = _exact_mode_instance()
     rep = one_step_estimate(data, design, EstimandSpec("moment", index=3))
     assert np.isfinite(rep.estimate) and np.isfinite(rep.se)
     assert rep.extras["flags"] == []
     # target mean of z3 is exactly 1/2
+    assert abs(rep.estimate - 0.5) < 4 * rep.se
+
+
+def test_moment_tower_on_exact_mode_panel():
+    # target_only trains the index-2 panel on source 1 only; the backward
+    # tower reads the exact-mode index-3 fields at those training rows
+    # through the full-data row map
+    data, design = _exact_mode_instance()
+    rep = one_step_estimate(data, design, EstimandSpec("moment", index=3),
+                            EstimatorVariant("target_only"))
+    assert np.isfinite(rep.estimate) and np.isfinite(rep.se)
     assert abs(rep.estimate - 0.5) < 4 * rep.se

@@ -8,7 +8,6 @@ from weakfuse.model import (
     FusionDesign,
     assemble_beta,
     beta_slice,
-    estimable_mask,
     layout_from_design,
     validate_design,
 )
@@ -247,16 +246,6 @@ def test_layout_from_design_and_mask():
     design = law.design()
     layout = layout_from_design(design)
     assert layout == ((3, 2, 1), (3, 3, 1))
-    mask = estimable_mask(design)
-    np.testing.assert_array_equal(mask, [True, True])
-
-
-def test_estimable_mask_excludes_truncation():
-    spec_t = WeightSpec("truncated_above_threshold", 2, ())
-    design = small_design(
-        weak={2: {2}},
-        weight_specs={(2, 2): spec_t},
-    )
-    mask = estimable_mask(design)
-    np.testing.assert_array_equal(mask, [False])
-    assert layout_from_design(design) == ((2, 2, 1),)
+    # a truncation has no parameter, so no block
+    spec_t = WeightSpec("truncated_above_threshold", 2, threshold=0.5)
+    assert layout_from_design(small_design(weak={2: {2}}, weight_specs={(2, 2): spec_t})) == ()

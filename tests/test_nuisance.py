@@ -250,10 +250,17 @@ def _panel_data(n, rng, d=3, binary_col=None):
 
 
 def test_kernel_panel_scope_mode():
+    # index 1 has no past coordinate: a grid of one state whose all-ones
+    # block averages the scope's training rows
     rng = np.random.default_rng(21)
     data = _panel_data(40, rng)
     panel = KernelPanel(1, data, np.arange(40), NuisanceOptions())
+    assert panel._mode == "grid"
     assert panel.eval_states.shape == (1, 0)
+    (rows, cols, W), = panel.blocks
+    np.testing.assert_array_equal(rows, [0])
+    np.testing.assert_array_equal(cols, np.arange(40))
+    assert W.shape == (1, 40) and np.all(W == W[0, 0])
     f = panel.mean_field(data.z[:, 0])
     assert f.shape == (1,)
     assert f[0] == pytest.approx(data.z[:, 0].mean(), rel=1e-15)

@@ -44,7 +44,7 @@ def _truncation():
     blob["design"]["weight_specs"]["3,2"] = {
         "family": "truncated_above_threshold", "threshold": 0.2}
     cfg = parse_config_dict(blob)
-    return one_step_estimate(_study_data(), cfg.design, cfg.estimand, beta0=cfg.beta0)
+    return one_step_estimate(_study_data(), cfg.design, cfg.estimand)
 
 
 def _working_linear():

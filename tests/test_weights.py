@@ -118,8 +118,14 @@ def test_weight_spec_guards():
     with pytest.raises(ParseError, match="index"):
         WeightSpec("exponential_tilt", 3, (parse_term("z1*log(z2)", 2),))
     with pytest.raises(ParseError, match="no basis"):
-        WeightSpec("truncated_above_threshold", 3, (parse_term("z3", 3),))
-    assert WeightSpec("truncated_above_threshold", 3).nparams == 1
+        WeightSpec("truncated_above_threshold", 3, (parse_term("z3", 3),), threshold=0.5)
+    with pytest.raises(ParseError, match="no threshold"):
+        WeightSpec("exponential_tilt", 3, (parse_term("z3", 3),), threshold=0.5)
+    for bad in (None, float("nan"), float("inf"), "0.5"):
+        with pytest.raises(ParseError, match="finite number"):
+            WeightSpec("truncated_above_threshold", 3, threshold=bad)
+    spec = WeightSpec("truncated_above_threshold", 3, threshold=1)
+    assert spec.nparams == 0 and spec.threshold == 1.0
 
 
 def test_basis_matrix():
@@ -130,7 +136,7 @@ def test_basis_matrix():
     np.testing.assert_allclose(B[:, 0], [math.log(0.5), 2 * math.log(0.25)], rtol=1e-15)
     np.testing.assert_allclose(B[:, 1], [math.log(0.5), math.log(0.75)], rtol=1e-15)
     with pytest.raises(UnsupportedFamily):
-        basis_matrix(WeightSpec("truncated_above_threshold", 3), zbar)
+        basis_matrix(WeightSpec("truncated_above_threshold", 3, threshold=0.5), zbar)
 
 
 def test_eval_weight_tilt_oracle():
@@ -146,10 +152,12 @@ def test_eval_weight_tilt_oracle():
 
 
 def test_eval_weight_truncation():
-    spec = WeightSpec("truncated_above_threshold", 2)
+    spec = WeightSpec("truncated_above_threshold", 2, threshold=0.5)
     z = np.array([[0.0, 0.2], [0.0, 0.5], [0.0, 0.9]])
-    np.testing.assert_array_equal(eval_weight_many(spec, [0.5], z), [0.0, 1.0, 1.0])
-    assert eval_weight_many(spec, [0.5], [7.0, 0.49])[0] == 0.0
+    np.testing.assert_array_equal(eval_weight_many(spec, [], z), [0.0, 1.0, 1.0])
+    assert eval_weight_many(spec, [], [7.0, 0.49])[0] == 0.0
+    with pytest.raises(ValueError, match="parameters"):
+        eval_weight_many(spec, [0.5], z)
 
 
 def test_weight_positivity_and_log_linearity():
@@ -187,7 +195,7 @@ def test_logderiv_matches_finite_differences():
                   - math.log(eval_weight_many(spec, beta - e, zbar)[0])) / (2 * h)
             assert grad[c] == pytest.approx(fd, rel=1e-6, abs=1e-8)
     with pytest.raises(UnsupportedFamily):
-        basis_matrix(WeightSpec("truncated_above_threshold", 3), zbar)
+        basis_matrix(WeightSpec("truncated_above_threshold", 3, threshold=0.5), zbar)
 
 
 def test_complex_family_order_and_uniqueness():
