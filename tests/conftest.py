@@ -1,7 +1,7 @@
 """Shared fixtures. The Monte Carlo summary used by the acceptance tests is
-expensive (a rebuild at two threads took 1051 s on a 2-core box), so it is
-built once per cache key and persisted to .mc_cache.json next to this file.
-Delete that file to force a rebuild."""
+expensive (a rebuild at two threads, one BLAS thread each, took 584 s on a
+2-core box), so it is built once per cache key and persisted to
+.mc_cache.json next to this file. Delete that file to force a rebuild."""
 
 import os
 
