@@ -52,7 +52,7 @@ def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int) -> tuple:
 def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap, eps_w):
     """Moment residual and its Jacobian at b. Nothing is clipped, so a b out
     of range gives non-finite values, which the line search rejects."""
-    _, raw = _tilt_field(panel, b, basis)
+    raw = _tilt_field(panel, b, basis)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         wfield = np.maximum(raw[:, 0], eps_w)
         wcfield = basis[0] * raw[:, 1:]

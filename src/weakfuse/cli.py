@@ -166,14 +166,13 @@ def parse_config_dict(cfg: dict) -> RunConfig:
         raise SemanticError(f"config.estimand: {exc}") from None
 
     var = cfg.get("variant") or {"kind": "efficient_fusion"}
-    if isinstance(var, str):
-        var = {"kind": var}
-    if not isinstance(var, dict):
+    if not isinstance(var, (dict, str)):
         raise ParseError("config.variant: expected an object or string")
-    _expect_keys(var, {"kind", "extra_terms"}, "config.variant")
+    if isinstance(var, dict):
+        _expect_keys(var, {"kind", "extra_terms"}, "config.variant")
     try:
-        variant = EstimatorVariant(kind=var.get("kind", "efficient_fusion"),
-                                   extra_terms=int(var.get("extra_terms", 0)))
+        variant = EstimatorVariant.parse(var) if isinstance(var, str) else EstimatorVariant(
+            kind=var.get("kind", "efficient_fusion"), extra_terms=int(var.get("extra_terms", 0)))
     except ValueError as exc:
         raise SemanticError(f"config.variant: {exc}") from None
 

@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
 )
 from .model import BetaParam, layout_from_design
-from .nuisance import FittedNuisance, RowMap, fit_kernel_regression
+from .nuisance import FittedNuisance, RowMap, _chunks, fit_kernel_regression
 from .weights import eval_weight_many
 
 _EIG_TOL = 1e-10
@@ -230,32 +230,43 @@ def _tilt_basis(panel, spec):
     return G, V
 
 
+def _shift_chunk(b, basis, rows, cols, W):
+    """A weak pair's unnormalized shift at b on one chunk of a weight block,
+    given its `_tilt_basis`, and the shift's row means against [1, ψ] (a
+    step has the normalizer only)."""
+    G, V = basis
+    if G is None:
+        w = V[cols]
+        return w, (W @ w)[:, None]
+    w = np.exp((G[rows] * b) @ V[cols, 1:].T)
+    return w, (W * w) @ V[cols]
+
+
 def _tilt_field(panel, b, basis):
-    """A weak pair's shift at b on a panel, given its `_tilt_basis`: the
-    per-block weights, and their row means against [1, ψ], that is the
-    normalizer field and then E_Q[w ψ | e] (a step has the normalizer only).
+    """A weak pair's shift at b on a panel, given its `_tilt_basis`, as the
+    field of its row means: the normalizer, then E_Q[w ψ | e] for a tilt.
 
     No exponent is clipped: `exp` overflows silently into a non-finite
     field, which the engine reports as `NonFiniteNormalizer` and the moment
     match counts as a trial step that did not lower its residual."""
     G, V = basis
-    if G is None:
-        wmat = [np.broadcast_to(V[c], W.shape) for _, c, W in panel.blocks]
-        return wmat, panel.rowmean(wmat)[:, None]
+    out = np.zeros((panel.eval_states.shape[0], 1 if G is None else V.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        wmat = [np.exp(L) for L in panel.outer_sum(G * b, V[:, 1:].T)]
-        return wmat, panel.rowmean(wmat, values=V)
+        for rows, cols, W in _chunks(panel):
+            out[rows] = _shift_chunk(b, basis, rows, cols, W)[1]
+    return out
 
 
 class _IndexMachine:
     """All (E, T) machinery for one relevant index with weak sources, at a
     fixed parameter value.
 
-    (E, T) objects live block by block on the panel's weight blocks. Every
-    conditional moment the projection needs is a row mean of r times a
+    Every conditional moment the projection needs is a row mean of r times a
     product of at most two normalized shifts against a value column (1, each
-    tilt term ψ, each separable seed column), so each distinct product is
-    built once and multiplied by the whole value stack in one matmul.
+    tilt term ψ, each separable seed column). One sweep over cache-sized row
+    chunks of the panel's weight blocks forms the shifts, r and each distinct
+    product, and multiplies it by the whole value stack in one matmul; only
+    (E,) and (E, q) fields outlive a chunk.
 
     `clip_counts` holds the states whose normalizer was floored and the S_j
     rows at which some weak source's shift was clipped (each row once), and
@@ -272,11 +283,10 @@ class _IndexMachine:
         self.dSj = nuisance.delta_of(self.S)
         offs = beta.offsets()
         ratio = nuisance.ratio_fits(j)
-        T = panel.zj.size
+        E, T = panel.eval_states.shape[0], panel.zj.size
         eps_w = nuisance.options.eps_w
         lo, hi = nuisance.options.ratio_clip
         self.clip_counts: dict[str, int] = {}
-        n_floor = 0
 
         # local mixture weights at states and the clipped versions at rows
         self.dt_e = np.column_stack([
@@ -291,61 +301,70 @@ class _IndexMachine:
 
         # value columns: 1, then each tilt term ψ, then each seed column
         cols = [np.ones(T)]
-        # normalized shifts, blockwise: weight models are separable in
-        # (state, value), so entries are exact evaluations at state-value pairs
-        self.wst: dict[int, list] = {}
-        self.wfield: dict[int, np.ndarray] = {}
+        shifts = {}                                 # (b, basis) per weak source
         self.G: dict[int, np.ndarray] = {}          # tilt prefactors at states
         self.psi_cols: dict[int, slice] = {}
-        self.et: dict[int, np.ndarray] = {}         # E_Q[w*_s t_c | e]
-        wnorm: dict[int, np.ndarray] = {}           # E_Q[w*_s | e]
-        self.wst_own: dict[int, np.ndarray] = {}    # at each S_j row's own value
-        clipped = np.zeros(self.rows_S.size, dtype=bool)
         for s in self.Wk:
-            spec = design.spec_for(j, s)
             b = beta.values[offs.get((j, s), slice(0, 0))]     # empty for a truncation
-            G, V = basis = _tilt_basis(panel, spec)
+            G, V = basis = _tilt_basis(panel, design.spec_for(j, s))
+            shifts[s] = (b, basis)
             if G is not None:
                 self.G[s] = G
                 self.psi_cols[s] = slice(len(cols), len(cols) + V.shape[1] - 1)
                 cols.extend(V[:, 1:].T)
-            wmat, raw = _tilt_field(panel, b, basis)
-            bad = int(np.sum(~np.isfinite(raw[:, 0])))
+        self.seed_cols = slice(len(cols), len(cols) + len(sep or ()))
+        cols.extend(np.broadcast_to(col, (T,)) for _, col in sep or ())
+        V = np.column_stack(cols)
+
+        # one sweep over the chunks: each shift and its row means, then w*,
+        # the mixture denominator, W·r and every product moment
+        raw = {s: np.zeros((E, 1 + self.G[s].shape[1] if s in self.G else 1))
+               for s in self.Wk}
+        keys = [(), *((s,) for s in self.Wk), *combinations_with_replacement(self.Wk, 2)]
+        self.wv = np.zeros((E, V.shape[1]))
+        self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, c, W in _chunks(panel):
+                Vc = V[c]
+                self.wv[rows] = W @ Vc
+                wst = {}
+                for s in self.Wk:
+                    w, raw[s][rows] = _shift_chunk(*shifts[s], rows, c, W)
+                    wst[s] = w / np.maximum(raw[s][rows, 0], eps_w)[:, None]
+                den = sum(self.dt_e[rows, a:a + 1] * wst.get(m, 1.0)
+                          for a, m in enumerate(self.S))
+                prod = {(): W * (1.0 / den)}
+                for key in keys:
+                    if key:
+                        prod[key] = prod[key[:-1]] * wst[key[-1]]
+                    self.mom[key][rows] = prod[key] @ Vc
+
+        self.wfield: dict[int, np.ndarray] = {}
+        self.et: dict[int, np.ndarray] = {}         # E_Q[w*_s t_c | e]
+        self.wst_own: dict[int, np.ndarray] = {}    # at each S_j row's own value
+        clipped = np.zeros(self.rows_S.size, dtype=bool)
+        n_floor = 0
+        for s in self.Wk:
+            bad = int(np.sum(~np.isfinite(raw[s][:, 0])))
             if bad:
                 raise NonFiniteNormalizer(
                     f"tilt normalizer for index {j}, source {s} is not finite at "
                     f"{bad} states; the shift parameter diverged")
-            n_floor += int(np.sum(raw[:, 0] < eps_w))
-            wf = np.maximum(raw[:, 0], eps_w)
-            self.wfield[s] = wf
-            self.wst[s] = [w / wf[r, None] for (r, _, _), w in zip(panel.blocks, wmat)]
-            wnorm[s] = raw[:, 0] / wf
+            n_floor += int(np.sum(raw[s][:, 0] < eps_w))
+            self.wfield[s] = wf = np.maximum(raw[s][:, 0], eps_w)
             if s in self.G:
-                self.et[s] = self.G[s] * raw[:, 1:] / wf[:, None]
+                self.et[s] = self.G[s] * raw[s][:, 1:] / wf[:, None]
             with np.errstate(over="ignore"):
-                ws = eval_weight_many(spec, b, ZS) / self.at_rows(wf)
+                ws = eval_weight_many(design.spec_for(j, s), shifts[s][0], ZS) / self.at_rows(wf)
             self.wst_own[s] = np.clip(ws, lo, hi)      # clipped like any ratio
             clipped |= self.wst_own[s] != ws
         n_clip = int(clipped.sum())
         for what, n in (("normalizer_floor", n_floor), ("wstar", n_clip)):
             if n:
                 self.clip_counts[f"{what}_j{j}"] = n
-
-        self.R = []
-        for i, (rows, _, W) in enumerate(panel.blocks):
-            den = np.zeros(W.shape)
-            for a, m in enumerate(self.S):
-                den += self.dt_e[rows, a:a + 1] * (self.wst[m][i] if m in self.wst else 1.0)
-            self.R.append(1.0 / den)
-
-        self.seed_cols = slice(len(cols), len(cols) + len(sep or ()))
-        cols.extend(np.broadcast_to(col, (T,)) for _, col in sep or ())
-        V = np.column_stack(cols)
-        self.wv = panel.rowmean(values=V)
-        self.wnorm = np.column_stack([wnorm.get(m, self.wv[:, 0]) for m in self.S])
-        self.mom = {key: panel.rowmean(self.R, *(self.wst[m] for m in key), values=V)
-                    for key in [(), *((s,) for s in self.Wk),
-                                *combinations_with_replacement(self.Wk, 2)]}
+        # E_Q[w*_m | e]
+        self.wnorm = np.column_stack([raw[m][:, 0] / self.wfield[m] if m in self.wfield
+                                      else self.wv[:, 0] for m in self.S])
 
         # second moments of the shifts against r; aligned entries double as
         # the first-moment fields E_Q[w*_m r | e]
@@ -370,7 +389,7 @@ class _IndexMachine:
                                        for m in self.S])
 
     def _key(self, *ms) -> tuple:
-        return tuple(sorted(m for m in ms if m in self.wst))
+        return tuple(sorted(m for m in ms if m in self.wfield))
 
     def project(self, shift: tuple, alpha: np.ndarray, own: np.ndarray,
                 free=(0.0, 0.0)) -> np.ndarray:
@@ -387,7 +406,7 @@ class _IndexMachine:
         out = (own - self.at_rows(Emean)
                + np.einsum("ri,ri->r", self.at_rows(u), self.wr_own - self.at_rows(self.Ewr)))
         for i, m in enumerate(self.S):
-            if m in self.wst:
+            if m in self.wfield:
                 center = D[:, i] - Emean + np.einsum("ei,ei->e", u, self.P[:, :, i] - self.Ewr)
                 out -= (self.src_S == m) * self.at_rows(center)
         return out

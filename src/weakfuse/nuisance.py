@@ -29,6 +29,7 @@ from .model import Dataset, FusionDesign, OverlapDiagnostics
 _MIN_ROWS = 5
 _H_FLOOR = 1e-6
 _MAX_GRID_POINTS = 2001
+_CHUNK_BYTES = 1 << 18      # one float temporary per row chunk: about 256 KiB, cache-sized
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,13 @@ class RegressionFit:
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         out = np.empty(Xq.shape[0])
         fallback = float(self.y.mean())
-        for lo in range(0, Xq.shape[0], 512):
-            w = _gauss_weights(Xq[lo:lo + 512], self.X, self.h)
+        step = max(1, _CHUNK_BYTES // (8 * self.X.shape[0]))
+        for lo in range(0, Xq.shape[0], step):
+            w = _gauss_weights(Xq[lo:lo + step], self.X, self.h)
             den = w.sum(axis=1)
             num = w @ self.y
-            out[lo:lo + 512] = np.where(den > 1e-300, num / np.where(den > 0, den, 1.0),
-                                        fallback)
+            out[lo:lo + step] = np.where(den > 1e-300, num / np.where(den > 0, den, 1.0),
+                                         fallback)
         return out
 
 
@@ -289,6 +291,15 @@ class RowMap:
         return fields[self.lo] * (1.0 - f) + fields[self.hi] * f
 
 
+def _chunks(panel):
+    """Row slices (views) of each weight block `(rows, cols, W)`, sized so
+    that a float array over one slice holds about `_CHUNK_BYTES`."""
+    for rows, cols, W in panel.blocks:
+        step = max(1, _CHUNK_BYTES // (8 * cols.size))
+        for lo in range(0, rows.size, step):
+            yield rows[lo:lo + step], cols, W[lo:lo + step]
+
+
 class _BlockPanel:
     """Conditional-moment math over a panel's target conditional weights.
 
@@ -296,16 +307,17 @@ class _BlockPanel:
     against training columns `cols`, each row scaled at fit time to sum to
     one. Rows whose kernel mass underflows keep their raw weights and are
     marked degenerate, as are states that no block covers; those carry no
-    weight at all. All (E, T) objects are handled block by block.
+    weight at all. The engine forms its (E, T) objects chunk by chunk.
     """
 
     def _set_blocks(self, blocks: list):
-        self.blocks = []
+        """Take freshly built blocks, scaling each row in place to sum to one."""
+        self.blocks = blocks
         self.degenerate = np.ones(self.eval_states.shape[0], dtype=bool)
         for rows, cols, W in blocks:
             wsum = W.sum(axis=1)
             self.degenerate[rows] = deg = wsum < 1e-12
-            self.blocks.append((rows, cols, W / np.where(deg, 1.0, wsum)[:, None]))
+            W /= np.where(deg, 1.0, wsum)[:, None]
 
     def rowmean(self, *factors, values=None) -> np.ndarray:
         """Row means against the weights of the elementwise product of
@@ -321,10 +333,6 @@ class _BlockPanel:
             else:
                 out[rows] = reduce(np.multiply, fs, W) @ values[cols]
         return out
-
-    def outer_sum(self, A: np.ndarray, B: np.ndarray) -> list:
-        """Per-block A[rows] @ B[:, cols], the sum over k of outer(A[:, k], B[k])."""
-        return [A[rows] @ B[:, cols] for rows, cols, _ in self.blocks]
 
     def mean_field(self, train_values: np.ndarray) -> np.ndarray:
         """NW conditional mean of train-side values at every eval state;
@@ -405,9 +413,12 @@ class KernelPanel(_BlockPanel):
                 if cols.size == 0:
                     continue
                 if self.cont_cols.size == 1:
-                    x = zprev_tr[cols, self.cont_cols[0]]
-                    diff = (self.grid[:, None] - x[None, :]) / self.h[0]
-                    W = np.exp(-0.5 * diff * diff)
+                    # exp(-d²/2) in place; d·d·(-0.5) rounds as (-0.5·d)·d did
+                    W = np.subtract.outer(self.grid, zprev_tr[cols, self.cont_cols[0]])
+                    W /= self.h[0]
+                    W *= W
+                    W *= -0.5
+                    np.exp(W, out=W)
                 else:
                     W = np.ones((G, cols.size))
                 blocks.append((np.arange(b * G, (b + 1) * G), cols, W))

@@ -458,6 +458,9 @@ def test_bandwidth_option_is_rejected(tmp_path, capsys):
     (("design", "weight_specs", "3,4"),
      {"family": "truncated_above_threshold", "threshold": float("nan")},
      "config.design.weight_specs.3,4.threshold: truncation threshold must be a finite"),
+    (("variant",), "overparametrized+x", "config.variant: invalid literal for int()"),
+    (("variant",), "overparametrized+0",
+     "config.variant: overparametrized variant needs extra_terms >= 1"),
 ])
 def test_malformed_options_exit_before_reading_data(tmp_path, capsys, path, value, message):
     blob = default_config_dict()
@@ -475,20 +478,23 @@ def test_malformed_options_exit_before_reading_data(tmp_path, capsys, path, valu
 
 
 def test_overparametrized_keeps_a_truncation_threshold(tmp_path):
-    # the threshold belongs to its weight model, so every variant sees it
-    blob = default_config_dict()
-    blob["design"]["weight_specs"]["3,4"] = {
-        "family": "truncated_above_threshold", "threshold": 0.05}
-    blob["variant"] = {"kind": "overparametrized", "extra_terms": 1}
-    cfgp = tmp_path / "config.json"
-    cfgp.write_text(json.dumps(blob))
-    out = tmp_path / "r.json"
-    assert main(["estimate", "--config", str(cfgp), "--data", str(_study_csv(tmp_path)),
-                 "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["variant"] == "overparametrized+1"
-    # (3, 2) keeps 2 terms + 1 and (3, 3) 1 term + 1; (3, 4) has no parameter
-    assert len(payload["beta"]) == len(payload["beta_se"]) == 5
+    # the threshold belongs to its weight model, so every variant sees it; a
+    # config names the variant as an object or by its label
+    data = _study_csv(tmp_path)
+    for variant in ({"kind": "overparametrized", "extra_terms": 1}, "overparametrized+1"):
+        blob = default_config_dict()
+        blob["design"]["weight_specs"]["3,4"] = {
+            "family": "truncated_above_threshold", "threshold": 0.05}
+        blob["variant"] = variant
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps(blob))
+        out = tmp_path / "r.json"
+        assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["variant"] == "overparametrized+1"
+        # (3, 2) keeps 2 terms + 1 and (3, 3) 1 term + 1; (3, 4) has no parameter
+        assert len(payload["beta"]) == len(payload["beta_se"]) == 5
 
 
 def test_internal_errors_exit_two(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import weakfuse.nuisance as nuisance
 from weakfuse.betafit import moment_match_beta
 from weakfuse.errors import StructuralError
 from weakfuse.gradients import (
@@ -12,13 +15,15 @@ from weakfuse.gradients import (
     seed_gradient,
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign
-from weakfuse.nuisance import fit_nuisance_bundle
+from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
+from weakfuse.simulation import generate_dataset, named_scenario, study_design, true_parameters
 
 from oracles import DiscreteLaw, gradient_aligned_only, lambda_prev
 from test_betafit import _tilted_instance
 
 
 MOMENT3 = EstimandSpec("moment", index=3)
+ATE = EstimandSpec("ate")
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +279,49 @@ def test_compute_pass_is_stateless(law_pass):
     np.testing.assert_array_equal(p_noseed.scores_raw, p1.scores_raw)
     np.testing.assert_array_equal(p_noseed.scores_eff, p1.scores_eff)
     np.testing.assert_array_equal(p_noseed.information.pinv, p1.information.pinv)
+
+
+def _study_pass_inputs(n_per_source, cross_fit=False):
+    scenario = named_scenario("moderately_aligned", n_per_source=n_per_source)
+    nuis = fit_nuisance_bundle(generate_dataset(scenario, 1, 0), study_design(), ATE,
+                               NuisanceOptions(cross_fit=cross_fit))
+    return nuis, true_parameters(scenario)[1], seed_gradient(ATE, nuis)
+
+
+@pytest.mark.parametrize("case", ["study", "study_cross_fit", "discrete"])
+def test_compute_pass_does_not_depend_on_chunk_size(monkeypatch, case):
+    # one state per chunk against one chunk per weight block: only the
+    # summation order of the row means may change
+    if case == "discrete":
+        law = DiscreteLaw()
+        nuis = law.bundle(NuisanceOptions(ratio_clip=(0.8, 1.25)))    # clips shifts
+        inputs = nuis, law.beta_param(), seed_gradient(MOMENT3, nuis)
+    else:
+        inputs = _study_pass_inputs(300, cross_fit=case == "study_cross_fit")
+    passes = []
+    for chunk_bytes in (1, 2 ** 40):
+        monkeypatch.setattr(nuisance, "_CHUNK_BYTES", chunk_bytes)
+        passes.append(compute_pass(*inputs))
+    one, whole = passes
+    for got, want in ((one.scores_eff, whole.scores_eff), (one.dtilde, whole.dtilde),
+                      (one.information.matrix, whole.information.matrix)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert one.flags == whole.flags
+    assert one.clip_counts == whole.clip_counts
+
+
+def test_compute_pass_memory_stays_chunk_sized():
+    # the (E, T) pipeline lives in cache-sized chunks: at 4 x 2000 rows one
+    # weight block alone is 301 x 1000 floats (2.4 MB), and a pass that kept
+    # whole-block shifts, r and their products peaked at 63 MB
+    inputs = _study_pass_inputs(2000)
+    tracemalloc.start()
+    try:
+        compute_pass(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_pass_rejects_foreign_layout(law):

@@ -225,16 +225,17 @@ def _machine(law, beta2=None, options=None):
     return bundle, _IndexMachine(bundle, beta, 3)
 
 
-def _dense(field):
-    """The machine's blockwise (E, T) index-3 field as one matrix: the
-    discrete panel is a single block over every state and value."""
-    (dense,) = field
-    return dense
+def _wstar(law, mach, s, beta2=None):
+    """Normalized shift w*_s on the index-3 panel as one (E, T) matrix: the
+    law's weight at every state and value over the machine's normalizer."""
+    w = DiscreteLaw(beta2=law.beta2 if beta2 is None else beta2).weight(
+        s, mach.panel.eval_states[:, :1], law.Z3[None, :])
+    return w / mach.wfield[s][:, None]
 
 
 def _at_rows(law, field):
-    """Read a blockwise index-3 field at every row's own state and value."""
-    return _dense(field)[law.i1 * 2 + law.i2, law.i3]
+    """Read an (E, T) index-3 field at every row's own state and value."""
+    return field[law.i1 * 2 + law.i2, law.i3]
 
 
 def test_estimate_normalizer_exact_on_discrete():
@@ -253,10 +254,10 @@ def test_density_ratio_exact_on_discrete():
         for b2 in range(2):
             w = law.weight(3, law.Z1[b1], law.Z3)
             want = w / float(law.Q3[(b1, b2)] @ w)
-            np.testing.assert_allclose(_dense(mach.wst[3])[b1 * 2 + b2], want, rtol=1e-13)
+            np.testing.assert_allclose(_wstar(law, mach, 3)[b1 * 2 + b2], want, rtol=1e-13)
     # row-side shifts carry the same values at each row's own z3
     on3 = law.src[mach.rows_S] == 3
-    np.testing.assert_allclose(mach.wst_own[3][on3], _at_rows(law, mach.wst[3])[on3],
+    np.testing.assert_allclose(mach.wst_own[3][on3], _at_rows(law, _wstar(law, mach, 3))[on3],
                                rtol=1e-13)
     assert mach.clip_counts == {}
 
@@ -267,7 +268,7 @@ def test_density_ratio_is_one_at_zero_beta():
     law = DiscreteLaw()
     _, mach = _machine(law, beta2=0.0)
     np.testing.assert_array_equal(mach.wfield[2], 1.0)
-    np.testing.assert_array_equal(_dense(mach.wst[2]), 1.0)
+    np.testing.assert_array_equal(_wstar(law, mach, 2, beta2=0.0), 1.0)
     np.testing.assert_array_equal(mach.wst_own[2], 1.0)
 
 
@@ -278,7 +279,7 @@ def test_density_ratio_clipping_counted():
     law = DiscreteLaw()
     bundle, mach = _machine(law, beta2=40.0)
     lo, hi = bundle.options.ratio_clip
-    raw = _at_rows(law, mach.wst[2])
+    raw = _at_rows(law, _wstar(law, mach, 2, beta2=40.0))
     np.testing.assert_array_equal(mach.wst_own[2], np.clip(raw, lo, hi))
     assert int(np.sum(raw < lo)) == 24
     assert mach.clip_counts == {"wstar_j3": 24}
