@@ -281,16 +281,20 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
     if not body:
         raise EmptyFile(f"{path} has a header but no data rows")
     z = np.empty((len(body), len(zcols)))
-    raw_labels = []
-    for i, row in enumerate(body):
-        line_no = i + 2
-        for cidx, col in enumerate(zcols):
-            cell = row[index[col]] if index[col] < len(row) else ""
-            try:
-                z[i, cidx] = float(cell)
-            except ValueError:
-                raise NonNumericCell(line_no, col, cell) from None
-        raw_labels.append(row[index[scol]].strip() if index[scol] < len(row) else "")
+    try:
+        for cidx, c in enumerate(index[col] for col in zcols):
+            z[:, cidx] = [float(row[c]) for row in body]
+    except (ValueError, IndexError):
+        # rescan row by row, so the error names the first bad cell
+        for i, row in enumerate(body):
+            for cidx, col in enumerate(zcols):
+                cell = row[index[col]] if index[col] < len(row) else ""
+                try:
+                    z[i, cidx] = float(cell)
+                except ValueError:
+                    raise NonNumericCell(i + 2, col, cell) from None
+    si = index[scol]
+    raw_labels = [row[si].strip() if si < len(row) else "" for row in body]
     uniq = sorted(set(raw_labels))
     label_map = {lab: i + 1 for i, lab in enumerate(uniq)}
     source = np.array([label_map[lab] for lab in raw_labels], dtype=int)

@@ -218,28 +218,36 @@ def _rowmap_at(rowmap: RowMap, rows: np.ndarray) -> RowMap:
 
 
 def _tilt_basis(panel, spec):
-    """β-free factors of a weak pair's shift on a panel, as (G, V): for a
+    """β-free factors of a weak pair's shift on a panel, as (G, V, Vb): for a
     tilt, the prefactors G at the states and the value columns V = [1, ψ] at
     the training values; for a truncation, G is None and V the step at the
-    training values."""
+    training values. Vb holds each weight block's gathers of V, (V[cols],
+    V[cols, 1:].T) for a tilt and (V[cols], None) for a step."""
     if spec.family != "exponential_tilt":
-        return None, (panel.zj >= spec.threshold).astype(float)
+        V = (panel.zj >= spec.threshold).astype(float)
+        return None, V, [(V[cols], None) for _, cols, _ in panel.blocks]
     G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
     V = np.column_stack([np.ones(panel.zj.size)]
                         + [t.terminal_values(panel.zj) for t in spec.terms])
-    return G, V
+    return G, V, [(V[cols], V[cols, 1:].T) for _, cols, _ in panel.blocks]
 
 
-def _shift_chunk(b, basis, rows, cols, W):
-    """A weak pair's unnormalized shift at b on one chunk of a weight block,
+def _shift_chunk(b, basis, i, rows, W, buf, tmp):
+    """A weak pair's unnormalized shift at b on a chunk of weight block i,
     given its `_tilt_basis`, and the shift's row means against [1, ψ] (a
-    step has the normalizer only)."""
-    G, V = basis
+    step has the normalizer only). A tilt's shift is formed in `buf` and
+    W times it in `tmp`, which may be `buf` when only the means are wanted;
+    a step's shift is the basis's own values, to be read only."""
+    G, _, Vb = basis
+    Vc, VcT = Vb[i]
     if G is None:
-        w = V[cols]
-        return w, (W @ w)[:, None]
-    w = np.exp((G[rows] * b) @ V[cols, 1:].T)
-    return w, (W * w) @ V[cols]
+        return Vc, (W @ Vc)[:, None]
+    # with one term numpy's matmul skips BLAS and adds the plain product to 0,
+    # which changes at most the sign of a zero exponent
+    Gb = G[rows] * b
+    (np.multiply if Gb.shape[1] == 1 else np.matmul)(Gb, VcT, out=buf)
+    np.exp(buf, out=buf)
+    return buf, np.multiply(W, buf, out=tmp) @ Vc
 
 
 def _tilt_field(panel, b, basis):
@@ -249,11 +257,11 @@ def _tilt_field(panel, b, basis):
     No exponent is clipped: `exp` overflows silently into a non-finite
     field, which the engine reports as `NonFiniteNormalizer` and the moment
     match counts as a trial step that did not lower its residual."""
-    G, V = basis
+    G, V, _ = basis
     out = np.zeros((panel.eval_states.shape[0], 1 if G is None else V.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cols, W in _chunks(panel):
-            out[rows] = _shift_chunk(b, basis, rows, cols, W)[1]
+        for i, rows, W, (buf,) in _chunks(panel, 1):
+            out[rows] = _shift_chunk(b, basis, i, rows, W, buf, buf)[1]
     return out
 
 
@@ -306,7 +314,7 @@ class _IndexMachine:
         self.psi_cols: dict[int, slice] = {}
         for s in self.Wk:
             b = beta.values[offs.get((j, s), slice(0, 0))]     # empty for a truncation
-            G, V = basis = _tilt_basis(panel, design.spec_for(j, s))
+            G, V, _ = basis = _tilt_basis(panel, design.spec_for(j, s))
             shifts[s] = (b, basis)
             if G is not None:
                 self.G[s] = G
@@ -317,27 +325,33 @@ class _IndexMachine:
         V = np.column_stack(cols)
 
         # one sweep over the chunks: each shift and its row means, then w*,
-        # the mixture denominator, W·r and every product moment
+        # the mixture denominator, W·r and every product moment, in buffers
+        # reused from chunk to chunk
         raw = {s: np.zeros((E, 1 + self.G[s].shape[1] if s in self.G else 1))
                for s in self.Wk}
         keys = [(), *((s,) for s in self.Wk), *combinations_with_replacement(self.Wk, 2)]
         self.wv = np.zeros((E, V.shape[1]))
         self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
+        Vb = [V[c] for _, c, _ in panel.blocks]
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, c, W in _chunks(panel):
-                Vc = V[c]
+            for i, rows, W, (r, prod, tmp, *wbuf) in _chunks(panel, 3 + len(self.Wk)):
+                Vc = Vb[i]
                 self.wv[rows] = W @ Vc
                 wst = {}
-                for s in self.Wk:
-                    w, raw[s][rows] = _shift_chunk(*shifts[s], rows, c, W)
-                    wst[s] = w / np.maximum(raw[s][rows, 0], eps_w)[:, None]
-                den = sum(self.dt_e[rows, a:a + 1] * wst.get(m, 1.0)
-                          for a, m in enumerate(self.S))
-                prod = {(): W * (1.0 / den)}
-                for key in keys:
-                    if key:
-                        prod[key] = prod[key[:-1]] * wst[key[-1]]
-                    self.mom[key][rows] = prod[key] @ Vc
+                for s, buf in zip(self.Wk, wbuf):
+                    w, raw[s][rows] = _shift_chunk(*shifts[s], i, rows, W, buf, tmp)
+                    wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], eps_w)[:, None], out=buf)
+                for a, m in enumerate(self.S):      # r = 1 / (0 + t₀ + t₁ + …), then W·r
+                    dt = self.dt_e[rows, a:a + 1]
+                    term = np.multiply(dt, wst[m], out=tmp) if m in wst else dt
+                    np.add(r if a else 0.0, term, out=r)
+                np.divide(1.0, r, out=r)
+                r *= W
+                self.mom[()][rows] = r @ Vc
+                for x, s in enumerate(self.Wk):
+                    self.mom[(s,)][rows] = np.multiply(r, wst[s], out=prod) @ Vc
+                    for t in self.Wk[x:]:
+                        self.mom[(s, t)][rows] = np.multiply(prod, wst[t], out=tmp) @ Vc
 
         self.wfield: dict[int, np.ndarray] = {}
         self.et: dict[int, np.ndarray] = {}         # E_Q[w*_s t_c | e]

@@ -78,12 +78,21 @@ def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _gauss_weights(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Unnormalized Gaussian product-kernel weights, shape (m, n)."""
+    """Unnormalized Gaussian product-kernel weights, shape (m, n), built in place."""
     d2 = np.zeros((Xq.shape[0], Xt.shape[0]))
+    diff = np.empty_like(d2)
     for c in range(Xt.shape[1]):
-        diff = (Xq[:, c, None] - Xt[None, :, c]) / h[c]
-        d2 += diff * diff
-    return np.exp(-0.5 * d2)
+        np.subtract.outer(Xq[:, c], Xt[:, c], out=diff)
+        diff /= h[c]
+        diff *= diff
+        d2 += diff
+    d2 *= -0.5
+    return np.exp(d2, out=d2)
+
+
+def _binary_columns(Z: np.ndarray) -> np.ndarray:
+    """Whether each column of Z holds only the values 0 and 1."""
+    return np.all((Z == 0.0) | (Z == 1.0), axis=0)
 
 
 @dataclass
@@ -221,8 +230,7 @@ class MarginalRatioFits:
                 self._diag[s] = OverlapDiagnostics(1.0, 1.0, 0.0)
             return
         Zfull = data.z[:, :p]
-        self._binary = np.array([set(np.unique(Zfull[:, c])) <= {0.0, 1.0}
-                                 for c in range(p)])
+        self._binary = _binary_columns(Zfull)
         self._center = Zfull.mean(axis=0)
         sd = Zfull.std(axis=0)
         self._scale = np.where(sd > 1e-12, sd, 1.0)
@@ -291,13 +299,17 @@ class RowMap:
         return fields[self.lo] * (1.0 - f) + fields[self.hi] * f
 
 
-def _chunks(panel):
-    """Row slices (views) of each weight block `(rows, cols, W)`, sized so
-    that a float array over one slice holds about `_CHUNK_BYTES`."""
-    for rows, cols, W in panel.blocks:
+def _chunks(panel, scratch=0):
+    """Row slices (views) of each weight block as (block index, rows, W,
+    bufs), sized so that a float array over one slice holds about
+    `_CHUNK_BYTES`; `bufs` holds `scratch` uninitialized arrays shaped like
+    the slice, allocated once per block."""
+    for i, (rows, cols, W) in enumerate(panel.blocks):
         step = max(1, _CHUNK_BYTES // (8 * cols.size))
+        bufs = np.empty((scratch, min(step, rows.size), cols.size))
         for lo in range(0, rows.size, step):
-            yield rows[lo:lo + step], cols, W[lo:lo + step]
+            Wc = W[lo:lo + step]
+            yield i, rows[lo:lo + step], Wc, bufs[:, :Wc.shape[0]]
 
 
 class _BlockPanel:
@@ -370,8 +382,7 @@ class KernelPanel(_BlockPanel):
         self.zj = data.z[self.train_idx, j - 1].copy()
         zprev_all = data.z[:, :p]
         zprev_tr = data.z[self.train_idx, :p]
-        self.binary = np.array([set(np.unique(zprev_all[:, c])) <= {0.0, 1.0}
-                                for c in range(p)], dtype=bool)
+        self.binary = _binary_columns(zprev_all)
         self.cont_cols = np.flatnonzero(~self.binary)
         self.bin_cols = np.flatnonzero(self.binary)
         self._branch_vals = {int(c): np.unique(zprev_all[:, c]) for c in self.bin_cols}

@@ -54,6 +54,13 @@ def beta_logpdf(x: float, a: float, b: float) -> float:
 
 # ------------------------------------------------------- kernel panels ----
 
+def binary_columns_by_set(Z: np.ndarray) -> np.ndarray:
+    """Which columns of Z are binary, by testing each column's distinct values
+    for inclusion in the set {0, 1}."""
+    return np.array([set(np.unique(Z[:, c])) <= {0.0, 1.0} for c in range(Z.shape[1])],
+                    dtype=bool)
+
+
 def dense_weights(panel, data: Dataset) -> np.ndarray:
     """A kernel or cross-fit panel's weights as one dense, unnormalized
     (E, T) matrix rebuilt from the kernel formula: a Gaussian product kernel

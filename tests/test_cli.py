@@ -209,6 +209,29 @@ def test_ingest_rejections(tmp_path):
         ingest_csv(str(p), {"z": [], "source": "source"})
 
 
+def test_ingest_names_the_first_bad_cell_in_row_order(tmp_path):
+    # columns are converted one at a time, but the error still names the
+    # first bad cell reading row by row: z2 in row 2, not z1 in row 3
+    p = tmp_path / "d.csv"
+    mapping = {"z": ["z1", "z2"], "source": "source"}
+    p.write_text("z1,z2,source\n1.0,oops,1\nbad,2.0,1\n")
+    with pytest.raises(NonNumericCell) as err:
+        ingest_csv(str(p), mapping)
+    assert (err.value.row, err.value.column, err.value.value) == (2, "z2", "oops")
+
+    p.write_text("z1,z2,source\n1.0,2.0,1\n3.0\nbad,2.0,1\n")   # ragged row 3
+    with pytest.raises(NonNumericCell) as err:
+        ingest_csv(str(p), mapping)
+    assert (err.value.row, err.value.column, err.value.value) == (3, "z2", "")
+
+
+def test_ingest_parses_cells_as_float_does(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("z1,z2,source\n 1.5,1_0,1\n")
+    data, _ = ingest_csv(str(p), {"z": ["z1", "z2"], "source": "source"})
+    assert data.z.tolist() == [[float(" 1.5"), float("1_0")]] == [[1.5, 10.0]]
+
+
 # ------------------------------------------------------------- delta grid
 
 def test_parse_grid_inclusive_endpoint():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import weakfuse.estimator as estimator
 import weakfuse.nuisance as nuisance
 from weakfuse.betafit import moment_match_beta
 from weakfuse.errors import StructuralError
@@ -14,9 +15,10 @@ from weakfuse.gradients import (
     efficient_gradient,
     seed_gradient,
 )
-from weakfuse.model import BetaParam, Dataset, FusionDesign
+from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
 from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design, true_parameters
+from weakfuse.weights import WeightSpec
 
 from oracles import DiscreteLaw, gradient_aligned_only, lambda_prev
 from test_betafit import _tilted_instance
@@ -288,26 +290,95 @@ def _study_pass_inputs(n_per_source, cross_fit=False):
     return nuis, true_parameters(scenario)[1], seed_gradient(ATE, nuis)
 
 
-@pytest.mark.parametrize("case", ["study", "study_cross_fit", "discrete"])
-def test_compute_pass_does_not_depend_on_chunk_size(monkeypatch, case):
-    # one state per chunk against one chunk per weight block: only the
-    # summation order of the row means may change
+def _study_truncation_design():
+    # source 2 truncated above 0.2 at index 3 instead of tilted
+    base = study_design()
+    specs = dict(base.weight_specs)
+    specs[(3, 2)] = WeightSpec("truncated_above_threshold", 3, threshold=0.2)
+    return FusionDesign(d=base.d, k=base.k, relevant=base.relevant,
+                        aligned=dict(base.aligned), weak=dict(base.weak), weight_specs=specs)
+
+
+def _chunk_case_inputs(case):
     if case == "discrete":
         law = DiscreteLaw()
         nuis = law.bundle(NuisanceOptions(ratio_clip=(0.8, 1.25)))    # clips shifts
-        inputs = nuis, law.beta_param(), seed_gradient(MOMENT3, nuis)
-    else:
-        inputs = _study_pass_inputs(300, cross_fit=case == "study_cross_fit")
-    passes = []
+        return nuis, law.beta_param(), seed_gradient(MOMENT3, nuis)
+    if case == "study_truncation":
+        scenario = named_scenario("moderately_aligned", n_per_source=300)
+        nuis = fit_nuisance_bundle(generate_dataset(scenario, 1, 0),
+                                   _study_truncation_design(), ATE)
+        return nuis, moment_match_beta(nuis).beta, seed_gradient(ATE, nuis)
+    return _study_pass_inputs(300, cross_fit=case == "study_cross_fit")
+
+
+@pytest.mark.parametrize("case", ["study", "study_cross_fit", "study_truncation", "discrete"])
+def test_compute_pass_does_not_depend_on_chunk_size(monkeypatch, case):
+    # one state per chunk against one chunk per weight block: only the
+    # summation order of the row means may change, in the engine and in the
+    # moment match's tilt fields
+    inputs = _chunk_case_inputs(case)
+    passes, fits = [], []
     for chunk_bytes in (1, 2 ** 40):
         monkeypatch.setattr(nuisance, "_CHUNK_BYTES", chunk_bytes)
         passes.append(compute_pass(*inputs))
+        fits.append(moment_match_beta(inputs[0]))
     one, whole = passes
     for got, want in ((one.scores_eff, whole.scores_eff), (one.dtilde, whole.dtilde),
                       (one.information.matrix, whole.information.matrix)):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     assert one.flags == whole.flags
     assert one.clip_counts == whole.clip_counts
+    one, whole = fits
+    np.testing.assert_allclose(one.beta.values, whole.beta.values, rtol=1e-13, atol=1e-13)
+    assert one.iterations == whole.iterations
+    assert one.converged == whole.converged
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _fitted_bits(nuis) -> dict:
+    """Bit images of the data and of every panel's weight blocks, training
+    values, states and row map."""
+    out = {"z": _bits(nuis.data.z)}
+    for j, p in nuis.panels.items():
+        rm = nuis.rowmaps[j]
+        out[j] = ([tuple(map(_bits, block)) for block in p.blocks], _bits(p.zj),
+                  _bits(p.eval_states), _bits(rm.lo), _bits(rm.hi), _bits(rm.frac))
+    return out
+
+
+def _pass_bits(p) -> tuple:
+    return (_bits(p.scores_raw), _bits(p.scores_eff), _bits(p.dtilde),
+            _bits(p.information.matrix), _bits(p.information.pinv), p.flags, p.clip_counts)
+
+
+@pytest.mark.parametrize("case", ["efficient_fusion", "truncation", "cross_fit"])
+def test_estimate_leaves_the_fitted_bundle_bit_unchanged(monkeypatch, case):
+    # the engine and the moment match work in scratch buffers and must never
+    # write into what the fit shares with them, so a second pass at the same
+    # β repeats the first bit for bit
+    design = _study_truncation_design() if case == "truncation" else study_design()
+    options = NuisanceOptions(cross_fit=case == "cross_fit")
+    fitted = []
+
+    def fit_and_record(*args):
+        nuis = fit_nuisance_bundle(*args)
+        fitted.append((nuis, _fitted_bits(nuis)))
+        return nuis
+
+    monkeypatch.setattr(estimator, "fit_nuisance_bundle", fit_and_record)
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1, 0)
+    report = estimator.one_step_estimate(data, design, ATE, options=options)
+    (nuis, before), = fitted
+    assert _fitted_bits(nuis) == before
+    beta = BetaParam(report.beta, layout_from_design(nuis.design))
+    seed = seed_gradient(ATE, nuis)
+    assert _pass_bits(compute_pass(nuis, beta, seed)) == _pass_bits(compute_pass(nuis, beta, seed))
+    assert _fitted_bits(nuis) == before
 
 
 def test_compute_pass_memory_stays_chunk_sized():

@@ -21,6 +21,7 @@ from weakfuse.nuisance import (
     NuisanceOptions,
     RegressionFit,
     RowMap,
+    _binary_columns,
     fit_kernel_regression,
     fit_nuisance_bundle,
     fit_propensity,
@@ -31,6 +32,7 @@ from weakfuse.weights import WeightSpec
 from oracles import (
     DiscreteLaw,
     beta_mean,
+    binary_columns_by_set,
     dense_mean_field,
     dense_rowmean,
     dense_weights,
@@ -240,6 +242,21 @@ def test_row_map_interpolates():
     np.testing.assert_allclose(rm.apply(np.array([10.0, 20.0, 40.0])), [12.5, 30.0])
     F = np.array([[10.0, 0.0], [20.0, 2.0], [40.0, 4.0]])
     np.testing.assert_allclose(rm.apply(F), [[12.5, 0.5], [30.0, 3.0]])
+
+
+@pytest.mark.parametrize("col, binary", [
+    ([0.0, 1.0, 1.0, 0.0], True),
+    ([-0.0, 1.0], True),
+    ([0.0, 1.0, 0.5], False),
+    ([0.0, 0.0, 0.0], True),
+    ([1.0], True),
+    ([0.0, math.nan], False),
+], ids=["zero_one", "negative_zero", "half", "all_zero", "single_row", "nan"])
+def test_binary_columns_match_the_set_rule(col, binary):
+    Z = np.column_stack([col, np.full(len(col), 2.0), col])
+    got = _binary_columns(Z)
+    assert got.dtype == bool
+    assert got.tolist() == binary_columns_by_set(Z).tolist() == [binary, False, binary]
 
 
 def _panel_data(n, rng, d=3, binary_col=None):
