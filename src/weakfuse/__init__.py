@@ -2,12 +2,7 @@
 data sources with parametric conditional-density shifts."""
 
 from . import errors
-from .betafit import (
-    MomentMatchResult,
-    OneStepBeta,
-    moment_match_beta,
-    one_step_beta,
-)
+from .betafit import MomentMatchResult, moment_match_beta
 from .estimator import (
     EstimateReport,
     EstimatorVariant,
@@ -21,7 +16,6 @@ from .gradients import (
     GradientSeed,
     InformationMatrix,
     compute_pass,
-    efficient_gradient,
     information_matrix,
     seed_gradient,
 )
@@ -36,7 +30,6 @@ from .model import (
     validate_design,
 )
 from .nuisance import (
-    DiscretePanel,
     FittedNuisance,
     KernelPanel,
     NuisanceOptions,
@@ -71,7 +64,6 @@ __all__ = [
     "BasisTerm",
     "BetaParam",
     "Dataset",
-    "DiscretePanel",
     "EstimandSpec",
     "EstimateReport",
     "EstimatorVariant",
@@ -82,7 +74,6 @@ __all__ = [
     "KernelPanel",
     "MomentMatchResult",
     "NuisanceOptions",
-    "OneStepBeta",
     "Scenario",
     "SummaryRow",
     "ValidationReport",
@@ -92,7 +83,6 @@ __all__ = [
     "beta_slice",
     "complex_family",
     "compute_pass",
-    "efficient_gradient",
     "errors",
     "eval_weight_many",
     "fit_kernel_regression",
@@ -103,7 +93,6 @@ __all__ = [
     "layout_from_design",
     "moment_match_beta",
     "named_scenario",
-    "one_step_beta",
     "one_step_estimate",
     "parse_term",
     "run_monte_carlo",

@@ -1,5 +1,5 @@
-"""Shift-parameter estimation: moment matching for the initial value, and the
-one-step update based on projected (efficient) scores."""
+"""Shift-parameter estimation: moment matching for the initial value. The
+one-step update along the efficient score is `EnginePass.newton_step`."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import InformationMatrix, _rowmap_at, _tilt_basis, _tilt_field, compute_pass
+from .gradients import _rowmap_at, _tilt_basis, _tilt_field
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
 from .weights import basis_matrix
@@ -117,23 +117,3 @@ def moment_match_beta(nuisance: FittedNuisance,
     return MomentMatchResult(beta=beta.replace_values(values), converged=converged,
                              iterations=iters, max_residual=max_resid)
 
-
-@dataclass
-class OneStepBeta:
-    beta: BetaParam
-    se: np.ndarray
-    information: InformationMatrix
-    flags: frozenset[str]
-
-
-def one_step_beta(nuisance: FittedNuisance, beta_init: BetaParam) -> OneStepBeta:
-    """Single Newton step from the initial value along the efficient score."""
-    p = compute_pass(nuisance, beta_init)
-    S = p.scores_eff
-    n = S.shape[0]
-    sbar = S.mean(axis=0)
-    info = p.information
-    update = info.pinv @ sbar
-    beta1 = beta_init.replace_values(beta_init.values + update)
-    se = np.sqrt(np.maximum(np.diag(info.pinv), 0.0) / n)
-    return OneStepBeta(beta=beta1, se=se, information=info, flags=p.flags)

@@ -67,10 +67,18 @@ def _expect_keys(obj: dict, allowed: set, path: str):
             raise ParseError(f"{path}.{key}: unknown key")
 
 
-def _as_int_list(val, path: str) -> list[int]:
-    if not isinstance(val, list) or not all(isinstance(v, int) for v in val):
-        raise ParseError(f"{path}: expected a list of integers")
+def _as_int(val, path: str) -> int:
+    """A JSON integer, checked rather than coerced: a bool, a float or a
+    string is rejected."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ParseError(f"{path}: expected an integer, got {val!r}")
     return val
+
+
+def _as_int_list(val, path: str) -> list[int]:
+    if not isinstance(val, list):
+        raise ParseError(f"{path}: expected a list of integers")
+    return [_as_int(v, f"{path}[{i}]") for i, v in enumerate(val)]
 
 
 def parse_config_dict(cfg: dict) -> RunConfig:
@@ -83,11 +91,8 @@ def parse_config_dict(cfg: dict) -> RunConfig:
         raise ParseError("config.design: required object")
     _expect_keys(dsn, {"d", "k", "relevant", "aligned", "weak", "weight_specs"},
                  "config.design")
-    try:
-        d = int(dsn["d"])
-        k = int(dsn["k"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("config.design: d and k must be integers") from None
+    d = _as_int(dsn.get("d"), "config.design.d")
+    k = _as_int(dsn.get("k"), "config.design.k")
     relevant = _as_int_list(dsn.get("relevant", []), "config.design.relevant")
 
     def _index_map(block, path):
@@ -155,13 +160,12 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     if not isinstance(est, dict):
         raise ParseError("config.estimand: expected an object")
     _expect_keys(est, {"kind", "coefficient", "index", "power"}, "config.estimand")
+    index = _as_int(est.get("index", 1), "config.estimand.index")
+    power = _as_int(est.get("power", 1), "config.estimand.power")
     try:
-        estimand = EstimandSpec(
-            kind=est.get("kind", "ate"),
-            coefficient=est.get("coefficient", "slope"),
-            index=int(est.get("index", 1)),
-            power=int(est.get("power", 1)),
-        )
+        estimand = EstimandSpec(kind=est.get("kind", "ate"),
+                                coefficient=est.get("coefficient", "slope"),
+                                index=index, power=power)
     except WeakfuseError as exc:
         raise SemanticError(f"config.estimand: {exc}") from None
 
@@ -172,7 +176,8 @@ def parse_config_dict(cfg: dict) -> RunConfig:
         _expect_keys(var, {"kind", "extra_terms"}, "config.variant")
     try:
         variant = EstimatorVariant.parse(var) if isinstance(var, str) else EstimatorVariant(
-            kind=var.get("kind", "efficient_fusion"), extra_terms=int(var.get("extra_terms", 0)))
+            kind=var.get("kind", "efficient_fusion"),
+            extra_terms=_as_int(var.get("extra_terms", 0), "config.variant.extra_terms"))
     except ValueError as exc:
         raise SemanticError(f"config.variant: {exc}") from None
 
@@ -190,8 +195,8 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     if not isinstance(level, (int, float)) or not 0 < level < 1:
         raise ParseError("config.level: expected a number in (0, 1)")
     seed = cfg.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ParseError("config.seed: expected an integer or null")
+    if seed is not None:
+        seed = _as_int(seed, "config.seed")
 
     columns = cfg.get("columns") or {}
     if not isinstance(columns, dict):

@@ -7,9 +7,9 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .betafit import moment_match_beta, one_step_beta
+from .betafit import moment_match_beta
 from .errors import BadLevel, NegativeDelta
-from .gradients import EstimandSpec, efficient_gradient, seed_gradient
+from .gradients import EstimandSpec, compute_pass, seed_gradient
 from .model import FusionDesign, validate_design
 from .nuisance import NuisanceOptions, fit_nuisance_bundle
 from .weights import WeightSpec, complex_family
@@ -160,11 +160,11 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
     mm = moment_match_beta(bundle)
     if not mm.all_converged:
         flags.add("NoConvergence")
-    osb = one_step_beta(bundle, mm.beta)
-    eg = efficient_gradient(seed, osb.beta, bundle)
-    rows = eg["rows"]
-    fixed_rows = eg["fixed_beta_rows"]
-    flags |= osb.flags | eg["flags"]
+    first = compute_pass(bundle, mm.beta)
+    beta, beta_se = first.newton_step()
+    final = compute_pass(bundle, beta, seed)
+    rows = final.efficient_rows()
+    flags |= first.flags | final.flags
 
     n = data.n
     estimate = seed.plugin + float(rows.mean())
@@ -181,7 +181,7 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         "plugin": seed.plugin,
         "gradient_variances": {
             "efficient": float(rows.var(ddof=1)) if n > 1 else float("nan"),
-            "fixed_beta": float(fixed_rows.var(ddof=1)) if n > 1 else float("nan"),
+            "fixed_beta": float(final.dtilde.var(ddof=1)) if n > 1 else float("nan"),
         },
         "flags": sorted(flags),
         "overlap": overlap,
@@ -193,10 +193,10 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         ci_hi=ci_hi,
         level=level,
         variant=variant.label(),
-        beta=[float(v) for v in osb.beta.values],
-        beta_se=[float(v) for v in osb.se],
+        beta=[float(v) for v in beta.values],
+        beta_se=[float(v) for v in beta_se],
         n_per_source={s: int(c) for s, c in data.source_counts().items()},
-        clip_counts=eg["clip_counts"],
+        clip_counts=final.clip_counts,
         seed=seed_value,
         extras=extras,
     )

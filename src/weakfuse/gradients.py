@@ -167,7 +167,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         for j in range(jm - 1, 0, -1):
             panel_j = nuisance.panel(j)
             upper = nuisance.panel(j + 1)
-            if panel_j._mode == "discrete":
+            if panel_j.train_idx is None:    # columns are support values, not data rows
                 st = panel_j.eval_states
                 E, T = st.shape[0], panel_j.zj.size
                 prefixes = np.column_stack([np.repeat(st, T, axis=0),
@@ -457,7 +457,9 @@ class EnginePass:
     """Everything one β evaluation produces at the data rows, with the
     fallbacks it hit: `flags` names them (`RankDeficiency`,
     `SingularInformation`, `SingularBandwidth` from a tail regression) and
-    `clip_counts` sums the machines' counts by key."""
+    `clip_counts` sums the machines' counts by key. `grad_gamma` and
+    `efficient_rows` need the projected gradient rows, so only a seeded
+    pass has them."""
 
     beta: BetaParam
     scores_raw: np.ndarray
@@ -466,6 +468,26 @@ class EnginePass:
     dtilde: np.ndarray | None
     flags: frozenset[str]
     clip_counts: dict[str, int]
+
+    def newton_step(self) -> tuple[BetaParam, np.ndarray]:
+        """One Newton step from this pass's β along the efficient score, and
+        the standard errors of the stepped β."""
+        S = self.scores_eff
+        n = S.shape[0]
+        update = self.information.pinv @ S.mean(axis=0)
+        se = np.sqrt(np.maximum(np.diag(self.information.pinv), 0.0) / n)
+        return self.beta.replace_values(self.beta.values + update), se
+
+    @property
+    def grad_gamma(self) -> np.ndarray:
+        """The estimand's derivative along β, in raw-score form."""
+        return self.scores_raw.T @ self.dtilde / self.scores_raw.shape[0]
+
+    def efficient_rows(self) -> np.ndarray:
+        """Per-row efficient gradient: the fixed-β rows minus their
+        projection on the efficient scores."""
+        adj = self.information.pinv @ self.grad_gamma
+        return self.dtilde - self.scores_eff @ adj
 
 
 def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
@@ -576,7 +598,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
     if seed is not None and any_weak:
         for j in design.relevant:
             Sj = sorted(design.sources_at(j))
-            if len(Sj) != 1 or nuisance.panel(j)._mode == "discrete":
+            if len(Sj) != 1 or nuisance.panel(j).train_idx is None:
                 continue
             m = Sj[0]
             later = [jp for jp in design.relevant
@@ -608,27 +630,3 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                       information=info, dtilde=dtilde, flags=frozenset(flags),
                       clip_counts=clip_counts)
 
-
-def efficient_gradient(seed: GradientSeed, beta: BetaParam,
-                       nuisance: FittedNuisance) -> dict:
-    """Per-row efficient gradient and its components at a parameter value.
-
-    Returns a dict with the efficient rows, the fixed-β projected rows, the
-    efficient scores, the information matrix and its pseudo-inverse, the
-    estimand derivative along β (raw-score form), and the pass's flags and
-    clip counts.
-    """
-    p = compute_pass(nuisance, beta, seed)
-    info = p.information
-    grad_gamma = p.scores_raw.T @ p.dtilde / nuisance.data.n
-    adj = info.pinv @ grad_gamma
-    rows = p.dtilde - p.scores_eff @ adj
-    return {
-        "rows": rows,
-        "fixed_beta_rows": p.dtilde,
-        "scores_eff": p.scores_eff,
-        "information": info,
-        "grad_gamma": grad_gamma,
-        "flags": p.flags,
-        "clip_counts": p.clip_counts,
-    }

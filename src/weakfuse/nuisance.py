@@ -472,43 +472,6 @@ class KernelPanel(_BlockPanel):
         return RowMap(branch * G + lo, branch * G + hi, frac)
 
 
-class DiscretePanel(_BlockPanel):
-    """Exact conditional-moment evaluator over a finite support.
-
-    `eval_states` enumerates the support of z̄_{j-1}; the single weight block
-    holds the exact target conditional probabilities q(z_j | z̄_{j-1}), so
-    every field is an exact expectation and rows map onto their support state
-    without interpolation. Backs the oracle tests and the discrete acceptance
-    check.
-    """
-
-    def __init__(self, j: int, eval_states: np.ndarray, zj_values: np.ndarray,
-                 cond_probs: np.ndarray):
-        self.j = j
-        self.eval_states = np.atleast_2d(np.asarray(eval_states, dtype=float))
-        self.zj = np.asarray(zj_values, dtype=float)
-        W = np.asarray(cond_probs, dtype=float)
-        E = self.eval_states.shape[0]
-        if W.shape != (E, self.zj.size):
-            raise StructuralError("conditional probability table has wrong shape")
-        if np.any(np.abs(W.sum(axis=1) - 1.0) > 1e-12):
-            raise StructuralError("conditional probabilities must sum to one")
-        self.train_idx = np.arange(self.zj.size)
-        self.blocks = [(np.arange(E), self.train_idx, W)]
-        self.degenerate = np.zeros(E, dtype=bool)
-        self._mode = "discrete"
-
-    def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
-        Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
-        idx = np.empty(Zprev.shape[0], dtype=int)
-        for r in range(Zprev.shape[0]):
-            hit = np.flatnonzero(np.all(np.abs(self.eval_states - Zprev[r]) < 1e-9, axis=1))
-            if hit.size == 0:
-                raise StructuralError("row state not in the declared support")
-            idx[r] = hit[0]
-        return RowMap(idx, idx, np.zeros(Zprev.shape[0]))
-
-
 class CrossFitPanel(_BlockPanel):
     """Two half-sample panels side by side: rows of one fold evaluate against
     fields trained on the other fold. The weight blocks are those of the two

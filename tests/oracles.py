@@ -3,15 +3,17 @@
 Everything here is computed from first principles: finite-support laws with
 exact tables, dense least-squares projections onto the tangent space, dense
 kernel-panel weights, and closed-form Beta/Gaussian moments. None of it
-reuses engine code paths beyond plain data containers.
+reuses engine code paths beyond plain data containers and, for the exact
+finite-support panel, the package's block-panel row means.
 """
 
 import math
 
 import numpy as np
 
+from weakfuse.errors import StructuralError
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
-from weakfuse.nuisance import DiscretePanel, FittedNuisance, NuisanceOptions
+from weakfuse.nuisance import FittedNuisance, NuisanceOptions, RowMap, _BlockPanel
 from weakfuse.weights import WeightSpec
 
 
@@ -109,6 +111,43 @@ def dense_mean_field(panel, data: Dataset, values: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------- discrete law ----
+
+class DiscretePanel(_BlockPanel):
+    """Exact conditional-moment evaluator over a finite support.
+
+    `eval_states` enumerates the support of z̄_{j-1}; the single weight block
+    holds the exact target conditional probabilities q(z_j | z̄_{j-1}), so
+    every field is an exact expectation and rows map onto their support state
+    without interpolation. Its columns are the support values of z_j, not
+    data rows, so `train_idx` is None. Backs the oracle tests and the discrete
+    acceptance check.
+    """
+
+    def __init__(self, j: int, eval_states: np.ndarray, zj_values: np.ndarray,
+                 cond_probs: np.ndarray):
+        self.j = j
+        self.eval_states = np.atleast_2d(np.asarray(eval_states, dtype=float))
+        self.zj = np.asarray(zj_values, dtype=float)
+        W = np.asarray(cond_probs, dtype=float)
+        E = self.eval_states.shape[0]
+        if W.shape != (E, self.zj.size):
+            raise StructuralError("conditional probability table has wrong shape")
+        if np.any(np.abs(W.sum(axis=1) - 1.0) > 1e-12):
+            raise StructuralError("conditional probabilities must sum to one")
+        self.train_idx = None
+        self.blocks = [(np.arange(E), np.arange(self.zj.size), W)]
+        self.degenerate = np.zeros(E, dtype=bool)
+
+    def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
+        Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
+        idx = np.empty(Zprev.shape[0], dtype=int)
+        for r in range(Zprev.shape[0]):
+            hit = np.flatnonzero(np.all(np.abs(self.eval_states - Zprev[r]) < 1e-9, axis=1))
+            if hit.size == 0:
+                raise StructuralError("row state not in the declared support")
+            idx[r] = hit[0]
+        return RowMap(idx, idx, np.zeros(Zprev.shape[0]))
+
 
 class DiscreteLaw:
     """Three-source, three-index finite-support instance with exact tables.
@@ -216,8 +255,27 @@ class DiscreteLaw:
         which is a valid gradient because source 1 is aligned at every index."""
         return (self.src == 1) * (self.Z3[self.i3] - self.psi) / self.DELTA[1]
 
-    def tangent_basis(self) -> np.ndarray:
-        """Columns spanning the tangent space of the nonparametric part.
+    def tilt_term(self, s: int, z1, z3):
+        """The tilt term t of source s's weight exp(beta_s t)."""
+        z1, z3 = np.asarray(z1), np.asarray(z3)
+        return z1 * (np.log(z3) if s == 2 else np.log1p(-z3))
+
+    def beta_scores(self) -> np.ndarray:
+        """The two beta-score columns: on source s rows, t - E_{P_s}[t | z_bar_2]
+        with t source s's tilt term; zero on every other source."""
+        i1, i2 = self.i1, self.i2
+        cols = []
+        for s in (2, 3):
+            t = self.tilt_term(s, self.Z1[i1], self.Z3[self.i3])
+            tbar = np.array([self.p3_table(s, b1, b2) @ self.tilt_term(s, self.Z1[b1], self.Z3)
+                             for b1, b2 in zip(i1, i2)])
+            cols.append((self.src == s) * (t - tbar))
+        return np.column_stack(cols)
+
+    def tangent_basis(self, beta_scores: bool = False) -> np.ndarray:
+        """Columns spanning the tangent space of the nonparametric part, and
+        with `beta_scores` also the two beta-score columns, so that the
+        span is the tangent space of the model with beta unknown.
 
         One shared perturbation a(z_bar_j) per support point of each index;
         each column is a(z_bar_j) minus its per-source conditional mean given
@@ -243,12 +301,16 @@ class DiscreteLaw:
                         cen += ((src == s) * (i1 == b1) * (i2 == b2)
                                 * self.p3_table(s, b1, b2)[b3])
                     cols.append(ind - cen)
+        if beta_scores:
+            cols.extend(self.beta_scores().T)
         return np.column_stack(cols)
 
-    def projected_gradient(self) -> np.ndarray:
+    def projected_gradient(self, beta_scores: bool = False) -> np.ndarray:
         """Dense pi-weighted least-squares projection of the aligned gradient
-        onto the tangent basis: the fixed-beta canonical gradient, exactly."""
-        B = self.tangent_basis()
+        onto the tangent basis: the fixed-beta canonical gradient, exactly,
+        or with `beta_scores` the efficient influence function with beta
+        unknown."""
+        B = self.tangent_basis(beta_scores)
         sw = np.sqrt(self.pi)
         target = self.aligned_gradient()
         coef, *_ = np.linalg.lstsq(B * sw[:, None], target * sw, rcond=None)

@@ -8,12 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from weakfuse.betafit import moment_match_beta, one_step_beta
+from weakfuse.betafit import moment_match_beta
 from weakfuse.cli import default_config_dict, main
 from weakfuse.gradients import (
     EstimandSpec,
     compute_pass,
-    efficient_gradient,
     seed_gradient,
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign
@@ -129,9 +128,10 @@ def test_criterion_5_orthogonality_and_ordering(verdict):
     estimand = EstimandSpec("ate")
     bundle = fit_nuisance_bundle(data, study_design(), estimand)
     seed = seed_gradient(estimand, bundle)
-    osb = one_step_beta(bundle, moment_match_beta(bundle).beta)
-    rows = efficient_gradient(seed, osb.beta, bundle)["rows"]
-    scores = compute_pass(bundle, osb.beta, seed).scores_raw
+    beta, _ = compute_pass(bundle, moment_match_beta(bundle).beta).newton_step()
+    final = compute_pass(bundle, beta, seed)
+    rows = final.efficient_rows()
+    scores = final.scores_raw
     corrs = [abs(np.corrcoef(rows, scores[:, m])[0, 1])
              for m in range(scores.shape[1])]
     da = gradient_aligned_only(seed, bundle)
@@ -154,11 +154,11 @@ def test_criterion_6_no_gain_and_strict_gain(verdict):
     design = FusionDesign(d=1, k=2, relevant=(1,), aligned={1: {1}}, weak={1: {2}},
                           weight_specs={(1, 2): WeightSpec.tilt(1, ["z1"])})
     bundle = fit_nuisance_bundle(data, design)
-    osb = one_step_beta(bundle, moment_match_beta(bundle).beta)
+    beta, _ = compute_pass(bundle, moment_match_beta(bundle).beta).newton_step()
     ratios = {}
     for power in (1, 2):
         seed = seed_gradient(EstimandSpec("moment", index=1, power=power), bundle)
-        rows = efficient_gradient(seed, osb.beta, bundle)["rows"]
+        rows = compute_pass(bundle, beta, seed).efficient_rows()
         da = gradient_aligned_only(seed, bundle)
         ratios[power] = float(rows.var(ddof=1) / da.var(ddof=1))
     elapsed = time.perf_counter() - t0
@@ -179,7 +179,7 @@ def test_criterion_7_degenerate_design_identity(verdict):
                           aligned={1: {1, 2}, 2: {1, 2}}, weak={}, weight_specs={})
     bundle = fit_nuisance_bundle(data, design)
     seed = seed_gradient(EstimandSpec("moment", index=2), bundle)
-    rows = efficient_gradient(seed, BetaParam.zeros(()), bundle)["rows"]
+    rows = compute_pass(bundle, BetaParam.zeros(()), seed).efficient_rows()
     da = gradient_aligned_only(seed, bundle)
     gap = float(np.max(np.abs(rows - da)))
     verdict(7, [("per-row identity", gap == 0.0)],

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -498,6 +499,34 @@ def test_malformed_options_exit_before_reading_data(tmp_path, capsys, path, valu
     err = capsys.readouterr().err
     assert message in err
     assert "missing.csv" not in err
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("design", "d"), 3.9, "config.design.d"),
+    (("design", "k"), "4", "config.design.k"),
+    (("design", "relevant"), [True, 3], "config.design.relevant[0]"),
+    (("design", "weak", "3"), [2, 3.0, 4], "config.design.weak.3[1]"),
+    (("estimand",), {"kind": "moment", "index": 1.7}, "config.estimand.index"),
+    (("estimand",), {"kind": "moment", "power": "2"}, "config.estimand.power"),
+    (("variant",), {"kind": "overparametrized", "extra_terms": 2.0},
+     "config.variant.extra_terms"),
+    (("seed",), True, "config.seed"),
+])
+def test_config_integers_are_checked_not_coerced(tmp_path, capsys, path, value, key):
+    # a bool, float or string where an integer belongs is a parse error naming
+    # the key, never silently truncated or converted
+    blob = default_config_dict()
+    node = blob
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    with pytest.raises(ParseError, match=re.escape(f"{key}: expected an integer")):
+        parse_config_dict(blob)
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    assert main(["estimate", "--config", str(cfgp), "--data", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert f"{key}: expected an integer" in capsys.readouterr().err
 
 
 def test_overparametrized_keeps_a_truncation_threshold(tmp_path):

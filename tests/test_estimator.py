@@ -12,8 +12,7 @@ from weakfuse.estimator import (
     sensitivity_interval,
     wald_interval,
 )
-import weakfuse.betafit
-import weakfuse.gradients
+import weakfuse.estimator
 from weakfuse.gradients import EstimandSpec
 from weakfuse.model import Dataset, FusionDesign
 from weakfuse.nuisance import NuisanceOptions
@@ -381,14 +380,13 @@ def test_engine_pass_count(monkeypatch, variant, passes):
     # the updated beta for the gradient; variants without weak pairs run the
     # same pipeline over an empty beta
     calls = []
-    real = weakfuse.gradients.compute_pass
+    real = weakfuse.estimator.compute_pass
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(weakfuse.betafit, "compute_pass", counting)
-    monkeypatch.setattr(weakfuse.gradients, "compute_pass", counting)
+    monkeypatch.setattr(weakfuse.estimator, "compute_pass", counting)
     data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1)
     one_step_estimate(data, study_design(), EstimandSpec("ate"),
                       variant=EstimatorVariant(variant))

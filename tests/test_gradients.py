@@ -12,7 +12,6 @@ from weakfuse.gradients import (
     _batched_pinv,
     _IndexMachine,
     compute_pass,
-    efficient_gradient,
     seed_gradient,
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
@@ -129,6 +128,46 @@ def test_projection_reduces_variance(law_pass):
     assert var_dt < var_da  # strict: the aligned-only gradient is not tangent
 
 
+def _pi_efficient_rows(law, p):
+    """dtilde - S_eff I_pi^-1 E_pi[S_raw dtilde] with I_pi = E_pi[S_eff S_eff^T]:
+    the engine's efficient-row composition under the law's atom weights."""
+    info = (p.scores_eff * law.pi[:, None]).T @ p.scores_eff
+    grad_gamma = p.scores_raw.T @ (law.pi * p.dtilde)
+    return p.dtilde - p.scores_eff @ np.linalg.solve(info, grad_gamma)
+
+
+def test_efficient_scores_are_residuals_on_the_nonparametric_basis(law_pass):
+    law, nuis, seed = law_pass
+    p = compute_pass(nuis, law.beta_param(), seed)
+    S = law.beta_scores()
+    np.testing.assert_allclose(p.scores_raw, S, atol=1e-12, rtol=0)
+    B = law.tangent_basis()
+    sw = np.sqrt(law.pi)
+    coef, *_ = np.linalg.lstsq(B * sw[:, None], S * sw[:, None], rcond=None)
+    np.testing.assert_allclose(p.scores_eff, S - B @ coef, atol=1e-12, rtol=0)
+
+
+def test_efficient_rows_match_the_dense_efficient_influence_function(law_pass):
+    # the beta scores and the aligned gradient live on different sources, so
+    # projecting onto the enlarged basis subtracts only the efficient-score part
+    law, nuis, seed = law_pass
+    p = compute_pass(nuis, law.beta_param(), seed)
+    eif = _pi_efficient_rows(law, p)
+    np.testing.assert_allclose(eif, law.projected_gradient(beta_scores=True),
+                               atol=1e-12, rtol=0)
+    assert abs(law.pi @ eif) < 1e-12
+
+
+def test_efficiency_bound_orders_the_variances(law_pass):
+    # known beta <= unknown beta (the efficiency bound) <= aligned only
+    law, nuis, seed = law_pass
+    p = compute_pass(nuis, law.beta_param(), seed)
+    known, eff, aligned = (law.pi @ (g * g) for g in (
+        p.dtilde, _pi_efficient_rows(law, p), law.aligned_gradient()))
+    assert known < eff - 1e-12
+    assert eff < aligned - 1e-12
+
+
 def _oracle_wstar(law, Z):
     """Exact normalized shift w/W at each row's own value (1 on aligned rows)."""
     wst = np.ones(law.n)
@@ -239,7 +278,7 @@ def test_gamma_derivative_moment_matches_fd():
     nuis = fit_nuisance_bundle(data, design)
     beta = moment_match_beta(nuis).beta
     seed = seed_gradient(EstimandSpec("moment", index=2), nuis)
-    gm = efficient_gradient(seed, beta, nuis)["grad_gamma"]
+    gm = compute_pass(nuis, beta, seed).grad_gamma
     # perturb beta in the projected-gradient map with every aligned-data fit
     # held fixed; moving the model parameter by h moves the implied estimand
     # by -grad_gamma * h
@@ -257,13 +296,13 @@ def test_gamma_derivative_moment_matches_fd():
 
 def test_efficient_gradient_composition(law_pass):
     law, nuis, seed = law_pass
-    beta = law.beta_param()
-    out = efficient_gradient(seed, beta, nuis)
-    p = compute_pass(nuis, beta, seed)
-    np.testing.assert_array_equal(out["fixed_beta_rows"], p.dtilde)
-    adj = out["information"].pinv @ out["grad_gamma"]
-    np.testing.assert_allclose(out["rows"], p.dtilde - p.scores_eff @ adj, atol=1e-14)
-    assert out["scores_eff"].shape == (law.n, 2)
+    p = compute_pass(nuis, law.beta_param(), seed)
+    grad_gamma = p.scores_raw.T @ p.dtilde / law.n
+    np.testing.assert_array_equal(p.grad_gamma, grad_gamma)
+    adj = p.information.pinv @ grad_gamma
+    np.testing.assert_allclose(p.efficient_rows(), p.dtilde - p.scores_eff @ adj,
+                               atol=1e-14, rtol=0)
+    assert p.scores_eff.shape == (law.n, 2)
 
 
 def test_compute_pass_is_stateless(law_pass):
@@ -432,5 +471,4 @@ def test_all_paths_coincide_without_weak_sources():
     p = compute_pass(nuis, beta, seed)
     da = gradient_aligned_only(seed, nuis)
     np.testing.assert_array_equal(p.dtilde, da)
-    out = efficient_gradient(seed, beta, nuis)
-    np.testing.assert_array_equal(out["rows"], da)
+    np.testing.assert_array_equal(p.efficient_rows(), da)

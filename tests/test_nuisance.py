@@ -15,7 +15,6 @@ from weakfuse.gradients import EstimandSpec, _IndexMachine
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
 from weakfuse.nuisance import (
     CrossFitPanel,
-    DiscretePanel,
     KernelPanel,
     MarginalRatioFits,
     NuisanceOptions,
@@ -31,6 +30,7 @@ from weakfuse.weights import WeightSpec
 
 from oracles import (
     DiscreteLaw,
+    DiscretePanel,
     beta_mean,
     binary_columns_by_set,
     dense_mean_field,
