@@ -22,7 +22,7 @@ from weakfuse.gradients import EstimandSpec
 from weakfuse.nuisance import NuisanceOptions
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 
-from test_estimator import _linear_instance, _tilted_instance
+from test_estimator import _exact_mode_instance, _linear_instance, _tilted_instance
 
 _PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_estimates.json")
 N_PER_SOURCE = 300
@@ -57,6 +57,14 @@ def _moment():
     return one_step_estimate(data, design, EstimandSpec("moment", index=2))
 
 
+def _exact(variant, cross_fit=False):
+    # two continuous past coordinates: the index-3 panel holds one state per row
+    data, design = _exact_mode_instance()
+    return one_step_estimate(data, design, EstimandSpec("moment", index=3),
+                             variant=EstimatorVariant.parse(variant),
+                             options=NuisanceOptions(cross_fit=cross_fit))
+
+
 CASES = {
     "study_efficient_fusion": _study,
     "study_target_only": lambda: _study("target_only"),
@@ -67,6 +75,10 @@ CASES = {
     "study_ratio_clip": lambda: _study(options=NuisanceOptions(ratio_clip=(0.8, 1.25))),
     "working_linear": _working_linear,
     "moment": _moment,
+    "exact_efficient_fusion": lambda: _exact("efficient_fusion"),
+    "exact_target_only": lambda: _exact("target_only"),
+    "exact_efficient_fusion_cross_fit": lambda: _exact("efficient_fusion", cross_fit=True),
+    "exact_target_only_cross_fit": lambda: _exact("target_only", cross_fit=True),
 }
 
 
