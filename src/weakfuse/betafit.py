@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import _rowmap_at, _tilt_basis, _tilt_field
+from .gradients import _EPS_W, _rowmap_at, _tilt_basis, _tilt_field
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
 from .weights import basis_matrix
@@ -46,15 +46,15 @@ def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int) -> tuple:
     t_a = basis_matrix(spec, data.z[rows_a, :j])
     rho_a = nuisance.ratio_fits(j).rho(s, data.z[rows_a, :j - 1])
     rmap = _rowmap_at(nuisance.rowmaps[j], rows_a)
-    return panel, _tilt_basis(panel, spec), tbar, t_a, rho_a, rmap, nuisance.options.eps_w
+    return panel, _tilt_basis(panel, spec), tbar, t_a, rho_a, rmap
 
 
-def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap, eps_w):
+def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap):
     """Moment residual and its Jacobian at b. Nothing is clipped, so a b out
     of range gives non-finite values, which the line search rejects."""
     raw = _tilt_field(panel, b, basis)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        wfield = np.maximum(raw[:, 0], eps_w)
+        wfield = np.maximum(raw[:, 0], _EPS_W)
         wcfield = basis[0] * raw[:, 1:]
         wf_rows = rmap.apply(wfield)
         wtilda = rho_a * np.exp(t_a @ b) / wf_rows

@@ -29,6 +29,7 @@ from .nuisance import FittedNuisance, RowMap, _chunks, fit_kernel_regression
 from .weights import eval_weight_many
 
 _EIG_TOL = 1e-10
+_EPS_W = 1e-8       # floor on a tilt normalizer, in the engine and the moment match
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,6 @@ class _IndexMachine:
         offs = beta.offsets()
         ratio = nuisance.ratio_fits(j)
         E, T = panel.eval_states.shape[0], panel.zj.size
-        eps_w = nuisance.options.eps_w
         lo, hi = nuisance.options.ratio_clip
         self.clip_counts: dict[str, int] = {}
 
@@ -340,7 +340,7 @@ class _IndexMachine:
                 wst = {}
                 for s, buf in zip(self.Wk, wbuf):
                     w, raw[s][rows] = _shift_chunk(*shifts[s], i, rows, W, buf, tmp)
-                    wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], eps_w)[:, None], out=buf)
+                    wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], _EPS_W)[:, None], out=buf)
                 for a, m in enumerate(self.S):      # r = 1 / (0 + t₀ + t₁ + …), then W·r
                     dt = self.dt_e[rows, a:a + 1]
                     term = np.multiply(dt, wst[m], out=tmp) if m in wst else dt
@@ -364,8 +364,8 @@ class _IndexMachine:
                 raise NonFiniteNormalizer(
                     f"tilt normalizer for index {j}, source {s} is not finite at "
                     f"{bad} states; the shift parameter diverged")
-            n_floor += int(np.sum(raw[s][:, 0] < eps_w))
-            self.wfield[s] = wf = np.maximum(raw[s][:, 0], eps_w)
+            n_floor += int(np.sum(raw[s][:, 0] < _EPS_W))
+            self.wfield[s] = wf = np.maximum(raw[s][:, 0], _EPS_W)
             if s in self.G:
                 self.et[s] = self.G[s] * raw[s][:, 1:] / wf[:, None]
             with np.errstate(over="ignore"):
@@ -608,18 +608,15 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             m_rows = data.rows_of(m)
             panel = nuisance.panel(j)
             tailval = np.zeros(m_rows.size)
-            center_tr = np.zeros(panel.train_idx.size)
-            same = np.array_equal(m_rows, panel.train_idx)
             for jp in later:
                 fit = fit_kernel_regression(Z[m_rows, :j], cterm[jp][m_rows])
                 if fit.floored:
                     flags.add("SingularBandwidth")
-                tail = fit.predict(Z[m_rows, :j])
-                tailval += tail
-                # center through the panel so the fitted tail stays mean-zero
-                # against the target conditional at every state
-                center_tr += tail if same else fit.predict(Z[panel.train_idx, :j])
-            cfield = panel.mean_field(center_tr)
+                tailval += fit.predict(Z[m_rows, :j])
+            # center through the panel so the fitted tail stays mean-zero
+            # against the target conditional at every state; the panel trains
+            # on the rows of m, in its own (fold) order
+            cfield = panel.mean_field(tailval[np.searchsorted(m_rows, panel.train_idx)])
             center_rows = nuisance.rowmaps[j].apply(cfield)[m_rows]
             dtilde[m_rows] += tailval - center_rows
 

@@ -41,7 +41,6 @@ class NuisanceOptions:
 
     ratio_clip: tuple[float, float] = (1e-3, 1e3)
     propensity_clip: tuple[float, float] = (0.01, 0.99)
-    eps_w: float = 1e-8
     grid_points: int = 301
     cross_fit: bool = False
 
@@ -78,15 +77,19 @@ def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _gauss_weights(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Unnormalized Gaussian product-kernel weights, shape (m, n), built in place."""
-    d2 = np.zeros((Xq.shape[0], Xt.shape[0]))
-    diff = np.empty_like(d2)
-    for c in range(Xt.shape[1]):
+    """Unnormalized Gaussian product-kernel weights, shape (m, n), built in
+    place from the first column's squared scaled distance; a temporary of
+    the same shape is allocated only when there is a second column."""
+    d2 = np.subtract.outer(Xq[:, 0], Xt[:, 0])
+    d2 /= h[0]
+    d2 *= d2
+    diff = np.empty_like(d2) if Xt.shape[1] > 1 else None
+    for c in range(1, Xt.shape[1]):
         np.subtract.outer(Xq[:, c], Xt[:, c], out=diff)
         diff /= h[c]
         diff *= diff
         d2 += diff
-    d2 *= -0.5
+    d2 *= -0.5      # exact, so exp sees the same exponent as -0.5 * d2
     return np.exp(d2, out=d2)
 
 
@@ -320,7 +323,12 @@ class _BlockPanel:
     one. Rows whose kernel mass underflows keep their raw weights and are
     marked degenerate, as are states that no block covers; those carry no
     weight at all. The engine forms its (E, T) objects chunk by chunk.
+
+    `folds` pairs a slice of states with the slice of training columns their
+    blocks read; by default one fold covers everything.
     """
+
+    folds = ((slice(None), slice(None)),)
 
     def _set_blocks(self, blocks: list):
         """Take freshly built blocks, scaling each row in place to sum to one."""
@@ -348,10 +356,12 @@ class _BlockPanel:
 
     def mean_field(self, train_values: np.ndarray) -> np.ndarray:
         """NW conditional mean of train-side values at every eval state;
-        degenerate states read the train mean."""
+        degenerate states read the train mean of their own fold."""
         out = self.rowmean(values=train_values)
-        if self.degenerate.any():
-            out[self.degenerate] = train_values.mean(axis=0)
+        for states, cols in self.folds:
+            deg = self.degenerate[states]
+            if deg.any():
+                out[states][deg] = train_values[cols].mean(axis=0)
         return out
 
 
@@ -366,75 +376,92 @@ class KernelPanel(_BlockPanel):
     acts only on the continuous coordinate, binary coordinates are matched
     exactly; at index 1, with no past coordinate, the grid is one state
     whose all-ones block averages the training rows. With two or more
-    continuous past coordinates the panel falls back to one evaluation state
-    per data row, in data order, and `row_map` only accepts that full-row
-    layout. Both layouts take Silverman bandwidths, and `floored` records
-    that one of them hit its floor.
+    continuous past coordinates the panel takes the exact layout (`grid` is
+    None): one evaluation state per data row, in data order, a Gaussian over
+    every past coordinate, and a `row_map` that only accepts that full-row
+    layout.
+
+    With `options.cross_fit` and at least 2 * _MIN_ROWS training rows, the
+    rows split into two folds, `train_idx[::2]` and `train_idx[1::2]`, and
+    `train_idx` and `zj` list fold 0's rows, then fold 1's. Each fold has its
+    own copy of the states (fold 1's after fold 0's), its own blocks and its
+    own Silverman bandwidths `h[f]`; `floored` records that any bandwidth hit
+    its floor. A data row that trained fold 0 reads fold 1's fields, and
+    every other row reads fold 0's.
     """
 
     def __init__(self, j: int, data: Dataset, train_idx: np.ndarray,
                  options: NuisanceOptions):
         self.j = j
-        self.train_idx = np.asarray(train_idx, dtype=int)
-        if self.train_idx.size < _MIN_ROWS:
-            raise InsufficientData(f"index {j} has {self.train_idx.size} training rows")
+        rows = np.asarray(train_idx, dtype=int)
+        if rows.size < _MIN_ROWS:
+            raise InsufficientData(f"index {j} has {rows.size} training rows")
+        fold_rows = ((rows[::2], rows[1::2])
+                     if options.cross_fit and rows.size >= 2 * _MIN_ROWS else (rows,))
+        self.train_idx = np.concatenate(fold_rows) if len(fold_rows) > 1 else rows
+        self.zj = data.z[self.train_idx, j - 1]
         p = j - 1
-        self.zj = data.z[self.train_idx, j - 1].copy()
         zprev_all = data.z[:, :p]
-        zprev_tr = data.z[self.train_idx, :p]
         self.binary = _binary_columns(zprev_all)
         self.cont_cols = np.flatnonzero(~self.binary)
         self.bin_cols = np.flatnonzero(self.binary)
         self._branch_vals = {int(c): np.unique(zprev_all[:, c]) for c in self.bin_cols}
-        self.floored = False
 
         if self.cont_cols.size >= 2:
-            self._mode = "exact"
-            self.eval_states = zprev_all.copy()
-            self.h, self.floored = silverman_bandwidths(zprev_tr)
-            self._set_blocks([(np.arange(data.n), np.arange(self.train_idx.size),
-                               _gauss_weights(self.eval_states, zprev_tr, self.h))])
+            # the exact layout's kernel acts on every past coordinate
+            self.grid = None
+            kcols = np.arange(p)
+            states = Xq = zprev_all
         else:
-            self._mode = "grid"
             combos: list[tuple[float, ...]] = [()]
             for c in self.bin_cols:
                 combos = [cb + (v,) for cb in combos for v in self._branch_vals[int(c)]]
-            if self.cont_cols.size == 1:
-                c0 = int(self.cont_cols[0])
-                lo, hi = float(zprev_all[:, c0].min()), float(zprev_all[:, c0].max())
+            if self.cont_cols.size:
+                x = zprev_all[:, self.cont_cols[0]]
+                lo, hi = float(x.min()), float(x.max())
                 if hi <= lo:
                     hi = lo + 1.0
                 self.grid = np.linspace(lo, hi, options.grid_points)
-                self.h, self.floored = silverman_bandwidths(zprev_tr[:, [c0]])
             else:
                 self.grid = np.zeros(1)
-                self.h = np.array([1.0])
             G = self.grid.size
-            states = []
-            blocks = []
-            tr_branch = self._branch_of(zprev_tr)
+            kcols = self.cont_cols
+            Xq = self.grid[:, None]
+            states = np.zeros((len(combos) * G, p))
             for b, combo in enumerate(combos):
-                st = np.zeros((G, p))
-                if self.cont_cols.size == 1:
-                    st[:, self.cont_cols[0]] = self.grid
-                for c, v in zip(self.bin_cols, combo):
-                    st[:, c] = v
-                states.append(st)
-                cols = np.flatnonzero(tr_branch == b)
+                st = states[b * G:(b + 1) * G]
+                st[:, kcols] = Xq
+                st[:, self.bin_cols] = combo
+        E = states.shape[0]
+
+        self.h, folds, blocks = [], [], []
+        self.floored = False
+        T0 = 0
+        for f, fr in enumerate(fold_rows):
+            kern = data.z[np.ix_(fr, kcols)]
+            h, floored = (silverman_bandwidths(kern) if kcols.size
+                          else (np.array([1.0]), False))
+            self.h.append(h)
+            self.floored |= floored
+            if self.grid is None:
+                parts = [(np.arange(E), np.arange(fr.size))]
+            else:
+                tr_branch = self._branch_of(data.z[fr, :p])
+                parts = ((np.arange(b * G, (b + 1) * G), np.flatnonzero(tr_branch == b))
+                         for b in range(len(combos)))
+            for st_rows, cols in parts:
                 if cols.size == 0:
                     continue
-                if self.cont_cols.size == 1:
-                    # exp(-d²/2) in place; d·d·(-0.5) rounds as (-0.5·d)·d did
-                    W = np.subtract.outer(self.grid, zprev_tr[cols, self.cont_cols[0]])
-                    W /= self.h[0]
-                    W *= W
-                    W *= -0.5
-                    np.exp(W, out=W)
-                else:
-                    W = np.ones((G, cols.size))
-                blocks.append((np.arange(b * G, (b + 1) * G), cols, W))
-            self.eval_states = np.vstack(states)
-            self._set_blocks(blocks)
+                W = (_gauss_weights(Xq, kern[cols], h) if kcols.size
+                     else np.ones((st_rows.size, cols.size)))
+                st_rows += f * E
+                cols += T0
+                blocks.append((st_rows, cols, W))
+            folds.append((slice(f * E, (f + 1) * E), slice(T0, T0 + fr.size)))
+            T0 += fr.size
+        self.folds = tuple(folds)
+        self.eval_states = np.vstack([states] * len(fold_rows))
+        self._set_blocks(blocks)
 
     def _branch_of(self, Zprev: np.ndarray) -> np.ndarray:
         """Branch id of each row, snapping to the nearest declared value."""
@@ -451,65 +478,31 @@ class KernelPanel(_BlockPanel):
         return b
 
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
+        """Map rows onto fold 0's states; with two folds, the data rows in
+        `row_idx` that trained fold 0 move to the same states of fold 1."""
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
         m = Zprev.shape[0]
-        if self._mode == "exact":
-            if m != self.eval_states.shape[0]:
-                raise StructuralError("exact-mode panels map only the full dataset")
-            idx = np.arange(m)
-            return RowMap(idx, idx, np.zeros(m))
-        G = self.grid.size
-        branch = self._branch_of(Zprev)
-        if self.cont_cols.size == 1:
-            x = np.clip(Zprev[:, self.cont_cols[0]], self.grid[0], self.grid[-1])
-            hi = np.clip(np.searchsorted(self.grid, x), 1, G - 1)
-            lo = hi - 1
-            frac = (x - self.grid[lo]) / (self.grid[hi] - self.grid[lo])
-        else:
-            lo = np.zeros(m, dtype=int)
-            hi = lo.copy()
+        E = self.eval_states.shape[0] // len(self.folds)
+        if self.grid is None:
+            if m != E:
+                raise StructuralError("exact-layout panels map only the full dataset")
+            lo = hi = np.arange(m)
             frac = np.zeros(m)
-        return RowMap(branch * G + lo, branch * G + hi, frac)
-
-
-class CrossFitPanel(_BlockPanel):
-    """Two half-sample panels side by side: rows of one fold evaluate against
-    fields trained on the other fold. The weight blocks are those of the two
-    sub-panels, with fold-1 states and columns placed after fold 0's."""
-
-    def __init__(self, j: int, data: Dataset, rows: np.ndarray, options: NuisanceOptions):
-        self.j = j
-        self.sub = (KernelPanel(j, data, rows[::2], options),
-                    KernelPanel(j, data, rows[1::2], options))
-        self.eval_states = np.vstack([self.sub[0].eval_states, self.sub[1].eval_states])
-        self.train_idx = np.concatenate([self.sub[0].train_idx, self.sub[1].train_idx])
-        self.zj = np.concatenate([self.sub[0].zj, self.sub[1].zj])
-        self._E0 = self.sub[0].eval_states.shape[0]
-        self._T0 = self.sub[0].zj.size
-        self.blocks = self.sub[0].blocks + [(r + self._E0, c + self._T0, W)
-                                            for r, c, W in self.sub[1].blocks]
-        self.degenerate = np.concatenate([self.sub[0].degenerate, self.sub[1].degenerate])
-        self.floored = self.sub[0].floored or self.sub[1].floored
-        self._mode = "crossfit"
-
-    def mean_field(self, train_values: np.ndarray) -> np.ndarray:
-        # degenerate states fall back to their own fold's train mean
-        f0 = self.sub[0].mean_field(train_values[: self._T0])
-        f1 = self.sub[1].mean_field(train_values[self._T0:])
-        return np.concatenate([f0, f1], axis=0)
-
-    def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
-        # rows trained in fold 0 read fold-1 fields and vice versa; rows in
-        # neither fold read fold 0
-        Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
-        rm0 = self.sub[0].row_map(Zprev)
-        rm1 = self.sub[1].row_map(Zprev)
-        use1 = np.zeros(Zprev.shape[0], dtype=bool)
-        if row_idx is not None:
-            use1 = np.isin(row_idx, self.sub[0].train_idx)
-        lo = np.where(use1, rm1.lo + self._E0, rm0.lo)
-        hi = np.where(use1, rm1.hi + self._E0, rm0.hi)
-        frac = np.where(use1, rm1.frac, rm0.frac)
+        else:
+            G = self.grid.size
+            base = self._branch_of(Zprev) * G
+            if self.cont_cols.size == 1:
+                x = np.clip(Zprev[:, self.cont_cols[0]], self.grid[0], self.grid[-1])
+                hi = np.clip(np.searchsorted(self.grid, x), 1, G - 1)
+                lo = hi - 1
+                frac = (x - self.grid[lo]) / (self.grid[hi] - self.grid[lo])
+            else:
+                lo = hi = np.zeros(m, dtype=int)
+                frac = np.zeros(m)
+            lo, hi = base + lo, base + hi
+        if len(self.folds) > 1 and row_idx is not None:
+            shift = E * np.isin(row_idx, self.train_idx[self.folds[0][1]])
+            lo, hi = lo + shift, hi + shift
         return RowMap(lo, hi, frac)
 
 
@@ -567,10 +560,7 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     for j in design.relevant:
         rows = np.concatenate([data.rows_of(s) for s in sorted(design.aligned_at(j))])
         rows.sort()
-        if options.cross_fit and rows.size >= 2 * _MIN_ROWS:
-            panels[j] = CrossFitPanel(j, data, rows, options)
-        else:
-            panels[j] = KernelPanel(j, data, rows, options)
+        panels[j] = KernelPanel(j, data, rows, options)
     for j in design.relevant:
         ratios[j] = MarginalRatioFits(j, design, data, options)
     propensity = None

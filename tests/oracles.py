@@ -64,26 +64,24 @@ def binary_columns_by_set(Z: np.ndarray) -> np.ndarray:
 
 
 def dense_weights(panel, data: Dataset) -> np.ndarray:
-    """A kernel or cross-fit panel's weights as one dense, unnormalized
-    (E, T) matrix rebuilt from the kernel formula: a Gaussian product kernel
-    over every past coordinate in exact mode; otherwise a Gaussian in the
-    continuous coordinate times an exact match on each binary one. Cross-fit
-    panels are block-diagonal in their two folds."""
-    if panel._mode == "crossfit":
-        W0, W1 = (dense_weights(sub, data) for sub in panel.sub)
-        W = np.zeros((W0.shape[0] + W1.shape[0], W0.shape[1] + W1.shape[1]))
-        W[:W0.shape[0], :W0.shape[1]] = W0
-        W[W0.shape[0]:, W0.shape[1]:] = W1
-        return W
-    st = panel.eval_states
-    zprev = data.z[panel.train_idx, :panel.j - 1]
-    W = np.ones((st.shape[0], zprev.shape[0]))
-    for c in range(zprev.shape[1]):
-        if panel._mode == "grid" and panel.binary[c]:
-            W *= st[:, c, None] == zprev[None, :, c]
-        else:
-            h = panel.h[c] if panel._mode == "exact" else panel.h[0]
-            W *= np.exp(-0.5 * ((st[:, c, None] - zprev[None, :, c]) / h) ** 2)
+    """A kernel panel's weights as one dense, unnormalized (E, T) matrix
+    rebuilt from the kernel formula: a Gaussian product kernel over every
+    past coordinate in the exact layout; otherwise a Gaussian in the
+    continuous coordinate times an exact match on each binary one. A
+    cross-fit panel is block-diagonal in its folds, each with its own
+    bandwidths."""
+    W = np.zeros((panel.eval_states.shape[0], panel.zj.size))
+    for f, (states, cols) in enumerate(panel.folds):
+        st = panel.eval_states[states]
+        zprev = data.z[panel.train_idx[cols], :panel.j - 1]
+        Wf = np.ones((st.shape[0], zprev.shape[0]))
+        for c in range(zprev.shape[1]):
+            if panel.grid is not None and panel.binary[c]:
+                Wf *= st[:, c, None] == zprev[None, :, c]
+            else:
+                h = panel.h[f][c] if panel.grid is None else panel.h[f][0]
+                Wf *= np.exp(-0.5 * ((st[:, c, None] - zprev[None, :, c]) / h) ** 2)
+        W[states, cols] = Wf
     return W
 
 
@@ -99,14 +97,12 @@ def dense_rowmean(W: np.ndarray, F: np.ndarray, values=None) -> np.ndarray:
 
 def dense_mean_field(panel, data: Dataset, values: np.ndarray) -> np.ndarray:
     """Nadaraya-Watson means of train-side values at every state; states
-    without weight mass read the train mean (per fold when cross-fit)."""
-    if panel._mode == "crossfit":
-        T0 = panel.sub[0].zj.size
-        return np.concatenate([dense_mean_field(panel.sub[0], data, values[:T0]),
-                               dense_mean_field(panel.sub[1], data, values[T0:])])
+    without weight mass read the train mean of their own fold."""
     W = dense_weights(panel, data)
     out = dense_rowmean(W, np.ones_like(W), values)
-    out[W.sum(axis=1) < 1e-12] = values.mean(axis=0)
+    for states, cols in panel.folds:
+        empty = W[states].sum(axis=1) < 1e-12
+        out[states][empty] = values[cols].mean(axis=0)
     return out
 
 

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import weakfuse.cli as cli
 from weakfuse.errors import (
@@ -11,6 +13,7 @@ from weakfuse.errors import (
     NonNumericCell,
     ParseError,
     SemanticError,
+    WeakfuseError,
 )
 from weakfuse.cli import (
     _MAX_GRID_POINTS,
@@ -24,7 +27,7 @@ from weakfuse.cli import (
 )
 from weakfuse.estimator import one_step_estimate
 from weakfuse.model import layout_from_design
-from weakfuse.simulation import generate_dataset, named_scenario
+from weakfuse.simulation import generate_dataset, named_scenario, study_design
 
 
 # ---------------------------------------------------------------- config
@@ -37,6 +40,48 @@ def test_default_config_round_trips():
     assert cfg.variant.label() == "efficient_fusion"
     assert cfg.level == 0.95
     assert cfg.seed is None
+
+
+def test_default_config_is_the_study_design():
+    # the CLI workloads read the first, the acceptance Monte Carlo the second
+    assert parse_config_dict(default_config_dict()).design == study_design()
+
+
+def _leaf_paths(node, path=()):
+    """Key paths to every scalar (or null) in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6),
+                                                                 inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_config_fuzz_returns_or_raises_a_package_error(data):
+    # one to three leaves of the default config replaced by arbitrary JSON
+    # values: parsing either succeeds or names the problem
+    blob = default_config_dict()
+    paths = data.draw(st.lists(st.sampled_from(_leaf_paths(blob)), min_size=1,
+                               max_size=3, unique=True))
+    for path in paths:
+        node = blob
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(_JSON)
+    try:
+        parse_config_dict(blob)
+    except WeakfuseError:
+        pass
 
 
 def test_config_rejects_unknown_keys():
@@ -231,6 +276,29 @@ def test_ingest_parses_cells_as_float_does(tmp_path):
     p.write_text("z1,z2,source\n 1.5,1_0,1\n")
     data, _ = ingest_csv(str(p), {"z": ["z1", "z2"], "source": "source"})
     assert data.z.tolist() == [[float(" 1.5"), float("1_0")]] == [[1.5, 10.0]]
+
+
+# text cells hold no line break, quote or comma, so the rows stay as drawn
+_CELLS = st.sampled_from(["", "nan", "inf", "-inf", "1e400", "0", "1", "0.5", "-2.25",
+                          " 3", "1_0", "x", '"2"', "NaN", "1e-400"]) | st.text(
+    st.characters(exclude_characters='\r\n",', exclude_categories=("Cs",)), max_size=6)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.booleans(),
+       body=st.lists(st.lists(_CELLS, max_size=5), max_size=6))
+def test_ingest_fuzz_returns_or_raises_a_package_error(tmp_path, header, body):
+    # random cells, ragged rows included: ingest either returns a dataset
+    # or names the problem
+    p = tmp_path / "fuzz.csv"
+    rows = ([["z1", "z2", "source"]] if header else []) + body
+    p.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    try:
+        data, _ = ingest_csv(str(p), {"z": ["z1", "z2"], "source": "source"})
+    except WeakfuseError:
+        return
+    assert data.z.shape == (len(rows) - 1, 2)
 
 
 # ------------------------------------------------------------- delta grid

@@ -11,10 +11,9 @@ from weakfuse.errors import (
     StructuralError,
 )
 from weakfuse.estimator import one_step_estimate
-from weakfuse.gradients import EstimandSpec, _IndexMachine
+from weakfuse.gradients import _EPS_W, EstimandSpec, _IndexMachine
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
 from weakfuse.nuisance import (
-    CrossFitPanel,
     KernelPanel,
     MarginalRatioFits,
     NuisanceOptions,
@@ -77,7 +76,7 @@ def test_grid_panel_records_a_floored_bandwidth():
     design = FusionDesign(d=2, k=2, relevant=(1, 2), aligned={1: {1, 2}, 2: {1}},
                           weak={2: {2}}, weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
     bundle = fit_nuisance_bundle(data, design)
-    assert bundle.panel(2)._mode == "grid"
+    assert bundle.panel(2).grid is not None
     assert bundle.panel(2).floored
     report = one_step_estimate(data, design, EstimandSpec("moment", index=2))
     assert "SingularBandwidth" in report.extras["flags"]
@@ -272,7 +271,7 @@ def test_kernel_panel_scope_mode():
     rng = np.random.default_rng(21)
     data = _panel_data(40, rng)
     panel = KernelPanel(1, data, np.arange(40), NuisanceOptions())
-    assert panel._mode == "grid"
+    assert panel.grid is not None
     assert panel.eval_states.shape == (1, 0)
     (rows, cols, W), = panel.blocks
     np.testing.assert_array_equal(rows, [0])
@@ -289,7 +288,7 @@ def test_kernel_panel_grid_mode_single_continuous():
     rng = np.random.default_rng(22)
     data = _panel_data(500, rng, d=2)
     panel = KernelPanel(2, data, np.arange(500), NuisanceOptions())
-    assert panel._mode == "grid"
+    assert panel.grid is not None
     assert panel.eval_states.shape == (301, 1)
     # conditional mean of a linear function of the conditioning value stays
     # close to the identity over the interior of the grid
@@ -321,7 +320,7 @@ def test_kernel_panel_exact_mode():
     rng = np.random.default_rng(24)
     data = _panel_data(80, rng, d=3)
     panel = KernelPanel(3, data, np.arange(80), NuisanceOptions())
-    assert panel._mode == "exact"
+    assert panel.grid is None
     assert panel.eval_states.shape == (80, 2)
     rm = panel.row_map(data.z[:, :2])
     np.testing.assert_array_equal(rm.lo, np.arange(80))
@@ -337,7 +336,7 @@ def test_kernel_panel_weights_at_matches_kernel():
     # training rows
     e = 120
     x = panel.eval_states[e, 0]
-    manual = np.exp(-0.5 * ((x - data.z[:, 0]) / panel.h[0]) ** 2)
+    manual = np.exp(-0.5 * ((x - data.z[:, 0]) / panel.h[0][0]) ** 2)
     np.testing.assert_allclose(dense_weights(panel, data)[e], manual, rtol=1e-12)
     # without binary coordinates one block covers every state and training
     # row, each row normalized at fit time
@@ -395,11 +394,15 @@ def block_panels():
     cases["scope"] = (data, KernelPanel(1, data, np.arange(120), NuisanceOptions()))
     cases["exact"] = (data, KernelPanel(3, data, np.arange(120), NuisanceOptions()))
     data = _grid_data(300, 1, rng)
-    cases["cross_fit"] = (data, CrossFitPanel(3, data, np.arange(300), NuisanceOptions()))
+    cases["cross_fit"] = (data, KernelPanel(3, data, np.arange(300),
+                                            NuisanceOptions(cross_fit=True)))
+    data = _panel_data(120, rng)
+    cases["cross_fit_exact"] = (data, KernelPanel(3, data, np.arange(120),
+                                                  NuisanceOptions(cross_fit=True)))
     return cases
 
 
-@pytest.mark.parametrize("name", ["cross_fit", "exact", "grid_0_binary", "grid_1_binary",
+@pytest.mark.parametrize("name", ["cross_fit", "cross_fit_exact", "exact", "grid_0_binary", "grid_1_binary",
                                   "grid_2_binary", "grid_empty_branch", "grid_only_binary",
                                   "scope"])
 def test_block_panel_matches_dense_oracle(block_panels, name):
@@ -469,8 +472,8 @@ def test_crossfit_panel_reads_opposite_fold():
     rng = np.random.default_rng(27)
     data = _panel_data(300, rng, d=2)
     rows = np.arange(300)
-    panel = CrossFitPanel(2, data, rows, NuisanceOptions())
-    E0 = panel._E0
+    panel = KernelPanel(2, data, rows, NuisanceOptions(cross_fit=True))
+    E0 = panel.folds[1][0].start
     f = panel.mean_field(data.z[panel.train_idx, 1])
     assert f.shape == (panel.eval_states.shape[0],)
     rm = panel.row_map(data.z[:4, :1], row_idx=rows[:4])
@@ -522,15 +525,15 @@ def test_bundle_registers_outcome_regression_for_ate():
 
 
 def test_normalizer_floor_is_counted():
-    # an extreme tilt drives the normalizer below eps_w at every index-3
+    # an extreme tilt drives the normalizer below its floor at every index-3
     # state; the engine floors it there and counts each floored state once
     law = DiscreteLaw()
     bundle = law.bundle()
     beta = assemble_beta(layout_from_design(law.design()),
                          {(3, 2): [1000.0], (3, 3): [law.beta3]})
     mach = _IndexMachine(bundle, beta, 3)
-    np.testing.assert_array_equal(mach.wfield[2], bundle.options.eps_w)
-    assert mach.wfield[3].min() > bundle.options.eps_w
+    np.testing.assert_array_equal(mach.wfield[2], _EPS_W)
+    assert mach.wfield[3].min() > _EPS_W
     assert mach.clip_counts["normalizer_floor_j3"] == 4
 
 
