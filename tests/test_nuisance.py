@@ -399,10 +399,14 @@ def block_panels():
     data = _panel_data(120, rng)
     cases["cross_fit_exact"] = (data, KernelPanel(3, data, np.arange(120),
                                                   NuisanceOptions(cross_fit=True)))
+    data = _grid_data(300, 1, rng)
+    cases["cross_fit_empty_branch"] = (data, KernelPanel(
+        3, data, np.flatnonzero(data.z[:, 1] == 0.0), NuisanceOptions(cross_fit=True)))
     return cases
 
 
-@pytest.mark.parametrize("name", ["cross_fit", "cross_fit_exact", "exact", "grid_0_binary", "grid_1_binary",
+@pytest.mark.parametrize("name", ["cross_fit", "cross_fit_empty_branch", "cross_fit_exact",
+                                  "exact", "grid_0_binary", "grid_1_binary",
                                   "grid_2_binary", "grid_empty_branch", "grid_only_binary",
                                   "scope"])
 def test_block_panel_matches_dense_oracle(block_panels, name):
