@@ -33,7 +33,6 @@ from .nuisance import (
     FittedNuisance,
     KernelPanel,
     NuisanceOptions,
-    fit_kernel_regression,
     fit_nuisance_bundle,
     fit_propensity,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "compute_pass",
     "errors",
     "eval_weight_many",
-    "fit_kernel_regression",
     "fit_nuisance_bundle",
     "fit_propensity",
     "generate_dataset",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -208,13 +209,25 @@ def parse_config_dict(cfg: dict) -> RunConfig:
                      columns=columns, raw=cfg)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded raises
+    ParseError naming it, and the line of the first byte that is not UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{what} {path}: line {line} is not UTF-8 text "
+                         f"(byte 0x{raw[exc.start]:02x})") from None
+
+
 def parse_config(path: str) -> RunConfig:
     """Load and validate a JSON run configuration."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from None
+    text = _read_text(path, "config")
     if not text.strip():
         raise EmptyFile(f"config {path} is empty")
     try:
@@ -268,12 +281,7 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
     scol = mapping.get("source")
     if not zcols or not isinstance(zcols, list) or not scol:
         raise ParseError('column mapping needs "z" (list) and "source" (name)')
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise ParseError(f"cannot read data {path}: {exc}") from None
+    rows = list(csv.reader(io.StringIO(_read_text(path, "data"), newline="")))
     if not rows:
         raise EmptyFile(f"{path} has no header row")
     header = [h.strip() for h in rows[0]]

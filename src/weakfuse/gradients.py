@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
 )
 from .model import BetaParam, layout_from_design
-from .nuisance import FittedNuisance, RowMap, _chunks, fit_kernel_regression
+from .nuisance import FittedNuisance, RowMap, _chunks, _smoother, silverman_bandwidths
 from .weights import eval_weight_many
 
 _EIG_TOL = 1e-10
@@ -174,8 +174,9 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
                 prefixes = np.column_stack([np.repeat(st, T, axis=0),
                                             np.tile(panel_j.zj, E)])
                 mj = upper.row_map(prefixes).apply(fields[j]).reshape(E, T)
-                fields[j - 1] = panel_j.rowmean(
-                    [mj[np.ix_(r, c)] for r, c, _ in panel_j.blocks])
+                fields[j - 1] = f = np.zeros(E)
+                for i, r, W, _, _ in _chunks(panel_j):
+                    f[r] = np.einsum("gt,gt->g", W, mj[np.ix_(r, panel_j.blocks[i][1])])
             else:
                 tr_vals = _rowmap_at(rmaps[j + 1], panel_j.train_idx).apply(fields[j])
                 fields[j - 1] = panel_j.mean_field(tr_vals)
@@ -261,7 +262,7 @@ def _tilt_field(panel, b, basis):
     G, V, _ = basis
     out = np.zeros((panel.eval_states.shape[0], 1 if G is None else V.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, rows, W, (buf,) in _chunks(panel, 1):
+        for i, rows, W, _, (buf,) in _chunks(panel, 1):
             out[rows] = _shift_chunk(b, basis, i, rows, W, buf, buf)[1]
     return out
 
@@ -334,7 +335,7 @@ class _IndexMachine:
         self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
         Vb = [V[c] for _, c, _ in panel.blocks]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, rows, W, (r, prod, tmp, *wbuf) in _chunks(panel, 3 + len(self.Wk)):
+            for i, rows, W, _, (r, prod, tmp, *wbuf) in _chunks(panel, 3 + len(self.Wk)):
                 Vc = Vb[i]
                 self.wv[rows] = W @ Vc
                 wst = {}
@@ -605,14 +606,16 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                      if jp > j and m in design.sources_at(jp) and jp in cterm]
             if not later:
                 continue
+            # one kernel smoother over the rows of m regresses the later
+            # indices' seed rows on z̄_j, one column each
             m_rows = data.rows_of(m)
             panel = nuisance.panel(j)
-            tailval = np.zeros(m_rows.size)
-            for jp in later:
-                fit = fit_kernel_regression(Z[m_rows, :j], cterm[jp][m_rows])
-                if fit.floored:
-                    flags.add("SingularBandwidth")
-                tailval += fit.predict(Z[m_rows, :j])
+            X = Z[m_rows, :j]
+            h, floored = silverman_bandwidths(X)
+            if floored:
+                flags.add("SingularBandwidth")
+            tailval = _smoother(X, X, h).mean_field(
+                np.column_stack([cterm[jp][m_rows] for jp in later])).sum(axis=1)
             # center through the panel so the fitted tail stays mean-zero
             # against the target conditional at every state; the panel trains
             # on the rows of m, in its own (fold) order

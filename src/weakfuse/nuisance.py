@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from numbers import Integral, Real
 
 import numpy as np
@@ -30,6 +29,7 @@ _MIN_ROWS = 5
 _H_FLOOR = 1e-6
 _MAX_GRID_POINTS = 2001
 _CHUNK_BYTES = 1 << 18      # one float temporary per row chunk: about 256 KiB, cache-sized
+_STORE_BYTES = 1 << 24      # a weight block up to 16 MiB is kept; a larger one is rebuilt per read
 
 
 @dataclass(frozen=True)
@@ -96,44 +96,6 @@ def _gauss_weights(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _binary_columns(Z: np.ndarray) -> np.ndarray:
     """Whether each column of Z holds only the values 0 and 1."""
     return np.all((Z == 0.0) | (Z == 1.0), axis=0)
-
-
-@dataclass
-class RegressionFit:
-    """Nadaraya-Watson regression with a Gaussian product kernel; `floored`
-    records that a bandwidth hit its floor."""
-
-    X: np.ndarray
-    y: np.ndarray
-    h: np.ndarray
-    floored: bool = False
-
-    def predict(self, Xq: np.ndarray) -> np.ndarray:
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        out = np.empty(Xq.shape[0])
-        fallback = float(self.y.mean())
-        step = max(1, _CHUNK_BYTES // (8 * self.X.shape[0]))
-        for lo in range(0, Xq.shape[0], step):
-            w = _gauss_weights(Xq[lo:lo + step], self.X, self.h)
-            den = w.sum(axis=1)
-            num = w @ self.y
-            out[lo:lo + step] = np.where(den > 1e-300, num / np.where(den > 0, den, 1.0),
-                                         fallback)
-        return out
-
-
-def fit_kernel_regression(X, y) -> RegressionFit:
-    """Fit a kernel regression of y on X with Silverman bandwidths; needs at
-    least five rows."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.size:
-        raise StructuralError("X and y row counts differ")
-    if X.shape[0] < _MIN_ROWS:
-        raise InsufficientData(f"kernel regression needs >= {_MIN_ROWS} rows, got {X.shape[0]}")
-    return RegressionFit(X, y, *silverman_bandwidths(X))
 
 
 def _irls_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
@@ -302,67 +264,87 @@ class RowMap:
         return fields[self.lo] * (1.0 - f) + fields[self.hi] * f
 
 
+class _GaussRows:
+    """Nadaraya-Watson weight rows of the query points `Xq` against the
+    training points `Xt`: Gaussian product-kernel rows with bandwidths `h`,
+    all ones when there is no kernel column. `rows(lo, hi)` returns rows
+    lo:hi, each scaled to sum to one, and which of them are degenerate: a
+    row whose mass is below 1e-12 keeps its raw weights. A block of at most
+    `_STORE_BYTES` is built once and kept; a larger one is rebuilt on every
+    read, so it never holds more than the rows asked for."""
+
+    def __init__(self, Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray):
+        self.Xq, self.Xt, self.h = Xq, Xt, h
+        self._kept = (self._build(0, Xq.shape[0])
+                      if 8 * Xq.shape[0] * Xt.shape[0] <= _STORE_BYTES else None)
+
+    def _build(self, lo: int, hi: int):
+        Xq = self.Xq[lo:hi]
+        W = (_gauss_weights(Xq, self.Xt, self.h) if self.Xt.shape[1]
+             else np.ones((Xq.shape[0], self.Xt.shape[0])))
+        wsum = W.sum(axis=1)
+        deg = wsum < 1e-12
+        W /= np.where(deg, 1.0, wsum)[:, None]
+        return W, deg
+
+    def rows(self, lo: int, hi: int):
+        if self._kept is None:
+            return self._build(lo, hi)
+        W, deg = self._kept
+        return W[lo:hi], deg[lo:hi]
+
+
 def _chunks(panel, scratch=0):
-    """Row slices (views) of each weight block as (block index, rows, W,
-    bufs), sized so that a float array over one slice holds about
-    `_CHUNK_BYTES`; `bufs` holds `scratch` uninitialized arrays shaped like
-    the slice, allocated once per block."""
-    for i, (rows, cols, W) in enumerate(panel.blocks):
+    """Row slices of each weight block as (block index, rows, W, deg, bufs),
+    read from the block's row source and sized so that a float array over
+    one slice holds about `_CHUNK_BYTES`; `deg` marks the degenerate rows,
+    and `bufs` holds `scratch` uninitialized arrays shaped like the slice,
+    allocated once per block."""
+    for i, (rows, cols, src) in enumerate(panel.blocks):
         step = max(1, _CHUNK_BYTES // (8 * cols.size))
         bufs = np.empty((scratch, min(step, rows.size), cols.size))
         for lo in range(0, rows.size, step):
-            Wc = W[lo:lo + step]
-            yield i, rows[lo:lo + step], Wc, bufs[:, :Wc.shape[0]]
+            W, deg = src.rows(lo, lo + step)
+            yield i, rows[lo:lo + step], W, deg, bufs[:, :W.shape[0]]
 
 
 class _BlockPanel:
     """Conditional-moment math over a panel's target conditional weights.
 
-    The weights are stored as dense blocks `(rows, cols, W)`: states `rows`
-    against training columns `cols`, each row scaled at fit time to sum to
-    one. Rows whose kernel mass underflows keep their raw weights and are
-    marked degenerate, as are states that no block covers; those carry no
-    weight at all. The engine forms its (E, T) objects chunk by chunk.
+    The weights come in blocks `(rows, cols, src)`: states `rows` against
+    training columns `cols`, whose weight rows the row source `src` gives
+    out (see `_GaussRows`). Every reader takes them chunk by chunk through
+    `_chunks`. A degenerate row keeps its raw weights; it and the states
+    that no block covers carry no usable weight.
 
     `folds` pairs a slice of states with the slice of training columns their
     blocks read; by default one fold covers everything.
     """
 
-    folds = ((slice(None), slice(None)),)
-
-    def _set_blocks(self, blocks: list):
-        """Take freshly built blocks, scaling each row in place to sum to one."""
+    def __init__(self, eval_states: np.ndarray, blocks: list,
+                 folds=((slice(None), slice(None)),)):
+        self.eval_states = eval_states
         self.blocks = blocks
-        self.degenerate = np.ones(self.eval_states.shape[0], dtype=bool)
-        for rows, cols, W in blocks:
-            wsum = W.sum(axis=1)
-            self.degenerate[rows] = deg = wsum < 1e-12
-            W /= np.where(deg, 1.0, wsum)[:, None]
-
-    def rowmean(self, *factors, values=None) -> np.ndarray:
-        """Row means against the weights of the elementwise product of
-        `factors` (each a list of per-block arrays) with the value columns
-        `values`, of shape (T,) or (T, q), when given: one einsum or one
-        matmul per block, never a temporary larger than a block."""
-        E = self.eval_states.shape[0]
-        out = np.zeros((E,) if values is None else (E,) + np.shape(values)[1:])
-        for i, (rows, cols, W) in enumerate(self.blocks):
-            fs = [f[i] for f in factors]
-            if values is None:
-                out[rows] = np.einsum(",".join(["gt"] * (1 + len(fs))) + "->g", W, *fs)
-            else:
-                out[rows] = reduce(np.multiply, fs, W) @ values[cols]
-        return out
+        self.folds = folds
 
     def mean_field(self, train_values: np.ndarray) -> np.ndarray:
-        """NW conditional mean of train-side values at every eval state;
-        degenerate states read the train mean of their own fold."""
-        out = self.rowmean(values=train_values)
+        """NW conditional mean of train-side values, of shape (T,) or (T, q),
+        at every eval state; a degenerate or uncovered state reads the train
+        mean of its own fold."""
+        out = np.empty(self.eval_states.shape[:1] + np.shape(train_values)[1:])
         for states, cols in self.folds:
-            deg = self.degenerate[states]
-            if deg.any():
-                out[states][deg] = train_values[cols].mean(axis=0)
+            out[states] = train_values[cols].mean(axis=0)
+        Vb = [train_values[cols] for _, cols, _ in self.blocks]
+        for i, rows, W, deg, _ in _chunks(self):
+            out[rows[~deg]] = (W @ Vb[i])[~deg]
         return out
+
+
+def _smoother(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> _BlockPanel:
+    """A one-block panel whose `mean_field` of values at the training points
+    `Xt` is their Nadaraya-Watson regression, read at the query points `Xq`."""
+    return _BlockPanel(Xq, [(np.arange(Xq.shape[0]), np.arange(Xt.shape[0]),
+                             _GaussRows(Xq, Xt, h))])
 
 
 class KernelPanel(_BlockPanel):
@@ -452,16 +434,11 @@ class KernelPanel(_BlockPanel):
             for st_rows, cols in parts:
                 if cols.size == 0:
                     continue
-                W = (_gauss_weights(Xq, kern[cols], h) if kcols.size
-                     else np.ones((st_rows.size, cols.size)))
-                st_rows += f * E
-                cols += T0
-                blocks.append((st_rows, cols, W))
+                src = _GaussRows(Xq, kern[cols], h)
+                blocks.append((st_rows + f * E, cols + T0, src))
             folds.append((slice(f * E, (f + 1) * E), slice(T0, T0 + fr.size)))
             T0 += fr.size
-        self.folds = tuple(folds)
-        self.eval_states = np.vstack([states] * len(fold_rows))
-        self._set_blocks(blocks)
+        super().__init__(np.vstack([states] * len(fold_rows)), blocks, tuple(folds))
 
     def _branch_of(self, Zprev: np.ndarray) -> np.ndarray:
         """Branch id of each row, snapping to the nearest declared value."""

@@ -1,7 +1,10 @@
 """Shared fixtures. The Monte Carlo summary used by the acceptance tests is
 expensive (a rebuild at two threads, one BLAS thread each, took 460 s on a
-2-core box), so it is built once per cache key and persisted to
-.mc_cache.json next to this file. Delete that file to force a rebuild."""
+2-core box), so it is built once and persisted to .mc_cache.json next to
+this file; delete that file to rebuild it. The cache also stores rep 0 of a
+few cells, and every session recomputes them: a cache that the code under
+test no longer reproduces fails the acceptance tests instead of judging
+them with stale numbers."""
 
 import os
 
@@ -14,6 +17,7 @@ import hashlib
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from weakfuse.simulation import named_scenario, run_monte_carlo
@@ -53,19 +57,65 @@ def grid_key() -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+# rep 0 of each of these cells is stored in the cache and recomputed on load
+PINNED_CELLS = (("moderately_aligned", "none", "efficient_fusion"),
+                ("fully_aligned", "none", "overparametrized+5"),
+                ("poorly_aligned", "beta_shift", "efficient_fusion"))
+STALE_RTOL = 1e-10
+STALE_MESSAGE = "cache stale: rebuild (`rm tests/.mc_cache.json`, about 8 min at 2 threads)"
+
+
+def pinned_replicates() -> list[dict]:
+    """Estimate, se and β of rep 0 of each pinned cell, computed now."""
+    out = []
+    for name, shift, variant in PINNED_CELLS:
+        scenario = named_scenario(name, covariate_shift=shift, n_per_source=N_PER_SOURCE,
+                                  variants=(variant,))
+        _, (rec,) = run_monte_carlo([scenario], reps=1, master_seed=MASTER_SEED,
+                                    keep_replicates=True)
+        out.append({"scenario": name, "shift": shift, "variant": variant, "rep": 0,
+                    "estimate": rec.estimate, "se": rec.se, "beta": rec.beta})
+    return out
+
+
+def stale_reasons(blob: dict) -> list[str]:
+    """Why a loaded cache does not describe the grid and the code under test;
+    empty when it does."""
+    if blob.get("key") != grid_key():
+        return ["the study grid changed"]
+    stored = blob.get("pinned") or []
+    if [(r["scenario"], r["shift"], r["variant"]) for r in stored] != list(PINNED_CELLS):
+        return ["the pinned replicates are missing or cover other cells"]
+    reasons = []
+    for want, got in zip(stored, pinned_replicates()):
+        cell = f"{want['scenario']}/{want['shift']}/{want['variant']} rep 0"
+        for key in ("estimate", "se", "beta"):
+            w, g = np.atleast_1d(want[key]), np.atleast_1d(got[key])
+            if w.shape != g.shape:
+                reasons.append(f"{cell}: {key} has {g.size} entries, cached {w.size}")
+            elif not np.all(np.abs(g - w) <= STALE_RTOL * np.abs(w)):
+                rel = np.max(np.abs(g - w) / np.abs(w))
+                reasons.append(f"{cell}: {key} moved by {rel:.1e} relative")
+    return reasons
+
+
 def ensure_mc_cache() -> list[dict]:
-    key = grid_key()
+    """The cached summary rows; builds the cache only when the file is
+    missing, and fails when it is stale, never rebuilding it silently."""
     if os.path.exists(_CACHE_PATH):
         try:
             with open(_CACHE_PATH) as fh:
                 blob = json.load(fh)
-            if blob.get("key") == key:
-                return blob["rows"]
-        except (json.JSONDecodeError, KeyError):
-            pass
+        except json.JSONDecodeError as exc:
+            pytest.fail(f"{STALE_MESSAGE}: unreadable ({exc})", pytrace=False)
+        reasons = stale_reasons(blob)
+        if reasons:
+            pytest.fail(f"{STALE_MESSAGE}: " + "; ".join(reasons), pytrace=False)
+        return blob["rows"]
     rows = run_monte_carlo(study_grid(), reps=REPS, master_seed=MASTER_SEED,
                            threads=min(2, os.cpu_count() or 1))
-    blob = {"key": key, "rows": [asdict(r) for r in rows]}
+    blob = {"key": grid_key(), "rows": [asdict(r) for r in rows],
+            "pinned": pinned_replicates()}
     tmp = _CACHE_PATH + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(blob, fh)

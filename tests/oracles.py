@@ -4,7 +4,7 @@ Everything here is computed from first principles: finite-support laws with
 exact tables, dense least-squares projections onto the tangent space, dense
 kernel-panel weights, and closed-form Beta/Gaussian moments. None of it
 reuses engine code paths beyond plain data containers and, for the exact
-finite-support panel, the package's block-panel row means.
+finite-support panel, the package's block-panel reader.
 """
 
 import math
@@ -85,6 +85,16 @@ def dense_weights(panel, data: Dataset) -> np.ndarray:
     return W
 
 
+def kernel_regression(Xq: np.ndarray, Xt: np.ndarray, y: np.ndarray,
+                      h: np.ndarray) -> np.ndarray:
+    """Nadaraya-Watson regression of y on Xt read at Xq, as the kernel
+    formula (w @ y) / w.sum(1) over one dense Gaussian product-kernel
+    matrix w with bandwidths h."""
+    d2 = sum(((Xq[:, None, c] - Xt[None, :, c]) / h[c]) ** 2 for c in range(Xt.shape[1]))
+    w = np.exp(-0.5 * d2)
+    return (w @ y) / w.sum(axis=1)
+
+
 def dense_rowmean(W: np.ndarray, F: np.ndarray, values=None) -> np.ndarray:
     """sum_t W F V / sum_t W per row (V = 1 when `values` is None); rows
     whose weight mass is below 1e-12 keep the raw sum."""
@@ -107,6 +117,18 @@ def dense_mean_field(panel, data: Dataset, values: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------- discrete law ----
+
+class _Table:
+    """A stored weight table read as it is: its rows are never rescaled and
+    never degenerate."""
+
+    def __init__(self, W: np.ndarray):
+        self.W = W
+
+    def rows(self, lo: int, hi: int):
+        W = self.W[lo:hi]
+        return W, np.zeros(W.shape[0], dtype=bool)
+
 
 class DiscretePanel(_BlockPanel):
     """Exact conditional-moment evaluator over a finite support.
@@ -131,8 +153,7 @@ class DiscretePanel(_BlockPanel):
         if np.any(np.abs(W.sum(axis=1) - 1.0) > 1e-12):
             raise StructuralError("conditional probabilities must sum to one")
         self.train_idx = None
-        self.blocks = [(np.arange(E), np.arange(self.zj.size), W)]
-        self.degenerate = np.zeros(E, dtype=bool)
+        super().__init__(self.eval_states, [(np.arange(E), np.arange(self.zj.size), _Table(W))])
 
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))

@@ -20,6 +20,7 @@ from weakfuse.nuisance import fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec
 
+from conftest import _CACHE_PATH, stale_reasons
 from oracles import DiscreteLaw, gradient_aligned_only
 
 REFERENCE_VAR_E5 = {"target_only": 5.76, "naive_fusion": 1.50, "efficient_fusion": 2.26}
@@ -261,3 +262,15 @@ def test_aggregate_efficient_coverage(mc_rows):
     assert len(covs) == 8
     agg = float(np.mean(covs))
     assert 0.91 <= agg <= 0.98
+
+
+def test_stale_cache_is_caught(mc_rows):
+    # the cache the fixture accepted, with one pinned estimate nudged by
+    # 1e-9 relative or with its pinned replicates dropped, is stale
+    with open(_CACHE_PATH) as fh:
+        blob = json.load(fh)
+    blob["pinned"][0]["estimate"] *= 1 + 1e-9
+    assert stale_reasons(blob) == [
+        "moderately_aligned/none/efficient_fusion rep 0: estimate moved by 1.0e-09 relative"]
+    del blob["pinned"]
+    assert stale_reasons(blob) == ["the pinned replicates are missing or cover other cells"]

@@ -453,6 +453,28 @@ def test_user_errors_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("which", ["config", "data"])
+def test_non_utf8_file_exits_one_naming_file_and_line(tmp_path, capsys, which):
+    # one byte 0xff on line 3 of the config or of the CSV
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(default_config_dict(), indent=1))
+    data = _study_csv(tmp_path, n=60, seed=3)
+    bad = cfgp if which == "config" else data
+    lines = bad.read_bytes().split(b"\n")
+    lines[2] = lines[2][:4] + b"\xff" + lines[2][4:]
+    bad.write_bytes(b"\n".join(lines))
+    message = f"{which} {bad}: line 3 is not UTF-8 text (byte 0xff)"
+    with pytest.raises(ParseError) as info:
+        if which == "config":
+            parse_config(str(bad))
+        else:
+            ingest_csv(str(bad), {"z": ["z1", "z2", "z3"], "source": "source"})
+    assert str(info.value) == message
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("grid, message", [
     ("0:1:1e-300", f"more than {_MAX_GRID_POINTS} points"),
     ("0:inf:1", "must be finite"),

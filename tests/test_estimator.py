@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from weakfuse.estimator import (
     wald_interval,
 )
 import weakfuse.estimator
+import weakfuse.nuisance
 from weakfuse.gradients import EstimandSpec
 from weakfuse.model import Dataset, FusionDesign
 from weakfuse.nuisance import NuisanceOptions
@@ -405,11 +407,10 @@ def test_clip_counts_report_one_pass():
     assert 0 < report.clip_counts["wstar_j3"] <= n_rows
 
 
-def _exact_mode_instance():
+def _exact_mode_instance(n_per=300):
     # two continuous past coordinates put the index-3 panel in exact mode,
     # whose row map covers only the full dataset
     rng = np.random.default_rng(0)
-    n_per = 300
     z12 = rng.uniform(0.5, 1.5, (2 * n_per, 2))
     z3 = np.concatenate([rng.beta(2, 2, n_per), _tilted_beta_draws(rng, n_per, 0.8)])
     data = Dataset(np.column_stack([z12, z3]), np.repeat([1, 2], n_per), k=2)
@@ -431,6 +432,22 @@ def test_efficient_estimate_on_exact_mode_panel():
     assert rep.extras["flags"] == []
     # target mean of z3 is exactly 1/2
     assert abs(rep.estimate - 0.5) < 4 * rep.se
+
+
+def test_exact_mode_memory_grows_linearly(monkeypatch):
+    # with every weight block rebuilt chunk by chunk on each read, doubling
+    # the rows doubles at most the O(n) arrays, never an n x n block
+    monkeypatch.setattr(weakfuse.nuisance, "_STORE_BYTES", 0)
+    peaks = []
+    for n_per in (300, 600):
+        data, design = _exact_mode_instance(n_per)
+        tracemalloc.start()
+        try:
+            one_step_estimate(data, design, EstimandSpec("moment", index=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0], peaks
 
 
 def test_moment_tower_on_exact_mode_panel():

@@ -85,7 +85,9 @@ def test_seed_increments_center_through_panels(law_pass):
         for coef, col in sep:
             Dmat += (np.broadcast_to(coef, (E,))[:, None]
                      * np.broadcast_to(col, (T,))[None, :])
-        centered = panel.rowmean([Dmat[np.ix_(rows, cols)] for rows, cols, _ in panel.blocks])
+        centered = np.zeros(E)
+        for i, rows, W, _, _ in nuisance._chunks(panel):
+            centered[rows] = (W * Dmat[np.ix_(rows, panel.blocks[i][1])]).sum(axis=1)
         np.testing.assert_allclose(centered, 0.0, atol=1e-12)
 
 
@@ -380,12 +382,14 @@ def _bits(a) -> tuple:
 
 
 def _fitted_bits(nuis) -> dict:
-    """Bit images of the data and of every panel's weight blocks, training
-    values, states and row map."""
+    """Bit images of the data and of every panel's weight blocks (as their
+    row sources give them out), training values, states and row map."""
     out = {"z": _bits(nuis.data.z)}
     for j, p in nuis.panels.items():
         rm = nuis.rowmaps[j]
-        out[j] = ([tuple(map(_bits, block)) for block in p.blocks], _bits(p.zj),
+        blocks = [tuple(map(_bits, (rows, cols, *src.rows(0, rows.size))))
+                  for rows, cols, src in p.blocks]
+        out[j] = (blocks, _bits(p.zj),
                   _bits(p.eval_states), _bits(rm.lo), _bits(rm.hi), _bits(rm.frac))
     return out
 

@@ -10,17 +10,19 @@ from weakfuse.errors import (
     NuisanceMissing,
     StructuralError,
 )
+import weakfuse.nuisance as nuisance
+from weakfuse.betafit import moment_match_beta
 from weakfuse.estimator import one_step_estimate
-from weakfuse.gradients import _EPS_W, EstimandSpec, _IndexMachine
+from weakfuse.gradients import _EPS_W, EstimandSpec, _IndexMachine, compute_pass, seed_gradient
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
 from weakfuse.nuisance import (
     KernelPanel,
     MarginalRatioFits,
     NuisanceOptions,
-    RegressionFit,
     RowMap,
     _binary_columns,
-    fit_kernel_regression,
+    _chunks,
+    _smoother,
     fit_nuisance_bundle,
     fit_propensity,
     silverman_bandwidths,
@@ -35,6 +37,7 @@ from oracles import (
     dense_mean_field,
     dense_rowmean,
     dense_weights,
+    kernel_regression,
     lambda_prev,
 )
 
@@ -57,7 +60,9 @@ def test_silverman_floors_constant_column():
     h, floored = silverman_bandwidths(X)
     assert floored
     assert h[0] > 0
-    assert fit_kernel_regression(X, X[:, 1]).floored
+    # the shared smoother still reads the other column's signal exactly
+    got = _smoother(X, X, h).mean_field(X[:, 1])
+    np.testing.assert_allclose(got, kernel_regression(X, X, X[:, 1], h), rtol=1e-13)
     # an exact-mode panel over the same two past coordinates records the
     # floor as a fit-time flag of the bundle
     data = Dataset(np.column_stack([X, X[::-1, 1]]), np.ones(50, dtype=int), k=1)
@@ -85,30 +90,50 @@ def test_grid_panel_records_a_floored_bandwidth():
 def test_kernel_regression_constant_is_flat():
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(60, 1))
-    fit = fit_kernel_regression(X, np.full(60, 3.7))
-    np.testing.assert_allclose(fit.predict(rng.uniform(size=(20, 1))), 3.7, rtol=1e-13)
+    smoother = _smoother(rng.uniform(size=(20, 1)), X, silverman_bandwidths(X)[0])
+    np.testing.assert_allclose(smoother.mean_field(np.full(60, 3.7)), 3.7, rtol=1e-13)
 
 
 def test_kernel_regression_tracks_smooth_signal():
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 1, 1500)
     y = np.sin(2 * np.pi * x) + rng.normal(scale=0.05, size=1500)
-    fit = RegressionFit(x[:, None], y, np.array([0.03]))
     xq = np.linspace(0.1, 0.9, 9)[:, None]
-    np.testing.assert_allclose(fit.predict(xq), np.sin(2 * np.pi * xq.ravel()), atol=0.05)
+    got = _smoother(xq, x[:, None], np.array([0.03])).mean_field(y)
+    np.testing.assert_allclose(got, np.sin(2 * np.pi * xq.ravel()), atol=0.05)
+
+
+@pytest.mark.parametrize("store_bytes", [0, 2 ** 62])
+def test_tail_smoother_matches_kernel_formula(monkeypatch, store_bytes):
+    # the tail adjustment's smoother, kept whole or rebuilt chunk by chunk,
+    # against the dense kernel formula, one value column at a time
+    monkeypatch.setattr(nuisance, "_STORE_BYTES", store_bytes)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0, 1, size=(300, 2))
+    Y = np.column_stack([np.sin(6 * X[:, 0]), X[:, 1] ** 2 - 0.3])
+    h, floored = silverman_bandwidths(X)
+    assert not floored
+    got = _smoother(X, X, h).mean_field(Y)
+    for c in range(2):
+        np.testing.assert_allclose(got[:, c], kernel_regression(X, X, Y[:, c], h), rtol=1e-13)
 
 
 def test_kernel_regression_rules_and_errors():
-    rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, 200)
-    y = np.sin(6 * x)
-    fit = fit_kernel_regression(x, y)
-    np.testing.assert_array_equal(fit.h, silverman_bandwidths(x[:, None])[0])
-    assert not fit.floored
-    with pytest.raises(StructuralError):
-        fit_kernel_regression(x, y[:-1])
-    with pytest.raises(InsufficientData):
-        fit_kernel_regression(x[:4], y[:4])
+    # z1 is constant on the rows of source 1, the single source at index 1,
+    # but not on index 2's training rows: only the tail adjustment's smoother
+    # floors its bandwidth, and the engine pass flags it
+    rng = np.random.default_rng(0)
+    n = 200
+    z1 = np.concatenate([np.full(n, 0.7), rng.uniform(0.5, 1.0, 2 * n)])
+    data = Dataset(np.column_stack([z1, rng.beta(2, 2, 3 * n)]), np.repeat([1, 2, 3], n), k=3)
+    design = FusionDesign(d=2, k=3, relevant=(1, 2), aligned={1: {1}, 2: {1, 3}},
+                          weak={2: {2}}, weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
+    nuis = fit_nuisance_bundle(data, design)
+    assert not nuis.panel(2).floored and "SingularBandwidth" not in nuis.flags
+    seed = seed_gradient(EstimandSpec("moment", index=2), nuis)
+    p = compute_pass(nuis, moment_match_beta(nuis).beta, seed)
+    assert "SingularBandwidth" in p.flags
+    assert np.all(np.isfinite(p.dtilde))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +298,9 @@ def test_kernel_panel_scope_mode():
     panel = KernelPanel(1, data, np.arange(40), NuisanceOptions())
     assert panel.grid is not None
     assert panel.eval_states.shape == (1, 0)
-    (rows, cols, W), = panel.blocks
+    (rows, cols, src), = panel.blocks
+    W, deg = src.rows(0, rows.size)
+    assert not deg.any()
     np.testing.assert_array_equal(rows, [0])
     np.testing.assert_array_equal(cols, np.arange(40))
     assert W.shape == (1, 40) and np.all(W == W[0, 0])
@@ -339,8 +366,9 @@ def test_kernel_panel_weights_at_matches_kernel():
     manual = np.exp(-0.5 * ((x - data.z[:, 0]) / panel.h[0][0]) ** 2)
     np.testing.assert_allclose(dense_weights(panel, data)[e], manual, rtol=1e-12)
     # without binary coordinates one block covers every state and training
-    # row, each row normalized at fit time
-    (rows, cols, W), = panel.blocks
+    # row, each row normalized
+    (rows, cols, src), = panel.blocks
+    W, _ = src.rows(0, rows.size)
     np.testing.assert_array_equal(rows, np.arange(panel.eval_states.shape[0]))
     np.testing.assert_array_equal(cols, np.arange(200))
     np.testing.assert_allclose(W[e], manual / manual.sum(), rtol=1e-12)
@@ -364,7 +392,8 @@ def test_discrete_panel_exactness():
     with pytest.raises(StructuralError, match="support"):
         panel.row_map(np.array([[5.0, 5.0]]))
     e = panel.row_map(np.array([[law.Z1[0], law.Z2[1]]])).lo[0]
-    (rows, cols, W), = panel.blocks
+    (rows, cols, src), = panel.blocks
+    W, _ = src.rows(0, rows.size)
     np.testing.assert_array_equal(W[e], law.Q3[(0, 1)])
 
 
@@ -375,8 +404,7 @@ def _grid_data(n, n_binary, rng):
     return Dataset(z, np.ones(n, dtype=int), k=1)
 
 
-@pytest.fixture(scope="module")
-def block_panels():
+def _build_block_panels():
     rng = np.random.default_rng(29)
     cases = {}
     for nb in (0, 1, 2):
@@ -402,15 +430,42 @@ def block_panels():
     data = _grid_data(300, 1, rng)
     cases["cross_fit_empty_branch"] = (data, KernelPanel(
         3, data, np.flatnonzero(data.z[:, 1] == 0.0), NuisanceOptions(cross_fit=True)))
+    # training rows bunched at small z1: states far above them have no
+    # kernel mass, so their rows are degenerate
+    data = _grid_data(300, 1, rng)
+    cases["grid_degenerate"] = (data, KernelPanel(
+        3, data, np.flatnonzero(data.z[:, 0] < 0.2), NuisanceOptions()))
+    data = _panel_data(120, rng)
+    cases["exact_degenerate"] = (data, KernelPanel(
+        3, data, np.flatnonzero(data.z[:, 0] < 0.2), NuisanceOptions()))
     return cases
 
 
-@pytest.mark.parametrize("name", ["cross_fit", "cross_fit_empty_branch", "cross_fit_exact",
-                                  "exact", "grid_0_binary", "grid_1_binary",
-                                  "grid_2_binary", "grid_empty_branch", "grid_only_binary",
-                                  "scope"])
-def test_block_panel_matches_dense_oracle(block_panels, name):
-    data, panel = block_panels[name]
+@pytest.fixture(scope="module")
+def block_panels():
+    return _build_block_panels()
+
+
+@pytest.fixture(scope="module")
+def rebuilt_block_panels():
+    # with no byte budget every block is rebuilt chunk by chunk on each read
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nuisance, "_STORE_BYTES", 0)
+        return _build_block_panels()
+
+
+def _read_dense(panel):
+    """A panel's normalized weights and degenerate rows as read through
+    `_chunks`, scattered into one (E, T) matrix and an (E,) mask."""
+    E, T = panel.eval_states.shape[0], panel.zj.size
+    W, deg = np.zeros((E, T)), np.zeros(E, dtype=bool)
+    for i, rows, Wc, dc, _ in _chunks(panel):
+        W[np.ix_(rows, panel.blocks[i][1])] = Wc
+        deg[rows] = dc
+    return W, deg
+
+
+def _check_block_panel(data, panel):
     W = dense_weights(panel, data)
     E, T = W.shape
     assert E == panel.eval_states.shape[0] and T == panel.zj.size
@@ -420,19 +475,38 @@ def test_block_panel_matches_dense_oracle(block_panels, name):
     for rows, cols, _ in panel.blocks:
         cover[np.ix_(rows, cols)] = True
     assert not np.any(W[~cover])
+    # the rows read through `_chunks` are the kernel rows scaled to sum to
+    # one, except degenerate ones, which keep their raw weights
+    Wn, deg = _read_dense(panel)
+    np.testing.assert_array_equal(deg, cover.any(axis=1) & (W.sum(axis=1) < 1e-12))
     rng = np.random.default_rng(30)
     F = rng.uniform(0.5, 2.0, size=(E, T))
     V = rng.normal(size=(T, 3))
-    Fb = [F[np.ix_(rows, cols)] for rows, cols, _ in panel.blocks]
     tol = dict(rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(panel.rowmean(Fb), dense_rowmean(W, F), **tol)
-    np.testing.assert_allclose(panel.rowmean(Fb, Fb, values=V),
-                               dense_rowmean(W, F * F, V), **tol)
-    np.testing.assert_allclose(panel.rowmean(values=V[:, 0]),
-                               dense_rowmean(W, np.ones_like(F), V[:, 0]), **tol)
+    np.testing.assert_allclose((Wn * F).sum(axis=1), dense_rowmean(W, F), **tol)
+    np.testing.assert_allclose((Wn * F * F) @ V, dense_rowmean(W, F * F, V), **tol)
+    np.testing.assert_allclose(Wn @ V[:, 0], dense_rowmean(W, np.ones_like(F), V[:, 0]), **tol)
     np.testing.assert_allclose(panel.mean_field(V), dense_mean_field(panel, data, V), **tol)
     np.testing.assert_allclose(panel.mean_field(V[:, 1]),
                                dense_mean_field(panel, data, V[:, 1]), **tol)
+
+
+_BLOCK_CASES = ["cross_fit", "cross_fit_empty_branch", "cross_fit_exact", "exact",
+                "exact_degenerate", "grid_0_binary", "grid_1_binary", "grid_2_binary",
+                "grid_degenerate", "grid_empty_branch", "grid_only_binary", "scope"]
+
+
+@pytest.mark.parametrize("name", _BLOCK_CASES)
+def test_block_panel_matches_dense_oracle(block_panels, name):
+    _check_block_panel(*block_panels[name])
+
+
+@pytest.mark.parametrize("name", _BLOCK_CASES)
+def test_rebuilt_block_panel_matches_dense_oracle(block_panels, rebuilt_block_panels, name):
+    data, panel = rebuilt_block_panels[name]
+    assert all(src._kept is None for _, _, src in panel.blocks)
+    assert all(src._kept is not None for _, _, src in block_panels[name][1].blocks)
+    _check_block_panel(data, panel)
 
 
 def test_block_panel_shapes(block_panels):
@@ -441,28 +515,40 @@ def test_block_panel_shapes(block_panels):
     for name in ("grid_1_binary", "grid_2_binary", "cross_fit", "grid_empty_branch"):
         data, panel = block_panels[name]
         E, T = panel.eval_states.shape[0], panel.zj.size
-        assert sum(W.size for _, _, W in panel.blocks) <= E * T // 2
-    # a branch without training rows gets no block; its states are
-    # degenerate and read the train mean
+        assert sum(rows.size * cols.size for rows, cols, _ in panel.blocks) <= E * T // 2
+    # a branch without training rows gets no block; its states read the
+    # train mean, and the covered states are not degenerate
     data, panel = block_panels["grid_empty_branch"]
     G = panel.grid.size
     (rows, cols, _), = panel.blocks
     np.testing.assert_array_equal(rows, np.arange(G))
-    assert panel.degenerate[G:].all() and not panel.degenerate[:G].any()
+    assert not _read_dense(panel)[1].any()
     v = data.z[panel.train_idx, 2]
     np.testing.assert_array_equal(panel.mean_field(v)[G:], v.mean())
-    np.testing.assert_array_equal(panel.rowmean(values=v)[G:], 0.0)
+    # degenerate rows read the train mean too, and only they do
+    for name in ("grid_degenerate", "exact_degenerate"):
+        data, panel = block_panels[name]
+        deg = _read_dense(panel)[1]
+        assert 0 < deg.sum() < deg.size
+        v = data.z[panel.train_idx, 2]
+        f = panel.mean_field(v)
+        np.testing.assert_array_equal(f[deg], v.mean())
+        assert np.all(f[~deg] != v.mean())
 
 
 def test_discrete_panel_block_rowmeans():
+    # the stored table is read as it is, and the backward tower of the
+    # third moment's seed reads its factor through it to the exact mean
     law = DiscreteLaw()
-    panel = law.bundle().panel(3)
+    bundle = law.bundle()
+    panel = bundle.panel(3)
     Q = np.array([law.Q3[(b1, b2)] for b1 in range(2) for b2 in range(2)])
-    F = np.arange(12.0).reshape(4, 3) + 1.0
-    np.testing.assert_allclose(panel.rowmean([F]), (Q * F).sum(axis=1), rtol=1e-13)
-    np.testing.assert_allclose(panel.rowmean([F], values=law.Z3), (Q * F) @ law.Z3,
-                               rtol=1e-13)
+    W, deg = _read_dense(panel)
+    np.testing.assert_array_equal(W, Q)
+    assert not deg.any()
     np.testing.assert_array_equal(panel.mean_field(law.Z3), Q @ law.Z3)
+    seed = seed_gradient(EstimandSpec("moment", index=3), bundle)
+    assert seed.plugin == pytest.approx(law.psi, rel=1e-13)
 
 
 def test_discrete_panel_guards():

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import weakfuse.nuisance as nuisance
 from weakfuse.cli import default_config_dict, parse_config_dict
 from weakfuse.estimator import EstimatorVariant, one_step_estimate
 from weakfuse.gradients import EstimandSpec
@@ -106,6 +107,26 @@ def test_estimate_matches_pinned_value(name, pinned):
     for key, value in want["gradient_variances"].items():
         np.testing.assert_allclose(got["gradient_variances"][key], value, rtol=1e-12,
                                    atol=0, err_msg=key)
+
+
+def _hex(value):
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hex(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("name", ["study_efficient_fusion", "study_cross_fit",
+                                  "study_truncation_threshold", "exact_efficient_fusion"])
+def test_estimate_does_not_depend_on_the_store_budget(monkeypatch, name):
+    # weight blocks kept whole and rebuilt chunk by chunk on every read give
+    # the same report, bit for bit
+    got = []
+    for store_bytes in (0, 2 ** 62):
+        monkeypatch.setattr(nuisance, "_STORE_BYTES", store_bytes)
+        got.append(_hex(_record(CASES[name]())))
+    assert got[0] == got[1]
 
 
 if __name__ == "__main__":
