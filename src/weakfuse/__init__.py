@@ -23,7 +23,6 @@ from .model import (
     BetaParam,
     Dataset,
     FusionDesign,
-    ValidationReport,
     assemble_beta,
     beta_slice,
     layout_from_design,
@@ -75,7 +74,6 @@ __all__ = [
     "NuisanceOptions",
     "Scenario",
     "SummaryRow",
-    "ValidationReport",
     "apply_variant",
     "assemble_beta",
     "basis_matrix",

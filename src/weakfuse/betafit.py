@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import _EPS_W, _rowmap_at, _tilt_basis, _tilt_field
+from .gradients import _EPS_W, _tilt_basis, _tilt_field
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
 from .weights import basis_matrix
@@ -41,11 +41,10 @@ def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int) -> tuple:
     panel = nuisance.panel(j)
 
     tbar = basis_matrix(spec, data.z[data.rows_of(s), :j]).mean(axis=0)
-    rows_a = np.concatenate([data.rows_of(m) for m in sorted(design.aligned_at(j))])
-    rows_a.sort()
+    rows_a = data.rows_in(design.aligned_at(j))
     t_a = basis_matrix(spec, data.z[rows_a, :j])
     rho_a = nuisance.ratio_fits(j).rho(s, data.z[rows_a, :j - 1])
-    rmap = _rowmap_at(nuisance.rowmaps[j], rows_a)
+    rmap = nuisance.rowmaps[j].take(rows_a)
     return panel, _tilt_basis(panel, spec), tbar, t_a, rho_a, rmap
 
 

@@ -40,6 +40,7 @@ from .simulation import (
     ALIGNMENT_LEVELS,
     named_scenario,
     run_monte_carlo,
+    study_design,
     summary_to_csv,
 )
 from .weights import WeightSpec
@@ -74,6 +75,13 @@ def _as_int(val, path: str) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ParseError(f"{path}: expected an integer, got {val!r}")
     return val
+
+
+def _given(obj: dict, key: str, default):
+    """The value at `key`; only a missing key or null means the default, so
+    any other value reaches the type check that names the key."""
+    val = obj.get(key)
+    return default if val is None else val
 
 
 def _as_int_list(val, path: str) -> list[int]:
@@ -114,7 +122,7 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     weak = _index_map(dsn.get("weak"), "config.design.weak")
 
     specs = {}
-    spec_block = dsn.get("weight_specs") or {}
+    spec_block = _given(dsn, "weight_specs", {})
     if not isinstance(spec_block, dict):
         raise ParseError("config.design.weight_specs: expected an object")
     for key, body in spec_block.items():
@@ -157,7 +165,7 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     except WeakfuseError as exc:
         raise SemanticError(f"config.design: {exc}") from None
 
-    est = cfg.get("estimand") or {"kind": "ate"}
+    est = _given(cfg, "estimand", {"kind": "ate"})
     if not isinstance(est, dict):
         raise ParseError("config.estimand: expected an object")
     _expect_keys(est, {"kind", "coefficient", "index", "power"}, "config.estimand")
@@ -170,7 +178,7 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     except WeakfuseError as exc:
         raise SemanticError(f"config.estimand: {exc}") from None
 
-    var = cfg.get("variant") or {"kind": "efficient_fusion"}
+    var = _given(cfg, "variant", {"kind": "efficient_fusion"})
     if not isinstance(var, (dict, str)):
         raise ParseError("config.variant: expected an object or string")
     if isinstance(var, dict):
@@ -182,7 +190,7 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     except ValueError as exc:
         raise SemanticError(f"config.variant: {exc}") from None
 
-    opt = cfg.get("options") or {}
+    opt = _given(cfg, "options", {})
     if not isinstance(opt, dict):
         raise ParseError("config.options: expected an object")
     _expect_keys(opt, {"ratio_clip", "propensity_clip", "grid_points", "cross_fit"},
@@ -199,7 +207,7 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     if seed is not None:
         seed = _as_int(seed, "config.seed")
 
-    columns = cfg.get("columns") or {}
+    columns = _given(cfg, "columns", {})
     if not isinstance(columns, dict):
         raise ParseError("config.columns: expected an object")
     _expect_keys(columns, {"z", "source"}, "config.columns")
@@ -238,20 +246,20 @@ def parse_config(path: str) -> RunConfig:
 
 
 def default_config_dict() -> dict:
-    """The canonical study configuration (round-trips through parse_config)."""
+    """The canonical study configuration: `study_design()` with the default
+    estimand, variant and options (round-trips through parse_config). The
+    study's weight models are all tilts, written as their terms."""
+    design = study_design()
     return {
         "design": {
-            "d": 3,
-            "k": 4,
-            "relevant": [1, 3],
-            "aligned": {"1": [1], "2": [1, 2, 3, 4], "3": [1]},
-            "weak": {"3": [2, 3, 4]},
-            "weight_specs": {
-                "3,2": {"family": "exponential_tilt",
-                        "terms": ["z1*log(z3)", "z1*z2*log(z3)"]},
-                "3,3": {"family": "exponential_tilt", "terms": ["z1*log1m(z3)"]},
-                "3,4": {"family": "exponential_tilt", "terms": ["z1*z2*log(z3)"]},
-            },
+            "d": design.d,
+            "k": design.k,
+            "relevant": list(design.relevant),
+            "aligned": {str(j): sorted(s) for j, s in design.aligned},
+            "weak": {str(j): sorted(s) for j, s in design.weak},
+            "weight_specs": {f"{j},{s}": {"family": spec.family,
+                                          "terms": [t.text() for t in spec.terms]}
+                             for (j, s), spec in design.weight_specs},
         },
         "estimand": {"kind": "ate"},
         "variant": {"kind": "efficient_fusion", "extra_terms": 0},
@@ -275,7 +283,8 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
 
     mapping: {"z": [column names for z1..zd in order], "source": column name}.
     Source labels are remapped to 1..k by sorted string order; the map is
-    returned alongside the dataset so reports can echo it.
+    returned alongside the dataset so reports can echo it. A blank or
+    missing label raises ParseError naming the row.
     """
     zcols = mapping.get("z")
     scol = mapping.get("source")
@@ -308,6 +317,9 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
                     raise NonNumericCell(i + 2, col, cell) from None
     si = index[scol]
     raw_labels = [row[si].strip() if si < len(row) else "" for row in body]
+    if "" in raw_labels:
+        raise ParseError(f"data {path}: row {raw_labels.index('') + 2}, column {scol!r}: "
+                         f"blank source label")
     uniq = sorted(set(raw_labels))
     label_map = {lab: i + 1 for i, lab in enumerate(uniq)}
     source = np.array([label_map[lab] for lab in raw_labels], dtype=int)
@@ -352,10 +364,10 @@ def _load_run(args):
                               "source": "source"}
     data, label_map = ingest_csv(args.data, mapping)
     try:
-        report = validate_design(cfg.design, data)
+        notes = validate_design(cfg.design, data)
     except WeakfuseError as exc:
         raise SemanticError(str(exc)) from None
-    for note in report.warnings:
+    for note in notes:
         print(f"note: {note}", file=sys.stderr)
     return cfg, data, label_map
 

@@ -81,4 +81,5 @@ class EmptyFile(WeakfuseError):
 
 class NonFiniteNormalizer(WeakfuseError):
     """A tilt parameter drove a weight normalizer out of floating-point range in
-    the engine; moment matching never accepts one, so β was supplied or updated."""
+    the engine. Moment matching checks its moments at the aligned rows only, so
+    its β can still overflow at panel states those rows never read."""

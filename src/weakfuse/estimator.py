@@ -150,11 +150,11 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         raise BadLevel(f"confidence level must be in (0, 1), got {level!r}")
     variant = variant or EstimatorVariant()
     design_v = apply_variant(design, variant)
-    validation = validate_design(design_v, data)
+    notes = validate_design(design_v, data)
     bundle = fit_nuisance_bundle(data, design_v, estimand, options)
     seed = seed_gradient(estimand, bundle)
     flags = set(bundle.flags)
-    if validation.warnings:
+    if notes:
         flags.add("UserWarning")
 
     mm = moment_match_beta(bundle)

@@ -25,8 +25,8 @@ from .errors import (
     StructuralError,
 )
 from .model import BetaParam, layout_from_design
-from .nuisance import FittedNuisance, RowMap, _chunks, _smoother, silverman_bandwidths
-from .weights import eval_weight_many
+from .nuisance import FittedNuisance, _chunks, _smoother, silverman_bandwidths
+from .weights import basis_matrix, eval_weight_many
 
 _EIG_TOL = 1e-10
 _EPS_W = 1e-8       # floor on a tilt normalizer, in the engine and the moment match
@@ -110,9 +110,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         mu1_rows = p3.row_map(np.column_stack([Z[:, 0], np.ones(data.n)])).apply(mu_field)
         mu0_rows = p3.row_map(np.column_stack([Z[:, 0], np.zeros(data.n)])).apply(mu_field)
         contrast_rows = mu1_rows - mu0_rows
-        mu1_tr = p3.row_map(np.column_stack([p1.zj, np.ones(p1.zj.size)])).apply(mu_field)
-        mu0_tr = p3.row_map(np.column_stack([p1.zj, np.zeros(p1.zj.size)])).apply(mu_field)
-        contrast_tr = mu1_tr - mu0_tr
+        contrast_tr = contrast_rows[p1.train_idx]
         plugin = float(p1.mean_field(contrast_tr)[0])
         rows[1] = contrast_rows - plugin
         sep[1] = [(np.ones(1), contrast_tr - plugin)]
@@ -166,20 +164,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         fields: dict[int, np.ndarray] = {}
         fields[jm - 1] = pjm.mean_field(vals_tr)
         for j in range(jm - 1, 0, -1):
-            panel_j = nuisance.panel(j)
-            upper = nuisance.panel(j + 1)
-            if panel_j.train_idx is None:    # columns are support values, not data rows
-                st = panel_j.eval_states
-                E, T = st.shape[0], panel_j.zj.size
-                prefixes = np.column_stack([np.repeat(st, T, axis=0),
-                                            np.tile(panel_j.zj, E)])
-                mj = upper.row_map(prefixes).apply(fields[j]).reshape(E, T)
-                fields[j - 1] = f = np.zeros(E)
-                for i, r, W, _, _ in _chunks(panel_j):
-                    f[r] = np.einsum("gt,gt->g", W, mj[np.ix_(r, panel_j.blocks[i][1])])
-            else:
-                tr_vals = _rowmap_at(rmaps[j + 1], panel_j.train_idx).apply(fields[j])
-                fields[j - 1] = panel_j.mean_field(tr_vals)
+            fields[j - 1] = nuisance.panel(j).next_mean(fields[j], nuisance)
         for j in range(1, jm):
             m_rows[j] = rmaps[j + 1].apply(fields[j])
         plugin = float(fields[0][0])
@@ -214,40 +199,34 @@ def _batched_pinv(M: np.ndarray, force_null: bool = True):
     return pinv, dropped
 
 
-def _rowmap_at(rowmap: RowMap, rows: np.ndarray) -> RowMap:
-    """The part of a row map that covers the given data rows."""
-    return RowMap(rowmap.lo[rows], rowmap.hi[rows], rowmap.frac[rows])
-
-
 def _tilt_basis(panel, spec):
-    """β-free factors of a weak pair's shift on a panel, as (G, V, Vb): for a
-    tilt, the prefactors G at the states and the value columns V = [1, ψ] at
-    the training values; for a truncation, G is None and V the step at the
-    training values. Vb holds each weight block's gathers of V, (V[cols],
-    V[cols, 1:].T) for a tilt and (V[cols], None) for a step."""
+    """β-free factors of a weak pair's shift on a panel, as (G, vals): for a
+    tilt, the prefactors G at the states and vals = (V, Ψ), the value columns
+    V = [1, ψ] at the training values and their ψ part Ψ, kept apart so that
+    its gathers are contiguous; for a truncation, G is None and vals holds
+    the step at the training values."""
     if spec.family != "exponential_tilt":
-        V = (panel.zj >= spec.threshold).astype(float)
-        return None, V, [(V[cols], None) for _, cols, _ in panel.blocks]
+        return None, ((panel.zj >= spec.threshold).astype(float),)
     G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
     V = np.column_stack([np.ones(panel.zj.size)]
                         + [t.terminal_values(panel.zj) for t in spec.terms])
-    return G, V, [(V[cols], V[cols, 1:].T) for _, cols, _ in panel.blocks]
+    return G, (V, V[:, 1:])
 
 
-def _shift_chunk(b, basis, i, rows, W, buf, tmp):
-    """A weak pair's unnormalized shift at b on a chunk of weight block i,
-    given its `_tilt_basis`, and the shift's row means against [1, ψ] (a
-    step has the normalizer only). A tilt's shift is formed in `buf` and
-    W times it in `tmp`, which may be `buf` when only the means are wanted;
-    a step's shift is the basis's own values, to be read only."""
-    G, _, Vb = basis
-    Vc, VcT = Vb[i]
+def _shift_chunk(b, G, rows, W, vals, buf, tmp):
+    """A weak pair's unnormalized shift at b on a chunk of a weight block,
+    given the prefactors G of its `_tilt_basis` and its vals gathered at the
+    block's columns, and the shift's row means against [1, ψ] (a step has
+    the normalizer only). A tilt's shift is formed in `buf` and W times it
+    in `tmp`, which may be `buf` when only the means are wanted; a step's
+    shift is its gathered values, to be read only."""
     if G is None:
-        return Vc, (W @ Vc)[:, None]
+        return vals[0], (W @ vals[0])[:, None]
+    Vc, Pc = vals
     # with one term numpy's matmul skips BLAS and adds the plain product to 0,
     # which changes at most the sign of a zero exponent
     Gb = G[rows] * b
-    (np.multiply if Gb.shape[1] == 1 else np.matmul)(Gb, VcT, out=buf)
+    (np.multiply if Gb.shape[1] == 1 else np.matmul)(Gb, Pc.T, out=buf)
     np.exp(buf, out=buf)
     return buf, np.multiply(W, buf, out=tmp) @ Vc
 
@@ -259,11 +238,11 @@ def _tilt_field(panel, b, basis):
     No exponent is clipped: `exp` overflows silently into a non-finite
     field, which the engine reports as `NonFiniteNormalizer` and the moment
     match counts as a trial step that did not lower its residual."""
-    G, V, _ = basis
-    out = np.zeros((panel.eval_states.shape[0], 1 if G is None else V.shape[1]))
+    G, vals = basis
+    out = np.zeros((panel.eval_states.shape[0], 1 if G is None else vals[0].shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, rows, W, _, (buf,) in _chunks(panel, 1):
-            out[rows] = _shift_chunk(b, basis, i, rows, W, buf, buf)[1]
+        for rows, W, _, vc, (buf,) in _chunks(panel, *vals, scratch=1):
+            out[rows] = _shift_chunk(b, G, rows, W, vc, buf, buf)[1]
     return out
 
 
@@ -302,25 +281,28 @@ class _IndexMachine:
             nuisance.delta[m] * ratio.rho(m, panel.eval_states) for m in self.S])
         dt_rows = np.column_stack([
             nuisance.delta[m] * ratio.rho(m, data.z[:, :j - 1]) for m in self.S])
-        self.rows_S = np.flatnonzero(np.isin(data.source, self.S))
+        self.rows_S = data.rows_in(self.S)
         self.src_S = data.source[self.rows_S]
         # interpolates (E,) or (E, q) fields to the S_j rows
-        self.at_rows = _rowmap_at(nuisance.rowmaps[j], self.rows_S).apply
+        self.at_rows = nuisance.rowmaps[j].take(self.rows_S).apply
         ZS = data.z[self.rows_S, :j]
 
-        # value columns: 1, then each tilt term ψ, then each seed column
+        # value columns: 1, then each tilt term ψ, then each seed column; the
+        # arrays each weak source's shift reads follow them in `_chunks` below
         cols = [np.ones(T)]
-        shifts = {}                                 # (b, basis) per weak source
+        shifts = {}                                 # (b, G, span of its arrays)
+        vals = []
         self.G: dict[int, np.ndarray] = {}          # tilt prefactors at states
         self.psi_cols: dict[int, slice] = {}
         for s in self.Wk:
             b = beta.values[offs.get((j, s), slice(0, 0))]     # empty for a truncation
-            G, V, _ = basis = _tilt_basis(panel, design.spec_for(j, s))
-            shifts[s] = (b, basis)
+            G, vs = _tilt_basis(panel, design.spec_for(j, s))
+            shifts[s] = (b, G, slice(1 + len(vals), 1 + len(vals) + len(vs)))
+            vals.extend(vs)
             if G is not None:
                 self.G[s] = G
-                self.psi_cols[s] = slice(len(cols), len(cols) + V.shape[1] - 1)
-                cols.extend(V[:, 1:].T)
+                self.psi_cols[s] = slice(len(cols), len(cols) + vs[1].shape[1])
+                cols.extend(vs[1].T)
         self.seed_cols = slice(len(cols), len(cols) + len(sep or ()))
         cols.extend(np.broadcast_to(col, (T,)) for _, col in sep or ())
         V = np.column_stack(cols)
@@ -333,14 +315,15 @@ class _IndexMachine:
         keys = [(), *((s,) for s in self.Wk), *combinations_with_replacement(self.Wk, 2)]
         self.wv = np.zeros((E, V.shape[1]))
         self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
-        Vb = [V[c] for _, c, _ in panel.blocks]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, rows, W, _, (r, prod, tmp, *wbuf) in _chunks(panel, 3 + len(self.Wk)):
-                Vc = Vb[i]
+            for rows, W, _, vc, (r, prod, tmp, *wbuf) in _chunks(
+                    panel, V, *vals, scratch=3 + len(self.Wk)):
+                Vc = vc[0]
                 self.wv[rows] = W @ Vc
                 wst = {}
                 for s, buf in zip(self.Wk, wbuf):
-                    w, raw[s][rows] = _shift_chunk(*shifts[s], i, rows, W, buf, tmp)
+                    b, G, span = shifts[s]
+                    w, raw[s][rows] = _shift_chunk(b, G, rows, W, vc[span], buf, tmp)
                     wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], _EPS_W)[:, None], out=buf)
                 for a, m in enumerate(self.S):      # r = 1 / (0 + t₀ + t₁ + …), then W·r
                     dt = self.dt_e[rows, a:a + 1]
@@ -556,7 +539,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             spec = design.spec_for(j, s)
             sl = offs[(j, s)]
             sidx = mach.S.index(s)
-            t_own = np.column_stack([trm.evaluate(Z[rows_S, :j]) for trm in spec.terms])
+            t_own = basis_matrix(spec, Z[rows_S, :j])
             r_own_s = mach.dt_own[:, sidx] * mach.wst_own[s] * mach.R_own
             resid_own = t_own - mach.at_rows(mach.et[s])
             scores_raw[rows_S, sl] = (src_S == s)[:, None] * resid_own

@@ -67,6 +67,11 @@ class Dataset:
         """Positional indices of rows from source s (possibly empty)."""
         return self._rows_by_source.get(s, np.empty(0, dtype=int))
 
+    def rows_in(self, sources: Iterable[int]) -> np.ndarray:
+        """Positional indices of rows from any of the given sources, in order."""
+        parts = [self.rows_of(s) for s in sources]
+        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=int)
+
     def source_counts(self) -> dict[int, int]:
         return {s: self.rows_of(s).size for s in range(1, self.k + 1)}
 
@@ -144,16 +149,11 @@ class OverlapDiagnostics:
     frac_clipped: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    warnings: tuple[str, ...]
-
-
-def validate_design(design: FusionDesign, data: Dataset) -> ValidationReport:
+def validate_design(design: FusionDesign, data: Dataset) -> tuple[str, ...]:
     """Check a design against a dataset; hard violations raise StructuralError.
 
     Soft issues (weak sources at an index the estimand ignores) are returned
-    as notes in `warnings`, not raised.
+    as notes, not raised.
     """
     if data.d != design.d or data.k != design.k:
         raise StructuralError(
@@ -184,7 +184,7 @@ def validate_design(design: FusionDesign, data: Dataset) -> ValidationReport:
         if s not in weak_map.get(j, frozenset()):
             raise StructuralError(f"weight model given for ({j}, {s}) but source not weak there")
         spec.check_index(j)
-    return ValidationReport(warnings=tuple(warn))
+    return tuple(warn)
 
 
 @dataclass(frozen=True)

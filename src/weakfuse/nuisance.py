@@ -98,27 +98,28 @@ def _binary_columns(Z: np.ndarray) -> np.ndarray:
     return np.all((Z == 0.0) | (Z == 1.0), axis=0)
 
 
-def _irls_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
-                   max_iter: int = 60) -> np.ndarray:
-    beta = np.zeros(X.shape[1])
-    for _ in range(max_iter):
-        eta = np.clip(X @ beta, -30, 30)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        w = np.maximum(p * (1 - p), 1e-10)
-        H = (X * w[:, None]).T @ X + ridge * np.eye(X.shape[1])
-        g = X.T @ (y - p) - ridge * beta
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
-        beta = beta + step
-        if np.max(np.abs(step)) < 1e-10:
+def _logistic_fit(X: np.ndarray, y: np.ndarray):
+    """Logistic coefficients by IRLS from a zero start, and whether
+    separation (a coefficient above 30 in size, or not finite) forced a
+    refit with a 1e-4 ridge penalty."""
+    for ridge in (0.0, 1e-4):
+        beta = np.zeros(X.shape[1])
+        for _ in range(60):
+            eta = np.clip(X @ beta, -30, 30)
+            p = 1.0 / (1.0 + np.exp(-eta))
+            w = np.maximum(p * (1 - p), 1e-10)
+            H = (X * w[:, None]).T @ X + ridge * np.eye(X.shape[1])
+            g = X.T @ (y - p) - ridge * beta
+            try:
+                step = np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(H, g, rcond=None)[0]
+            beta = beta + step
+            if np.max(np.abs(step)) < 1e-10:
+                break
+        if np.all(np.isfinite(beta)) and np.max(np.abs(beta)) <= 30:
             break
-    return beta
-
-
-def _separated(coef: np.ndarray) -> bool:
-    return not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > 30
+    return beta, ridge > 0
 
 
 @dataclass
@@ -141,18 +142,14 @@ def fit_propensity(data: Dataset, design: FusionDesign,
                    options: NuisanceOptions | None = None) -> PropensityFit:
     """Fit P(Z_2 = 1 | Z_1) on rows whose source participates at index 2."""
     options = options or NuisanceOptions()
-    rows = np.concatenate([data.rows_of(s) for s in sorted(design.sources_at(2))])
-    rows.sort()
+    rows = data.rows_in(design.sources_at(2))
     if rows.size < _MIN_ROWS:
         raise InsufficientData("too few rows in the index-2 scope")
     y = data.z[rows, 1]
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise NonBinaryTreatment("index-2 values outside {0, 1}")
     X = np.column_stack([np.ones(rows.size), data.z[rows, 0]])
-    coef = _irls_logistic(X, y)
-    ridged = _separated(coef)
-    if ridged:
-        coef = _irls_logistic(X, y, ridge=1e-4)
+    coef, ridged = _logistic_fit(X, y)
     return PropensityFit(coef=coef, clip=options.propensity_clip, ridged=ridged)
 
 
@@ -182,7 +179,6 @@ class MarginalRatioFits:
         self.options = options
         self.ridged = False
         self.sources = tuple(sorted(design.sources_at(j)))
-        aligned = sorted(design.aligned_at(j))
         self._coef: dict[int, np.ndarray | None] = {}
         self._ld: dict[int, float] = {}
         self._diag: dict[int, OverlapDiagnostics] = {}
@@ -199,10 +195,10 @@ class MarginalRatioFits:
         self._center = Zfull.mean(axis=0)
         sd = Zfull.std(axis=0)
         self._scale = np.where(sd > 1e-12, sd, 1.0)
-        pool_rows = np.concatenate([data.rows_of(s) for s in aligned])
-        pool_rows.sort()
+        aligned = design.aligned_at(j)
+        pool_rows = data.rows_in(aligned)
         X0 = _ratio_features(Zfull[pool_rows], self._binary, self._center, self._scale)
-        single_aligned = aligned[0] if len(aligned) == 1 else None
+        single_aligned = min(aligned) if len(aligned) == 1 else None
         for s in self.sources:
             rows_s = data.rows_of(s)
             if rows_s.size < _MIN_ROWS or pool_rows.size < _MIN_ROWS:
@@ -214,11 +210,8 @@ class MarginalRatioFits:
                 X1 = _ratio_features(Zfull[rows_s], self._binary, self._center, self._scale)
                 X = np.vstack([X0, X1])
                 yy = np.concatenate([np.zeros(X0.shape[0]), np.ones(X1.shape[0])])
-                coef = _irls_logistic(X, yy)
-                if _separated(coef):
-                    self.ridged = True
-                    coef = _irls_logistic(X, yy, ridge=1e-4)
-                self._coef[s] = coef
+                self._coef[s], ridged = _logistic_fit(X, yy)
+                self.ridged |= ridged
                 self._ld[s] = float(np.log(pool_rows.size / rows_s.size))
             vals = self._rho_unclipped(s, Zfull)
             lo, hi = options.ratio_clip
@@ -263,6 +256,10 @@ class RowMap:
         f = self.frac if fields.ndim == 1 else self.frac[:, None]
         return fields[self.lo] * (1.0 - f) + fields[self.hi] * f
 
+    def take(self, rows: np.ndarray) -> "RowMap":
+        """The part of the map that covers the given rows."""
+        return RowMap(self.lo[rows], self.hi[rows], self.frac[rows])
+
 
 class _GaussRows:
     """Nadaraya-Watson weight rows of the query points `Xq` against the
@@ -294,18 +291,20 @@ class _GaussRows:
         return W[lo:hi], deg[lo:hi]
 
 
-def _chunks(panel, scratch=0):
-    """Row slices of each weight block as (block index, rows, W, deg, bufs),
-    read from the block's row source and sized so that a float array over
-    one slice holds about `_CHUNK_BYTES`; `deg` marks the degenerate rows,
-    and `bufs` holds `scratch` uninitialized arrays shaped like the slice,
-    allocated once per block."""
-    for i, (rows, cols, src) in enumerate(panel.blocks):
+def _chunks(panel, *values, scratch=0):
+    """Row slices of each weight block as (rows, W, deg, vals, bufs), read
+    from the block's row source and sized so that a float array over one
+    slice holds about `_CHUNK_BYTES`; `deg` marks the degenerate rows, `vals`
+    holds each of `values` (arrays over the training columns) gathered at
+    the block's columns, and `bufs` holds `scratch` uninitialized arrays
+    shaped like the slice. Gathers and buffers are made once per block."""
+    for rows, cols, src in panel.blocks:
         step = max(1, _CHUNK_BYTES // (8 * cols.size))
+        vals = tuple(v[cols] for v in values)
         bufs = np.empty((scratch, min(step, rows.size), cols.size))
         for lo in range(0, rows.size, step):
             W, deg = src.rows(lo, lo + step)
-            yield i, rows[lo:lo + step], W, deg, bufs[:, :W.shape[0]]
+            yield rows[lo:lo + step], W, deg, vals, bufs[:, :W.shape[0]]
 
 
 class _BlockPanel:
@@ -334,9 +333,8 @@ class _BlockPanel:
         out = np.empty(self.eval_states.shape[:1] + np.shape(train_values)[1:])
         for states, cols in self.folds:
             out[states] = train_values[cols].mean(axis=0)
-        Vb = [train_values[cols] for _, cols, _ in self.blocks]
-        for i, rows, W, deg, _ in _chunks(self):
-            out[rows[~deg]] = (W @ Vb[i])[~deg]
+        for rows, W, deg, (V,), _ in _chunks(self, train_values):
+            out[rows[~deg]] = (W @ V)[~deg]
         return out
 
 
@@ -482,6 +480,13 @@ class KernelPanel(_BlockPanel):
             lo, hi = lo + shift, hi + shift
         return RowMap(lo, hi, frac)
 
+    def next_mean(self, field: np.ndarray, nuisance: FittedNuisance) -> np.ndarray:
+        """E_Q[f(z̄_j) | z̄_{j-1}] at this panel's states, for f given as a
+        field on the states of the index-(j+1) panel of `nuisance`: f is read
+        at the training rows through that panel's row map and averaged by
+        `mean_field`."""
+        return self.mean_field(nuisance.rowmaps[self.j + 1].take(self.train_idx).apply(field))
+
 
 class FittedNuisance:
     """Everything the estimator and gradient engine need, fitted once.
@@ -535,9 +540,7 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     panels: dict[int, object] = {}
     ratios: dict[int, MarginalRatioFits] = {}
     for j in design.relevant:
-        rows = np.concatenate([data.rows_of(s) for s in sorted(design.aligned_at(j))])
-        rows.sort()
-        panels[j] = KernelPanel(j, data, rows, options)
+        panels[j] = KernelPanel(j, data, data.rows_in(design.aligned_at(j)), options)
     for j in design.relevant:
         ratios[j] = MarginalRatioFits(j, design, data, options)
     propensity = None

@@ -255,6 +255,17 @@ def test_ingest_rejections(tmp_path):
         ingest_csv(str(p), {"z": [], "source": "source"})
 
 
+@pytest.mark.parametrize("body", ["1.0,1\n2.0,\n3.0,3\n", "1.0,1\n2.0, \n3.0,3\n",
+                                  "1.0,1\n2.0\n3.0,3\n"])
+def test_ingest_rejects_a_blank_source_label(tmp_path, body):
+    # a blank label would sort first and become source 1, the target
+    p = tmp_path / "d.csv"
+    p.write_text("z1,source\n" + body)
+    with pytest.raises(ParseError, match=re.escape(f"data {p}: row 3, column 'source': "
+                                                   "blank source label")):
+        ingest_csv(str(p), {"z": ["z1"], "source": "source"})
+
+
 def test_ingest_names_the_first_bad_cell_in_row_order(tmp_path):
     # columns are converted one at a time, but the error still names the
     # first bad cell reading row by row: z2 in row 2, not z1 in row 3
@@ -345,9 +356,96 @@ def _study_config(tmp_path, seed=11):
     return p
 
 
+# the config-dump text of the study configuration, byte for byte
+_STUDY_CONFIG_TEXT = """\
+{
+  "columns": {
+    "source": "source",
+    "z": [
+      "z1",
+      "z2",
+      "z3"
+    ]
+  },
+  "design": {
+    "aligned": {
+      "1": [
+        1
+      ],
+      "2": [
+        1,
+        2,
+        3,
+        4
+      ],
+      "3": [
+        1
+      ]
+    },
+    "d": 3,
+    "k": 4,
+    "relevant": [
+      1,
+      3
+    ],
+    "weak": {
+      "3": [
+        2,
+        3,
+        4
+      ]
+    },
+    "weight_specs": {
+      "3,2": {
+        "family": "exponential_tilt",
+        "terms": [
+          "z1*log(z3)",
+          "z1*z2*log(z3)"
+        ]
+      },
+      "3,3": {
+        "family": "exponential_tilt",
+        "terms": [
+          "z1*log1m(z3)"
+        ]
+      },
+      "3,4": {
+        "family": "exponential_tilt",
+        "terms": [
+          "z1*z2*log(z3)"
+        ]
+      }
+    }
+  },
+  "estimand": {
+    "kind": "ate"
+  },
+  "level": 0.95,
+  "options": {
+    "cross_fit": false,
+    "grid_points": 301,
+    "propensity_clip": [
+      0.01,
+      0.99
+    ],
+    "ratio_clip": [
+      0.001,
+      1000.0
+    ]
+  },
+  "seed": null,
+  "variant": {
+    "extra_terms": 0,
+    "kind": "efficient_fusion"
+  }
+}
+"""
+
+
 def test_config_dump_round_trip(tmp_path, capsys):
     out = tmp_path / "cfg.json"
     assert main(["config-dump", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _STUDY_CONFIG_TEXT
     cfg = parse_config(str(out))
     assert cfg.design.k == 4
     again = tmp_path / "cfg2.json"
@@ -575,6 +673,12 @@ def test_bandwidth_option_is_rejected(tmp_path, capsys):
     (("variant",), "overparametrized+x", "config.variant: invalid literal for int()"),
     (("variant",), "overparametrized+0",
      "config.variant: overparametrized variant needs extra_terms >= 1"),
+    # only a missing key or null takes a block's default
+    (("estimand",), False, "config.estimand: expected an object"),
+    (("variant",), "", "config.variant: unknown variant ''"),
+    (("options",), 0, "config.options: expected an object"),
+    (("columns",), [], "config.columns: expected an object"),
+    (("design", "weight_specs"), False, "config.design.weight_specs: expected an object"),
 ])
 def test_malformed_options_exit_before_reading_data(tmp_path, capsys, path, value, message):
     blob = default_config_dict()

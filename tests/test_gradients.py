@@ -86,8 +86,8 @@ def test_seed_increments_center_through_panels(law_pass):
             Dmat += (np.broadcast_to(coef, (E,))[:, None]
                      * np.broadcast_to(col, (T,))[None, :])
         centered = np.zeros(E)
-        for i, rows, W, _, _ in nuisance._chunks(panel):
-            centered[rows] = (W * Dmat[np.ix_(rows, panel.blocks[i][1])]).sum(axis=1)
+        for rows, W, _, (cols,), _ in nuisance._chunks(panel, np.arange(T)):
+            centered[rows] = (W * Dmat[np.ix_(rows, cols)]).sum(axis=1)
         np.testing.assert_allclose(centered, 0.0, atol=1e-12)
 
 

@@ -459,8 +459,8 @@ def _read_dense(panel):
     `_chunks`, scattered into one (E, T) matrix and an (E,) mask."""
     E, T = panel.eval_states.shape[0], panel.zj.size
     W, deg = np.zeros((E, T)), np.zeros(E, dtype=bool)
-    for i, rows, Wc, dc, _ in _chunks(panel):
-        W[np.ix_(rows, panel.blocks[i][1])] = Wc
+    for rows, Wc, dc, (cols,), _ in _chunks(panel, np.arange(T)):
+        W[np.ix_(rows, cols)] = Wc
         deg[rows] = dc
     return W, deg
 

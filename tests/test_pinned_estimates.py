@@ -7,6 +7,13 @@ The pinned values live in pinned_estimates.json next to this file. After a
 deliberate numerical change, regenerate them with
 
     PYTHONPATH=src python tests/test_pinned_estimates.py --write
+
+To check that a change leaves every pinned case bit-identical, compare
+
+    PYTHONPATH=src python tests/test_pinned_estimates.py --hex
+
+before and after it with `diff`: it prints each case's full report, interval
+and extras included, as sorted JSON with every float in float hex.
 """
 
 import json
@@ -130,8 +137,12 @@ def test_estimate_does_not_depend_on_the_store_budget(monkeypatch, name):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--hex"]:
+        reports = {name: _hex(fn().to_json_dict()) for name, fn in sorted(CASES.items())}
+        print(json.dumps(reports, indent=2, sort_keys=True))
+        raise SystemExit(0)
     if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: test_pinned_estimates.py --write")
+        raise SystemExit("usage: test_pinned_estimates.py --write | --hex")
     blob = {name: _record(fn()) for name, fn in sorted(CASES.items())}
     with open(_PATH, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=2, sort_keys=True)
