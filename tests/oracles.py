@@ -153,18 +153,18 @@ class DiscretePanel(_BlockPanel):
         if np.any(np.abs(W.sum(axis=1) - 1.0) > 1e-12):
             raise StructuralError("conditional probabilities must sum to one")
         self.train_idx = None
-        self.cond_probs = W
         super().__init__(self.eval_states, [(np.arange(E), np.arange(self.zj.size), _Table(W))])
 
     def next_mean(self, field: np.ndarray, nuisance: FittedNuisance) -> np.ndarray:
         """E_Q[f(z̄_j) | z̄_{j-1}] at every support state, exactly: f, a field
         on the index-(j+1) panel's states, is read at each state extended by
         each support value of z_j and weighted by the table."""
-        E, T = self.cond_probs.shape
+        W = self.blocks[0][2].W
+        E, T = W.shape
         prefixes = np.column_stack([np.repeat(self.eval_states, T, axis=0),
                                     np.tile(self.zj, E)])
         f = nuisance.panel(self.j + 1).row_map(prefixes).apply(field).reshape(E, T)
-        return np.einsum("gt,gt->g", self.cond_probs, f)
+        return np.einsum("gt,gt->g", W, f)
 
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))

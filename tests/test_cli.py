@@ -647,6 +647,33 @@ def test_estimate_prints_validation_notes(tmp_path, capsys):
     assert "UserWarning" in json.loads(out.read_text())["flags"]
 
 
+@pytest.mark.parametrize("k, aligned", [
+    # the propensity trains on source 1 only
+    (3, {"1": [1, 2], "2": [1], "3": [1, 3]}),
+    # the propensity trains on every row
+    (2, {"1": [1, 2], "2": [1], "3": [1]}),
+])
+def test_mean_difference_rejects_a_non_binary_treatment(tmp_path, capsys, k, aligned):
+    # source k draws z2 ~ U(0, 1), so the index-3 panel takes the exact
+    # layout and cannot read the two arms; the true contrast is 2
+    rng = np.random.default_rng(4)
+    src = np.repeat(np.arange(1, k + 1), 300)
+    z1 = rng.uniform(1.0, 2.0, src.size)
+    z2 = (rng.uniform(size=src.size) < 0.5).astype(float)
+    z2[src == k] = rng.uniform(0.0, 1.0, 300)
+    z3 = z1 + 2.0 * z2 + rng.normal(0.0, 0.5, src.size)
+    rows = [f"{float(a)!r},{float(b)!r},{float(c)!r},{s}" for a, b, c, s in zip(z1, z2, z3, src)]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(["z1,z2,z3,source"] + rows) + "\n")
+    design = {"d": 3, "k": k, "relevant": [1, 2, 3], "aligned": aligned,
+              "weak": {}, "weight_specs": {}}
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps({"design": design, "estimand": {"kind": "ate"}}))
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "needs a binary z2" in capsys.readouterr().err
+
+
 def test_bandwidth_option_is_rejected(tmp_path, capsys):
     blob = default_config_dict()
     blob["options"]["bandwidth"] = "silverman"
