@@ -42,8 +42,9 @@ def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int) -> tuple:
 
     tbar = basis_matrix(spec, data.z[data.rows_of(s), :j]).mean(axis=0)
     rows_a = data.rows_in(design.aligned_at(j))
-    t_a = basis_matrix(spec, data.z[rows_a, :j])
-    rho_a = nuisance.ratio_fits(j).rho(s, data.z[rows_a, :j - 1])
+    Z_a = np.take(data.z[:, :j], rows_a, axis=0)
+    t_a = basis_matrix(spec, Z_a)
+    rho_a = nuisance.ratio_fits(j).rho(s, Z_a[:, :j - 1])
     rmap = nuisance.rowmaps[j].take(rows_a)
     return panel, _tilt_basis(panel, spec), tbar, t_a, rho_a, rmap
 
@@ -53,14 +54,15 @@ def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap):
     of range gives non-finite values, which the line search rejects."""
     raw = _tilt_field(panel, b, basis)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        wfield = np.maximum(raw[:, 0], _EPS_W)
-        wcfield = basis[0] * raw[:, 1:]
-        wf_rows = rmap.apply(wfield)
+        # the normalizer and E_Q[w t | e] reach the rows in one row-map read
+        at = rmap.apply(np.column_stack([np.maximum(raw[:, 0], _EPS_W),
+                                         basis[0] * raw[:, 1:]]))
+        wf_rows = at[:, 0]
         wtilda = rho_a * np.exp(t_a @ b) / wf_rows
         D = wtilda.sum()
         N = t_a.T @ wtilda
         m = N / D - tbar
-        score_rows = t_a - rmap.apply(wcfield) / wf_rows[:, None]
+        score_rows = t_a - at[:, 1:] / wf_rows[:, None]
         J = (t_a * wtilda[:, None]).T @ score_rows / D \
             - np.outer(N / D, wtilda @ score_rows / D)
     return m, J

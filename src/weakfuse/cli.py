@@ -218,19 +218,21 @@ def parse_config_dict(cfg: dict) -> RunConfig:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of a UTF-8 file; a file that cannot be read or decoded raises
-    ParseError naming it, and the line of the first byte that is not UTF-8."""
+    """The text of a UTF-8 file, without a leading byte-order mark; a file
+    that cannot be read or decoded raises ParseError naming it, and the line
+    of the first byte that is not UTF-8."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # with a mark, the error indexes the bytes after it; the mark has no newline
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{what} {path}: line {line} is not UTF-8 text "
-                         f"(byte 0x{raw[exc.start]:02x})") from None
+                         f"(byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -278,30 +280,60 @@ def config_hash(cfg: dict) -> str:
 
 # ------------------------------------------------------------------ data ----
 
-def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
-    """Read a dataset from CSV using a column mapping.
-
-    mapping: {"z": [column names for z1..zd in order], "source": column name}.
-    Source labels are remapped to 1..k by sorted string order; the map is
-    returned alongside the dataset so reports can echo it. A blank or
-    missing label raises ParseError naming the row.
-    """
-    zcols = mapping.get("z")
-    scol = mapping.get("source")
-    if not zcols or not isinstance(zcols, list) or not scol:
-        raise ParseError('column mapping needs "z" (list) and "source" (name)')
-    rows = list(csv.reader(io.StringIO(_read_text(path, "data"), newline="")))
-    if not rows:
-        raise EmptyFile(f"{path} has no header row")
-    header = [h.strip() for h in rows[0]]
+def _column_index(path: str, header: list, n_body: int, zcols: list, scol) -> dict:
+    """The position of every mapped column in the header row; a missing
+    column or an empty body raises."""
+    header = [h.strip() for h in header]
     index = {}
     for col in list(zcols) + [scol]:
         if col not in header:
             raise MissingColumn(f"column {col!r} not in header {header}")
         index[col] = header.index(col)
-    body = rows[1:]
-    if not body:
+    if not n_body:
         raise EmptyFile(f"{path} has a header but no data rows")
+    return index
+
+
+def _read_plain(path: str, text: str, zcols: list, scol):
+    """The z columns and the raw source cells of text with no quote and no
+    lone carriage return, parsed in one pass: `np.loadtxt` reads the z
+    columns and a split the labels. None when the csv reader must decide:
+    a blank line (loadtxt skips it; here it is an error), a line longer than
+    the csv field limit, or a cell that loadtxt rejects (such as `1_0`,
+    which `float` accepts)."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    if not lines:
+        raise EmptyFile(f"{path} has no header row")
+    body = lines[1:]
+    index = _column_index(path, lines[0].split(",") if lines[0] else [], len(body),
+                          zcols, scol)
+    if "" in body:
+        return None
+    try:
+        z = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                       usecols=[index[col] for col in zcols])
+    except ValueError:
+        return None
+    if z.shape[0] != len(body):
+        return None
+    si = index[scol]
+    cells = (line.split(",", si + 1) for line in body)
+    return z, [row[si] if si < len(row) else "" for row in cells]
+
+
+def _read_csv(path: str, text: str, zcols: list, scol):
+    """The z columns and the raw source cells of any text, through the csv
+    reader; a cell that is not a number raises NonNumericCell naming the
+    first such cell in row order."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise EmptyFile(f"{path} has no header row")
+    body = rows[1:]
+    index = _column_index(path, rows[0], len(body), zcols, scol)
     z = np.empty((len(body), len(zcols)))
     try:
         for cidx, c in enumerate(index[col] for col in zcols):
@@ -316,7 +348,28 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
                 except ValueError:
                     raise NonNumericCell(i + 2, col, cell) from None
     si = index[scol]
-    raw_labels = [row[si].strip() if si < len(row) else "" for row in body]
+    return z, [row[si] if si < len(row) else "" for row in body]
+
+
+def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
+    """Read a dataset from CSV using a column mapping.
+
+    mapping: {"z": [column names for z1..zd in order], "source": column name}.
+    Source labels are remapped to 1..k by sorted string order; the map is
+    returned alongside the dataset so reports can echo it. A blank or
+    missing label raises ParseError naming the row. Text with a quote or a
+    lone carriage return, and plain text the one-pass parse cannot settle,
+    goes through the csv reader; both give the same dataset or error.
+    """
+    zcols = mapping.get("z")
+    scol = mapping.get("source")
+    if not zcols or not isinstance(zcols, list) or not scol:
+        raise ParseError('column mapping needs "z" (list) and "source" (name)')
+    text = _read_text(path, "data")
+    plain = '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n"))
+    parsed = _read_plain(path, text, zcols, scol) if plain else None
+    z, cells = parsed or _read_csv(path, text, zcols, scol)
+    raw_labels = [cell.strip() for cell in cells]
     if "" in raw_labels:
         raise ParseError(f"data {path}: row {raw_labels.index('') + 2}, column {scol!r}: "
                          f"blank source label")

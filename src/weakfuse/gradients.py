@@ -287,7 +287,7 @@ class _IndexMachine:
         self.src_S = data.source[self.rows_S]
         # interpolates (E,) or (E, q) fields to the S_j rows
         self.at_rows = nuisance.rowmaps[j].take(self.rows_S).apply
-        ZS = data.z[self.rows_S, :j]
+        self.ZS = ZS = np.take(data.z[:, :j], self.rows_S, axis=0)
 
         # value columns: 1, then each tilt term ψ, then each seed column; the
         # arrays each weak source's shift reads follow them in `_chunks` below
@@ -369,24 +369,29 @@ class _IndexMachine:
         # second moments of the shifts against r; aligned entries double as
         # the first-moment fields E_Q[w*_m r | e]
         k = len(self.S)
-        self.P = np.array([[self.mom[self._key(ma, mc)][:, 0] for mc in self.S]
-                           for ma in self.S]).transpose(2, 0, 1)
-        self.Ewr = self.P[:, :, self.S.index(min(design.aligned_at(j)))]   # (E, k)
-        self.M = -self.P.copy()
+        P = np.array([[self.mom[self._key(ma, mc)][:, 0] for mc in self.S]
+                      for ma in self.S]).transpose(2, 0, 1)
+        Ewr = P[:, :, self.S.index(min(design.aligned_at(j)))]   # (E, k)
+        self.M = -P.copy()
         self.M[:, np.arange(k), np.arange(k)] += 1.0 / self.dt_e
         self.Minv, dropped = _batched_pinv(self.M)
         self.rank_lost = int(np.sum(dropped > 1))
 
         # posterior weights at the realized S_j rows
-        self.dt_own = dt_rows[self.rows_S]
+        self.dt_own = np.take(dt_rows, self.rows_S, axis=0)
         den_own = np.zeros(self.rows_S.size)
         for i, m in enumerate(self.S):
             den_own += self.dt_own[:, i] * self.wst_own.get(m, 1.0)
         self.R_own = 1.0 / den_own
         self.dtsum_own = self.dt_own.sum(axis=1)
         # (rows, |S|) matrix of w*_m r at the realized S_j rows
-        self.wr_own = np.column_stack([self.wst_own.get(m, 1.0) * self.R_own
-                                       for m in self.S])
+        wr_own = np.column_stack([self.wst_own.get(m, 1.0) * self.R_own for m in self.S])
+
+        # β-fixed parts of every projection: the realized shifts less their
+        # mean, and per weak source its rows and second moments less the mean
+        self.wr_dev = wr_own - self.at_rows(Ewr)
+        self.weak_parts = [(i, self.src_S == m, P[:, :, i] - Ewr)
+                           for i, m in enumerate(self.S) if m in self.wfield]
 
     def _key(self, *ms) -> tuple:
         return tuple(sorted(m for m in ms if m in self.wfield))
@@ -398,17 +403,19 @@ class _IndexMachine:
         moments `free` = (E_Q[· | e], E_Q[· w*_m | e]) are given.
 
         Subtracts the conditional mean, adds the correction u = M⁻ D along
-        the realized shifts and subtracts the per-weak-source centers."""
+        the realized shifts and subtracts the per-weak-source centers; the
+        three fields reach the rows through one row-map read."""
         Emean = np.einsum("eq,eq->e", alpha, self.mom[self._key(*shift)]) + free[0]
         D = np.column_stack([np.einsum("eq,eq->e", alpha, self.mom[self._key(*shift, m)])
                              for m in self.S]) + free[1]
         u = np.einsum("eij,ej->ei", self.Minv, D)
-        out = (own - self.at_rows(Emean)
-               + np.einsum("ri,ri->r", self.at_rows(u), self.wr_own - self.at_rows(self.Ewr)))
-        for i, m in enumerate(self.S):
-            if m in self.wfield:
-                center = D[:, i] - Emean + np.einsum("ei,ei->e", u, self.P[:, :, i] - self.Ewr)
-                out -= (self.src_S == m) * self.at_rows(center)
+        centers = [D[:, i] - Emean + np.einsum("ei,ei->e", u, dev)
+                   for i, _, dev in self.weak_parts]
+        k = len(self.S)
+        at = self.at_rows(np.column_stack([Emean, u, *centers]))
+        out = own - at[:, 0] + np.einsum("ri,ri->r", at[:, 1:1 + k], self.wr_dev)
+        for c, (_, in_m, _) in enumerate(self.weak_parts):
+            out -= in_m * at[:, 1 + k + c]
         return out
 
 
@@ -541,7 +548,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             spec = design.spec_for(j, s)
             sl = offs[(j, s)]
             sidx = mach.S.index(s)
-            t_own = basis_matrix(spec, Z[rows_S, :j])
+            t_own = basis_matrix(spec, mach.ZS)
             r_own_s = mach.dt_own[:, sidx] * mach.wst_own[s] * mach.R_own
             resid_own = t_own - mach.at_rows(mach.et[s])
             scores_raw[rows_S, sl] = (src_S == s)[:, None] * resid_own

@@ -252,9 +252,16 @@ class RowMap:
     frac: np.ndarray
 
     def apply(self, fields: np.ndarray) -> np.ndarray:
-        fields = np.asarray(fields)
+        """fields[lo] * (1 - frac) + fields[hi] * frac, gathered by `np.take`
+        and combined in place, which skips numpy's slow 2-D fancy index."""
+        fields = np.asarray(fields, dtype=float)
         f = self.frac if fields.ndim == 1 else self.frac[:, None]
-        return fields[self.lo] * (1.0 - f) + fields[self.hi] * f
+        out = np.take(fields, self.lo, axis=0)
+        out *= 1.0 - f
+        upper = np.take(fields, self.hi, axis=0)
+        upper *= f
+        out += upper
+        return out
 
     def take(self, rows: np.ndarray) -> "RowMap":
         """The part of the map that covers the given rows."""
@@ -300,7 +307,7 @@ def _chunks(panel, *values, scratch=0):
     shaped like the slice. Gathers and buffers are made once per block."""
     for rows, cols, src in panel.blocks:
         step = max(1, _CHUNK_BYTES // (8 * cols.size))
-        vals = tuple(v[cols] for v in values)
+        vals = tuple(np.take(v, cols, axis=0) for v in values)
         bufs = np.empty((scratch, min(step, rows.size), cols.size))
         for lo in range(0, rows.size, step):
             W, deg = src.rows(lo, lo + step)

@@ -7,11 +7,14 @@ reuses engine code paths beyond plain data containers and, for the exact
 finite-support panel, the package's block-panel reader.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from weakfuse.errors import StructuralError
+from weakfuse.cli import _read_text
+from weakfuse.errors import EmptyFile, MissingColumn, NonNumericCell, ParseError, StructuralError
 from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
 from weakfuse.nuisance import FittedNuisance, NuisanceOptions, RowMap, _BlockPanel
 from weakfuse.weights import WeightSpec
@@ -373,3 +376,49 @@ class _ExactRatio:
 
     def overlap_diagnostics(self, s: int):
         return None
+
+
+def rowmap_apply(rmap: RowMap, fields: np.ndarray) -> np.ndarray:
+    """A row map's read by its definition: each row's lower state times
+    1 - frac plus its upper state times frac."""
+    f = rmap.frac if np.ndim(fields) == 1 else rmap.frac[:, None]
+    return fields[rmap.lo] * (1.0 - f) + fields[rmap.hi] * f
+
+
+def ingest_csv_by_csv_reader(path: str, mapping: dict) -> tuple[Dataset, dict]:
+    """CSV ingest through the csv reader alone, cell by cell with `float`:
+    the reference the package's one-pass parse must match, dataset or
+    error."""
+    zcols = mapping.get("z")
+    scol = mapping.get("source")
+    if not zcols or not isinstance(zcols, list) or not scol:
+        raise ParseError('column mapping needs "z" (list) and "source" (name)')
+    rows = list(csv.reader(io.StringIO(_read_text(path, "data"), newline="")))
+    if not rows:
+        raise EmptyFile(f"{path} has no header row")
+    header = [h.strip() for h in rows[0]]
+    index = {}
+    for col in list(zcols) + [scol]:
+        if col not in header:
+            raise MissingColumn(f"column {col!r} not in header {header}")
+        index[col] = header.index(col)
+    body = rows[1:]
+    if not body:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    z = np.empty((len(body), len(zcols)))
+    for i, row in enumerate(body):
+        for cidx, col in enumerate(zcols):
+            cell = row[index[col]] if index[col] < len(row) else ""
+            try:
+                z[i, cidx] = float(cell)
+            except ValueError:
+                raise NonNumericCell(i + 2, col, cell) from None
+    si = index[scol]
+    raw_labels = [row[si].strip() if si < len(row) else "" for row in body]
+    if "" in raw_labels:
+        raise ParseError(f"data {path}: row {raw_labels.index('') + 2}, column {scol!r}: "
+                         f"blank source label")
+    uniq = sorted(set(raw_labels))
+    label_map = {lab: i + 1 for i, lab in enumerate(uniq)}
+    source = np.array([label_map[lab] for lab in raw_labels], dtype=int)
+    return Dataset(z, source, k=len(uniq)), label_map

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from weakfuse.cli import (
 from weakfuse.estimator import one_step_estimate
 from weakfuse.model import layout_from_design
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
+
+from oracles import ingest_csv_by_csv_reader
 
 
 # ---------------------------------------------------------------- config
@@ -310,6 +313,111 @@ def test_ingest_fuzz_returns_or_raises_a_package_error(tmp_path, header, body):
     except WeakfuseError:
         return
     assert data.z.shape == (len(rows) - 1, 2)
+
+
+def _ingest_outcome(read, path):
+    """What an ingest makes of a file: the dataset's bytes and label map, or
+    the class and message of what it raised; any warning counts as raised."""
+    mapping = {"z": ["z1", "z2"], "source": "source"}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, label_map = read(str(path), mapping)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (data.z.shape, data.z.tobytes(), data.source.tolist(), data.k,
+            list(label_map.items()))
+
+
+def _assert_ingest_matches_reference(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert _ingest_outcome(ingest_csv, path) == _ingest_outcome(ingest_csv_by_csv_reader, path)
+
+
+@pytest.mark.parametrize("text", [
+    "z1,z2,source\n1.5,-0.25,a\n2,3,b\n",                     # plain
+    "z1,z2,source\r\n1.5,-0.25,a\r\n2,3,b",                    # CRLF, no final break
+    "z1,z2,source\r1.5,-0.25,a\r2,3,b\r",                      # lone CR
+    "z1,z2,source\n1.5,-0.25,a\r\n2,3,b\n",                   # mixed breaks
+    'z1,z2,source\n"1.5",-0.25,"a,b"\n2,3,b\n',                # quoted cells and label
+    "z1,z2,source\n1.5,-0.25,a\n\n2,3,b\n",                   # blank line
+    "z1,z2,source\n\n",                                       # only a blank line
+    "z1,z2,source\n",                                          # header only
+    "", "\n",                                                  # no header
+    "z1,z2,source\n 1.5 ,\t2,  a \n",                         # padded cells
+    "z1,z2,source\n1_0,2,a\n",                                # float() accepts 1_0
+    "z1,z2,source\nnan,inf,a\n",                              # non-finite
+    "z1,z2,source\n1e400,1,a\n",                              # overflow
+    "z1,z2,source\n1,2,a\n3\n",                               # ragged, short
+    "z1,z2,source\n1,2,a,extra\n3,4,b\n",                     # ragged, long
+    "z1,z2,source\n1,2\n",                                     # missing label
+    "z1,z2,source\n1,2,é\n3,4,日本\n5,6,e\n",                  # non-ASCII labels
+    "z1,z2,source\n\u0661\u0662,2,a\n",                        # Arabic-Indic digits
+    "z1,z2,source\n\u20032,2,a\n",                             # Unicode space
+    "z1,z2,source\n1\x00,2,a\n3,4,b\x00\n",                   # NUL
+    " z1 ,source,z2\n1,a,2\n",                                 # padded, reordered header
+    "z1,source\n1,a\n",                                       # missing column
+    "z1,z2,source\n" + "9," * 70_000 + "1,a\n",                # line over the csv field limit
+    "z1,z2,source\n1,2," + "x" * 140_000 + "\n",               # cell over the csv field limit
+])
+def test_ingest_matches_the_csv_reader_on_named_cases(tmp_path, text):
+    _assert_ingest_matches_reference(tmp_path / "d.csv", text)
+
+
+# odd cells, labels and rows are drawn rarely enough that many files reach
+# the end of the one-pass parse
+_FLOAT = st.floats().map(repr)
+_NUMBER = st.one_of(*[_FLOAT] * 15, st.sampled_from(
+    ["1", " 2 ", "\t-3", "1_0", "nan", "-inf", "1e400", "", " ", "x", "0x10", "\u0661",
+     '"4"', '" 5"']))
+_LABEL = st.sampled_from(["1", "2"] * 8 + [" 2 ", "a", "é", "日本", '"a,b"', '"x"', "", " ",
+                                           "\x00"])
+_ROW = st.one_of(*[st.tuples(_NUMBER, _NUMBER, _LABEL).map(list)] * 15,
+                 st.lists(_NUMBER | _LABEL, max_size=4))
+_HEADER = st.sampled_from([["z1", "z2", "source"]] * 4 + [
+    None, ["source", " z2", "z1 "], ["z1", "z2"], ["z1", "z2", "source", "z1"]])
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=_HEADER, body=st.lists(_ROW, max_size=12),
+       newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]), final=st.booleans())
+def test_ingest_matches_the_csv_reader(tmp_path, header, body, newline, final):
+    # the one-pass parse of plain text must give the csv reader's dataset,
+    # or raise what it raises, and write no warning
+    rows = ([header] if header else []) + body
+    text = newline.join(",".join(row) for row in rows) + (newline if final else "")
+    _assert_ingest_matches_reference(tmp_path / "fuzz.csv", text)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.lists(st.tuples(_FLOAT, _FLOAT, st.sampled_from(["1", "2", " 3", "é", "日本"])),
+                     min_size=1, max_size=150),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_ingest_matches_the_csv_reader_on_well_formed_tables(tmp_path, body, newline):
+    # every cell parses, so these files reach the end of the one-pass parse
+    text = newline.join(["z1,z2,source"] + [",".join(row) for row in body]) + newline
+    _assert_ingest_matches_reference(tmp_path / "table.csv", text)
+
+
+def test_ingest_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    p = tmp_path / "d.csv"
+    p.write_bytes("\ufeffz1,z2,source\n1.5,0,a\n2.5,1,b\n".encode("utf-8"))
+    data, label_map = ingest_csv(str(p), {"z": ["z1", "z2"], "source": "source"})
+    assert data.z.tolist() == [[1.5, 0.0], [2.5, 1.0]]
+    assert label_map == {"a": 1, "b": 2}
+    # a byte that is not UTF-8 is still named by its line
+    p.write_bytes(b"\xef\xbb\xbfz1,source\n1,a\n2\xff,b\n")
+    with pytest.raises(ParseError, match=re.escape("line 3 is not UTF-8 text (byte 0xff)")):
+        ingest_csv(str(p), {"z": ["z1"], "source": "source"})
+
+
+def test_config_with_a_byte_order_mark_parses(tmp_path):
+    p = tmp_path / "config.json"
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps(default_config_dict()).encode("utf-8"))
+    assert parse_config(str(p)).raw == default_config_dict()
 
 
 # ------------------------------------------------------------- delta grid

@@ -39,6 +39,7 @@ from oracles import (
     dense_weights,
     kernel_regression,
     lambda_prev,
+    rowmap_apply,
 )
 
 
@@ -266,6 +267,24 @@ def test_row_map_interpolates():
     np.testing.assert_allclose(rm.apply(np.array([10.0, 20.0, 40.0])), [12.5, 30.0])
     F = np.array([[10.0, 0.0], [20.0, 2.0], [40.0, 4.0]])
     np.testing.assert_allclose(rm.apply(F), [[12.5, 0.5], [30.0, 3.0]])
+
+
+def test_row_map_reads_are_bit_exact_for_any_layout():
+    # the pinned estimates allow 1e-12, so bit changes in a row read would
+    # pass them unnoticed; here every read must equal the definition exactly
+    rng = np.random.default_rng(5)
+    E, n, k = 37, 500, 4
+    lo = rng.integers(0, E - 1, n)
+    rm = RowMap(lo, lo + 1, rng.random(n))
+    P = rng.normal(size=(E, k, k)) * 10.0 ** rng.integers(-8, 8, (E, k, k))
+    fields = {"1-d": P[:, 0, 0].copy(), "contiguous (E, k)": P[:, :, 1].copy(),
+              "strided (E, k)": P[:, :, 2], "strided 1-d": P[:, 1, 3],
+              "Fortran (E, k)": np.asfortranarray(P[:, 3, :])}
+    for what, F in fields.items():
+        got, want = rm.apply(F), rowmap_apply(rm, F)
+        assert got.shape == want.shape, what
+        assert got.tobytes() == want.tobytes(), what
+        assert rm.take(np.arange(0, n, 3)).apply(F).tobytes() == want[::3].tobytes(), what
 
 
 @pytest.mark.parametrize("col, binary", [
