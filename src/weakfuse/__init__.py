@@ -23,8 +23,6 @@ from .model import (
     BetaParam,
     Dataset,
     FusionDesign,
-    assemble_beta,
-    beta_slice,
     layout_from_design,
     validate_design,
 )
@@ -75,9 +73,7 @@ __all__ = [
     "Scenario",
     "SummaryRow",
     "apply_variant",
-    "assemble_beta",
     "basis_matrix",
-    "beta_slice",
     "complex_family",
     "compute_pass",
     "errors",

@@ -328,8 +328,14 @@ def _read_plain(path: str, text: str, zcols: list, scol):
 def _read_csv(path: str, text: str, zcols: list, scol):
     """The z columns and the raw source cells of any text, through the csv
     reader; a cell that is not a number raises NonNumericCell naming the
-    first such cell in row order."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    first such cell in row order, and a row the reader rejects (a cell over
+    its field size limit) raises ParseError naming that row."""
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:
+        raise ParseError(f"data {path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path} has no header row")
     body = rows[1:]

@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
 )
 from .model import BetaParam, layout_from_design
-from .nuisance import FittedNuisance, _chunks, _smoother, silverman_bandwidths
+from .nuisance import FittedNuisance, _chunks, _smooth_at_train, silverman_bandwidths
 from .weights import basis_matrix, eval_weight_many
 
 _EIG_TOL = 1e-10
@@ -225,10 +225,14 @@ def _shift_chunk(b, G, rows, W, vals, buf, tmp):
     if G is None:
         return vals[0], (W @ vals[0])[:, None]
     Vc, Pc = vals
-    # with one term numpy's matmul skips BLAS and adds the plain product to 0,
-    # which changes at most the sign of a zero exponent
     Gb = G[rows] * b
-    (np.multiply if Gb.shape[1] == 1 else np.matmul)(Gb, Pc.T, out=buf)
+    if Gb.shape[1] == 1:
+        # einsum's outer product runs at SIMD speed, where the (R, 1) by
+        # (1, C) broadcast multiply does not; it writes +0 for a -0 product,
+        # which exp maps to the same 1
+        np.einsum("i,j->ij", Gb[:, 0], Pc[:, 0], out=buf)
+    else:
+        np.matmul(Gb, Pc.T, out=buf)
     np.exp(buf, out=buf)
     return buf, np.multiply(W, buf, out=tmp) @ Vc
 
@@ -606,8 +610,8 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             h, floored = silverman_bandwidths(X)
             if floored:
                 flags.add("SingularBandwidth")
-            tailval = _smoother(X, X, h).mean_field(
-                np.column_stack([cterm[jp][m_rows] for jp in later])).sum(axis=1)
+            tailval = _smooth_at_train(
+                X, h, np.column_stack([cterm[jp][m_rows] for jp in later])).sum(axis=1)
             # center through the panel so the fitted tail stays mean-zero
             # against the target conditional at every state; the panel trains
             # on the rows of m, in its own (fold) order

@@ -229,28 +229,6 @@ class BetaParam:
         return cls(np.zeros(sum(c for _, _, c in layout)), layout)
 
 
-def beta_slice(beta: BetaParam, j: int, s: int) -> np.ndarray:
-    """The (j, s) block of a stacked parameter; KeyError if absent."""
-    sl = beta.offsets().get((int(j), int(s)))
-    if sl is None:
-        raise KeyError(f"no parameter block for index {j}, source {s}")
-    return beta.values[sl].copy()
-
-
-def assemble_beta(layout, blocks: Mapping[tuple[int, int], Sequence[float]]) -> BetaParam:
-    """Inverse of beta_slice over a full layout."""
-    layout = tuple((int(j), int(s), int(c)) for j, s, c in layout)
-    vals = []
-    for j, s, c in layout:
-        if (j, s) not in blocks:
-            raise KeyError(f"missing block for index {j}, source {s}")
-        b = np.asarray(blocks[(j, s)], dtype=float).ravel()
-        if b.size != c:
-            raise StructuralError(f"block ({j}, {s}) has length {b.size}, layout says {c}")
-        vals.append(b)
-    return BetaParam(np.concatenate(vals) if vals else np.empty(0), layout)
-
-
 def layout_from_design(design: FusionDesign) -> tuple[tuple[int, int, int], ...]:
     """Parameter layout implied by a design's weak pairs, sorted by (j, s).
     A truncation has no parameter and so no block."""

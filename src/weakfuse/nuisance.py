@@ -345,11 +345,25 @@ class _BlockPanel:
         return out
 
 
-def _smoother(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> _BlockPanel:
-    """A one-block panel whose `mean_field` of values at the training points
-    `Xt` is their Nadaraya-Watson regression, read at the query points `Xq`."""
-    return _BlockPanel(Xq, [(np.arange(Xq.shape[0]), np.arange(Xt.shape[0]),
-                             _GaussRows(Xq, Xt, h))])
+def _smooth_at_train(X: np.ndarray, h: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Nadaraya-Watson regression of the columns of V on X with bandwidths
+    h, read at the training points X themselves.
+
+    That Gaussian is symmetric, so each strip of rows builds only its
+    entries on or right of the diagonal and also adds their transpose to the
+    later rows; one matmul against [V, 1] gives the numerator and the row
+    mass. A strip holds about `_CHUNK_BYTES`, and the diagonal entry is 1, so
+    no row is degenerate."""
+    n = X.shape[0]
+    V1 = np.column_stack([V, np.ones(n)])
+    acc = np.zeros_like(V1)
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        K = _gauss_weights(X[lo:hi], X[lo:], h)
+        acc[lo:hi] += K @ V1[lo:]
+        acc[hi:] += K[:, hi - lo:].T @ V1[lo:hi]
+    return acc[:, :-1] / acc[:, -1:]
 
 
 class KernelPanel(_BlockPanel):

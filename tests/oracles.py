@@ -4,7 +4,8 @@ Everything here is computed from first principles: finite-support laws with
 exact tables, dense least-squares projections onto the tangent space, dense
 kernel-panel weights, and closed-form Beta/Gaussian moments. None of it
 reuses engine code paths beyond plain data containers and, for the exact
-finite-support panel, the package's block-panel reader.
+finite-support panel and the one-block smoother, the package's block-panel
+reader.
 """
 
 import csv
@@ -15,8 +16,8 @@ import numpy as np
 
 from weakfuse.cli import _read_text
 from weakfuse.errors import EmptyFile, MissingColumn, NonNumericCell, ParseError, StructuralError
-from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
-from weakfuse.nuisance import FittedNuisance, NuisanceOptions, RowMap, _BlockPanel
+from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
+from weakfuse.nuisance import FittedNuisance, NuisanceOptions, RowMap, _BlockPanel, _GaussRows
 from weakfuse.weights import WeightSpec
 
 
@@ -46,6 +47,28 @@ def gradient_aligned_only(seed, nuisance: FittedNuisance) -> np.ndarray:
         aj = sorted(design.aligned_at(j))
         out += np.isin(src, aj) * seed.rows[j] / nuisance.delta_of(aj)
     return out
+
+
+def beta_slice(beta: BetaParam, j: int, s: int) -> np.ndarray:
+    """The (j, s) block of a stacked parameter; KeyError if absent."""
+    sl = beta.offsets().get((int(j), int(s)))
+    if sl is None:
+        raise KeyError(f"no parameter block for index {j}, source {s}")
+    return beta.values[sl].copy()
+
+
+def assemble_beta(layout, blocks) -> BetaParam:
+    """Inverse of beta_slice over a full layout."""
+    layout = tuple((int(j), int(s), int(c)) for j, s, c in layout)
+    vals = []
+    for j, s, c in layout:
+        if (j, s) not in blocks:
+            raise KeyError(f"missing block for index {j}, source {s}")
+        b = np.asarray(blocks[(j, s)], dtype=float).ravel()
+        if b.size != c:
+            raise StructuralError(f"block ({j}, {s}) has length {b.size}, layout says {c}")
+        vals.append(b)
+    return BetaParam(np.concatenate(vals) if vals else np.empty(0), layout)
 
 
 def beta_mean(a: float, b: float) -> float:
@@ -96,6 +119,14 @@ def kernel_regression(Xq: np.ndarray, Xt: np.ndarray, y: np.ndarray,
     d2 = sum(((Xq[:, None, c] - Xt[None, :, c]) / h[c]) ** 2 for c in range(Xt.shape[1]))
     w = np.exp(-0.5 * d2)
     return (w @ y) / w.sum(axis=1)
+
+
+def smoother(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> _BlockPanel:
+    """A one-block panel whose `mean_field` of values at the training points
+    `Xt` is their Nadaraya-Watson regression, read at the query points `Xq`
+    chunk by chunk through the package's Gaussian row source."""
+    return _BlockPanel(Xq, [(np.arange(Xq.shape[0]), np.arange(Xt.shape[0]),
+                             _GaussRows(Xq, Xt, h))])
 
 
 def dense_rowmean(W: np.ndarray, F: np.ndarray, values=None) -> np.ndarray:
@@ -388,12 +419,18 @@ def rowmap_apply(rmap: RowMap, fields: np.ndarray) -> np.ndarray:
 def ingest_csv_by_csv_reader(path: str, mapping: dict) -> tuple[Dataset, dict]:
     """CSV ingest through the csv reader alone, cell by cell with `float`:
     the reference the package's one-pass parse must match, dataset or
-    error."""
+    error. A row the reader rejects is a ParseError naming that row."""
     zcols = mapping.get("z")
     scol = mapping.get("source")
     if not zcols or not isinstance(zcols, list) or not scol:
         raise ParseError('column mapping needs "z" (list) and "source" (name)')
-    rows = list(csv.reader(io.StringIO(_read_text(path, "data"), newline="")))
+    reader = csv.reader(io.StringIO(_read_text(path, "data"), newline=""))
+    rows = []
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as exc:
+        raise ParseError(f"data {path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path} has no header row")
     header = [h.strip() for h in rows[0]]

@@ -10,14 +10,13 @@ from weakfuse.gradients import EstimandSpec, compute_pass, information_matrix
 from weakfuse.model import (
     Dataset,
     FusionDesign,
-    beta_slice,
     layout_from_design,
 )
 from weakfuse.nuisance import fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec
 
-from oracles import DiscreteLaw
+from oracles import DiscreteLaw, beta_slice
 
 
 def _tilted_beta_draws(rng, n, beta, a=2.0, b=2.0):

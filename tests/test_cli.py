@@ -681,6 +681,20 @@ def test_non_utf8_file_exits_one_naming_file_and_line(tmp_path, capsys, which):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_csv_cell_over_the_field_limit_exits_one_naming_the_row(tmp_path, capsys):
+    # a label longer than the csv reader's field limit (131072 characters by
+    # default) is a data error, not an internal one
+    cfgp = _study_config(tmp_path)
+    data = tmp_path / "long.csv"
+    data.write_text(f"z1,z2,z3,source\n0.1,1,0.2,{'x' * 140000}\n0.3,0,0.4,1\n0.5,1,0.6,2\n")
+    message = f"data {data}: row 2: field larger than field limit (131072)"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        ingest_csv(str(data), {"z": ["z1", "z2", "z3"], "source": "source"})
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("grid, message", [
     ("0:1:1e-300", f"more than {_MAX_GRID_POINTS} points"),
     ("0:inf:1", "must be finite"),

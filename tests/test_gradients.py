@@ -11,6 +11,7 @@ from weakfuse.gradients import (
     EstimandSpec,
     _batched_pinv,
     _IndexMachine,
+    _shift_chunk,
     compute_pass,
     seed_gradient,
 )
@@ -374,6 +375,26 @@ def test_compute_pass_does_not_depend_on_chunk_size(monkeypatch, case):
     np.testing.assert_allclose(one.beta.values, whole.beta.values, rtol=1e-13, atol=1e-13)
     assert one.iterations == whole.iterations
     assert one.converged == whole.converged
+
+
+@pytest.mark.parametrize("terms", [1, 2])
+def test_shift_exponent_is_bit_exact(terms):
+    # exp of a chunk's tilt exponent against exp of the plain product (one
+    # term) or of the matmul (two terms), bit for bit, with signed zeros,
+    # infinities, NaN and 1e308 in both factors; einsum's one-term outer
+    # product may only turn a -0 exponent into +0
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 0.5, -2.0, 1e-300])
+    G = np.column_stack([np.roll(special, 3 * c) for c in range(terms)])
+    P = np.column_stack([np.roll(special[::-1], 5 * c) for c in range(terms)])
+    b = np.array([1.0, -1.0])[:terms]
+    rows = np.arange(special.size)
+    W = np.ones((special.size, special.size))
+    buf, tmp = np.empty_like(W), np.empty_like(W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _shift_chunk(b, G, rows, W, (np.column_stack([np.ones(special.size), P]), P),
+                           buf, tmp)[0]
+        want = np.exp((np.multiply if terms == 1 else np.matmul)(G * b, P.T))
+    assert got.tobytes() == want.tobytes()
 
 
 def _bits(a) -> tuple:

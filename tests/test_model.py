@@ -6,14 +6,12 @@ from weakfuse.model import (
     BetaParam,
     Dataset,
     FusionDesign,
-    assemble_beta,
-    beta_slice,
     layout_from_design,
     validate_design,
 )
 from weakfuse.weights import WeightSpec, parse_term
 
-from oracles import DiscreteLaw
+from oracles import DiscreteLaw, assemble_beta, beta_slice
 
 
 def _spec(j, terms):

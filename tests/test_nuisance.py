@@ -14,7 +14,7 @@ import weakfuse.nuisance as nuisance
 from weakfuse.betafit import moment_match_beta
 from weakfuse.estimator import one_step_estimate
 from weakfuse.gradients import _EPS_W, EstimandSpec, _IndexMachine, compute_pass, seed_gradient
-from weakfuse.model import Dataset, FusionDesign, assemble_beta, layout_from_design
+from weakfuse.model import Dataset, FusionDesign, layout_from_design
 from weakfuse.nuisance import (
     KernelPanel,
     MarginalRatioFits,
@@ -22,7 +22,7 @@ from weakfuse.nuisance import (
     RowMap,
     _binary_columns,
     _chunks,
-    _smoother,
+    _smooth_at_train,
     fit_nuisance_bundle,
     fit_propensity,
     silverman_bandwidths,
@@ -32,6 +32,7 @@ from weakfuse.weights import WeightSpec
 from oracles import (
     DiscreteLaw,
     DiscretePanel,
+    assemble_beta,
     beta_mean,
     binary_columns_by_set,
     dense_mean_field,
@@ -40,6 +41,7 @@ from oracles import (
     kernel_regression,
     lambda_prev,
     rowmap_apply,
+    smoother,
 )
 
 
@@ -61,8 +63,8 @@ def test_silverman_floors_constant_column():
     h, floored = silverman_bandwidths(X)
     assert floored
     assert h[0] > 0
-    # the shared smoother still reads the other column's signal exactly
-    got = _smoother(X, X, h).mean_field(X[:, 1])
+    # the tail smoother still reads the other column's signal exactly
+    got = _smooth_at_train(X, h, X[:, 1:])[:, 0]
     np.testing.assert_allclose(got, kernel_regression(X, X, X[:, 1], h), rtol=1e-13)
     # an exact-mode panel over the same two past coordinates records the
     # floor as a fit-time flag of the bundle
@@ -91,8 +93,8 @@ def test_grid_panel_records_a_floored_bandwidth():
 def test_kernel_regression_constant_is_flat():
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(60, 1))
-    smoother = _smoother(rng.uniform(size=(20, 1)), X, silverman_bandwidths(X)[0])
-    np.testing.assert_allclose(smoother.mean_field(np.full(60, 3.7)), 3.7, rtol=1e-13)
+    sm = smoother(rng.uniform(size=(20, 1)), X, silverman_bandwidths(X)[0])
+    np.testing.assert_allclose(sm.mean_field(np.full(60, 3.7)), 3.7, rtol=1e-13)
 
 
 def test_kernel_regression_tracks_smooth_signal():
@@ -100,21 +102,29 @@ def test_kernel_regression_tracks_smooth_signal():
     x = rng.uniform(0, 1, 1500)
     y = np.sin(2 * np.pi * x) + rng.normal(scale=0.05, size=1500)
     xq = np.linspace(0.1, 0.9, 9)[:, None]
-    got = _smoother(xq, x[:, None], np.array([0.03])).mean_field(y)
+    got = smoother(xq, x[:, None], np.array([0.03])).mean_field(y)
     np.testing.assert_allclose(got, np.sin(2 * np.pi * xq.ravel()), atol=0.05)
 
 
-@pytest.mark.parametrize("store_bytes", [0, 2 ** 62])
-def test_tail_smoother_matches_kernel_formula(monkeypatch, store_bytes):
-    # the tail adjustment's smoother, kept whole or rebuilt chunk by chunk,
-    # against the dense kernel formula, one value column at a time
-    monkeypatch.setattr(nuisance, "_STORE_BYTES", store_bytes)
+@pytest.mark.parametrize("chunk_bytes", [8 * 300, 8 * 300 * 7, 2 ** 62],
+                         ids=["one-row-strips", "uneven-strips", "one-strip"])
+@pytest.mark.parametrize("columns", ["1-d", "2-d", "floored"])
+def test_tail_smoother_matches_kernel_formula(monkeypatch, chunk_bytes, columns):
+    # the tail adjustment's smoother, which builds each strip of rows on and
+    # right of the diagonal and adds the transpose to the later rows, against
+    # the dense kernel formula, one value column at a time; 300 rows make
+    # strips of 1, of 7 (the last of 6) or of all rows
+    monkeypatch.setattr(nuisance, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(5)
     X = rng.uniform(0, 1, size=(300, 2))
-    Y = np.column_stack([np.sin(6 * X[:, 0]), X[:, 1] ** 2 - 0.3])
+    if columns == "1-d":
+        X = X[:, 1:]
+    elif columns == "floored":
+        X[:, 0] = 0.5
+    Y = np.column_stack([np.sin(6 * X[:, 0]), X[:, -1] ** 2 - 0.3])
     h, floored = silverman_bandwidths(X)
-    assert not floored
-    got = _smoother(X, X, h).mean_field(Y)
+    assert floored == (columns == "floored")
+    got = _smooth_at_train(X, h, Y)
     for c in range(2):
         np.testing.assert_allclose(got[:, c], kernel_regression(X, X, Y[:, c], h), rtol=1e-13)
 

@@ -6,7 +6,7 @@ import weakfuse.simulation as simulation
 from weakfuse.errors import InvalidShape, NonFiniteNormalizer
 from weakfuse.estimator import one_step_estimate
 from weakfuse.gradients import EstimandSpec, compute_pass
-from weakfuse.model import assemble_beta, layout_from_design
+from weakfuse.model import layout_from_design
 from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
 from weakfuse.simulation import (
     ALIGNMENT_LEVELS,
@@ -20,6 +20,8 @@ from weakfuse.simulation import (
     summary_to_csv,
     true_parameters,
 )
+
+from oracles import assemble_beta
 
 FAST = NuisanceOptions()
 # a small, badly overlapping cell: at master seed 1, reps 0, 1 and 3 (of

@@ -9,7 +9,7 @@ from weakfuse.errors import (
     UnsupportedFamily,
 )
 from weakfuse.gradients import _IndexMachine
-from weakfuse.model import assemble_beta, layout_from_design
+from weakfuse.model import layout_from_design
 from weakfuse.nuisance import NuisanceOptions
 from weakfuse.weights import (
     BasisTerm,
@@ -20,7 +20,7 @@ from weakfuse.weights import (
     parse_term,
 )
 
-from oracles import DiscreteLaw
+from oracles import DiscreteLaw, assemble_beta
 
 
 # ---------------------------------------------------------------------------
