@@ -75,15 +75,14 @@ def _residual(m, J) -> float:
     return np.inf
 
 
-def moment_match_beta(nuisance: FittedNuisance,
-                      beta0: BetaParam | None = None) -> MomentMatchResult:
+def moment_match_beta(nuisance: FittedNuisance) -> MomentMatchResult:
     """Initial shift parameters: for each tilted pair, damped Newton from
-    `beta0` (zero by default) on the self-normalized moment condition that
-    the reweighted aligned rows reproduce the source's own basis means.
+    zero on the self-normalized moment condition that the reweighted aligned
+    rows reproduce the source's own basis means.
     Every accepted step lowers the pair's max-abs residual; a pair whose
     line search cannot lower it, or that hits the iteration cap, keeps its
     last (best) iterate and reads False in `converged`."""
-    beta = beta0 if beta0 is not None else BetaParam.zeros(layout_from_design(nuisance.design))
+    beta = BetaParam.zeros(layout_from_design(nuisance.design))
     values = beta.values.copy()
     offs = beta.offsets()
     converged: dict[tuple[int, int], bool] = {}

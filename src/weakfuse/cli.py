@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     WeakfuseError,
 )
 from .estimator import (
+    _LEVEL,
     EstimatorVariant,
     one_step_estimate,
     sensitivity_interval,
@@ -43,10 +44,10 @@ from .simulation import (
     study_design,
     summary_to_csv,
 )
-from .weights import WeightSpec
+from .weights import WeightSpec, parse_term
 
 _DEFAULT_VARIANTS = "target_only,naive_fusion,efficient_fusion"
-_MAX_GRID_POINTS = 100_000
+_MAX_DELTAS = 100_000       # points in a sensitivity sweep
 
 
 # ---------------------------------------------------------------- config ----
@@ -63,10 +64,10 @@ class RunConfig:
     raw: dict
 
 
-def _expect_keys(obj: dict, allowed: set, path: str):
+def _expect_keys(obj: dict, allowed: set, path: str, why: str = "unknown key"):
     for key in obj:
         if key not in allowed:
-            raise ParseError(f"{path}.{key}: unknown key")
+            raise ParseError(f"{path}.{key}: {why}")
 
 
 def _as_int(val, path: str) -> int:
@@ -82,6 +83,16 @@ def _given(obj: dict, key: str, default):
     any other value reaches the type check that names the key."""
     val = obj.get(key)
     return default if val is None else val
+
+
+def _kwargs(obj: dict, allowed: set, path: str, ints=(), why: str = "unknown key") -> dict:
+    """A config block as keyword arguments of its type: only `allowed` keys,
+    those in `ints` checked as integers, a null left to the type's default."""
+    _expect_keys(obj, allowed, path, why)
+    out = {key: val for key, val in obj.items() if val is not None}
+    for key in out.keys() & set(ints):
+        _as_int(out[key], f"{path}.{key}")
+    return out
 
 
 def _as_int_list(val, path: str) -> list[int]:
@@ -105,11 +116,9 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     relevant = _as_int_list(dsn.get("relevant", []), "config.design.relevant")
 
     def _index_map(block, path):
-        out = {}
-        if block is None:
-            return out
         if not isinstance(block, dict):
             raise ParseError(f"{path}: expected an object keyed by index")
+        out = {}
         for jtxt, sources in block.items():
             try:
                 j = int(jtxt)
@@ -118,46 +127,33 @@ def parse_config_dict(cfg: dict) -> RunConfig:
             out[j] = set(_as_int_list(sources, f"{path}.{jtxt}"))
         return out
 
-    aligned = _index_map(dsn.get("aligned"), "config.design.aligned")
-    weak = _index_map(dsn.get("weak"), "config.design.weak")
+    aligned = _index_map(_given(dsn, "aligned", {}), "config.design.aligned")
+    weak = _index_map(_given(dsn, "weak", {}), "config.design.weak")
 
     specs = {}
     spec_block = _given(dsn, "weight_specs", {})
     if not isinstance(spec_block, dict):
         raise ParseError("config.design.weight_specs: expected an object")
     for key, body in spec_block.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ParseError(f'config.design.weight_specs.{key}: keys look like "j,s"')
+        path = f"config.design.weight_specs.{key}"
         try:
-            j, s = int(parts[0]), int(parts[1])
+            j, s = (int(part) for part in key.split(","))
         except ValueError:
-            raise ParseError(f"config.design.weight_specs.{key}: non-integer pair") from None
+            raise ParseError(f'{path}: keys look like "j,s" with integers j and s') from None
         if not isinstance(body, dict):
-            raise ParseError(f"config.design.weight_specs.{key}: expected an object")
-        _expect_keys(body, {"family", "terms", "threshold"},
-                     f"config.design.weight_specs.{key}")
-        family = body.get("family")
-        if family == "exponential_tilt":
-            terms = body.get("terms")
-            if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-                raise ParseError(
-                    f"config.design.weight_specs.{key}.terms: expected a list of strings")
-            try:
-                specs[(j, s)] = WeightSpec.tilt(j, terms)
-            except WeakfuseError as exc:
-                raise ParseError(
-                    f"config.design.weight_specs.{key}.terms: {exc}") from None
-        elif family == "truncated_above_threshold":
-            try:
-                specs[(j, s)] = WeightSpec("truncated_above_threshold", j,
-                                           threshold=body.get("threshold", 0.0))
-            except WeakfuseError as exc:
-                raise ParseError(
-                    f"config.design.weight_specs.{key}.threshold: {exc}") from None
-        else:
-            raise ParseError(
-                f"config.design.weight_specs.{key}.family: unknown family {family!r}")
+            raise ParseError(f"{path}: expected an object")
+        _expect_keys(body, {"family", "terms", "threshold"}, path)
+        texts = _given(body, "terms", [])
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ParseError(f"{path}.terms: expected a list of strings")
+        try:
+            terms = tuple(parse_term(t, j) for t in texts)
+        except WeakfuseError as exc:
+            raise ParseError(f"{path}.terms: {exc}") from None
+        try:
+            specs[(j, s)] = WeightSpec(body.get("family"), j, terms, body.get("threshold"))
+        except WeakfuseError as exc:
+            raise ParseError(f"{path}.{exc}") from None     # the message names its field
 
     try:
         design = FusionDesign(d=d, k=k, relevant=tuple(relevant), aligned=aligned,
@@ -165,42 +161,39 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     except WeakfuseError as exc:
         raise SemanticError(f"config.design: {exc}") from None
 
-    est = _given(cfg, "estimand", {"kind": "ate"})
+    est = _given(cfg, "estimand", {})
     if not isinstance(est, dict):
         raise ParseError("config.estimand: expected an object")
-    _expect_keys(est, {"kind", "coefficient", "index", "power"}, "config.estimand")
-    index = _as_int(est.get("index", 1), "config.estimand.index")
-    power = _as_int(est.get("power", 1), "config.estimand.power")
+    kind = _given(est, "kind", EstimandSpec.kind)
+    reads = EstimandSpec._READS.get(kind, ()) if isinstance(kind, str) else ()
+    est = _kwargs(est, {"kind", *reads}, "config.estimand", ("index", "power"),
+                  f"not read by kind {kind!r}")
     try:
-        estimand = EstimandSpec(kind=est.get("kind", "ate"),
-                                coefficient=est.get("coefficient", "slope"),
-                                index=index, power=power)
+        estimand = EstimandSpec(**est)
     except WeakfuseError as exc:
         raise SemanticError(f"config.estimand: {exc}") from None
 
-    var = _given(cfg, "variant", {"kind": "efficient_fusion"})
+    var = _given(cfg, "variant", {})
     if not isinstance(var, (dict, str)):
         raise ParseError("config.variant: expected an object or string")
     if isinstance(var, dict):
-        _expect_keys(var, {"kind", "extra_terms"}, "config.variant")
+        var = _kwargs(var, {"kind", "extra_terms"}, "config.variant", ("extra_terms",))
     try:
-        variant = EstimatorVariant.parse(var) if isinstance(var, str) else EstimatorVariant(
-            kind=var.get("kind", "efficient_fusion"),
-            extra_terms=_as_int(var.get("extra_terms", 0), "config.variant.extra_terms"))
+        variant = EstimatorVariant.parse(var) if isinstance(var, str) else EstimatorVariant(**var)
     except ValueError as exc:
         raise SemanticError(f"config.variant: {exc}") from None
 
     opt = _given(cfg, "options", {})
     if not isinstance(opt, dict):
         raise ParseError("config.options: expected an object")
-    _expect_keys(opt, {"ratio_clip", "propensity_clip", "grid_points", "cross_fit"},
-                 "config.options")
+    opt = _kwargs(opt, {"ratio_clip", "propensity_clip", "grid_points", "cross_fit"},
+                  "config.options")
     try:
         options = NuisanceOptions(**opt)
     except WeakfuseError as exc:
         raise ParseError(f"config.options: {exc}") from None
 
-    level = cfg.get("level", 0.95)
+    level = _given(cfg, "level", _LEVEL)
     if not isinstance(level, (int, float)) or not 0 < level < 1:
         raise ParseError("config.level: expected a number in (0, 1)")
     seed = cfg.get("seed")
@@ -249,10 +242,10 @@ def parse_config(path: str) -> RunConfig:
 
 def default_config_dict() -> dict:
     """The canonical study configuration: `study_design()` with the default
-    estimand, variant and options (round-trips through parse_config). The
-    study's weight models are all tilts, written as their terms."""
+    estimand, variant and options as JSON values (round-trips through
+    parse_config). The study's weight models are all tilts, written as terms."""
     design = study_design()
-    return {
+    return json.loads(json.dumps({
         "design": {
             "d": design.d,
             "k": design.k,
@@ -263,14 +256,18 @@ def default_config_dict() -> dict:
                                           "terms": [t.text() for t in spec.terms]}
                              for (j, s), spec in design.weight_specs},
         },
-        "estimand": {"kind": "ate"},
-        "variant": {"kind": "efficient_fusion", "extra_terms": 0},
-        "options": {"ratio_clip": [1e-3, 1e3], "propensity_clip": [0.01, 0.99],
-                    "grid_points": 301, "cross_fit": False},
-        "level": 0.95,
+        "estimand": {"kind": EstimandSpec.kind},
+        "variant": asdict(EstimatorVariant()),
+        "options": asdict(NuisanceOptions()),
+        "level": _LEVEL,
         "seed": None,
-        "columns": {"z": ["z1", "z2", "z3"], "source": "source"},
-    }
+        "columns": _default_columns(design.d),
+    }))
+
+
+def _default_columns(d: int) -> dict:
+    """The column mapping of a config without `columns`: z1..zd and source."""
+    return {"z": [f"z{i}" for i in range(1, d + 1)], "source": "source"}
 
 
 def config_hash(cfg: dict) -> str:
@@ -419,8 +416,7 @@ def cmd_simulate(args) -> int:
 
 def _load_run(args):
     cfg = parse_config(args.config)
-    mapping = cfg.columns or {"z": [f"z{i}" for i in range(1, cfg.design.d + 1)],
-                              "source": "source"}
+    mapping = cfg.columns or _default_columns(cfg.design.d)
     data, label_map = ingest_csv(args.data, mapping)
     try:
         notes = validate_design(cfg.design, data)
@@ -447,7 +443,7 @@ def cmd_estimate(args) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     """Points start, start + step, ... up to stop (with 1e-12 slack), each
-    rounded to 12 decimals; at most _MAX_GRID_POINTS of them."""
+    rounded to 12 decimals; at most _MAX_DELTAS of them."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError('delta grid looks like "start:stop:step"')
@@ -457,8 +453,8 @@ def _parse_grid(text: str) -> list[float]:
     if step <= 0:
         raise ValueError("delta grid step must be positive")
     span = (stop - start + 1e-12) / step
-    if span >= _MAX_GRID_POINTS:
-        raise ValueError(f"delta grid has more than {_MAX_GRID_POINTS} points")
+    if span >= _MAX_DELTAS:
+        raise ValueError(f"delta grid has more than {_MAX_DELTAS} points")
     count = math.floor(span) + 1 if span >= 0 else 0
     return [round(start + i * step, 12) for i in range(count)]
 

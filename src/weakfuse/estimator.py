@@ -14,6 +14,7 @@ from .model import FusionDesign, validate_design
 from .nuisance import NuisanceOptions, fit_nuisance_bundle
 from .weights import WeightSpec, complex_family
 
+_LEVEL = 0.95       # the default two-sided confidence level
 _VARIANT_KINDS = ("target_only", "naive_fusion", "efficient_fusion", "overparametrized")
 
 
@@ -80,7 +81,7 @@ def apply_variant(design: FusionDesign, variant: EstimatorVariant) -> FusionDesi
                         weight_specs=specs)
 
 
-def wald_interval(estimate: float, se: float, level: float = 0.95) -> tuple[float, float]:
+def wald_interval(estimate: float, se: float, level: float = _LEVEL) -> tuple[float, float]:
     """Symmetric normal-theory interval at the given two-sided level."""
     if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
         raise BadLevel(f"confidence level must be in (0, 1), got {level!r}")
@@ -89,7 +90,7 @@ def wald_interval(estimate: float, se: float, level: float = 0.95) -> tuple[floa
 
 
 def sensitivity_interval(estimate: float, se: float, delta: float,
-                         level: float = 0.95) -> tuple[float, float]:
+                         level: float = _LEVEL) -> tuple[float, float]:
     """Wald interval widened by ±delta to cover bounded alignment violations."""
     if delta < 0:
         raise NegativeDelta(f"sensitivity radius must be nonnegative, got {delta}")
@@ -135,7 +136,7 @@ class EstimateReport:
 def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
                       variant: EstimatorVariant | None = None,
                       options: NuisanceOptions | None = None,
-                      level: float = 0.95,
+                      level: float = _LEVEL,
                       seed_value: int | None = None) -> EstimateReport:
     """Full pipeline: fit nuisances, estimate the shift parameters the
     variant keeps (none for `target_only` and `naive_fusion`), and return the

@@ -13,8 +13,9 @@ alike. Rows of the dataset read grid fields through the panel's row map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from itertools import combinations_with_replacement
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,20 +45,26 @@ class EstimandSpec:
                     and weak sources may appear at the terminal index only
     """
 
-    kind: str
+    kind: str = "ate"
     coefficient: str = "slope"
     index: int = 1
     power: int = 1
+    # the fields besides `kind` that each kind reads; the others keep their defaults
+    _READS: ClassVar[dict] = {"ate": (), "working_linear": ("coefficient",),
+                              "moment": ("index", "power")}
 
     def __post_init__(self):
-        if self.kind not in ("ate", "working_linear", "moment"):
+        if not isinstance(self.kind, str) or self.kind not in self._READS:
             raise StructuralError(f"unknown estimand kind {self.kind!r}")
-        if self.kind == "working_linear" and self.coefficient not in ("intercept", "slope"):
+        for f in dataclass_fields(self)[1:]:
+            if f.name not in self._READS[self.kind] and getattr(self, f.name) != f.default:
+                raise StructuralError(f"{f.name}: not read by kind {self.kind!r}")
+        # a field the kind does not read holds its default, which is valid
+        if self.coefficient not in ("intercept", "slope"):
             raise StructuralError(f"unknown coefficient {self.coefficient!r}")
-        if self.kind == "moment" and self.index < 1:
-            raise StructuralError("moment index must be a positive integer")
-        if self.kind == "moment" and self.power < 1:
-            raise StructuralError("moment power must be a positive integer")
+        for name in ("index", "power"):
+            if getattr(self, name) < 1:
+                raise StructuralError(f"moment {name} must be a positive integer")
 
 
 @dataclass
@@ -178,13 +185,13 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
     return GradientSeed(estimand=estimand, plugin=plugin, rows=rows, sep=sep)
 
 
-def _batched_pinv(M: np.ndarray, force_null: bool = True):
+def _batched_pinv(M: np.ndarray):
     """Pseudo-inverse of a stack of symmetric matrices.
 
     Beyond the relative eigenvalue cutoff, the smallest-magnitude eigenvalue
-    is always dropped when `force_null`: these matrices have a known one-
-    dimensional null space at the truth, and keeping a noisy near-zero
-    eigenvalue would amplify noise instead of removing the null direction.
+    is always dropped: these matrices have a known one-dimensional null
+    space at the truth, and keeping a noisy near-zero eigenvalue would
+    amplify noise instead of removing the null direction.
     Returns the stack of inverses plus the per-point count of dropped
     eigenvalues.
     """
@@ -192,9 +199,7 @@ def _batched_pinv(M: np.ndarray, force_null: bool = True):
     vals, vecs = np.linalg.eigh(M)
     absvals = np.abs(vals)
     keep = absvals > _EIG_TOL * np.maximum(absvals.max(axis=-1, keepdims=True), 1e-300)
-    if force_null:
-        idx = np.argmin(absvals, axis=-1)
-        np.put_along_axis(keep, idx[..., None], False, axis=-1)
+    np.put_along_axis(keep, np.argmin(absvals, axis=-1)[..., None], False, axis=-1)
     inv_vals = np.where(keep, 1.0 / np.where(vals != 0, vals, 1.0), 0.0)
     pinv = np.einsum("...ij,...j,...kj->...ik", vecs, inv_vals, vecs)
     dropped = (~keep).sum(axis=-1)
@@ -349,11 +354,13 @@ class _IndexMachine:
         clipped = np.zeros(self.rows_S.size, dtype=bool)
         n_floor = 0
         for s in self.Wk:
-            bad = int(np.sum(~np.isfinite(raw[s][:, 0])))
+            finite = [np.isfinite(raw[s][:, 0])] + [np.isfinite(m).all(axis=1)
+                                                    for key, m in self.mom.items() if s in key]
+            bad = int(np.sum(~np.logical_and.reduce(finite)))
             if bad:
                 raise NonFiniteNormalizer(
-                    f"tilt normalizer for index {j}, source {s} is not finite at "
-                    f"{bad} states; the shift parameter diverged")
+                    f"tilt normalizer or moments for index {j}, source {s} are not finite "
+                    f"at {bad} states; the shift parameter diverged")
             n_floor += int(np.sum(raw[s][:, 0] < _EPS_W))
             self.wfield[s] = wf = np.maximum(raw[s][:, 0], _EPS_W)
             if s in self.G:

@@ -448,8 +448,15 @@ class KernelPanel(_BlockPanel):
                 parts = [(np.arange(E), np.arange(fr.size))]
             else:
                 tr_branch = self._branch_of(data.z[fr, :p])
-                parts = ((np.arange(b * G, (b + 1) * G), np.flatnonzero(tr_branch == b))
-                         for b in range(len(combos)))
+                parts = [(np.arange(b * G, (b + 1) * G), np.flatnonzero(tr_branch == b))
+                         for b in range(len(combos))]
+                for combo, (_, cols) in zip(combos, parts):
+                    # an empty branch reads the fold mean; a thin one cannot fit
+                    if 0 < cols.size < _MIN_ROWS:
+                        branch = ", ".join(f"z{c + 1} = {v:g}"
+                                           for c, v in zip(self.bin_cols, combo))
+                        raise InsufficientData(f"index {j}, branch {branch}: {cols.size} "
+                                               f"training row{'s' * (cols.size > 1)}")
             for st_rows, cols in parts:
                 if cols.size == 0:
                     continue

@@ -54,7 +54,7 @@ class Scenario:
     epsilon: float
     covariate_shift: str = "none"
     n_per_source: int = 2000
-    variants: tuple[str, ...] = ("efficient_fusion",)
+    variants: tuple[str, ...] = (EstimatorVariant().label(),)
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -82,11 +82,8 @@ def named_scenario(name: str, covariate_shift: str = "none", n_per_source: int =
                    variants=None) -> Scenario:
     if name not in ALIGNMENT_LEVELS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(ALIGNMENT_LEVELS)}")
-    if variants:
-        v = tuple(x.label() if isinstance(x, EstimatorVariant) else str(x)
-                  for x in variants)
-    else:
-        v = ("efficient_fusion",)
+    v = (tuple(x.label() if isinstance(x, EstimatorVariant) else str(x) for x in variants)
+         if variants else Scenario.variants)
     return Scenario(name=name, epsilon=ALIGNMENT_LEVELS[name],
                     covariate_shift=covariate_shift, n_per_source=n_per_source,
                     variants=v)

@@ -135,7 +135,9 @@ class WeightSpec:
       exponential_tilt        w(z̄_j; β) = exp(Σ_c β_c t_c(z̄_j))
       truncated_above_threshold  w(z̄_j) = 1{z_j >= threshold}, a known
                               finite threshold; no parameter to estimate
-    """
+
+    A tilt reads only `terms`, a truncation only `threshold`; each check's
+    message starts with the field it faults."""
 
     family: str
     index: int
@@ -144,25 +146,24 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.family not in ("exponential_tilt", "truncated_above_threshold"):
-            raise ParseError(f"unknown weight family {self.family!r}")
+            raise ParseError(f"family: unknown family {self.family!r}")
         if self.family == "exponential_tilt":
             if not self.terms:
-                raise ParseError("exponential tilt needs at least one basis term")
+                raise ParseError("terms: exponential tilt needs at least one basis term")
             if self.threshold is not None:
-                raise ParseError("exponential tilt takes no threshold")
+                raise ParseError("threshold: exponential tilt takes no threshold")
             texts = [t.text() for t in self.terms]
             if len(set(texts)) != len(texts):
-                raise ParseError(f"duplicate basis terms: {texts}")
+                raise ParseError(f"terms: duplicate basis terms: {texts}")
             for t in self.terms:
                 if t.index != self.index:
-                    raise ParseError(
-                        f"term {t.text()!r} is for index {t.index}, spec is for {self.index}"
-                    )
+                    raise ParseError(f"terms: {t.text()!r} is for index {t.index}, "
+                                     f"spec is for {self.index}")
             return
         if self.terms:
-            raise ParseError("truncation family takes no basis terms")
+            raise ParseError("terms: truncation family takes no basis terms")
         if not (isinstance(self.threshold, (int, float)) and math.isfinite(self.threshold)):
-            raise ParseError(f"truncation threshold must be a finite number, "
+            raise ParseError(f"threshold: truncation threshold must be a finite number, "
                              f"got {self.threshold!r}")
         object.__setattr__(self, "threshold", float(self.threshold))
 

@@ -63,16 +63,6 @@ def test_moment_match_recovers_tilt():
     assert b == pytest.approx(0.8, abs=0.15)
 
 
-def test_moment_match_respects_start():
-    data, design = _tilted_instance(1200, beta_true=0.5, seed=2)
-    nuis = fit_nuisance_bundle(data, design)
-    cold = moment_match_beta(nuis)
-    warm = moment_match_beta(nuis, beta0=cold.beta)
-    assert warm.all_converged
-    assert warm.iterations[(2, 2)] <= 2
-    np.testing.assert_allclose(warm.beta.values, cold.beta.values, atol=1e-6)
-
-
 def test_moment_match_residual_never_rises(monkeypatch):
     # each Newton iteration solves J step = -m at the current iterate, so the
     # solves see every accepted iterate's residual; on rep 3 of the small

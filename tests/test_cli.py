@@ -17,7 +17,7 @@ from weakfuse.errors import (
     WeakfuseError,
 )
 from weakfuse.cli import (
-    _MAX_GRID_POINTS,
+    _MAX_DELTAS,
     _parse_grid,
     config_hash,
     default_config_dict,
@@ -27,10 +27,12 @@ from weakfuse.cli import (
     parse_config_dict,
 )
 from weakfuse.estimator import one_step_estimate
+from weakfuse.gradients import EstimandSpec
 from weakfuse.model import layout_from_design
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 
 from oracles import ingest_csv_by_csv_reader
+from test_estimator import _first_rows
 
 
 # ---------------------------------------------------------------- config
@@ -177,6 +179,63 @@ def test_every_parsed_option_changes_the_estimate():
         blob = default_config_dict()
         blob["options"][key] = value
         assert run(blob) != base, key
+
+    # each estimand kind and weight family, then each key it takes set apart
+    # from the base block's value: all of them parse to distinct configs
+    tilt = {"family": "exponential_tilt", "terms": ["z1*log(z3)"]}
+    truncation = {"family": "truncated_above_threshold", "threshold": 0.05}
+    blocks = [
+        (("estimand",), {"kind": "ate"}, {}),
+        (("estimand",), {"kind": "working_linear"}, {"coefficient": "intercept"}),
+        (("estimand",), {"kind": "moment"}, {"index": 2, "power": 2}),
+        (("design", "weight_specs", "3,2"), tilt, {"terms": ["z1*log1m(z3)"]}),
+        (("design", "weight_specs", "3,2"), truncation, {"threshold": 0.1}),
+    ]
+    parsed = []
+    for path, block, changes in blocks:
+        if path == ("estimand",):
+            assert {*block, *changes} == {"kind", *EstimandSpec._READS[block["kind"]]}
+        for value in [block] + [dict(block, **{key: v}) for key, v in changes.items()]:
+            blob = default_config_dict()
+            node = blob
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+            cfg = parse_config_dict(blob)
+            parsed.append((cfg.estimand, cfg.design))
+    assert len(set(parsed)) == len(parsed)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("design", "weight_specs", "3,2", "threshold"), 0.7,
+     "config.design.weight_specs.3,2.threshold: exponential tilt takes no threshold"),
+    (("design", "weight_specs", "3,4"),
+     {"family": "truncated_above_threshold", "threshold": 0.05, "terms": ["z1*log(z3)"]},
+     "config.design.weight_specs.3,4.terms: truncation family takes no basis terms"),
+    (("estimand",), {"kind": "ate", "index": 9}, "config.estimand.index: not read by kind 'ate'"),
+    (("estimand",), {"kind": "ate", "power": 4}, "config.estimand.power: not read by kind 'ate'"),
+    (("estimand",), {"kind": "ate", "coefficient": "slope"},
+     "config.estimand.coefficient: not read by kind 'ate'"),
+    (("estimand",), {"kind": "working_linear", "index": 2},
+     "config.estimand.index: not read by kind 'working_linear'"),
+    (("estimand",), {"kind": "moment", "coefficient": "intercept"},
+     "config.estimand.coefficient: not read by kind 'moment'"),
+])
+def test_out_of_kind_keys_exit_one_naming_the_key(tmp_path, capsys, path, value, message):
+    # a key the block's kind or family does not read is an error, never
+    # silently dropped, even at its default value
+    blob = default_config_dict()
+    node = blob
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_config_dict(blob)
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    assert main(["estimate", "--config", str(cfgp), "--data", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_parse_config_file_errors(tmp_path):
@@ -436,9 +495,9 @@ def test_parse_grid_length_cap():
     grid = _parse_grid("0:0.05:0.0001")
     assert len(grid) == 501
     assert grid == [round(i * 0.0001, 12) for i in range(501)]
-    assert len(_parse_grid(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS
+    assert len(_parse_grid(f"0:{_MAX_DELTAS - 1}:1")) == _MAX_DELTAS
     with pytest.raises(ValueError, match="more than"):
-        _parse_grid(f"0:{_MAX_GRID_POINTS}:1")
+        _parse_grid(f"0:{_MAX_DELTAS}:1")
     assert _parse_grid("1:0:0.5") == []
 
 
@@ -446,7 +505,10 @@ def test_parse_grid_length_cap():
 
 def _study_csv(tmp_path, n=300, seed=11):
     sc = named_scenario("moderately_aligned", n_per_source=n)
-    data = generate_dataset(sc, seed=seed)
+    return _data_csv(tmp_path, generate_dataset(sc, seed=seed))
+
+
+def _data_csv(tmp_path, data):
     lines = ["z1,z2,z3,source"]
     for i in range(data.z.shape[0]):
         vals = [repr(float(v)) for v in data.z[i]]
@@ -454,6 +516,27 @@ def _study_csv(tmp_path, n=300, seed=11):
     p = tmp_path / "study.csv"
     p.write_text("\n".join(lines) + "\n")
     return p
+
+
+def _constant_z1(z, source):
+    z[:, 0] = 1.3
+
+
+@pytest.mark.parametrize("seed, rows, edit, message", [
+    # the index-3 panel's z2 = 0 branch holds one training row
+    (1, 5, None, "error: index 3, branch z2 = 0: 1 training row\n"),
+    # the moment match diverges with every normalizer finite
+    (247147, 20, _constant_z1,
+     "error: tilt normalizer or moments for index 3, source 2 are not finite at 18 states"),
+])
+def test_small_study_inputs_exit_one_naming_the_cause(tmp_path, capsys, seed, rows, edit,
+                                                      message):
+    data = _data_csv(tmp_path, _first_rows(seed, [rows] * 4, edit))
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(default_config_dict()))
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def _study_config(tmp_path, seed=11):
@@ -696,7 +779,7 @@ def test_csv_cell_over_the_field_limit_exits_one_naming_the_row(tmp_path, capsys
 
 
 @pytest.mark.parametrize("grid, message", [
-    ("0:1:1e-300", f"more than {_MAX_GRID_POINTS} points"),
+    ("0:1:1e-300", f"more than {_MAX_DELTAS} points"),
     ("0:inf:1", "must be finite"),
     ("nan:1:0.1", "must be finite"),
     ("0:nan:0.1", "must be finite"),
@@ -717,7 +800,7 @@ def test_sensitivity_parses_grid_before_reading_data(tmp_path, capsys):
                  "--data", str(tmp_path / "missing.csv"), "--delta-grid", "0:1:1e-300",
                  "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
-    assert f"more than {_MAX_GRID_POINTS} points" in err
+    assert f"more than {_MAX_DELTAS} points" in err
     assert "missing.csv" not in err
 
 

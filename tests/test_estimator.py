@@ -3,8 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakfuse.errors import BadLevel, NegativeDelta, StructuralError
+from weakfuse.errors import (
+    BadLevel,
+    InsufficientData,
+    NegativeDelta,
+    NonFiniteNormalizer,
+    StructuralError,
+    WeakfuseError,
+)
 from weakfuse.estimator import (
     EstimateReport,
     EstimatorVariant,
@@ -459,3 +468,75 @@ def test_moment_tower_on_exact_mode_panel():
                             EstimatorVariant("target_only"))
     assert np.isfinite(rep.estimate) and np.isfinite(rep.se)
     assert abs(rep.estimate - 0.5) < 4 * rep.se
+
+
+# ---------------------------------------------------------------------------
+# small and degenerate designs
+
+_SMALL = named_scenario("moderately_aligned", n_per_source=50)
+_ALL_VARIANTS = [EstimatorVariant("target_only"), EstimatorVariant("naive_fusion"),
+                 EstimatorVariant("efficient_fusion"),
+                 EstimatorVariant("overparametrized", extra_terms=2)]
+
+
+def _first_rows(seed, sizes, z_edit=None):
+    """The first sizes[s-1] rows of each source of one small study draw,
+    with z_edit(z, source) applied to a copy of z."""
+    full = generate_dataset(_SMALL, seed, 0)
+    idx = np.concatenate([np.flatnonzero(full.source == s)[:n]
+                          for s, n in enumerate(sizes, start=1)])
+    z, source = full.z[idx].copy(), full.source[idx]
+    if z_edit is not None:
+        z_edit(z, source)
+    return Dataset(z, source, k=full.k)
+
+
+def test_one_row_branch_is_insufficient_data():
+    # the index-3 panel trains on source 1 alone, whose z2 = 0 branch holds
+    # one row, and no tilt of that point mass reproduces source 2's z2 = 0
+    # rows, so no shift parameter could be fitted
+    data = _first_rows(1, [5] * 4)
+    with pytest.raises(InsufficientData, match="index 3, branch z2 = 0: 1 training row$"):
+        one_step_estimate(data, study_design(), EstimandSpec("ate"))
+
+
+def test_non_finite_shift_moments_are_named():
+    # with z1 constant the moment match stops at beta(3,2) near (-271, 267);
+    # every normalizer is finite, but some of source 2's shift moments are
+    # not, and the fusion matrices built from them cannot be inverted
+    def constant_z1(z, source):
+        z[:, 0] = 1.3
+    data = _first_rows(247147, [20] * 4, constant_z1)
+    with pytest.raises(NonFiniteNormalizer,
+                       match="moments for index 3, source 2 are not finite at 18 states"):
+        one_step_estimate(data, study_design(), EstimandSpec("ate"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 20),
+       sizes=st.lists(st.integers(5, 20), min_size=4, max_size=4),
+       empty=st.sampled_from([None, None, None, 2, 3, 4]),
+       constant=st.sampled_from([None, 0, 1, 2]), one_row_branch=st.booleans(),
+       z3_power=st.sampled_from([1.0, 1 / 16, 16.0]), variant=st.sampled_from(_ALL_VARIANTS))
+def test_small_designs_end_in_a_package_error_or_a_finite_report(
+        seed, sizes, empty, constant, one_row_branch, z3_power, variant):
+    # at most 80 rows: a weak source with no rows, a constant column, a
+    # target z2 = 0 branch of one row, z3 pushed toward 0 or 1 (the tilts
+    # read log z3 and log(1 - z3))
+    if empty is not None:
+        sizes[empty - 1] = 0
+
+    def edit(z, source):
+        if constant is not None:
+            z[:, constant] = z[0, constant]
+        if one_row_branch:
+            zero = np.flatnonzero((source == 1) & (z[:, 1] == 0))
+            z[zero[1:], 1] = 1.0
+        z[:, 2] **= z3_power
+    data = _first_rows(seed, sizes, edit)
+    try:
+        rep = one_step_estimate(data, study_design(), EstimandSpec("ate"), variant=variant)
+    except WeakfuseError:
+        return
+    assert np.all(np.isfinite([rep.estimate, rep.se, rep.ci_lo, rep.ci_hi]))
+    assert np.all(np.isfinite(rep.beta)) and np.all(np.isfinite(rep.beta_se))

@@ -54,6 +54,12 @@ def test_estimand_spec_validation():
     with pytest.raises(StructuralError, match="power"):
         EstimandSpec("moment", index=1, power=0)
     assert EstimandSpec("moment", index=2, power=2).power == 2
+    # a field the kind does not read keeps its default
+    for kind, field in (("ate", "index"), ("ate", "power"), ("moment", "coefficient"),
+                        ("working_linear", "power")):
+        with pytest.raises(StructuralError, match=f"{field}: not read by kind '{kind}'"):
+            EstimandSpec(kind, **{field: "intercept" if field == "coefficient" else 2})
+    assert EstimandSpec() == EstimandSpec("ate", coefficient="slope", index=1, power=1)
 
 
 def test_seed_rows_match_exact_tower(law_pass):
@@ -211,17 +217,14 @@ def test_batched_pinv_drops_null_direction():
     ])
     pinv, dropped = _batched_pinv(M)
     np.testing.assert_allclose(pinv[0], np.diag([0.5, 1.0, 0.0]), atol=1e-14)
-    # force_null removes the smallest magnitude eigenvalue even when nonzero
+    # the smallest magnitude eigenvalue is dropped even when nonzero
     np.testing.assert_allclose(pinv[1], np.diag([1 / 3, 0.5, 0.0]), atol=1e-14)
     np.testing.assert_array_equal(dropped, [1, 1])
-    full, dropped_full = _batched_pinv(M[1:], force_null=False)
-    np.testing.assert_allclose(full[0], np.diag([1 / 3, 0.5, 1.0]), atol=1e-14)
-    np.testing.assert_array_equal(dropped_full, [0])
 
 
 def test_batched_pinv_symmetrizes():
     M = np.array([[[2.0, 1.0], [0.0, 2.0]]])
-    pinv, _ = _batched_pinv(M, force_null=True)
+    pinv, _ = _batched_pinv(M)
     # symmetrized matrix has eigenpairs (1.5, [1,-1]) and (2.5, [1,1])
     want = np.outer([1.0, 1.0], [1.0, 1.0]) / 2 / 2.5
     np.testing.assert_allclose(pinv[0], want, atol=1e-14)

@@ -410,6 +410,29 @@ def test_kernel_panel_insufficient_rows():
         KernelPanel(2, data, np.arange(4), NuisanceOptions())
 
 
+def test_kernel_panel_needs_min_rows_per_branch():
+    # z2 is binary; the panel trains on the first 30 rows, whose z2 = 0
+    # branch holds `zeros` rows (rows 30..39 keep the branch declared)
+    z = np.random.default_rng(27).uniform(0.1, 0.9, size=(60, 3))
+
+    def panel(zeros, options=NuisanceOptions()):
+        z[:, 1] = 1.0
+        z[:zeros, 1] = 0.0
+        z[30:40, 1] = 0.0
+        return KernelPanel(3, Dataset(z.copy(), np.ones(60, dtype=int), k=1),
+                           np.arange(30), options)
+
+    panel(0)        # an empty branch reads the fold mean
+    panel(5)
+    for zeros, rows in ((1, "1 training row"), (4, "4 training rows")):
+        with pytest.raises(InsufficientData, match=f"^index 3, branch z2 = 0: {rows}$"):
+            panel(zeros)
+    # with cross-fitting the rule holds per fold: 6 rows split 3 and 3
+    panel(6)
+    with pytest.raises(InsufficientData, match="branch z2 = 0: 3 training rows"):
+        panel(6, NuisanceOptions(cross_fit=True))
+
+
 def test_discrete_panel_exactness():
     law = DiscreteLaw()
     panel = law.bundle().panel(3)
