@@ -248,12 +248,17 @@ def _tilt_field(panel, b, basis):
 
     No exponent is clipped: `exp` overflows silently into a non-finite
     field, which the engine reports as `NonFiniteNormalizer` and the moment
-    match counts as a trial step that did not lower its residual."""
+    match counts as a trial step that did not lower its residual.
+
+    A tilt at b = 0 with finite factors has the shift exp(±0) = 1 exactly,
+    so its field is W·[1, ψ], formed without exponent or product."""
     G, vals = basis
     out = np.zeros((panel.eval_states.shape[0], 1 if G is None else vals[0].shape[1]))
+    flat = (G is not None and not np.any(b)
+            and np.isfinite(G).all() and np.isfinite(vals[1]).all())
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, W, _, vc, (buf,) in _chunks(panel, *vals, scratch=1):
-            out[rows] = _shift_chunk(b, G, rows, W, vc, buf, buf)[1]
+            out[rows] = W @ vc[0] if flat else _shift_chunk(b, G, rows, W, vc, buf, buf)[1]
     return out
 
 

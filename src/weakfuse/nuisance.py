@@ -29,7 +29,7 @@ _MIN_ROWS = 5
 _H_FLOOR = 1e-6
 _MAX_GRID_POINTS = 2001
 _CHUNK_BYTES = 1 << 18      # one float temporary per row chunk: about 256 KiB, cache-sized
-_STORE_BYTES = 1 << 24      # a weight block up to 16 MiB is kept; a larger one is rebuilt per read
+_STORE_BYTES = 1 << 24      # a re-read block up to 16 MiB is kept; any other is rebuilt per read
 
 
 @dataclass(frozen=True)
@@ -273,14 +273,15 @@ class _GaussRows:
     training points `Xt`: Gaussian product-kernel rows with bandwidths `h`,
     all ones when there is no kernel column. `rows(lo, hi)` returns rows
     lo:hi, each scaled to sum to one, and which of them are degenerate: a
-    row whose mass is below 1e-12 keeps its raw weights. A block of at most
-    `_STORE_BYTES` is built once and kept; a larger one is rebuilt on every
-    read, so it never holds more than the rows asked for."""
+    row whose mass is below 1e-12 keeps its raw weights. With `keep`, a
+    block of at most `_STORE_BYTES` is built once and kept; any other block
+    is rebuilt on every read, so it never holds more than the rows asked
+    for. Both give the same rows, bit for bit."""
 
-    def __init__(self, Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray):
+    def __init__(self, Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray, keep: bool):
         self.Xq, self.Xt, self.h = Xq, Xt, h
         self._kept = (self._build(0, Xq.shape[0])
-                      if 8 * Xq.shape[0] * Xt.shape[0] <= _STORE_BYTES else None)
+                      if keep and 8 * Xq.shape[0] * Xt.shape[0] <= _STORE_BYTES else None)
 
     def _build(self, lo: int, hi: int):
         Xq = self.Xq[lo:hi]
@@ -389,10 +390,13 @@ class KernelPanel(_BlockPanel):
     own Silverman bandwidths `h[f]`; `floored` records that any bandwidth hit
     its floor. A data row that trained fold 0 reads fold 1's fields, and
     every other row reads fold 0's.
+
+    `keep` says that the blocks are read more than once, so that each one
+    within `_STORE_BYTES` is kept rather than rebuilt on every read.
     """
 
     def __init__(self, j: int, data: Dataset, train_idx: np.ndarray,
-                 options: NuisanceOptions):
+                 options: NuisanceOptions, keep: bool = True):
         self.j = j
         rows = np.asarray(train_idx, dtype=int)
         if rows.size < _MIN_ROWS:
@@ -460,7 +464,7 @@ class KernelPanel(_BlockPanel):
             for st_rows, cols in parts:
                 if cols.size == 0:
                     continue
-                src = _GaussRows(Xq, kern[cols], h)
+                src = _GaussRows(Xq, kern[cols], h, keep)
                 blocks.append((st_rows + f * E, cols + T0, src))
             folds.append((slice(f * E, (f + 1) * E), slice(T0, T0 + fr.size)))
             T0 += fr.size
@@ -560,7 +564,10 @@ class FittedNuisance:
 
 def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
                         options: NuisanceOptions | None = None) -> FittedNuisance:
-    """Fit every β-free nuisance component a design and estimand require."""
+    """Fit every β-free nuisance component a design and estimand require.
+    Only the panels at indices with weak sources keep their weight blocks:
+    the moment match and the engine sweep those once per β, while every
+    other panel is read by the seed and at most one tail adjustment."""
     options = options or NuisanceOptions()
     if data.n == 0:
         raise StructuralError("empty dataset")
@@ -568,7 +575,8 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     panels: dict[int, object] = {}
     ratios: dict[int, MarginalRatioFits] = {}
     for j in design.relevant:
-        panels[j] = KernelPanel(j, data, data.rows_in(design.aligned_at(j)), options)
+        panels[j] = KernelPanel(j, data, data.rows_in(design.aligned_at(j)), options,
+                                keep=bool(design.weak_at(j)))
     for j in design.relevant:
         ratios[j] = MarginalRatioFits(j, design, data, options)
     propensity = None

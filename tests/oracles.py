@@ -126,7 +126,7 @@ def smoother(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> _BlockPanel:
     `Xt` is their Nadaraya-Watson regression, read at the query points `Xq`
     chunk by chunk through the package's Gaussian row source."""
     return _BlockPanel(Xq, [(np.arange(Xq.shape[0]), np.arange(Xt.shape[0]),
-                             _GaussRows(Xq, Xt, h))])
+                             _GaussRows(Xq, Xt, h, keep=True))])
 
 
 def dense_rowmean(W: np.ndarray, F: np.ndarray, values=None) -> np.ndarray:

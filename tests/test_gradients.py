@@ -12,11 +12,13 @@ from weakfuse.gradients import (
     _batched_pinv,
     _IndexMachine,
     _shift_chunk,
+    _tilt_basis,
+    _tilt_field,
     compute_pass,
     seed_gradient,
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
-from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
+from weakfuse.nuisance import NuisanceOptions, _chunks, fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design, true_parameters
 from weakfuse.weights import WeightSpec
 
@@ -398,6 +400,38 @@ def test_shift_exponent_is_bit_exact(terms):
                            buf, tmp)[0]
         want = np.exp((np.multiply if terms == 1 else np.matmul)(G * b, P.T))
     assert got.tobytes() == want.tobytes()
+
+
+def _exp_path_field(panel, b, basis):
+    """A tilt field by the exponent path alone: exp of each chunk's tilt
+    exponent, then the shift's row means against [1, ψ]."""
+    G, vals = basis
+    out = np.zeros((panel.eval_states.shape[0], vals[0].shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, W, _, vc, (buf,) in _chunks(panel, *vals, scratch=1):
+            out[rows] = _shift_chunk(b, G, rows, W, vc, buf, buf)[1]
+    return out
+
+
+@pytest.mark.parametrize("pair", [(3, 2), (3, 3)])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_tilt_field_at_zero_matches_the_exponent_path(pair, zero):
+    # at b = 0 the shift is exp(±0) = 1 and the field skips the exponent;
+    # it equals the exponent path bit for bit, and a -inf ψ (log 0) or an
+    # infinite prefactor still gives the same non-finite field
+    nuis = _study_pass_inputs(300)[0]
+    panel = nuis.panel(3)
+    G, (V, _) = _tilt_basis(panel, nuis.design.spec_for(*pair))
+    V_inf, G_inf = V.copy(), G.copy()
+    V_inf[7, 1] = -np.inf
+    G_inf[5, 0] = np.inf
+    b = np.full(G.shape[1], zero)
+    fields = []
+    for basis in ((G, (V, V[:, 1:])), (G, (V_inf, V_inf[:, 1:])), (G_inf, (V, V[:, 1:]))):
+        got = _tilt_field(panel, b, basis)
+        assert _bits(got) == _bits(_exp_path_field(panel, b, basis))
+        fields.append(got)
+    assert [np.isfinite(f).all() for f in fields] == [True, False, False]
 
 
 def _bits(a) -> tuple:

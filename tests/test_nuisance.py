@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,7 +13,7 @@ from weakfuse.errors import (
 )
 import weakfuse.nuisance as nuisance
 from weakfuse.betafit import moment_match_beta
-from weakfuse.estimator import one_step_estimate
+from weakfuse.estimator import EstimatorVariant, apply_variant, one_step_estimate
 from weakfuse.gradients import _EPS_W, EstimandSpec, _IndexMachine, compute_pass, seed_gradient
 from weakfuse.model import Dataset, FusionDesign, layout_from_design
 from weakfuse.nuisance import (
@@ -27,6 +28,7 @@ from weakfuse.nuisance import (
     fit_propensity,
     silverman_bandwidths,
 )
+from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec
 
 from oracles import (
@@ -643,6 +645,44 @@ def test_bundle_wiring_and_deltas():
     assert bundle.delta_of([1, 2]) == pytest.approx(
         bundle.delta[1] + bundle.delta[2], rel=1e-15)
     assert bundle.propensity is None
+
+
+@pytest.fixture(scope="module")
+def study_data():
+    return generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1, 0)
+
+
+@pytest.mark.parametrize("variant, cross_fit", [
+    ("target_only", False), ("naive_fusion", False), ("efficient_fusion", False),
+    ("overparametrized+2", False), ("efficient_fusion", True)])
+def test_bundle_keeps_blocks_only_at_indices_with_weak_sources(study_data, variant,
+                                                               cross_fit):
+    # the β sweeps re-read the blocks of indices with weak sources; every
+    # other block is read a fixed few times and streamed on each read
+    design = apply_variant(study_design(), EstimatorVariant.parse(variant))
+    bundle = fit_nuisance_bundle(study_data, design, EstimandSpec("ate"),
+                                 NuisanceOptions(cross_fit=cross_fit))
+    kept = {j: [src._kept is not None for _, _, src in p.blocks]
+            for j, p in bundle.panels.items()}
+    assert kept == {j: [bool(design.weak_at(j))] * len(bundle.panel(j).blocks)
+                    for j in design.relevant}
+    assert any(any(k) for k in kept.values()) == (variant not in ("target_only",
+                                                                  "naive_fusion"))
+
+
+def test_naive_fusion_estimate_holds_less_than_one_index3_block(study_data):
+    # no index of the naive design has a weak source, so no weight block is
+    # kept: the estimate peaks below the bytes of one index-3 block
+    variant = EstimatorVariant("naive_fusion")
+    bundle = fit_nuisance_bundle(study_data, apply_variant(study_design(), variant))
+    block_bytes = min(8 * rows.size * cols.size for rows, cols, _ in bundle.panel(3).blocks)
+    tracemalloc.start()
+    try:
+        one_step_estimate(study_data, study_design(), EstimandSpec("ate"), variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes, (peak, block_bytes)
 
 
 def test_bundle_registers_outcome_regression_for_ate():

@@ -27,7 +27,7 @@ import weakfuse.nuisance as nuisance
 from weakfuse.cli import default_config_dict, parse_config_dict
 from weakfuse.estimator import EstimatorVariant, one_step_estimate
 from weakfuse.gradients import EstimandSpec
-from weakfuse.nuisance import NuisanceOptions
+from weakfuse.nuisance import NuisanceOptions, _GaussRows
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 
 from test_estimator import _exact_mode_instance, _linear_instance, _tilted_instance
@@ -124,16 +124,22 @@ def _hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
-@pytest.mark.parametrize("name", ["study_efficient_fusion", "study_cross_fit",
-                                  "study_truncation_threshold", "exact_efficient_fusion"])
+def _kept_rows(Xq, Xt, h, keep):
+    return _GaussRows(Xq, Xt, h, True)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_estimate_does_not_depend_on_the_store_budget(monkeypatch, name):
-    # weight blocks kept whole and rebuilt chunk by chunk on every read give
-    # the same report, bit for bit
+    # every weight block rebuilt chunk by chunk on every read, the blocks
+    # the design keeps, and every block kept whole give the same report,
+    # bit for bit
     got = []
-    for store_bytes in (0, 2 ** 62):
+    for store_bytes, rows in ((0, _GaussRows), (nuisance._STORE_BYTES, _GaussRows),
+                              (2 ** 62, _kept_rows)):
         monkeypatch.setattr(nuisance, "_STORE_BYTES", store_bytes)
+        monkeypatch.setattr(nuisance, "_GaussRows", rows)
         got.append(_hex(_record(CASES[name]())))
-    assert got[0] == got[1]
+    assert got[0] == got[1] == got[2]
 
 
 if __name__ == "__main__":
