@@ -4,7 +4,7 @@ and the reportable result object."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 from .betafit import moment_match_beta
@@ -100,7 +100,11 @@ def sensitivity_interval(estimate: float, se: float, delta: float,
 
 @dataclass
 class EstimateReport:
-    """One estimation run, with everything needed to report or re-run it."""
+    """One estimation run, with everything needed to report or re-run it.
+
+    `gradient_variances` holds the sample variances of the efficient rows and
+    of the rows at fixed β; `overlap` maps each "j,s" pair to the range of its
+    fitted density ratio and the fraction of rows clipped."""
 
     estimate: float
     se: float
@@ -112,24 +116,15 @@ class EstimateReport:
     beta_se: list[float]
     n_per_source: dict[int, int]
     clip_counts: dict[str, int]
+    plugin: float
+    gradient_variances: dict[str, float]
+    flags: list[str]
+    overlap: dict[str, list[float]]
     seed: int | None = None
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "estimate": self.estimate,
-            "se": self.se,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "level": self.level,
-            "variant": self.variant,
-            "beta": list(self.beta),
-            "beta_se": list(self.beta_se),
-            "n_per_source": {str(k): int(v) for k, v in sorted(self.n_per_source.items())},
-            "clip_counts": {k: int(v) for k, v in sorted(self.clip_counts.items())},
-            "seed": self.seed,
-        }
-        out.update(self.extras)
+        out = asdict(self)
+        out["n_per_source"] = {str(k): v for k, v in sorted(self.n_per_source.items())}
         return out
 
 
@@ -142,7 +137,7 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
     variant keeps (none for `target_only` and `naive_fusion`), and return the
     one-step estimate with a Wald interval.
 
-    `extras["flags"]` names every fallback that fired: the fit-time flags
+    The report's `flags` name every fallback that fired: the fit-time flags
     of the nuisance bundle, `UserWarning` for a validation note,
     `NoConvergence` from the moment match, and the flags of both engine
     passes. `clip_counts` are the counts of the seeded pass at β̂.
@@ -178,15 +173,6 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
             diag = rf.overlap_diagnostics(s)
             if diag is not None and j > 1:
                 overlap[f"{j},{s}"] = [diag.min_ratio, diag.max_ratio, diag.frac_clipped]
-    extras = {
-        "plugin": seed.plugin,
-        "gradient_variances": {
-            "efficient": float(rows.var(ddof=1)) if n > 1 else float("nan"),
-            "fixed_beta": float(final.dtilde.var(ddof=1)) if n > 1 else float("nan"),
-        },
-        "flags": sorted(flags),
-        "overlap": overlap,
-    }
     return EstimateReport(
         estimate=estimate,
         se=se,
@@ -198,6 +184,12 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         beta_se=[float(v) for v in beta_se],
         n_per_source={s: int(c) for s, c in data.source_counts().items()},
         clip_counts=final.clip_counts,
+        plugin=seed.plugin,
+        gradient_variances={
+            "efficient": float(rows.var(ddof=1)) if n > 1 else float("nan"),
+            "fixed_beta": float(final.dtilde.var(ddof=1)) if n > 1 else float("nan"),
+        },
+        flags=sorted(flags),
+        overlap=overlap,
         seed=seed_value,
-        extras=extras,
     )

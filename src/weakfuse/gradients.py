@@ -230,15 +230,7 @@ def _shift_chunk(b, G, rows, W, vals, buf, tmp):
     if G is None:
         return vals[0], (W @ vals[0])[:, None]
     Vc, Pc = vals
-    Gb = G[rows] * b
-    if Gb.shape[1] == 1:
-        # einsum's outer product runs at SIMD speed, where the (R, 1) by
-        # (1, C) broadcast multiply does not; it writes +0 for a -0 product,
-        # which exp maps to the same 1
-        np.einsum("i,j->ij", Gb[:, 0], Pc[:, 0], out=buf)
-    else:
-        np.matmul(Gb, Pc.T, out=buf)
-    np.exp(buf, out=buf)
+    np.exp(np.dot(G[rows] * b, Pc.T, out=buf), out=buf)
     return buf, np.multiply(W, buf, out=tmp) @ Vc
 
 
@@ -288,7 +280,7 @@ class _IndexMachine:
         self.dSj = nuisance.delta_of(self.S)
         offs = beta.offsets()
         ratio = nuisance.ratio_fits(j)
-        E, T = panel.eval_states.shape[0], panel.zj.size
+        T = panel.zj.size
         lo, hi = nuisance.options.ratio_clip
         self.clip_counts: dict[str, int] = {}
 
@@ -304,7 +296,7 @@ class _IndexMachine:
         self.ZS = ZS = np.take(data.z[:, :j], self.rows_S, axis=0)
 
         # value columns: 1, then each tilt term ψ, then each seed column; the
-        # arrays each weak source's shift reads follow them in `_chunks` below
+        # arrays each weak source's shift reads follow them in the sweep's `_chunks`
         cols = [np.ones(T)]
         shifts = {}                                 # (b, G, span of its arrays)
         vals = []
@@ -323,35 +315,7 @@ class _IndexMachine:
         cols.extend(np.broadcast_to(col, (T,)) for _, col in sep or ())
         V = np.column_stack(cols)
 
-        # one sweep over the chunks: each shift and its row means, then w*,
-        # the mixture denominator, W·r and every product moment, in buffers
-        # reused from chunk to chunk
-        raw = {s: np.zeros((E, 1 + self.G[s].shape[1] if s in self.G else 1))
-               for s in self.Wk}
-        keys = [(), *((s,) for s in self.Wk), *combinations_with_replacement(self.Wk, 2)]
-        self.wv = np.zeros((E, V.shape[1]))
-        self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
-        with np.errstate(over="ignore", invalid="ignore"):
-            for rows, W, _, vc, (r, prod, tmp, *wbuf) in _chunks(
-                    panel, V, *vals, scratch=3 + len(self.Wk)):
-                Vc = vc[0]
-                self.wv[rows] = W @ Vc
-                wst = {}
-                for s, buf in zip(self.Wk, wbuf):
-                    b, G, span = shifts[s]
-                    w, raw[s][rows] = _shift_chunk(b, G, rows, W, vc[span], buf, tmp)
-                    wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], _EPS_W)[:, None], out=buf)
-                for a, m in enumerate(self.S):      # r = 1 / (0 + t₀ + t₁ + …), then W·r
-                    dt = self.dt_e[rows, a:a + 1]
-                    term = np.multiply(dt, wst[m], out=tmp) if m in wst else dt
-                    np.add(r if a else 0.0, term, out=r)
-                np.divide(1.0, r, out=r)
-                r *= W
-                self.mom[()][rows] = r @ Vc
-                for x, s in enumerate(self.Wk):
-                    self.mom[(s,)][rows] = np.multiply(r, wst[s], out=prod) @ Vc
-                    for t in self.Wk[x:]:
-                        self.mom[(s, t)][rows] = np.multiply(prod, wst[t], out=tmp) @ Vc
+        raw = self._sweep(V, vals, shifts)
 
         self.wfield: dict[int, np.ndarray] = {}
         self.et: dict[int, np.ndarray] = {}         # E_Q[w*_s t_c | e]
@@ -408,6 +372,40 @@ class _IndexMachine:
         self.wr_dev = wr_own - self.at_rows(Ewr)
         self.weak_parts = [(i, self.src_S == m, P[:, :, i] - Ewr)
                            for i, m in enumerate(self.S) if m in self.wfield]
+
+    def _sweep(self, V, vals, shifts) -> dict:
+        """One sweep over the chunks: each shift and its row means, returned
+        per weak source, then w*, the mixture denominator, W·r and every
+        product moment, into `wv` and `mom`. Its scratch is reused from chunk
+        to chunk and dies with the sweep."""
+        E = self.panel.eval_states.shape[0]
+        raw = {s: np.zeros((E, 1 + self.G[s].shape[1] if s in self.G else 1))
+               for s in self.Wk}
+        keys = [(), *((s,) for s in self.Wk), *combinations_with_replacement(self.Wk, 2)]
+        self.wv = np.zeros((E, V.shape[1]))
+        self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, W, _, vc, (r, prod, tmp, *wbuf) in _chunks(
+                    self.panel, V, *vals, scratch=3 + len(self.Wk)):
+                Vc = vc[0]
+                self.wv[rows] = W @ Vc
+                wst = {}
+                for s, buf in zip(self.Wk, wbuf):
+                    b, G, span = shifts[s]
+                    w, raw[s][rows] = _shift_chunk(b, G, rows, W, vc[span], buf, tmp)
+                    wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], _EPS_W)[:, None], out=buf)
+                for a, m in enumerate(self.S):      # r = 1 / (0 + t₀ + t₁ + …), then W·r
+                    dt = self.dt_e[rows, a:a + 1]
+                    term = np.multiply(dt, wst[m], out=tmp) if m in wst else dt
+                    np.add(r if a else 0.0, term, out=r)
+                np.divide(1.0, r, out=r)
+                r *= W
+                self.mom[()][rows] = r @ Vc
+                for x, s in enumerate(self.Wk):
+                    self.mom[(s,)][rows] = np.multiply(r, wst[s], out=prod) @ Vc
+                    for t in self.Wk[x:]:
+                        self.mom[(s, t)][rows] = np.multiply(prod, wst[t], out=tmp) @ Vc
+        return raw
 
     def _key(self, *ms) -> tuple:
         return tuple(sorted(m for m in ms if m in self.wfield))

@@ -305,11 +305,14 @@ def _chunks(panel, *values, scratch=0):
     slice holds about `_CHUNK_BYTES`; `deg` marks the degenerate rows, `vals`
     holds each of `values` (arrays over the training columns) gathered at
     the block's columns, and `bufs` holds `scratch` uninitialized arrays
-    shaped like the slice. Gathers and buffers are made once per block."""
-    for rows, cols, src in panel.blocks:
-        step = max(1, _CHUNK_BYTES // (8 * cols.size))
+    shaped like the slice. Gathers are made once per block; the buffers are
+    views into one allocation per call, sized for the largest block."""
+    shapes = [(max(1, min(_CHUNK_BYTES // (8 * cols.size), rows.size)), cols.size)
+              for rows, cols, _ in panel.blocks]
+    pool = np.empty(scratch * max((r * c for r, c in shapes), default=0))
+    for (rows, cols, src), (step, c) in zip(panel.blocks, shapes):
         vals = tuple(np.take(v, cols, axis=0) for v in values)
-        bufs = np.empty((scratch, min(step, rows.size), cols.size))
+        bufs = pool[:scratch * step * c].reshape(scratch, step, c)
         for lo in range(0, rows.size, step):
             W, deg = src.rows(lo, lo + step)
             yield rows[lo:lo + step], W, deg, vals, bufs[:, :W.shape[0]]

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -162,22 +161,14 @@ class SummaryRow:
     flags: list[str] = field(default_factory=list)
 
     def csv_values(self) -> list[str]:
-        var_txt = "nan" if math.isnan(self.var_e5) else repr(self.var_e5)
-        return [
-            self.scenario,
-            self.shift,
-            self.variant,
-            str(self.reps),
-            repr(self.bias2_e5),
-            var_txt,
-            repr(self.coverage),
-            ";".join(repr(b) for b in self.mean_beta),
-            ";".join(repr(b) for b in self.sd_beta),
-            ";".join(self.flags),
-        ]
+        """Each field as a CSV cell: a number by `repr` and text as is; a
+        list's items are written the same way and joined by `;`."""
+        return [";".join(x if isinstance(x, str) else repr(x)
+                         for x in (v if isinstance(v, list) else (v,)))
+                for v in astuple(self)]
 
 
-CSV_HEADER = "scenario,shift,variant,reps,bias2_e5,var_e5,coverage,mean_beta,sd_beta,flags"
+CSV_HEADER = ",".join(f.name for f in fields(SummaryRow))
 
 
 def summary_to_csv(rows: list[SummaryRow]) -> str:
@@ -197,7 +188,7 @@ def _run_one(scenario: Scenario, variant: EstimatorVariant, rep: int, master_see
         scenario=scenario.name, shift=scenario.covariate_shift, variant=variant.label(),
         rep=rep, estimate=report.estimate, se=report.se,
         ci_lo=report.ci_lo, ci_hi=report.ci_hi, beta=report.beta,
-        flags=list(report.extras.get("flags", [])),
+        flags=list(report.flags),
     )
 
 
@@ -250,7 +241,7 @@ def run_monte_carlo(grid, reps: int, master_seed: int,
                 scenario=scenario.name, shift=scenario.covariate_shift,
                 variant=variant.label(), reps=int(est.size),
                 bias2_e5=bias2 * 1e5,
-                var_e5=var * 1e5 if not math.isnan(var) else float("nan"),
+                var_e5=var * 1e5,
                 coverage=float(cover.mean()),
                 mean_beta=mean_beta, sd_beta=sd_beta, flags=flags,
             ))

@@ -384,10 +384,10 @@ def test_compute_pass_does_not_depend_on_chunk_size(monkeypatch, case):
 
 @pytest.mark.parametrize("terms", [1, 2])
 def test_shift_exponent_is_bit_exact(terms):
-    # exp of a chunk's tilt exponent against exp of the plain product (one
-    # term) or of the matmul (two terms), bit for bit, with signed zeros,
-    # infinities, NaN and 1e308 in both factors; einsum's one-term outer
-    # product may only turn a -0 exponent into +0
+    # exp of a chunk's tilt exponent, formed by np.dot, against exp of the
+    # plain product (one term) or of the matmul (two terms), bit for bit,
+    # with signed zeros, infinities, NaN and 1e308 in both factors; np.dot
+    # may only turn a -0 exponent into +0, which exp maps to the same 1
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 0.5, -2.0, 1e-300])
     G = np.column_stack([np.roll(special, 3 * c) for c in range(terms)])
     P = np.column_stack([np.roll(special[::-1], 5 * c) for c in range(terms)])

@@ -89,7 +89,7 @@ def test_grid_panel_records_a_floored_bandwidth():
     assert bundle.panel(2).grid is not None
     assert bundle.panel(2).floored
     report = one_step_estimate(data, design, EstimandSpec("moment", index=2))
-    assert "SingularBandwidth" in report.extras["flags"]
+    assert "SingularBandwidth" in report.flags
 
 
 def test_kernel_regression_constant_is_flat():

@@ -13,7 +13,7 @@ To check that a change leaves every pinned case bit-identical, compare
     PYTHONPATH=src python tests/test_pinned_estimates.py --hex
 
 before and after it with `diff`: it prints each case's full report, interval
-and extras included, as sorted JSON with every float in float hex.
+flags and diagnostics included, as sorted JSON with every float in float hex.
 """
 
 import json
@@ -92,9 +92,9 @@ CASES = {
 
 def _record(report) -> dict:
     return {"estimate": report.estimate, "se": report.se, "beta": report.beta,
-            "beta_se": report.beta_se, "flags": report.extras["flags"],
+            "beta_se": report.beta_se, "flags": report.flags,
             "clip_counts": report.clip_counts,
-            "gradient_variances": report.extras["gradient_variances"]}
+            "gradient_variances": report.gradient_variances}
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from weakfuse.simulation import (
     CSV_HEADER,
     PSI_TRUE,
     Scenario,
+    SummaryRow,
     generate_dataset,
     named_scenario,
     run_monte_carlo,
@@ -234,7 +235,7 @@ def test_stalled_beta_fit_is_finite_and_flagged():
     report = one_step_estimate(data, study_design(), EstimandSpec("ate"))
     assert np.isfinite(report.estimate) and np.isfinite(report.se)
     assert np.all(np.isfinite(report.beta)) and max(map(abs, report.beta)) < 10
-    assert "NoConvergence" in report.extras["flags"]
+    assert "NoConvergence" in report.flags
 
 
 def test_engine_rejects_an_overflowing_beta():
@@ -289,6 +290,17 @@ def test_csv_round_trips_floats_exactly():
     assert float(fields[6]) == rows[0].coverage
     assert [float(x) for x in fields[7].split(";")] == rows[0].mean_beta
     assert [float(x) for x in fields[8].split(";")] == rows[0].sd_beta
+
+
+def test_csv_header_and_cells_are_fixed():
+    row = SummaryRow(scenario="poorly_aligned", shift="beta_shift",
+                     variant="overparametrized+2", reps=1, bias2_e5=0.1 + 0.2,
+                     var_e5=float("nan"), coverage=1.0, mean_beta=[], sd_beta=[],
+                     flags=["NoConvergence", "var_undefined"])
+    assert CSV_HEADER == "scenario,shift,variant,reps,bias2_e5,var_e5,coverage,mean_beta,sd_beta,flags"
+    assert summary_to_csv([row]) == (
+        CSV_HEADER + "\npoorly_aligned,beta_shift,overparametrized+2,1,0.30000000000000004,"
+        "nan,1.0,,,NoConvergence;var_undefined\n")
 
 
 def test_csv_spells_out_nan_variance():
