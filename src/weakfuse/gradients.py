@@ -101,7 +101,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         if nuisance.propensity is None:
             raise NuisanceMissing("no fitted propensity in the bundle")
         p3 = nuisance.panel(3)
-        if p3.grid is None:          # the exact layout cannot read the two arms
+        if not p3.binary[1]:         # a continuous z2 has no two arms to read
             raise StructuralError("the mean-difference estimand needs a binary z2")
         mu_field = p3.mean_field(p3.zj)                      # E[Y | z1, z2] on states
         st = p3.eval_states

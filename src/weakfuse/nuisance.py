@@ -4,12 +4,13 @@ conditional-moment panels that back the gradient engine.
 Everything here is deterministic given the data: bandwidths are closed-form,
 logistic fits use IRLS from a zero start, and conditional-mean fields are
 evaluated on fixed grids. Panels evaluate Nadaraya-Watson fields at a set of
-conditioning states and map data rows onto those states by linear
+conditioning states and map data rows onto those states by multilinear
 interpolation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -37,7 +38,9 @@ class NuisanceOptions:
     """Fit options, checked on construction: each clip is a pair
     0 < lo <= hi (hi < 1 for the propensity), and `grid_points` lies in
     2.._MAX_GRID_POINTS, since a grid weight block holds grid_points ×
-    training rows floats."""
+    training rows floats. `grid_points` is the grid's size along a panel's
+    continuous past coordinate when there is exactly one; with two or more,
+    the bandwidths and the data rows size each axis (see `KernelPanel`)."""
 
     ratio_clip: tuple[float, float] = (1e-3, 1e3)
     propensity_clip: tuple[float, float] = (0.01, 0.99)
@@ -245,27 +248,31 @@ class MarginalRatioFits:
 
 @dataclass
 class RowMap:
-    """Interpolation of data rows onto panel evaluation states."""
+    """Multilinear interpolation of data rows onto panel evaluation states:
+    row i reads the states `idx[k, i]` with weights `weight[k, i]`, over the
+    2^c corners k of its grid cell (one corner when c = 0)."""
 
-    lo: np.ndarray
-    hi: np.ndarray
-    frac: np.ndarray
+    idx: np.ndarray
+    weight: np.ndarray
 
     def apply(self, fields: np.ndarray) -> np.ndarray:
-        """fields[lo] * (1 - frac) + fields[hi] * frac, gathered by `np.take`
-        and combined in place, which skips numpy's slow 2-D fancy index."""
+        """The sum over corners of fields[idx[k]] * weight[k], in corner
+        order, gathered by `np.take` and combined in place, which skips
+        numpy's slow 2-D fancy index."""
         fields = np.asarray(fields, dtype=float)
-        f = self.frac if fields.ndim == 1 else self.frac[:, None]
-        out = np.take(fields, self.lo, axis=0)
-        out *= 1.0 - f
-        upper = np.take(fields, self.hi, axis=0)
-        upper *= f
-        out += upper
+        out = None
+        for idx, w in zip(self.idx, self.weight):
+            part = np.take(fields, idx, axis=0)
+            part *= w if fields.ndim == 1 else w[:, None]
+            if out is None:
+                out = part
+            else:
+                out += part
         return out
 
     def take(self, rows: np.ndarray) -> "RowMap":
         """The part of the map that covers the given rows."""
-        return RowMap(self.lo[rows], self.hi[rows], self.frac[rows])
+        return RowMap(self.idx[:, rows], self.weight[:, rows])
 
 
 class _GaussRows:
@@ -374,17 +381,18 @@ class KernelPanel(_BlockPanel):
     """Kernel conditional-moment evaluator for one index j.
 
     Fields are Nadaraya-Watson means over the training rows, evaluated at a
-    fixed set of conditioning states: a linspace grid along the (single)
-    continuous past coordinate crossed with exact branches of the binary past
-    coordinates, one weight block per branch with training rows. Rows map
-    onto states by linear interpolation along the grid; the Gaussian kernel
-    acts only on the continuous coordinate, binary coordinates are matched
-    exactly; at index 1, with no past coordinate, the grid is one state
-    whose all-ones block averages the training rows. With two or more
-    continuous past coordinates the panel takes the exact layout (`grid` is
-    None): one evaluation state per data row, in data order, a Gaussian over
-    every past coordinate, and a `row_map` that only accepts that full-row
-    layout.
+    fixed set of conditioning states: a tensor grid over the c continuous
+    past coordinates, one `np.linspace` axis each over the data's range,
+    crossed with exact branches of the binary past coordinates, one weight
+    block per branch with training rows. The Gaussian kernel acts only on
+    the continuous coordinates; binary ones are matched exactly. Rows map
+    onto states by multilinear interpolation in their grid cell. An axis has
+    `grid_points` points when c = 1; when c >= 2 it has
+    max(2, min(ceil(range / h) + 1, floor(n^(1/c)))) points, h being the
+    axis's smallest bandwidth over the folds and n the data rows, so that
+    its spacing is at most h and a branch never holds more than n states.
+    At c = 0 the grid is one state per branch, whose block averages the
+    branch's training rows.
 
     With `options.cross_fit` and at least 2 * _MIN_ROWS training rows, the
     rows split into two folds, `train_idx[::2]` and `train_idx[1::2]`, and
@@ -414,61 +422,54 @@ class KernelPanel(_BlockPanel):
         self.cont_cols = np.flatnonzero(~self.binary)
         self.bin_cols = np.flatnonzero(self.binary)
         self._branch_vals = {int(c): np.unique(zprev_all[:, c]) for c in self.bin_cols}
+        c = self.cont_cols.size
 
-        if self.cont_cols.size >= 2:
-            # the exact layout's kernel acts on every past coordinate
-            self.grid = None
-            kcols = np.arange(p)
-            states = Xq = zprev_all
-        else:
-            combos: list[tuple[float, ...]] = [()]
-            for c in self.bin_cols:
-                combos = [cb + (v,) for cb in combos for v in self._branch_vals[int(c)]]
-            if self.cont_cols.size:
-                x = zprev_all[:, self.cont_cols[0]]
-                lo, hi = float(x.min()), float(x.max())
-                if hi <= lo:
-                    hi = lo + 1.0
-                self.grid = np.linspace(lo, hi, options.grid_points)
-            else:
-                self.grid = np.zeros(1)
-            G = self.grid.size
-            kcols = self.cont_cols
-            Xq = self.grid[:, None]
-            states = np.zeros((len(combos) * G, p))
-            for b, combo in enumerate(combos):
-                st = states[b * G:(b + 1) * G]
-                st[:, kcols] = Xq
-                st[:, self.bin_cols] = combo
+        kerns = [data.z[np.ix_(fr, self.cont_cols)] for fr in fold_rows]
+        fits = [silverman_bandwidths(kern) if c else (np.array([1.0]), False)
+                for kern in kerns]
+        self.h = [h for h, _ in fits]
+        self.floored = any(floored for _, floored in fits)
+        self.axes = []
+        for a, col in enumerate(self.cont_cols):
+            x = zprev_all[:, col]
+            lo, hi = float(x.min()), float(x.max())
+            if hi <= lo:
+                hi = lo + 1.0
+            points = options.grid_points
+            if c > 1:
+                root = round(data.n ** (1.0 / c))
+                root -= root ** c > data.n
+                h_min = min(h[a] for h in self.h)
+                points = max(2, min(math.ceil((hi - lo) / h_min) + 1, root))
+            self.axes.append(np.linspace(lo, hi, points))
+        Xq = np.array(list(itertools.product(*self.axes)), dtype=float)
+
+        combos: list[tuple[float, ...]] = [()]
+        for col in self.bin_cols:
+            combos = [cb + (v,) for cb in combos for v in self._branch_vals[int(col)]]
+        G = Xq.shape[0]
+        states = np.zeros((len(combos) * G, p))
+        for b, combo in enumerate(combos):
+            st = states[b * G:(b + 1) * G]
+            st[:, self.cont_cols] = Xq
+            st[:, self.bin_cols] = combo
         E = states.shape[0]
 
-        self.h, folds, blocks = [], [], []
-        self.floored = False
+        folds, blocks = [], []
         T0 = 0
-        for f, fr in enumerate(fold_rows):
-            kern = data.z[np.ix_(fr, kcols)]
-            h, floored = (silverman_bandwidths(kern) if kcols.size
-                          else (np.array([1.0]), False))
-            self.h.append(h)
-            self.floored |= floored
-            if self.grid is None:
-                parts = [(np.arange(E), np.arange(fr.size))]
-            else:
-                tr_branch = self._branch_of(data.z[fr, :p])
-                parts = [(np.arange(b * G, (b + 1) * G), np.flatnonzero(tr_branch == b))
-                         for b in range(len(combos))]
-                for combo, (_, cols) in zip(combos, parts):
-                    # an empty branch reads the fold mean; a thin one cannot fit
-                    if 0 < cols.size < _MIN_ROWS:
-                        branch = ", ".join(f"z{c + 1} = {v:g}"
-                                           for c, v in zip(self.bin_cols, combo))
-                        raise InsufficientData(f"index {j}, branch {branch}: {cols.size} "
-                                               f"training row{'s' * (cols.size > 1)}")
-            for st_rows, cols in parts:
-                if cols.size == 0:
-                    continue
-                src = _GaussRows(Xq, kern[cols], h, keep)
-                blocks.append((st_rows + f * E, cols + T0, src))
+        for f, (fr, kern) in enumerate(zip(fold_rows, kerns)):
+            tr_branch = self._branch_of(data.z[fr, :p])
+            for b, combo in enumerate(combos):
+                cols = np.flatnonzero(tr_branch == b)
+                # an empty branch reads the fold mean; a thin one cannot fit
+                if 0 < cols.size < _MIN_ROWS:
+                    branch = ", ".join(f"z{col + 1} = {v:g}"
+                                       for col, v in zip(self.bin_cols, combo))
+                    raise InsufficientData(f"index {j}, branch {branch}: {cols.size} "
+                                           f"training row{'s' * (cols.size > 1)}")
+                if cols.size:
+                    src = _GaussRows(Xq, kern[cols], self.h[f], keep)
+                    blocks.append((np.arange(b * G, (b + 1) * G) + f * E, cols + T0, src))
             folds.append((slice(f * E, (f + 1) * E), slice(T0, T0 + fr.size)))
             T0 += fr.size
         super().__init__(np.vstack([states] * len(fold_rows)), blocks, tuple(folds))
@@ -488,32 +489,26 @@ class KernelPanel(_BlockPanel):
         return b
 
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
-        """Map rows onto fold 0's states; with two folds, the data rows in
-        `row_idx` that trained fold 0 move to the same states of fold 1."""
+        """Map any rows onto fold 0's states: each row reads the 2^c corners
+        of its grid cell, clipped to the grid, with product weights; with
+        two folds, the data rows in `row_idx` that trained fold 0 move to
+        the same states of fold 1."""
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
-        m = Zprev.shape[0]
-        E = self.eval_states.shape[0] // len(self.folds)
-        if self.grid is None:
-            if m != E:
-                raise StructuralError("exact-layout panels map only the full dataset")
-            lo = hi = np.arange(m)
-            frac = np.zeros(m)
-        else:
-            G = self.grid.size
-            base = self._branch_of(Zprev) * G
-            if self.cont_cols.size == 1:
-                x = np.clip(Zprev[:, self.cont_cols[0]], self.grid[0], self.grid[-1])
-                hi = np.clip(np.searchsorted(self.grid, x), 1, G - 1)
-                lo = hi - 1
-                frac = (x - self.grid[lo]) / (self.grid[hi] - self.grid[lo])
-            else:
-                lo = hi = np.zeros(m, dtype=int)
-                frac = np.zeros(m)
-            lo, hi = base + lo, base + hi
+        stride = math.prod(g.size for g in self.axes)
+        idx, weight = [self._branch_of(Zprev) * stride], [np.ones(Zprev.shape[0])]
+        for col, g in zip(self.cont_cols, self.axes):
+            stride //= g.size
+            x = np.clip(Zprev[:, col], g[0], g[-1])
+            hi = np.clip(np.searchsorted(g, x), 1, g.size - 1)
+            lo = hi - 1
+            frac = (x - g[lo]) / (g[hi] - g[lo])
+            idx = [i + lo * stride for i in idx] + [i + hi * stride for i in idx]
+            weight = [w * (1.0 - frac) for w in weight] + [w * frac for w in weight]
+        idx = np.array(idx)
         if len(self.folds) > 1 and row_idx is not None:
-            shift = E * np.isin(row_idx, self.train_idx[self.folds[0][1]])
-            lo, hi = lo + shift, hi + shift
-        return RowMap(lo, hi, frac)
+            E = self.eval_states.shape[0] // len(self.folds)
+            idx += E * np.isin(row_idx, self.train_idx[self.folds[0][1]])
+        return RowMap(idx, np.array(weight))
 
     def next_mean(self, field: np.ndarray, nuisance: FittedNuisance) -> np.ndarray:
         """E_Q[f(z̄_j) | z̄_{j-1}] at this panel's states, for f given as a

@@ -17,7 +17,16 @@ import numpy as np
 from weakfuse.cli import _read_text
 from weakfuse.errors import EmptyFile, MissingColumn, NonNumericCell, ParseError, StructuralError
 from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
-from weakfuse.nuisance import FittedNuisance, NuisanceOptions, RowMap, _BlockPanel, _GaussRows
+from weakfuse.nuisance import (
+    _MIN_ROWS,
+    FittedNuisance,
+    KernelPanel,
+    NuisanceOptions,
+    RowMap,
+    _BlockPanel,
+    _GaussRows,
+    silverman_bandwidths,
+)
 from weakfuse.weights import WeightSpec
 
 
@@ -91,21 +100,19 @@ def binary_columns_by_set(Z: np.ndarray) -> np.ndarray:
 
 def dense_weights(panel, data: Dataset) -> np.ndarray:
     """A kernel panel's weights as one dense, unnormalized (E, T) matrix
-    rebuilt from the kernel formula: a Gaussian product kernel over every
-    past coordinate in the exact layout; otherwise a Gaussian in the
-    continuous coordinate times an exact match on each binary one. A
-    cross-fit panel is block-diagonal in its folds, each with its own
-    bandwidths."""
+    rebuilt from the kernel formula: a Gaussian in each continuous past
+    coordinate times an exact match on each binary one. A cross-fit panel is
+    block-diagonal in its folds, each with its own bandwidths."""
     W = np.zeros((panel.eval_states.shape[0], panel.zj.size))
     for f, (states, cols) in enumerate(panel.folds):
         st = panel.eval_states[states]
         zprev = data.z[panel.train_idx[cols], :panel.j - 1]
         Wf = np.ones((st.shape[0], zprev.shape[0]))
         for c in range(zprev.shape[1]):
-            if panel.grid is not None and panel.binary[c]:
+            if panel.binary[c]:
                 Wf *= st[:, c, None] == zprev[None, :, c]
             else:
-                h = panel.h[f][c] if panel.grid is None else panel.h[f][0]
+                h = panel.h[f][list(panel.cont_cols).index(c)]
                 Wf *= np.exp(-0.5 * ((st[:, c, None] - zprev[None, :, c]) / h) ** 2)
         W[states, cols] = Wf
     return W
@@ -127,6 +134,48 @@ def smoother(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> _BlockPanel:
     chunk by chunk through the package's Gaussian row source."""
     return _BlockPanel(Xq, [(np.arange(Xq.shape[0]), np.arange(Xt.shape[0]),
                              _GaussRows(Xq, Xt, h, keep=True))])
+
+
+class ExactPanel(_BlockPanel):
+    """The exact layout, the reference for a kernel panel's tensor grid: one
+    state per data row, in data order, a Gaussian over every past
+    coordinate with the Silverman bandwidths of the training rows, and a row
+    map that reads each data row at its own state, so it maps only the full
+    dataset. With `options.cross_fit` the folds are those of `KernelPanel`.
+    It takes `KernelPanel`'s arguments, so it can stand in for it in
+    `fit_nuisance_bundle`."""
+
+    def __init__(self, j: int, data: Dataset, train_idx, options: NuisanceOptions,
+                 keep: bool = True):
+        self.j = j
+        rows = np.asarray(train_idx, dtype=int)
+        fold_rows = ((rows[::2], rows[1::2])
+                     if options.cross_fit and rows.size >= 2 * _MIN_ROWS else (rows,))
+        self.train_idx = np.concatenate(fold_rows)
+        self.zj = data.z[self.train_idx, j - 1]
+        Z = data.z[:, :j - 1]
+        n = data.n
+        fits = [silverman_bandwidths(Z[fr]) for fr in fold_rows]
+        self.h = [h for h, _ in fits]
+        self.floored = any(floored for _, floored in fits)
+        blocks, folds, T0 = [], [], 0
+        for f, fr in enumerate(fold_rows):
+            blocks.append((np.arange(n) + f * n, np.arange(fr.size) + T0,
+                           _GaussRows(Z, Z[fr], self.h[f], keep)))
+            folds.append((slice(f * n, (f + 1) * n), slice(T0, T0 + fr.size)))
+            T0 += fr.size
+        super().__init__(np.vstack([Z] * len(fold_rows)), blocks, tuple(folds))
+
+    def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
+        n = self.eval_states.shape[0] // len(self.folds)
+        if np.shape(Zprev)[0] != n:
+            raise StructuralError("the exact layout maps only the full dataset")
+        idx = np.arange(n)
+        if len(self.folds) > 1 and row_idx is not None:
+            idx = idx + n * np.isin(row_idx, self.train_idx[self.folds[0][1]])
+        return RowMap(idx[None], np.ones((1, n)))
+
+    next_mean = KernelPanel.next_mean
 
 
 def dense_rowmean(W: np.ndarray, F: np.ndarray, values=None) -> np.ndarray:
@@ -208,7 +257,7 @@ class DiscretePanel(_BlockPanel):
             if hit.size == 0:
                 raise StructuralError("row state not in the declared support")
             idx[r] = hit[0]
-        return RowMap(idx, idx, np.zeros(Zprev.shape[0]))
+        return RowMap(idx[None], np.ones((1, idx.size)))
 
 
 class DiscreteLaw:
@@ -410,10 +459,14 @@ class _ExactRatio:
 
 
 def rowmap_apply(rmap: RowMap, fields: np.ndarray) -> np.ndarray:
-    """A row map's read by its definition: each row's lower state times
-    1 - frac plus its upper state times frac."""
-    f = rmap.frac if np.ndim(fields) == 1 else rmap.frac[:, None]
-    return fields[rmap.lo] * (1.0 - f) + fields[rmap.hi] * f
+    """A row map's read by its definition: the sum over each row's corner
+    states of the state's field times the corner's weight, in corner order."""
+    parts = [fields[idx] * (w if np.ndim(fields) == 1 else w[:, None])
+             for idx, w in zip(rmap.idx, rmap.weight)]
+    out = parts[0]
+    for part in parts[1:]:
+        out = out + part
+    return out
 
 
 def ingest_csv_by_csv_reader(path: str, mapping: dict) -> tuple[Dataset, dict]:

@@ -27,9 +27,11 @@ import weakfuse.estimator
 import weakfuse.nuisance
 from weakfuse.gradients import EstimandSpec
 from weakfuse.model import Dataset, FusionDesign
-from weakfuse.nuisance import NuisanceOptions
+from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec, complex_family
+
+from oracles import ExactPanel
 
 MOMENT2 = EstimandSpec("moment", index=2)
 
@@ -420,8 +422,8 @@ def test_clip_counts_report_one_pass():
 
 
 def _exact_mode_instance(n_per=300):
-    # two continuous past coordinates put the index-3 panel in exact mode,
-    # whose row map covers only the full dataset
+    # two continuous past coordinates, the instance that took the exact
+    # layout before panels became tensor grids
     rng = np.random.default_rng(0)
     z12 = rng.uniform(0.5, 1.5, (2 * n_per, 2))
     z3 = np.concatenate([rng.beta(2, 2, n_per), _tilted_beta_draws(rng, n_per, 0.8)])
@@ -435,9 +437,39 @@ def _exact_mode_instance(n_per=300):
     return data, design
 
 
+def _varying_instance(n_per, c, seed, tilt=0.8):
+    """c continuous past coordinates z1..zc ~ U(0.5, 1.5), then an outcome
+    drawn from Beta(3 + 1.5 sin(4 z1) cos(3 z2) [+ 0.5 sin(5 z3) when c >= 3],
+    3); source 2's outcome carries the tilt exp(tilt · z_{c+1}), and the
+    design estimates the outcome's target mean."""
+    rng = np.random.default_rng(seed)
+    n = 2 * n_per
+    past = rng.uniform(0.5, 1.5, (n, c))
+    shape = 3.0 + 1.5 * np.sin(4 * past[:, 0]) * np.cos(3 * past[:, 1])
+    if c >= 3:
+        shape += 0.5 * np.sin(5 * past[:, 2])
+    t = np.where(np.arange(n) < n_per, 0.0, tilt)
+    y = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        x = rng.beta(shape[todo], 3.0)
+        ok = rng.uniform(size=todo.size) < np.exp(t[todo] * (x - 1.0))
+        y[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    d = c + 1
+    data = Dataset(np.column_stack([past, y]), np.repeat([1, 2], n_per), k=2)
+    design = FusionDesign(
+        d=d, k=2, relevant=tuple(range(1, d + 1)),
+        aligned={**{i: {1, 2} for i in range(1, d)}, d: {1}},
+        weak={d: {2}},
+        weight_specs={(d, 2): WeightSpec.tilt(d, [f"z{d}"])},
+    )
+    return data, design
+
+
 def test_efficient_estimate_on_exact_mode_panel():
-    # the moment match reads the aligned rows through the exact-mode row map
-    # like the engine does
+    # the moment match reads the aligned rows through the tensor grid's row
+    # map like the engine does
     data, design = _exact_mode_instance()
     rep = one_step_estimate(data, design, EstimandSpec("moment", index=3))
     assert np.isfinite(rep.estimate) and np.isfinite(rep.se)
@@ -448,18 +480,41 @@ def test_efficient_estimate_on_exact_mode_panel():
 
 def test_exact_mode_memory_grows_linearly(monkeypatch):
     # with every weight block rebuilt chunk by chunk on each read, doubling
-    # the rows doubles at most the O(n) arrays, never an n x n block
+    # the rows doubles at most the O(n) arrays: the tensor grid's states
+    # grow far slower than the rows, and no block is ever held whole
     monkeypatch.setattr(weakfuse.nuisance, "_STORE_BYTES", 0)
-    peaks = []
+    peaks, states = [], []
     for n_per in (300, 600):
         data, design = _exact_mode_instance(n_per)
+        states.append(fit_nuisance_bundle(data, design).panel(3).eval_states.shape[0])
         tracemalloc.start()
         try:
             one_step_estimate(data, design, EstimandSpec("moment", index=3))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    assert states[1] < 1.5 * states[0], states
     assert peaks[1] <= 2.2 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("cross_fit", [False, True])
+def test_tensor_grid_estimate_matches_the_exact_layout(monkeypatch, cross_fit):
+    # two continuous past coordinates and an outcome whose conditional law
+    # varies with both: reading the index-3 fields on the tensor grid moves
+    # the estimate by at most 0.1 se from the exact layout's, which
+    # evaluates them at every data row
+    data, design = _varying_instance(600, c=2, seed=1)
+    estimand = EstimandSpec("moment", index=3)
+    options = NuisanceOptions(cross_fit=cross_fit)
+    grid = one_step_estimate(data, design, estimand, options=options)
+    kernel_panel = weakfuse.nuisance.KernelPanel
+    monkeypatch.setattr(weakfuse.nuisance, "KernelPanel",
+                        lambda j, *args, **kw: (ExactPanel if j == 3 else kernel_panel)(
+                            j, *args, **kw))
+    exact = one_step_estimate(data, design, estimand, options=options)
+    assert grid.flags == exact.flags == []
+    assert abs(grid.estimate - exact.estimate) <= 0.1 * exact.se
+    assert grid.se == pytest.approx(exact.se, rel=0.01)
 
 
 def test_study_estimate_frees_the_sweep_scratch():
@@ -480,8 +535,7 @@ def test_study_estimate_frees_the_sweep_scratch():
 
 def test_moment_tower_on_exact_mode_panel():
     # target_only trains the index-2 panel on source 1 only; the backward
-    # tower reads the exact-mode index-3 fields at those training rows
-    # through the full-data row map
+    # tower reads the tensor-grid index-3 fields at those training rows
     data, design = _exact_mode_instance()
     rep = one_step_estimate(data, design, EstimandSpec("moment", index=3),
                             EstimatorVariant("target_only"))

@@ -448,7 +448,7 @@ def _fitted_bits(nuis) -> dict:
         blocks = [tuple(map(_bits, (rows, cols, *src.rows(0, rows.size))))
                   for rows, cols, src in p.blocks]
         out[j] = (blocks, _bits(p.zj),
-                  _bits(p.eval_states), _bits(rm.lo), _bits(rm.hi), _bits(rm.frac))
+                  _bits(p.eval_states), _bits(rm.idx), _bits(rm.weight))
     return out
 
 

@@ -4,6 +4,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakfuse.errors import (
     InsufficientData,
@@ -68,8 +70,8 @@ def test_silverman_floors_constant_column():
     # the tail smoother still reads the other column's signal exactly
     got = _smooth_at_train(X, h, X[:, 1:])[:, 0]
     np.testing.assert_allclose(got, kernel_regression(X, X, X[:, 1], h), rtol=1e-13)
-    # an exact-mode panel over the same two past coordinates records the
-    # floor as a fit-time flag of the bundle
+    # a panel over the same two past coordinates records the floor as a
+    # fit-time flag of the bundle
     data = Dataset(np.column_stack([X, X[::-1, 1]]), np.ones(50, dtype=int), k=1)
     design = FusionDesign(d=3, k=1, relevant=(3,), aligned={1: {1}, 2: {1}, 3: {1}})
     bundle = fit_nuisance_bundle(data, design)
@@ -86,7 +88,7 @@ def test_grid_panel_records_a_floored_bandwidth():
     design = FusionDesign(d=2, k=2, relevant=(1, 2), aligned={1: {1, 2}, 2: {1}},
                           weak={2: {2}}, weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
     bundle = fit_nuisance_bundle(data, design)
-    assert bundle.panel(2).grid is not None
+    assert len(bundle.panel(2).axes) == 1
     assert bundle.panel(2).floored
     report = one_step_estimate(data, design, EstimandSpec("moment", index=2))
     assert "SingularBandwidth" in report.flags
@@ -275,7 +277,7 @@ def test_lambda_prev_conventions():
 
 
 def test_row_map_interpolates():
-    rm = RowMap(np.array([0, 1]), np.array([1, 2]), np.array([0.25, 0.5]))
+    rm = RowMap(np.array([[0, 1], [1, 2]]), np.array([[0.75, 0.5], [0.25, 0.5]]))
     np.testing.assert_allclose(rm.apply(np.array([10.0, 20.0, 40.0])), [12.5, 30.0])
     F = np.array([[10.0, 0.0], [20.0, 2.0], [40.0, 4.0]])
     np.testing.assert_allclose(rm.apply(F), [[12.5, 0.5], [30.0, 3.0]])
@@ -283,20 +285,56 @@ def test_row_map_interpolates():
 
 def test_row_map_reads_are_bit_exact_for_any_layout():
     # the pinned estimates allow 1e-12, so bit changes in a row read would
-    # pass them unnoticed; here every read must equal the definition exactly
+    # pass them unnoticed; here every read must equal the definition exactly,
+    # for 2^c corners with product weights, c = 0..3 continuous coordinates
     rng = np.random.default_rng(5)
     E, n, k = 37, 500, 4
-    lo = rng.integers(0, E - 1, n)
-    rm = RowMap(lo, lo + 1, rng.random(n))
     P = rng.normal(size=(E, k, k)) * 10.0 ** rng.integers(-8, 8, (E, k, k))
     fields = {"1-d": P[:, 0, 0].copy(), "contiguous (E, k)": P[:, :, 1].copy(),
               "strided (E, k)": P[:, :, 2], "strided 1-d": P[:, 1, 3],
               "Fortran (E, k)": np.asfortranarray(P[:, 3, :])}
-    for what, F in fields.items():
-        got, want = rm.apply(F), rowmap_apply(rm, F)
-        assert got.shape == want.shape, what
-        assert got.tobytes() == want.tobytes(), what
-        assert rm.take(np.arange(0, n, 3)).apply(F).tobytes() == want[::3].tobytes(), what
+    for c in range(4):
+        weight = [np.ones(n)]
+        for _ in range(c):
+            f = rng.random(n)
+            weight = [w * (1.0 - f) for w in weight] + [w * f for w in weight]
+        rm = RowMap(rng.integers(0, E, (2 ** c, n)), np.array(weight))
+        for what, F in fields.items():
+            got, want = rm.apply(F), rowmap_apply(rm, F)
+            assert got.shape == want.shape, (c, what)
+            assert got.tobytes() == want.tobytes(), (c, what)
+            assert rm.take(np.arange(0, n, 3)).apply(F).tobytes() == want[::3].tobytes(), \
+                (c, what)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), c=st.integers(0, 3), binary=st.booleans(),
+       cross_fit=st.booleans())
+def test_row_map_corners_are_a_partition_of_unity(seed, c, binary, cross_fit):
+    # any rows, inside the data's range or not, read corner weights in [0, 1]
+    # that sum to one; a row placed at a state's own point reads that
+    # state's field, bit for bit
+    rng = np.random.default_rng(seed)
+    n = 200
+    z = rng.uniform(0.1, 0.9, size=(n, c + binary + 1))
+    if binary:
+        z[:, c] = rng.integers(0, 2, n).astype(float)
+    data = Dataset(z, np.ones(n, dtype=int), k=1)
+    panel = KernelPanel(c + binary + 1, data, np.arange(n), NuisanceOptions(cross_fit=cross_fit))
+    assert len(panel.axes) == c
+    # a branch holds at most as many states as the data has rows
+    assert math.prod(g.size for g in panel.axes) <= (301 if c == 1 else n)
+    rows = rng.uniform(-0.2, 1.2, size=(50, c + binary))
+    if binary:
+        rows[:, c] = rng.integers(0, 2, 50).astype(float)
+    rm = panel.row_map(rows)
+    assert rm.idx.shape == rm.weight.shape == (2 ** c, 50)
+    assert np.all((rm.weight >= 0) & (rm.weight <= 1))
+    np.testing.assert_allclose(rm.weight.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+    E0 = panel.folds[0][0].stop
+    field = rng.normal(size=panel.eval_states.shape[0])
+    own = panel.row_map(panel.eval_states[:E0])
+    assert own.apply(field).tobytes() == field[:E0].tobytes()
 
 
 @pytest.mark.parametrize("col, binary", [
@@ -327,7 +365,7 @@ def test_kernel_panel_scope_mode():
     rng = np.random.default_rng(21)
     data = _panel_data(40, rng)
     panel = KernelPanel(1, data, np.arange(40), NuisanceOptions())
-    assert panel.grid is not None
+    assert panel.axes == []
     assert panel.eval_states.shape == (1, 0)
     (rows, cols, src), = panel.blocks
     W, deg = src.rows(0, rows.size)
@@ -346,13 +384,13 @@ def test_kernel_panel_grid_mode_single_continuous():
     rng = np.random.default_rng(22)
     data = _panel_data(500, rng, d=2)
     panel = KernelPanel(2, data, np.arange(500), NuisanceOptions())
-    assert panel.grid is not None
+    grid, = panel.axes
     assert panel.eval_states.shape == (301, 1)
     # conditional mean of a linear function of the conditioning value stays
     # close to the identity over the interior of the grid
     f = panel.mean_field(data.z[:, 0])
-    inner = (panel.grid > 0.25) & (panel.grid < 0.75)
-    np.testing.assert_allclose(f[inner], panel.grid[inner], atol=0.02)
+    inner = (grid > 0.25) & (grid < 0.75)
+    np.testing.assert_allclose(f[inner], grid[inner], atol=0.02)
     rm = panel.row_map(data.z[:, :1])
     np.testing.assert_allclose(rm.apply(panel.eval_states[:, 0]), data.z[:, 0], atol=1e-9)
 
@@ -365,7 +403,7 @@ def test_kernel_panel_grid_mode_with_binary_stratum():
     z3 = z2 + 0.1 * z1 + rng.normal(scale=0.01, size=n)
     data = Dataset(np.column_stack([z1, z2, z3]), np.ones(n, dtype=int), k=1)
     panel = KernelPanel(3, data, np.arange(n), NuisanceOptions())
-    G = panel.grid.size
+    G = panel.axes[0].size
     assert panel.eval_states.shape == (2 * G, 2)
     f = panel.mean_field(data.z[:, 2])
     rm0 = panel.row_map(np.array([[0.5, 0.0]]))
@@ -374,16 +412,32 @@ def test_kernel_panel_grid_mode_with_binary_stratum():
     assert rm1.apply(f)[0] - rm0.apply(f)[0] == pytest.approx(1.0, abs=0.05)
 
 
-def test_kernel_panel_exact_mode():
+def test_kernel_panel_tensor_grid_maps_any_rows():
+    # two continuous past coordinates: a tensor grid whose spacing is at most
+    # the bandwidth unless floor(sqrt(n)) points per axis cap it (at 80 rows,
+    # 8 points), and a row map that reads any rows, a subset of the data or
+    # points off it, and reproduces a field that is linear in each axis
     rng = np.random.default_rng(24)
-    data = _panel_data(80, rng, d=3)
-    panel = KernelPanel(3, data, np.arange(80), NuisanceOptions())
-    assert panel.grid is None
-    assert panel.eval_states.shape == (80, 2)
-    rm = panel.row_map(data.z[:, :2])
-    np.testing.assert_array_equal(rm.lo, np.arange(80))
-    with pytest.raises(StructuralError):
-        panel.row_map(data.z[:10, :2])
+    for n, capped in ((80, True), (400, False)):
+        data = _panel_data(n, rng, d=3)
+        panel = KernelPanel(3, data, np.arange(n), NuisanceOptions())
+        g1, g2 = panel.axes
+        assert panel.eval_states.shape == (g1.size * g2.size, 2)
+        for g, h in zip(panel.axes, panel.h[0]):
+            assert g.size == min(math.ceil((g[-1] - g[0]) / h) + 1, math.isqrt(n))
+            assert (g.size == math.isqrt(n)) == capped
+            assert capped or np.diff(g).max() <= h
+        full = panel.row_map(data.z[:, :2])
+        part = panel.row_map(data.z[10:30, :2])
+        np.testing.assert_array_equal(part.idx, full.idx[:, 10:30])
+        np.testing.assert_array_equal(part.weight, full.weight[:, 10:30])
+
+        def bilinear(X):
+            return 1.0 + 2.0 * X[:, 0] - 3.0 * X[:, 1] + 0.5 * X[:, 0] * X[:, 1]
+
+        pts = np.column_stack([rng.uniform(g1[0], g1[-1], 50), rng.uniform(g2[0], g2[-1], 50)])
+        np.testing.assert_allclose(panel.row_map(pts).apply(bilinear(panel.eval_states)),
+                                   bilinear(pts), rtol=1e-13)
 
 
 def test_kernel_panel_weights_at_matches_kernel():
@@ -442,10 +496,10 @@ def test_discrete_panel_exactness():
     want = np.array([law.Q3[(b1, b2)] @ law.Z3 for b1 in range(2) for b2 in range(2)])
     np.testing.assert_array_equal(f, want)
     rm = panel.row_map(np.array([[law.Z1[1], law.Z2[0]]]))
-    assert rm.lo[0] == 2
+    np.testing.assert_array_equal(rm.idx, [[2]])
     with pytest.raises(StructuralError, match="support"):
         panel.row_map(np.array([[5.0, 5.0]]))
-    e = panel.row_map(np.array([[law.Z1[0], law.Z2[1]]])).lo[0]
+    e = panel.row_map(np.array([[law.Z1[0], law.Z2[1]]])).idx[0, 0]
     (rows, cols, src), = panel.blocks
     W, _ = src.rows(0, rows.size)
     np.testing.assert_array_equal(W[e], law.Q3[(0, 1)])
@@ -474,6 +528,8 @@ def _build_block_panels():
         3, data, np.flatnonzero(data.z[:, 1] == 0.0), NuisanceOptions()))
     data = _panel_data(120, rng)
     cases["scope"] = (data, KernelPanel(1, data, np.arange(120), NuisanceOptions()))
+    # the "exact" cases have two continuous past coordinates, the data that
+    # once took the exact layout, and are read on a tensor grid
     cases["exact"] = (data, KernelPanel(3, data, np.arange(120), NuisanceOptions()))
     data = _grid_data(300, 1, rng)
     cases["cross_fit"] = (data, KernelPanel(3, data, np.arange(300),
@@ -573,7 +629,7 @@ def test_block_panel_shapes(block_panels):
     # a branch without training rows gets no block; its states read the
     # train mean, and the covered states are not degenerate
     data, panel = block_panels["grid_empty_branch"]
-    G = panel.grid.size
+    G = panel.axes[0].size
     (rows, cols, _), = panel.blocks
     np.testing.assert_array_equal(rows, np.arange(G))
     assert not _read_dense(panel)[1].any()
@@ -622,8 +678,8 @@ def test_crossfit_panel_reads_opposite_fold():
     assert f.shape == (panel.eval_states.shape[0],)
     rm = panel.row_map(data.z[:4, :1], row_idx=rows[:4])
     # even data rows train fold 0, so they must read fold-1 states
-    assert rm.lo[0] >= E0 and rm.lo[2] >= E0
-    assert rm.lo[1] < E0 and rm.lo[3] < E0
+    assert np.all(rm.idx[:, [0, 2]] >= E0)
+    assert np.all(rm.idx[:, [1, 3]] < E0)
 
 
 # ---------------------------------------------------------------------------
