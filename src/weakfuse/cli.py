@@ -11,10 +11,12 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -262,12 +264,28 @@ def default_config_dict() -> dict:
         "level": _LEVEL,
         "seed": None,
         "columns": _default_columns(design.d),
-    }))
+    }, default=list))
+
+
+class _DefaultZ(Sequence):
+    """The z columns of a config without `columns`, z1..zd, each named only
+    when read, so that a huge d builds no names before the header lacks one."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __len__(self) -> int:
+        return self.d
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < self.d:
+            raise IndexError(i)
+        return f"z{i + 1}"
 
 
 def _default_columns(d: int) -> dict:
     """The column mapping of a config without `columns`: z1..zd and source."""
-    return {"z": [f"z{i}" for i in range(1, d + 1)], "source": "source"}
+    return {"z": _DefaultZ(d), "source": "source"}
 
 
 def config_hash(cfg: dict) -> str:
@@ -282,7 +300,7 @@ def _column_index(path: str, header: list, n_body: int, zcols: list, scol) -> di
     column or an empty body raises."""
     header = [h.strip() for h in header]
     index = {}
-    for col in list(zcols) + [scol]:
+    for col in itertools.chain(zcols, [scol]):
         if col not in header:
             raise MissingColumn(f"column {col!r} not in header {header}")
         index[col] = header.index(col)
@@ -366,7 +384,7 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
     """
     zcols = mapping.get("z")
     scol = mapping.get("source")
-    if not zcols or not isinstance(zcols, list) or not scol:
+    if not zcols or not isinstance(zcols, (list, _DefaultZ)) or not scol:
         raise ParseError('column mapping needs "z" (list) and "source" (name)')
     text = _read_text(path, "data")
     plain = '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n"))
@@ -386,8 +404,13 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
 # ------------------------------------------------------------- commands -----
 
 def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text as UTF-8; a file that cannot be written raises a
+    WeakfuseError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WeakfuseError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_variants(text: str) -> list[EstimatorVariant]:

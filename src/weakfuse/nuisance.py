@@ -272,7 +272,7 @@ class RowMap:
 
     def take(self, rows: np.ndarray) -> "RowMap":
         """The part of the map that covers the given rows."""
-        return RowMap(self.idx[:, rows], self.weight[:, rows])
+        return RowMap(np.take(self.idx, rows, axis=1), np.take(self.weight, rows, axis=1))
 
 
 class _GaussRows:

@@ -4,8 +4,8 @@ Everything here is computed from first principles: finite-support laws with
 exact tables, dense least-squares projections onto the tangent space, dense
 kernel-panel weights, and closed-form Beta/Gaussian moments. None of it
 reuses engine code paths beyond plain data containers and, for the exact
-finite-support panel and the one-block smoother, the package's block-panel
-reader.
+finite-support panel, the exact-layout panel and the one-block smoother, the
+package's block-panel reader.
 """
 
 import csv

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -859,8 +860,8 @@ def test_estimate_prints_validation_notes(tmp_path, capsys):
     (2, {"1": [1, 2], "2": [1], "3": [1]}),
 ])
 def test_mean_difference_rejects_a_non_binary_treatment(tmp_path, capsys, k, aligned):
-    # source k draws z2 ~ U(0, 1), so the index-3 panel takes the exact
-    # layout and cannot read the two arms; the true contrast is 2
+    # source k draws z2 ~ U(0, 1), so z2 is a continuous past coordinate of
+    # the index-3 panel, which has no two arms to read; the true contrast is 2
     rng = np.random.default_rng(4)
     src = np.repeat(np.arange(1, k + 1), 300)
     z1 = rng.uniform(1.0, 2.0, src.size)
@@ -983,3 +984,40 @@ def test_internal_errors_exit_two(tmp_path, monkeypatch, capsys):
                "--n", "200", "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["config-dump", "simulate", "estimate", "sensitivity"])
+def test_an_unwritable_out_exits_one_naming_it(tmp_path, capsys, command):
+    # a missing output directory is bad input, not an internal error
+    out = str(tmp_path / "missing" / "out.txt")
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(default_config_dict()))
+    data = _study_csv(tmp_path, n=60, seed=3)
+    argv = {"config-dump": ["config-dump"],
+            "simulate": ["simulate", "--scenario", "fully_aligned", "--reps", "1",
+                         "--n", "60", "--seed", "1", "--variants", "target_only"],
+            "estimate": ["estimate", "--config", str(cfgp), "--data", str(data)],
+            "sensitivity": ["sensitivity", "--config", str(cfgp), "--data", str(data),
+                            "--delta-grid", "0:0.1:0.05"]}[command]
+    assert main(argv + ["--out", out]) == 1
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_a_huge_design_d_builds_no_column_names(tmp_path, capsys):
+    # without `columns` the mapping reads z1..zd; a header without z2 stops
+    # ingest before more names are built than the header holds
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps({"design": {"d": 10 ** 6, "k": 1, "relevant": [1],
+                                           "aligned": {"1": [1]}}}))
+    data = tmp_path / "d.csv"
+    data.write_text("z1,z3,source\n0.5,0.1,1\n")
+    tracemalloc.start()
+    try:
+        rc = main(["estimate", "--config", str(cfgp), "--data", str(data),
+                   "--out", str(tmp_path / "r.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "column 'z2' not in header ['z1', 'z3', 'source']" in capsys.readouterr().err
+    assert peak < 5 * 2 ** 20, peak

@@ -66,7 +66,7 @@ def _moment():
 
 
 def _exact(variant, cross_fit=False):
-    # two continuous past coordinates: the index-3 panel holds one state per row
+    # two continuous past coordinates: the index-3 panel is a tensor grid
     data, design = _exact_mode_instance()
     return one_step_estimate(data, design, EstimandSpec("moment", index=3),
                              variant=EstimatorVariant.parse(variant),
