@@ -439,8 +439,11 @@ class KernelPanel(_BlockPanel):
             if c > 1:
                 root = round(data.n ** (1.0 / c))
                 root -= root ** c > data.n
-                h_min = min(h[a] for h in self.h)
-                points = max(2, min(math.ceil((hi - lo) / h_min) + 1, root))
+                # min(ceil(span / h) + 1, root), without forming a span / h
+                # that overflows when a fold's bandwidth is floored
+                span, h_min = hi - lo, min(h[a] for h in self.h)
+                points = max(2, root if span > (root - 1) * h_min
+                             else math.ceil(span / h_min) + 1)
             self.axes.append(np.linspace(lo, hi, points))
         Xq = np.array(list(itertools.product(*self.axes)), dtype=float)
 

@@ -440,6 +440,24 @@ def test_kernel_panel_tensor_grid_maps_any_rows():
                                    bilinear(pts), rtol=1e-13)
 
 
+def test_tensor_grid_caps_an_axis_whose_bandwidth_is_floored():
+    # the training rows hold z1 constant, so its bandwidth is floored, while
+    # the data's z1 range reaches 1e303: range / h overflows, and the axis
+    # takes the floor(sqrt(n)) cap (the Gaussian's scaled distances to the
+    # far states overflow too, to weights of 0)
+    rng = np.random.default_rng(28)
+    z = rng.uniform(0.1, 0.9, size=(100, 3))
+    z[:50, 0] = 0.5
+    z[99, 0] = 1e303
+    data = Dataset(z, np.ones(100, dtype=int), k=1)
+    with np.errstate(over="ignore"):
+        panel = KernelPanel(3, data, np.arange(50), NuisanceOptions())
+        field = panel.mean_field(z[:50, 2])
+    assert panel.floored
+    assert panel.axes[0].size == 10
+    assert np.all(np.isfinite(field))
+
+
 def test_kernel_panel_weights_at_matches_kernel():
     rng = np.random.default_rng(25)
     data = _panel_data(200, rng, d=2)
