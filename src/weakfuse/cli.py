@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import itertools
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import (
     EmptyFile,
     MissingColumn,
+    NegativeDelta,
     NonNumericCell,
     ParseError,
     SemanticError,
@@ -33,7 +36,6 @@ from .estimator import (
     _LEVEL,
     EstimatorVariant,
     one_step_estimate,
-    sensitivity_interval,
     wald_interval,
 )
 from .gradients import EstimandSpec
@@ -413,6 +415,19 @@ def _write_text(path: str, text: str):
         raise WeakfuseError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(path: str):
+    """Raise the error `_write_text` would raise for a path that is a
+    directory or whose directory is missing, creating and truncating
+    nothing, so that a command fails before it reads or runs anything."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise WeakfuseError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _parse_variants(text: str) -> list[EstimatorVariant]:
     out = [EstimatorVariant.parse(item) for item in text.split(",") if item.strip()]
     if not out:
@@ -484,6 +499,8 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_sensitivity(args) -> int:
     grid = _parse_grid(args.delta_grid)      # before any input is read
+    if grid and grid[0] < 0:                 # the grid ascends from its first point
+        raise NegativeDelta(f"sensitivity radius must be nonnegative, got {grid[0]}")
     cfg, data, label_map = _load_run(args)
     fused = one_step_estimate(data, cfg.design, cfg.estimand, variant=cfg.variant,
                               options=cfg.options, level=cfg.level,
@@ -493,13 +510,15 @@ def cmd_sensitivity(args) -> int:
                                options=cfg.options, level=cfg.level,
                                seed_value=cfg.seed)
     t_lo, t_hi = wald_interval(target.estimate, target.se, cfg.level)
-    t_width = t_hi - t_lo
+    lo0, hi0 = wald_interval(fused.estimate, fused.se, cfg.level)
+    # each row is `sensitivity_interval` at its delta: the Wald interval
+    # widened by delta on each side
+    fixed = f"{fused.estimate!r},{fused.se!r}"
+    tail = f"{t_hi - t_lo!r}"
     lines = ["delta,estimate,se,ci_lo,ci_hi,width,target_only_width"]
     for dlt in grid:
-        lo, hi = sensitivity_interval(fused.estimate, fused.se, dlt, cfg.level)
-        lines.append(",".join([
-            repr(dlt), repr(fused.estimate), repr(fused.se),
-            repr(lo), repr(hi), repr(hi - lo), repr(t_width)]))
+        lo, hi = lo0 - dlt, hi0 + dlt
+        lines.append(f"{dlt!r},{fixed},{lo!r},{hi!r},{hi - lo!r},{tail}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(grid)} sensitivity rows to {args.out}", file=sys.stderr)
     return 0
@@ -565,6 +584,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        _check_out(args.out)
         return args.func(args)
     except (WeakfuseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,8 +103,10 @@ class EstimateReport:
     """One estimation run, with everything needed to report or re-run it.
 
     `gradient_variances` holds the sample variances of the efficient rows and
-    of the rows at fixed β; `overlap` maps each "j,s" pair to the range of its
-    fitted density ratio and the fraction of rows clipped."""
+    of the rows at fixed β; `overlap` maps each "j,s" pair at an index j > 1
+    with weak sources to the range of its fitted density ratio and the
+    fraction of rows clipped (indices whose sources are all aligned fit no
+    ratio, so `target_only` and `naive_fusion` report none)."""
 
     estimate: float
     se: float
@@ -167,8 +169,7 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
     se = float(rows.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
     ci_lo, ci_hi = wald_interval(estimate, se, level)
     overlap = {}
-    for j in design_v.relevant:
-        rf = bundle.ratio_fits(j)
+    for j, rf in bundle.ratios.items():
         for s in rf.sources:
             diag = rf.overlap_diagnostics(s)
             if diag is not None and j > 1:

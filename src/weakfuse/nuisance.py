@@ -525,8 +525,10 @@ class FittedNuisance:
     """Everything the estimator and gradient engine need, fitted once.
 
     Holds source frequencies, per-index panels with the row map of every data
-    row onto each panel's states, the propensity and marginal density-ratio
-    fits, and the flags of the fallbacks that fired while fitting them.
+    row onto each panel's states, the propensity, the marginal density-ratio
+    fits at the indices with weak sources (`ratio_fits` raises
+    `NuisanceMissing` at any other index), and the flags of the fallbacks
+    that fired while fitting them.
     Weight-dependent fields (normalizers, score means, fusion-matrix moments)
     are computed per β by the gradient engine, so refreshing β never touches
     the β-free fits, and nothing here changes after construction.
@@ -568,7 +570,10 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     """Fit every β-free nuisance component a design and estimand require.
     Only the panels at indices with weak sources keep their weight blocks:
     the moment match and the engine sweep those once per β, while every
-    other panel is read by the seed and at most one tail adjustment."""
+    other panel is read by the seed and at most one tail adjustment. Density
+    ratios are fitted only at those indices too, since nothing reads a ratio
+    at an index whose sources are all aligned; so `SeparationWarning` comes
+    from the propensity or from a ratio fit the estimate reads."""
     options = options or NuisanceOptions()
     if data.n == 0:
         raise StructuralError("empty dataset")
@@ -579,7 +584,8 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
         panels[j] = KernelPanel(j, data, data.rows_in(design.aligned_at(j)), options,
                                 keep=bool(design.weak_at(j)))
     for j in design.relevant:
-        ratios[j] = MarginalRatioFits(j, design, data, options)
+        if design.weak_at(j):
+            ratios[j] = MarginalRatioFits(j, design, data, options)
     propensity = None
     if getattr(estimand, "kind", None) == "ate":
         propensity = fit_propensity(data, design, options)

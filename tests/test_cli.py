@@ -27,7 +27,7 @@ from weakfuse.cli import (
     parse_config,
     parse_config_dict,
 )
-from weakfuse.estimator import one_step_estimate
+from weakfuse.estimator import one_step_estimate, sensitivity_interval, wald_interval
 from weakfuse.gradients import EstimandSpec
 from weakfuse.model import layout_from_design
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
@@ -805,6 +805,44 @@ def test_sensitivity_parses_grid_before_reading_data(tmp_path, capsys):
     assert "missing.csv" not in err
 
 
+def test_sensitivity_rejects_a_negative_delta_before_reading_data(tmp_path, capsys):
+    cfgp = _study_config(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main(["sensitivity", "--config", str(cfgp),
+                 "--data", str(tmp_path / "missing.csv"), "--delta-grid=-0.1:0.1:0.05",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sensitivity radius must be nonnegative, got -0.1\n")
+    assert not out.exists()
+
+
+def test_sensitivity_sweep_matches_sensitivity_interval_row_by_row(tmp_path, monkeypatch):
+    # the sweep widens one Wald interval per row; every byte equals a
+    # rendering that calls sensitivity_interval at each delta
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(one_step_estimate(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(cli, "one_step_estimate", recorded)
+    data = _study_csv(tmp_path, n=60, seed=3)
+    cfgp = _study_config(tmp_path)
+    out = tmp_path / "sweep.csv"
+    grid = "0:0.5:0.001"
+    assert main(["sensitivity", "--config", str(cfgp), "--data", str(data),
+                 "--delta-grid", grid, "--out", str(out)]) == 0
+    fused, target = reports
+    level = parse_config(str(cfgp)).level
+    t_lo, t_hi = wald_interval(target.estimate, target.se, level)
+    lines = ["delta,estimate,se,ci_lo,ci_hi,width,target_only_width"]
+    for dlt in _parse_grid(grid):
+        lo, hi = sensitivity_interval(fused.estimate, fused.se, dlt, level)
+        lines.append(",".join(repr(v) for v in (dlt, fused.estimate, fused.se, lo, hi,
+                                                hi - lo, t_hi - t_lo)))
+    assert len(lines) == 502
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
 def test_simulate_bounds_threads(tmp_path, monkeypatch, capsys):
     # two reps start at most two worker threads, whatever the pool size
     args = ["simulate", "--scenario", "strongly_aligned", "--reps", "2", "--n", "50",
@@ -987,20 +1025,30 @@ def test_internal_errors_exit_two(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["config-dump", "simulate", "estimate", "sensitivity"])
-def test_an_unwritable_out_exits_one_naming_it(tmp_path, capsys, command):
-    # a missing output directory is bad input, not an internal error
-    out = str(tmp_path / "missing" / "out.txt")
+def test_an_unwritable_out_exits_one_naming_it(tmp_path, monkeypatch, capsys, command):
+    # an output path in a missing directory, or a directory itself, is bad
+    # input, not an internal error; it is caught before anything runs, and
+    # the check leaves no file behind
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+    monkeypatch.setattr(cli, "run_monte_carlo", never)
+    monkeypatch.setattr(cli, "one_step_estimate", never)
     cfgp = tmp_path / "config.json"
     cfgp.write_text(json.dumps(default_config_dict()))
     data = _study_csv(tmp_path, n=60, seed=3)
+    (tmp_path / "dir").mkdir()
     argv = {"config-dump": ["config-dump"],
             "simulate": ["simulate", "--scenario", "fully_aligned", "--reps", "1",
                          "--n", "60", "--seed", "1", "--variants", "target_only"],
             "estimate": ["estimate", "--config", str(cfgp), "--data", str(data)],
             "sensitivity": ["sensitivity", "--config", str(cfgp), "--data", str(data),
                             "--delta-grid", "0:0.1:0.05"]}[command]
-    assert main(argv + ["--out", out]) == 1
-    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    before = sorted(tmp_path.rglob("*"))
+    for out, message in ((tmp_path / "missing" / "out.txt", "No such file or directory"),
+                         (tmp_path / "dir", "Is a directory")):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_a_huge_design_d_builds_no_column_names(tmp_path, capsys):

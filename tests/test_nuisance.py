@@ -711,11 +711,13 @@ def test_bundle_wiring_and_deltas():
     assert sum(bundle.delta.values()) == pytest.approx(1.0, rel=1e-15)
     for j in (1, 2, 3):
         assert bundle.panel(j) is not None
-        assert bundle.ratio_fits(j).j == j
+    # density ratios are fitted exactly where a source is weak: index 3
+    assert bundle.ratio_fits(3).j == 3
+    for j in (1, 2, 9):
+        with pytest.raises(NuisanceMissing):
+            bundle.ratio_fits(j)
     with pytest.raises(NuisanceMissing):
         bundle.panel(9)
-    with pytest.raises(NuisanceMissing):
-        bundle.ratio_fits(9)
     assert bundle.delta_of([1, 2]) == pytest.approx(
         bundle.delta[1] + bundle.delta[2], rel=1e-15)
     assert bundle.propensity is None
@@ -742,6 +744,29 @@ def test_bundle_keeps_blocks_only_at_indices_with_weak_sources(study_data, varia
                     for j in design.relevant}
     assert any(any(k) for k in kept.values()) == (variant not in ("target_only",
                                                                   "naive_fusion"))
+
+
+@pytest.mark.parametrize("variant, fits", [
+    ("target_only", 1), ("naive_fusion", 1), ("efficient_fusion", 4)])
+def test_an_estimate_fits_ratios_only_at_indices_with_weak_sources(study_data, monkeypatch,
+                                                                   variant, fits):
+    # one logistic fit for the ATE propensity, plus one per non-trivial ratio
+    # at the weak index 3 (source 1 is the only aligned source there, so its
+    # ratio is exactly one); the report's overlap covers the same pairs
+    calls = []
+
+    def counted(X, y):
+        calls.append(X.shape)
+        return logistic_fit(X, y)
+
+    logistic_fit = nuisance._logistic_fit
+    monkeypatch.setattr(nuisance, "_logistic_fit", counted)
+    v = EstimatorVariant.parse(variant)
+    rep = one_step_estimate(study_data, study_design(), EstimandSpec("ate"), v)
+    assert len(calls) == fits
+    design = apply_variant(study_design(), v)
+    assert set(rep.overlap) == {f"{j},{s}" for j in design.relevant if j > 1
+                                and design.weak_at(j) for s in design.sources_at(j)}
 
 
 def test_naive_fusion_estimate_holds_less_than_one_index3_block(study_data):
