@@ -513,12 +513,12 @@ def cmd_sensitivity(args) -> int:
     lo0, hi0 = wald_interval(fused.estimate, fused.se, cfg.level)
     # each row is `sensitivity_interval` at its delta: the Wald interval
     # widened by delta on each side
-    fixed = f"{fused.estimate!r},{fused.se!r}"
-    tail = f"{t_hi - t_lo!r}"
+    est_se = f"{fused.estimate!r},{fused.se!r}"
+    t_width = repr(t_hi - t_lo)
     lines = ["delta,estimate,se,ci_lo,ci_hi,width,target_only_width"]
     for dlt in grid:
         lo, hi = lo0 - dlt, hi0 + dlt
-        lines.append(f"{dlt!r},{fixed},{lo!r},{hi!r},{hi - lo!r},{tail}")
+        lines.append(f"{dlt!r},{est_se},{lo!r},{hi!r},{hi - lo!r},{t_width}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(grid)} sensitivity rows to {args.out}", file=sys.stderr)
     return 0
