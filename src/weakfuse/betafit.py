@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import _EPS_W, _tilt_basis, _tilt_field
+from .gradients import _EPS_W, _tilt_field
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
-from .weights import basis_matrix
 
 _MM_TOL = 1e-8
 _MM_MAX_ITER = 200
@@ -28,25 +27,6 @@ class MomentMatchResult:
     @property
     def all_converged(self) -> bool:
         return all(self.converged.values())
-
-
-def _pair_moment_system(nuisance: FittedNuisance, j: int, s: int) -> tuple:
-    """Precompute everything the per-pair Newton solve reuses: the β-free
-    tilt basis on the index panel, the basis at the source's own rows, and
-    the reweighting that maps pooled aligned rows to the source's
-    conditioning-state marginal, with those rows' map onto the panel."""
-    design = nuisance.design
-    data = nuisance.data
-    spec = design.spec_for(j, s)
-    panel = nuisance.panel(j)
-
-    tbar = basis_matrix(spec, data.z[data.rows_of(s), :j]).mean(axis=0)
-    rows_a = data.rows_in(design.aligned_at(j))
-    Z_a = np.take(data.z[:, :j], rows_a, axis=0)
-    t_a = basis_matrix(spec, Z_a)
-    rho_a = nuisance.ratio_fits(j).rho(s, Z_a[:, :j - 1])
-    rmap = nuisance.rowmaps[j].take(rows_a)
-    return panel, _tilt_basis(panel, spec), tbar, t_a, rho_a, rmap
 
 
 def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap):
@@ -91,7 +71,13 @@ def moment_match_beta(nuisance: FittedNuisance) -> MomentMatchResult:
     for (j, s, _) in beta.layout:
         sl = offs[(j, s)]
         b = values[sl].copy()
-        system = _pair_moment_system(nuisance, j, s)
+        # the basis mean over the source's own rows; at the pooled aligned rows
+        # the basis, the ratio to the source's marginal and the row map
+        inp = nuisance.weak_inputs[j]
+        aligned = np.isin(inp.src, sorted(nuisance.design.aligned_at(j)))
+        t = inp.t[s]
+        system = (inp.panel, inp.basis[s], t[inp.src == s].mean(axis=0), t[aligned],
+                  inp.rho_rows[aligned, inp.S.index(s)], inp.rmap.take(np.flatnonzero(aligned)))
         m, J = _pair_moment_and_jac(b, *system)
         it = 0
         for it in range(1, _MM_MAX_ITER + 1):

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance, _chunks, _smooth_at_train, silverman_bandwidths
-from .weights import basis_matrix, eval_weight_many
+from .weights import eval_weight_many
 
 _EIG_TOL = 1e-10
 _EPS_W = 1e-8       # floor on a tilt normalizer, in the engine and the moment match
@@ -206,20 +206,6 @@ def _batched_pinv(M: np.ndarray):
     return pinv, dropped
 
 
-def _tilt_basis(panel, spec):
-    """β-free factors of a weak pair's shift on a panel, as (G, vals): for a
-    tilt, the prefactors G at the states and vals = (V, Ψ), the value columns
-    V = [1, ψ] at the training values and their ψ part Ψ, kept apart so that
-    its gathers are contiguous; for a truncation, G is None and vals holds
-    the step at the training values."""
-    if spec.family != "exponential_tilt":
-        return None, ((panel.zj >= spec.threshold).astype(float),)
-    G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
-    V = np.column_stack([np.ones(panel.zj.size)]
-                        + [t.terminal_values(panel.zj) for t in spec.terms])
-    return G, (V, V[:, 1:])
-
-
 def _shift_chunk(b, G, rows, W, vals, buf, tmp):
     """A weak pair's unnormalized shift at b on a chunk of a weight block,
     given the prefactors G of its `_tilt_basis` and its vals gathered at the
@@ -256,7 +242,9 @@ def _tilt_field(panel, b, basis):
 
 class _IndexMachine:
     """All (E, T) machinery for one relevant index with weak sources, at a
-    fixed parameter value.
+    fixed parameter value. Its β-free inputs are the bundle's
+    `WeakIndexInputs` `inp`, built once, so it forms only what β and the
+    seed change.
 
     Every conditional moment the projection needs is a row mean of r times a
     product of at most two normalized shifts against a value column (1, each
@@ -273,42 +261,23 @@ class _IndexMachine:
 
     def __init__(self, nuisance: FittedNuisance, beta: BetaParam, j: int, sep=None):
         design = nuisance.design
-        data = nuisance.data
-        self.panel = panel = nuisance.panel(j)
-        self.S = sorted(design.sources_at(j))
-        self.Wk = sorted(design.weak_at(j))
-        self.dSj = nuisance.delta_of(self.S)
+        self.inp = inp = nuisance.weak_inputs[j]
         offs = beta.offsets()
-        ratio = nuisance.ratio_fits(j)
-        T = panel.zj.size
-        lo, hi = nuisance.options.ratio_clip
+        T = inp.panel.zj.size
         self.clip_counts: dict[str, int] = {}
-
-        # local mixture weights at states and the clipped versions at rows
-        self.dt_e = np.column_stack([
-            nuisance.delta[m] * ratio.rho(m, panel.eval_states) for m in self.S])
-        dt_rows = np.column_stack([
-            nuisance.delta[m] * ratio.rho(m, data.z[:, :j - 1]) for m in self.S])
-        self.rows_S = data.rows_in(self.S)
-        self.src_S = data.source[self.rows_S]
-        # interpolates (E,) or (E, q) fields to the S_j rows
-        self.at_rows = nuisance.rowmaps[j].take(self.rows_S).apply
-        self.ZS = ZS = np.take(data.z[:, :j], self.rows_S, axis=0)
 
         # value columns: 1, then each tilt term ψ, then each seed column; the
         # arrays each weak source's shift reads follow them in the sweep's `_chunks`
         cols = [np.ones(T)]
         shifts = {}                                 # (b, G, span of its arrays)
         vals = []
-        self.G: dict[int, np.ndarray] = {}          # tilt prefactors at states
         self.psi_cols: dict[int, slice] = {}
-        for s in self.Wk:
+        for s in inp.Wk:
             b = beta.values[offs.get((j, s), slice(0, 0))]     # empty for a truncation
-            G, vs = _tilt_basis(panel, design.spec_for(j, s))
+            G, vs = inp.basis[s]
             shifts[s] = (b, G, slice(1 + len(vals), 1 + len(vals) + len(vs)))
             vals.extend(vs)
             if G is not None:
-                self.G[s] = G
                 self.psi_cols[s] = slice(len(cols), len(cols) + vs[1].shape[1])
                 cols.extend(vs[1].T)
         self.seed_cols = slice(len(cols), len(cols) + len(sep or ()))
@@ -320,9 +289,9 @@ class _IndexMachine:
         self.wfield: dict[int, np.ndarray] = {}
         self.et: dict[int, np.ndarray] = {}         # E_Q[w*_s t_c | e]
         self.wst_own: dict[int, np.ndarray] = {}    # at each S_j row's own value
-        clipped = np.zeros(self.rows_S.size, dtype=bool)
+        clipped = np.zeros(inp.rows.size, dtype=bool)
         n_floor = 0
-        for s in self.Wk:
+        for s in inp.Wk:
             finite = [np.isfinite(raw[s][:, 0])] + [np.isfinite(m).all(axis=1)
                                                     for key, m in self.mom.items() if s in key]
             bad = int(np.sum(~np.logical_and.reduce(finite)))
@@ -332,11 +301,14 @@ class _IndexMachine:
                     f"at {bad} states; the shift parameter diverged")
             n_floor += int(np.sum(raw[s][:, 0] < _EPS_W))
             self.wfield[s] = wf = np.maximum(raw[s][:, 0], _EPS_W)
-            if s in self.G:
-                self.et[s] = self.G[s] * raw[s][:, 1:] / wf[:, None]
+            b, G, _ = shifts[s]
+            if G is not None:
+                self.et[s] = G * raw[s][:, 1:] / wf[:, None]
             with np.errstate(over="ignore"):
-                ws = eval_weight_many(design.spec_for(j, s), shifts[s][0], ZS) / self.at_rows(wf)
-            self.wst_own[s] = np.clip(ws, lo, hi)      # clipped like any ratio
+                w = (np.exp(inp.t[s] @ b) if s in inp.t     # eval_weight_many's tilt
+                     else eval_weight_many(design.spec_for(j, s), b, inp.Z))
+                ws = w / inp.rmap.apply(wf)
+            self.wst_own[s] = np.clip(ws, *nuisance.options.ratio_clip)   # like any ratio
             clipped |= self.wst_own[s] != ws
         n_clip = int(clipped.sum())
         for what, n in (("normalizer_floor", n_floor), ("wstar", n_clip)):
@@ -344,66 +316,64 @@ class _IndexMachine:
                 self.clip_counts[f"{what}_j{j}"] = n
         # E_Q[w*_m | e]
         self.wnorm = np.column_stack([raw[m][:, 0] / self.wfield[m] if m in self.wfield
-                                      else self.wv[:, 0] for m in self.S])
+                                      else self.wv[:, 0] for m in inp.S])
 
         # second moments of the shifts against r; aligned entries double as
         # the first-moment fields E_Q[w*_m r | e]
-        k = len(self.S)
-        P = np.array([[self.mom[self._key(ma, mc)][:, 0] for mc in self.S]
-                      for ma in self.S]).transpose(2, 0, 1)
-        Ewr = P[:, :, self.S.index(min(design.aligned_at(j)))]   # (E, k)
+        k = len(inp.S)
+        P = np.array([[self.mom[self._key(ma, mc)][:, 0] for mc in inp.S]
+                      for ma in inp.S]).transpose(2, 0, 1)
+        Ewr = P[:, :, inp.S.index(min(design.aligned_at(j)))]   # (E, k)
         self.M = -P.copy()
-        self.M[:, np.arange(k), np.arange(k)] += 1.0 / self.dt_e
+        self.M[:, np.arange(k), np.arange(k)] += 1.0 / inp.dt_e
         self.Minv, dropped = _batched_pinv(self.M)
         self.rank_lost = int(np.sum(dropped > 1))
 
         # posterior weights at the realized S_j rows
-        self.dt_own = np.take(dt_rows, self.rows_S, axis=0)
-        den_own = np.zeros(self.rows_S.size)
-        for i, m in enumerate(self.S):
-            den_own += self.dt_own[:, i] * self.wst_own.get(m, 1.0)
+        den_own = np.zeros(inp.rows.size)
+        for i, m in enumerate(inp.S):
+            den_own += inp.dt_rows[:, i] * self.wst_own.get(m, 1.0)
         self.R_own = 1.0 / den_own
-        self.dtsum_own = self.dt_own.sum(axis=1)
         # (rows, |S|) matrix of w*_m r at the realized S_j rows
-        wr_own = np.column_stack([self.wst_own.get(m, 1.0) * self.R_own for m in self.S])
+        wr_own = np.column_stack([self.wst_own.get(m, 1.0) * self.R_own for m in inp.S])
 
         # β-fixed parts of every projection: the realized shifts less their
         # mean, and per weak source its rows and second moments less the mean
-        self.wr_dev = wr_own - self.at_rows(Ewr)
-        self.weak_parts = [(i, self.src_S == m, P[:, :, i] - Ewr)
-                           for i, m in enumerate(self.S) if m in self.wfield]
+        self.wr_dev = wr_own - inp.rmap.apply(Ewr)
+        self.weak_parts = [(i, inp.src == m, P[:, :, i] - Ewr)
+                           for i, m in enumerate(inp.S) if m in self.wfield]
 
     def _sweep(self, V, vals, shifts) -> dict:
         """One sweep over the chunks: each shift and its row means, returned
         per weak source, then w*, the mixture denominator, W·r and every
         product moment, into `wv` and `mom`. Its scratch is reused from chunk
         to chunk and dies with the sweep."""
-        E = self.panel.eval_states.shape[0]
-        raw = {s: np.zeros((E, 1 + self.G[s].shape[1] if s in self.G else 1))
-               for s in self.Wk}
-        keys = [(), *((s,) for s in self.Wk), *combinations_with_replacement(self.Wk, 2)]
+        inp = self.inp
+        E = inp.panel.eval_states.shape[0]
+        raw = {s: np.zeros((E, 1 + inp.t[s].shape[1] if s in inp.t else 1)) for s in inp.Wk}
+        keys = [(), *((s,) for s in inp.Wk), *combinations_with_replacement(inp.Wk, 2)]
         self.wv = np.zeros((E, V.shape[1]))
         self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
         with np.errstate(over="ignore", invalid="ignore"):
             for rows, W, _, vc, (r, prod, tmp, *wbuf) in _chunks(
-                    self.panel, V, *vals, scratch=3 + len(self.Wk)):
+                    inp.panel, V, *vals, scratch=3 + len(inp.Wk)):
                 Vc = vc[0]
                 self.wv[rows] = W @ Vc
                 wst = {}
-                for s, buf in zip(self.Wk, wbuf):
+                for s, buf in zip(inp.Wk, wbuf):
                     b, G, span = shifts[s]
                     w, raw[s][rows] = _shift_chunk(b, G, rows, W, vc[span], buf, tmp)
                     wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], _EPS_W)[:, None], out=buf)
-                for a, m in enumerate(self.S):      # r = 1 / (0 + t₀ + t₁ + …), then W·r
-                    dt = self.dt_e[rows, a:a + 1]
+                for a, m in enumerate(inp.S):       # r = 1 / (0 + t₀ + t₁ + …), then W·r
+                    dt = inp.dt_e[rows, a:a + 1]
                     term = np.multiply(dt, wst[m], out=tmp) if m in wst else dt
                     np.add(r if a else 0.0, term, out=r)
                 np.divide(1.0, r, out=r)
                 r *= W
                 self.mom[()][rows] = r @ Vc
-                for x, s in enumerate(self.Wk):
+                for x, s in enumerate(inp.Wk):
                     self.mom[(s,)][rows] = np.multiply(r, wst[s], out=prod) @ Vc
-                    for t in self.Wk[x:]:
+                    for t in inp.Wk[x:]:
                         self.mom[(s, t)][rows] = np.multiply(prod, wst[t], out=tmp) @ Vc
         return raw
 
@@ -421,12 +391,12 @@ class _IndexMachine:
         three fields reach the rows through one row-map read."""
         Emean = np.einsum("eq,eq->e", alpha, self.mom[self._key(*shift)]) + free[0]
         D = np.column_stack([np.einsum("eq,eq->e", alpha, self.mom[self._key(*shift, m)])
-                             for m in self.S]) + free[1]
+                             for m in self.inp.S]) + free[1]
         u = np.einsum("eij,ej->ei", self.Minv, D)
         centers = [D[:, i] - Emean + np.einsum("ei,ei->e", u, dev)
                    for i, _, dev in self.weak_parts]
-        k = len(self.S)
-        at = self.at_rows(np.column_stack([Emean, u, *centers]))
+        k = len(self.inp.S)
+        at = self.inp.rmap.apply(np.column_stack([Emean, u, *centers]))
         out = own - at[:, 0] + np.einsum("ri,ri->r", at[:, 1:1 + k], self.wr_dev)
         for c, (_, in_m, _) in enumerate(self.weak_parts):
             out -= in_m * at[:, 1 + k + c]
@@ -505,12 +475,9 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
     design = nuisance.design
     data = nuisance.data
     n = data.n
-    Z = data.z
-    src = data.source
     offs = beta.offsets()
     t = beta.t
-    expected = layout_from_design(design)
-    if beta.layout != expected:
+    if beta.layout != layout_from_design(design):
         raise StructuralError(f"parameter layout {beta.layout} does not match design")
 
     scores_raw = np.zeros((n, t))
@@ -519,22 +486,19 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
     # per-index inverse-shift-weighted seed rows; the tail adjustments below
     # regress on them
     cterm: dict[int, np.ndarray] = {}
-    any_weak = bool(design.weak_pairs())
     flags: set[str] = set()
     clip_counts: dict[str, int] = {}
 
     for j in design.relevant:
         Sj = sorted(design.sources_at(j))
-        Wj = sorted(design.weak_at(j))
         dSj = nuisance.delta_of(Sj)
-
-        if not Wj:
+        if j not in nuisance.weak_inputs:
             if seed is not None and j in seed.rows:
                 # all-aligned index: the projected term coincides with the
                 # aligned-only term (the posterior weights are value-free and
                 # the correction vanishes); centering is exactly zero by seed
                 # construction under the pooled reference
-                term = np.isin(src, Sj) * seed.rows[j] / dSj
+                term = np.isin(data.source, Sj) * seed.rows[j] / dSj
                 dtilde += term
                 cterm[j] = term
             continue
@@ -549,31 +513,28 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
         clip_counts.update(mach.clip_counts)
         if mach.rank_lost:
             flags.add("RankDeficiency")
-        rows_S = mach.rows_S
-        src_S = mach.src_S
-        E = mach.panel.eval_states.shape[0]
+        inp = mach.inp
+        E = inp.panel.eval_states.shape[0]
         q = mach.wv.shape[1]
 
         # ---- efficient scores for every tilted pair at this index; a
         # truncation has no parameter and so no score ----
-        for s in Wj:
-            if s not in mach.G:
+        for s in inp.Wk:
+            if s not in inp.t:
                 continue
-            spec = design.spec_for(j, s)
             sl = offs[(j, s)]
-            sidx = mach.S.index(s)
-            t_own = basis_matrix(spec, mach.ZS)
-            r_own_s = mach.dt_own[:, sidx] * mach.wst_own[s] * mach.R_own
-            resid_own = t_own - mach.at_rows(mach.et[s])
-            scores_raw[rows_S, sl] = (src_S == s)[:, None] * resid_own
+            sidx = inp.S.index(s)
+            r_own_s = inp.dt_rows[:, sidx] * mach.wst_own[s] * mach.R_own
+            resid_own = inp.t[s] - inp.rmap.apply(mach.et[s])
+            scores_raw[inp.rows, sl] = (inp.src == s)[:, None] * resid_own
             scores_eff[:, sl] = scores_raw[:, sl]
-            dt_s = mach.dt_e[:, sidx]
+            dt_s = inp.dt_e[:, sidx]
             for c in range(resid_own.shape[1]):
                 # a = δ̃_s w*_s r (t_c - E_Q[w*_s t_c | e]) with t_c = g_c ψ_c
                 alpha = np.zeros((E, q))
-                alpha[:, mach.psi_cols[s].start + c] = dt_s * mach.G[s][:, c]
+                alpha[:, mach.psi_cols[s].start + c] = dt_s * inp.basis[s][0][:, c]
                 alpha[:, 0] = -dt_s * mach.et[s][:, c]
-                scores_eff[rows_S, sl.start + c] -= mach.project(
+                scores_eff[inp.rows, sl.start + c] -= mach.project(
                     (s,), alpha, r_own_s * resid_own[:, c])
 
         # ---- projected gradient term (absent seed entries mean the estimand
@@ -584,25 +545,25 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             alpha[:, mach.seed_cols] = np.column_stack(
                 [np.broadcast_to(coef, (E,)) for coef, _ in sep])
             cq = np.einsum("eq,eq->e", alpha, mach.wv)
-            lamcq = dSj / mach.dt_e.sum(axis=1) * cq / dSj
+            lamcq = dSj / inp.dt_e.sum(axis=1) * cq / dSj
             free = (-lamcq * mach.wv[:, 0], -lamcq[:, None] * mach.wnorm)
 
-            dq_own = seed.rows[j][rows_S]
-            lam_own = dSj / mach.dtsum_own
-            d_own = mach.R_own * dq_own - lam_own * mach.at_rows(cq) / dSj
-            dtilde[rows_S] += mach.project((), alpha, d_own, free)
+            dq_own = seed.rows[j][inp.rows]
+            lam_own = dSj / inp.dt_rows.sum(axis=1)
+            d_own = mach.R_own * dq_own - lam_own * inp.rmap.apply(cq) / dSj
+            dtilde[inp.rows] += mach.project((), alpha, d_own, free)
 
             lam_dag = lam_own.copy()
-            for m in Wj:
-                lam_dag = np.where(src_S == m, lam_own / mach.wst_own[m], lam_dag)
+            for m in inp.Wk:
+                lam_dag = np.where(inp.src == m, lam_own / mach.wst_own[m], lam_dag)
             crow = np.zeros(n)
-            crow[rows_S] = lam_dag * dq_own / dSj
+            crow[inp.rows] = lam_dag * dq_own / dSj
             cterm[j] = crow
 
     # ---- tail adjustments at single-source indices (finite-sample variance
     # accounting; identically zero in population and skipped for exact-table
     # backends and all-aligned designs) ----
-    if seed is not None and any_weak:
+    if seed is not None and nuisance.weak_inputs:
         for j in design.relevant:
             Sj = sorted(design.sources_at(j))
             if len(Sj) != 1 or nuisance.panel(j).train_idx is None:
@@ -616,7 +577,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             # indices' seed rows on z̄_j, one column each
             m_rows = data.rows_of(m)
             panel = nuisance.panel(j)
-            X = Z[m_rows, :j]
+            X = data.z[m_rows, :j]
             h, floored = silverman_bandwidths(X)
             if floored:
                 flags.add("SingularBandwidth")

@@ -25,6 +25,7 @@ from .errors import (
     StructuralError,
 )
 from .model import Dataset, FusionDesign, OverlapDiagnostics
+from .weights import basis_matrix
 
 _MIN_ROWS = 5
 _H_FLOOR = 1e-6
@@ -502,7 +503,12 @@ class KernelPanel(_BlockPanel):
         for col, g in zip(self.cont_cols, self.axes):
             stride //= g.size
             x = np.clip(Zprev[:, col], g[0], g[-1])
-            hi = np.clip(np.searchsorted(g, x), 1, g.size - 1)
+            # searchsorted's cell, found by arithmetic as on an evenly spaced axis
+            # (a constant one has span 0), then by searchsorted where that misses
+            hi = np.clip(np.ceil((x - g[0]) / ((g[-1] - g[0]) or 1.0) * (g.size - 1)).astype(int),
+                         1, g.size - 1)
+            off = (x > g[hi]) | ((hi > 1) & (x <= g[hi - 1]))
+            hi[off] = np.clip(np.searchsorted(g, x[off]), 1, g.size - 1)
             lo = hi - 1
             frac = (x - g[lo]) / (g[hi] - g[lo])
             idx = [i + lo * stride for i in idx] + [i + hi * stride for i in idx]
@@ -521,6 +527,49 @@ class KernelPanel(_BlockPanel):
         return self.mean_field(nuisance.rowmaps[self.j + 1].take(self.train_idx).apply(field))
 
 
+def _tilt_basis(panel, spec):
+    """β-free factors of a weak pair's shift on a panel, as (G, vals): for a
+    tilt, the prefactors G at the states and vals = (V, Ψ), the value columns
+    V = [1, ψ] at the training values and their ψ part Ψ, kept apart so that
+    its gathers are contiguous; for a truncation, G is None and vals holds
+    the step at the training values."""
+    if spec.family != "exponential_tilt":
+        return None, ((panel.zj >= spec.threshold).astype(float),)
+    G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
+    V = np.column_stack([np.ones(panel.zj.size)]
+                        + [t.terminal_values(panel.zj) for t in spec.terms])
+    return G, (V, V[:, 1:])
+
+
+class WeakIndexInputs:
+    """The β-free inputs of the moment match and the engine at an index j
+    with weak sources: sorted sources `S` and weak sources `Wk`; the S_j
+    `rows` with their sources `src`, z̄_j `Z` and map `rmap` onto the panel;
+    per m in S, δ_m ρ_m at the states (`dt_e`), ρ_m and δ_m ρ_m at the rows
+    (`rho_rows`, `dt_rows`); per weak source its `_tilt_basis`, and for a
+    tilt its basis values `t` at the rows."""
+
+    def __init__(self, nuisance: FittedNuisance, j: int):
+        design, data = nuisance.design, nuisance.data
+        self.panel = panel = nuisance.panel(j)
+        self.S = sorted(design.sources_at(j))
+        self.Wk = sorted(design.weak_at(j))
+        self.rows = data.rows_in(self.S)
+        self.src = data.source[self.rows]
+        self.Z = np.take(data.z[:, :j], self.rows, axis=0)
+        self.rmap = nuisance.rowmaps[j].take(self.rows)
+        ratio = nuisance.ratio_fits(j)
+        delta = np.array([nuisance.delta[m] for m in self.S])
+        self.dt_e = np.column_stack([ratio.rho(m, panel.eval_states) for m in self.S]) * delta
+        self.rho_rows = np.take(np.column_stack(
+            [ratio.rho(m, data.z[:, :j - 1]) for m in self.S]), self.rows, axis=0)
+        self.dt_rows = self.rho_rows * delta
+        specs = {s: design.spec_for(j, s) for s in self.Wk}
+        self.basis = {s: _tilt_basis(panel, spec) for s, spec in specs.items()}
+        self.t = {s: basis_matrix(spec, self.Z) for s, spec in specs.items()
+                  if spec.family == "exponential_tilt"}
+
+
 class FittedNuisance:
     """Everything the estimator and gradient engine need, fitted once.
 
@@ -528,7 +577,8 @@ class FittedNuisance:
     row onto each panel's states, the propensity, the marginal density-ratio
     fits at the indices with weak sources (`ratio_fits` raises
     `NuisanceMissing` at any other index), and the flags of the fallbacks
-    that fired while fitting them.
+    that fired while fitting them; at those indices, `weak_inputs` holds the
+    β-free inputs of the moment match and the engine, built here once.
     Weight-dependent fields (normalizers, score means, fusion-matrix moments)
     are computed per β by the gradient engine, so refreshing β never touches
     the β-free fits, and nothing here changes after construction.
@@ -543,9 +593,11 @@ class FittedNuisance:
         self.options = options
         self.delta = delta
         self.panels = panels
+        self.ratios = ratios
         self.rowmaps = {j: p.row_map(data.z[:, :j - 1], row_idx=np.arange(data.n))
                         for j, p in panels.items()}
-        self.ratios = ratios
+        self.weak_inputs = {j: WeakIndexInputs(self, j)
+                            for j in design.relevant if design.weak_at(j)}
         self.propensity = propensity
         self.flags = flags
 

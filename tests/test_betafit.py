@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from weakfuse.betafit import (
-    _pair_moment_and_jac,
-    _pair_moment_system,
-    moment_match_beta,
-)
+from weakfuse.betafit import _pair_moment_and_jac, moment_match_beta
 from weakfuse.gradients import EstimandSpec, compute_pass, information_matrix
 from weakfuse.model import (
     Dataset,
@@ -90,7 +86,11 @@ def test_moment_match_residual_never_rises(monkeypatch):
 def test_pair_jacobian_matches_finite_differences():
     data, design = _tilted_instance(600, beta_true=0.4, seed=3)
     nuis = fit_nuisance_bundle(data, design)
-    system = _pair_moment_system(nuis, 2, 2)
+    # the pair's moment system, read from the bundle's β-free inputs at index 2
+    inp = nuis.weak_inputs[2]
+    aligned = inp.src == 1
+    system = (inp.panel, inp.basis[2], inp.t[2][inp.src == 2].mean(axis=0), inp.t[2][aligned],
+              inp.rho_rows[aligned, inp.S.index(2)], inp.rmap.take(np.flatnonzero(aligned)))
     b = np.array([0.3])
     m, J = _pair_moment_and_jac(b, *system)
     h = 1e-6

@@ -25,11 +25,12 @@ from weakfuse.estimator import (
 )
 import weakfuse.estimator
 import weakfuse.nuisance
-from weakfuse.gradients import EstimandSpec
+from weakfuse.betafit import moment_match_beta
+from weakfuse.gradients import EstimandSpec, compute_pass
 from weakfuse.model import Dataset, FusionDesign
-from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
+from weakfuse.nuisance import MarginalRatioFits, NuisanceOptions, fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
-from weakfuse.weights import WeightSpec, complex_family
+from weakfuse.weights import BasisTerm, WeightSpec, complex_family
 
 from oracles import ExactPanel
 
@@ -407,6 +408,37 @@ def test_engine_pass_count(monkeypatch, variant, passes):
     one_step_estimate(data, study_design(), EstimandSpec("ate"),
                       variant=EstimatorVariant(variant))
     assert len(calls) == passes
+
+
+def test_beta_free_engine_inputs_are_built_once_per_bundle(monkeypatch):
+    # the moment match and both engine passes read one set of β-free inputs:
+    # each tilt term's prefactor on the index-3 states once, and each ρ_m at
+    # the data rows once per (index, source); a further moment match and
+    # pass on the same bundle evaluate neither again
+    bundles, at_states, at_rows = [], [], []
+    fit, prefactor, rho = (weakfuse.estimator.fit_nuisance_bundle, BasisTerm.prefactor,
+                           MarginalRatioFits.rho)
+    monkeypatch.setattr(weakfuse.estimator, "fit_nuisance_bundle",
+                        lambda *a, **k: bundles.append(fit(*a, **k)) or bundles[-1])
+    monkeypatch.setattr(BasisTerm, "prefactor",
+                        lambda t, z: at_states.append(z) or prefactor(t, z))
+    monkeypatch.setattr(MarginalRatioFits, "rho",
+                        lambda r, s, z: at_rows.append((r.j, s, len(z))) or rho(r, s, z))
+    design = study_design()
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1)
+    one_step_estimate(data, design, EstimandSpec("ate"))
+    (bundle,) = bundles
+
+    def counts():
+        states = bundle.panel(3).eval_states
+        return (sum(z is states for z in at_states),
+                sorted(key for key in at_rows if key[2] == data.n))
+
+    once = (sum(design.spec_for(*pair).nparams for pair in design.weak_pairs()),
+            [(3, s, data.n) for s in (1, 2, 3, 4)])
+    assert counts() == once
+    compute_pass(bundle, moment_match_beta(bundle).beta)
+    assert counts() == once
 
 
 def test_clip_counts_report_one_pass():

@@ -12,13 +12,12 @@ from weakfuse.gradients import (
     _batched_pinv,
     _IndexMachine,
     _shift_chunk,
-    _tilt_basis,
     _tilt_field,
     compute_pass,
     seed_gradient,
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
-from weakfuse.nuisance import NuisanceOptions, _chunks, fit_nuisance_bundle
+from weakfuse.nuisance import NuisanceOptions, _chunks, _tilt_basis, fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design, true_parameters
 from weakfuse.weights import WeightSpec
 
@@ -199,12 +198,12 @@ def test_known_beta_gradient_pointwise(law_pass):
     Z = law.dataset().z
     lam = lambda_prev(nuis.ratio_fits(3), nuis.delta, Z[:, :2])
     want = lam / _oracle_wstar(law, Z) * seed.rows[3] / 1.0  # S_3 holds the full mass
-    src_S = law.src[mach.rows_S]
-    lam_dag = mach.dSj / mach.dtsum_own
-    for s in mach.Wk:
+    src_S = law.src[mach.inp.rows]
+    lam_dag = nuis.delta_of(mach.inp.S) / mach.inp.dt_rows.sum(axis=1)
+    for s in mach.inp.Wk:
         lam_dag = np.where(src_S == s, lam_dag / mach.wst_own[s], lam_dag)
-    got = lam_dag * seed.rows[3][mach.rows_S] / mach.dSj
-    np.testing.assert_array_equal(mach.rows_S, np.arange(law.n))
+    got = lam_dag * seed.rows[3][mach.inp.rows] / nuis.delta_of(mach.inp.S)
+    np.testing.assert_array_equal(mach.inp.rows, np.arange(law.n))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -235,10 +234,10 @@ def test_batched_pinv_symmetrizes():
 def test_fusion_matrix_pointwise_oracle(law):
     nuis = law.bundle()
     mach = _IndexMachine(nuis, law.beta_param(), 3)
-    assert mach.S == [1, 2, 3]
+    assert mach.inp.S == [1, 2, 3]
     b1, b2 = 0, 1
     e = b1 * 2 + b2
-    np.testing.assert_array_equal(mach.panel.eval_states[e], [law.Z1[b1], law.Z2[b2]])
+    np.testing.assert_array_equal(mach.inp.panel.eval_states[e], [law.Z1[b1], law.Z2[b2]])
     probs = law.Q3[(b1, b2)]
     dt = np.array([law.DELTA[s] * law.P_Z1[s][b1] * law.p2_table(s, b1)[b2]
                    for s in (1, 2, 3)])
@@ -269,7 +268,7 @@ def test_lambda_dagger_values(law):
     mach = _IndexMachine(nuis, law.beta_param(), 3)
     Z = law.dataset().z
     lam = lambda_prev(nuis.ratio_fits(3), nuis.delta, Z[:, :2])
-    got = mach.dSj / mach.dtsum_own
+    got = nuis.delta_of(mach.inp.S) / mach.inp.dt_rows.sum(axis=1)
     on1 = law.src == 1
     np.testing.assert_allclose(got[on1], lam[on1], atol=1e-12)
     on2 = law.src == 2

@@ -229,7 +229,7 @@ def _wstar(law, mach, s, beta2=None):
     """Normalized shift w*_s on the index-3 panel as one (E, T) matrix: the
     law's weight at every state and value over the machine's normalizer."""
     w = DiscreteLaw(beta2=law.beta2 if beta2 is None else beta2).weight(
-        s, mach.panel.eval_states[:, :1], law.Z3[None, :])
+        s, mach.inp.panel.eval_states[:, :1], law.Z3[None, :])
     return w / mach.wfield[s][:, None]
 
 
@@ -256,7 +256,7 @@ def test_density_ratio_exact_on_discrete():
             want = w / float(law.Q3[(b1, b2)] @ w)
             np.testing.assert_allclose(_wstar(law, mach, 3)[b1 * 2 + b2], want, rtol=1e-13)
     # row-side shifts carry the same values at each row's own z3
-    on3 = law.src[mach.rows_S] == 3
+    on3 = law.src[mach.inp.rows] == 3
     np.testing.assert_allclose(mach.wst_own[3][on3], _at_rows(law, _wstar(law, mach, 3))[on3],
                                rtol=1e-13)
     assert mach.clip_counts == {}
@@ -285,5 +285,5 @@ def test_density_ratio_clipping_counted():
     assert mach.clip_counts == {"wstar_j3": 24}
     # a narrow clip binds at the true parameter too
     _, mach = _machine(law, options=NuisanceOptions(ratio_clip=(0.8, 1.25)))
-    assert 0 < mach.clip_counts["wstar_j3"] <= mach.rows_S.size
+    assert 0 < mach.clip_counts["wstar_j3"] <= mach.inp.rows.size
     assert mach.wst_own[2].min() >= 0.8 and mach.wst_own[2].max() <= 1.25
