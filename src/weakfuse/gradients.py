@@ -242,9 +242,10 @@ def _tilt_field(panel, b, basis):
 
 class _IndexMachine:
     """All (E, T) machinery for one relevant index with weak sources, at a
-    fixed parameter value. Its β-free inputs are the bundle's
-    `WeakIndexInputs` `inp`, built once, so it forms only what β and the
-    seed change.
+    fixed parameter value. Its β-free inputs (the S_j rows and their row
+    map, the density ratios, the tilt bases and basis values) are the
+    bundle's `WeakIndexInputs` `inp`, built once; it forms only what β and
+    the seed change.
 
     Every conditional moment the projection needs is a row mean of r times a
     product of at most two normalized shifts against a value column (1, each

@@ -577,8 +577,8 @@ class FittedNuisance:
     row onto each panel's states, the propensity, the marginal density-ratio
     fits at the indices with weak sources (`ratio_fits` raises
     `NuisanceMissing` at any other index), and the flags of the fallbacks
-    that fired while fitting them; at those indices, `weak_inputs` holds the
-    β-free inputs of the moment match and the engine, built here once.
+    that fired while fitting them; at those indices `weak_inputs` holds the
+    moment match's and the engine's β-free inputs (`WeakIndexInputs`), built once.
     Weight-dependent fields (normalizers, score means, fusion-matrix moments)
     are computed per β by the gradient engine, so refreshing β never touches
     the β-free fits, and nothing here changes after construction.

@@ -1,5 +1,5 @@
 """Shared fixtures. The Monte Carlo summary used by the acceptance tests is
-expensive (a rebuild at two threads, one BLAS thread each, took 460 s on a
+expensive (a rebuild at two threads, one BLAS thread each, took 342 s on a
 2-core box), so it is built once and persisted to .mc_cache.json next to
 this file; delete that file to rebuild it. The cache also stores rep 0 of a
 few cells, and every session recomputes them: a cache that the code under
@@ -62,7 +62,7 @@ PINNED_CELLS = (("moderately_aligned", "none", "efficient_fusion"),
                 ("fully_aligned", "none", "overparametrized+5"),
                 ("poorly_aligned", "beta_shift", "efficient_fusion"))
 STALE_RTOL = 1e-10
-STALE_MESSAGE = "cache stale: rebuild (`rm tests/.mc_cache.json`, about 8 min at 2 threads)"
+STALE_MESSAGE = "cache stale: rebuild (`rm tests/.mc_cache.json`, about 6 min at 2 threads)"
 
 
 def pinned_replicates() -> list[dict]:
