@@ -71,13 +71,7 @@ def moment_match_beta(nuisance: FittedNuisance) -> MomentMatchResult:
     for (j, s, _) in beta.layout:
         sl = offs[(j, s)]
         b = values[sl].copy()
-        # the basis mean over the source's own rows; at the pooled aligned rows
-        # the basis, the ratio to the source's marginal and the row map
-        inp = nuisance.weak_inputs[j]
-        aligned = np.isin(inp.src, sorted(nuisance.design.aligned_at(j)))
-        t = inp.t[s]
-        system = (inp.panel, inp.basis[s], t[inp.src == s].mean(axis=0), t[aligned],
-                  inp.rho_rows[aligned, inp.S.index(s)], inp.rmap.take(np.flatnonzero(aligned)))
+        system = nuisance.weak_inputs[j].moment_system(s, nuisance.design.aligned_at(j))
         m, J = _pair_moment_and_jac(b, *system)
         it = 0
         for it in range(1, _MM_MAX_ITER + 1):

@@ -245,7 +245,8 @@ class _IndexMachine:
     fixed parameter value. Its β-free inputs (the S_j rows and their row
     map, the density ratios, the tilt bases and basis values) are the
     bundle's `WeakIndexInputs` `inp`, built once; it forms only what β and
-    the seed change.
+    the seed change, and δ_m ρ_m at the rows (`dt_rows`), which lives no
+    longer than the pass.
 
     Every conditional moment the projection needs is a row mean of r times a
     product of at most two normalized shifts against a value column (1, each
@@ -330,10 +331,11 @@ class _IndexMachine:
         self.Minv, dropped = _batched_pinv(self.M)
         self.rank_lost = int(np.sum(dropped > 1))
 
-        # posterior weights at the realized S_j rows
+        # posterior weights at the realized S_j rows, from δ_m ρ_m there
+        self.dt_rows = inp.rho_rows * inp.delta
         den_own = np.zeros(inp.rows.size)
         for i, m in enumerate(inp.S):
-            den_own += inp.dt_rows[:, i] * self.wst_own.get(m, 1.0)
+            den_own += self.dt_rows[:, i] * self.wst_own.get(m, 1.0)
         self.R_own = 1.0 / den_own
         # (rows, |S|) matrix of w*_m r at the realized S_j rows
         wr_own = np.column_stack([self.wst_own.get(m, 1.0) * self.R_own for m in inp.S])
@@ -525,7 +527,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
                 continue
             sl = offs[(j, s)]
             sidx = inp.S.index(s)
-            r_own_s = inp.dt_rows[:, sidx] * mach.wst_own[s] * mach.R_own
+            r_own_s = mach.dt_rows[:, sidx] * mach.wst_own[s] * mach.R_own
             resid_own = inp.t[s] - inp.rmap.apply(mach.et[s])
             scores_raw[inp.rows, sl] = (inp.src == s)[:, None] * resid_own
             scores_eff[:, sl] = scores_raw[:, sl]
@@ -550,7 +552,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             free = (-lamcq * mach.wv[:, 0], -lamcq[:, None] * mach.wnorm)
 
             dq_own = seed.rows[j][inp.rows]
-            lam_own = dSj / inp.dt_rows.sum(axis=1)
+            lam_own = dSj / mach.dt_rows.sum(axis=1)
             d_own = mach.R_own * dq_own - lam_own * inp.rmap.apply(cq) / dSj
             dtilde[inp.rows] += mach.project((), alpha, d_own, free)
 

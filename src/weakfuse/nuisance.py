@@ -503,12 +503,7 @@ class KernelPanel(_BlockPanel):
         for col, g in zip(self.cont_cols, self.axes):
             stride //= g.size
             x = np.clip(Zprev[:, col], g[0], g[-1])
-            # searchsorted's cell, found by arithmetic as on an evenly spaced axis
-            # (a constant one has span 0), then by searchsorted where that misses
-            hi = np.clip(np.ceil((x - g[0]) / ((g[-1] - g[0]) or 1.0) * (g.size - 1)).astype(int),
-                         1, g.size - 1)
-            off = (x > g[hi]) | ((hi > 1) & (x <= g[hi - 1]))
-            hi[off] = np.clip(np.searchsorted(g, x[off]), 1, g.size - 1)
+            hi = np.clip(np.searchsorted(g, x), 1, g.size - 1)
             lo = hi - 1
             frac = (x - g[lo]) / (g[hi] - g[lo])
             idx = [i + lo * stride for i in idx] + [i + hi * stride for i in idx]
@@ -545,9 +540,9 @@ class WeakIndexInputs:
     """The β-free inputs of the moment match and the engine at an index j
     with weak sources: sorted sources `S` and weak sources `Wk`; the S_j
     `rows` with their sources `src`, z̄_j `Z` and map `rmap` onto the panel;
-    per m in S, δ_m ρ_m at the states (`dt_e`), ρ_m and δ_m ρ_m at the rows
-    (`rho_rows`, `dt_rows`); per weak source its `_tilt_basis`, and for a
-    tilt its basis values `t` at the rows."""
+    per m in S, δ_m (`delta`), δ_m ρ_m at the states (`dt_e`) and ρ_m at the
+    rows (`rho_rows`); per weak source its `_tilt_basis`, and for a tilt its
+    basis values `t` at the rows."""
 
     def __init__(self, nuisance: FittedNuisance, j: int):
         design, data = nuisance.design, nuisance.data
@@ -559,15 +554,22 @@ class WeakIndexInputs:
         self.Z = np.take(data.z[:, :j], self.rows, axis=0)
         self.rmap = nuisance.rowmaps[j].take(self.rows)
         ratio = nuisance.ratio_fits(j)
-        delta = np.array([nuisance.delta[m] for m in self.S])
-        self.dt_e = np.column_stack([ratio.rho(m, panel.eval_states) for m in self.S]) * delta
+        self.delta = np.array([nuisance.delta[m] for m in self.S])
+        self.dt_e = np.column_stack([ratio.rho(m, panel.eval_states) for m in self.S]) * self.delta
         self.rho_rows = np.take(np.column_stack(
             [ratio.rho(m, data.z[:, :j - 1]) for m in self.S]), self.rows, axis=0)
-        self.dt_rows = self.rho_rows * delta
         specs = {s: design.spec_for(j, s) for s in self.Wk}
         self.basis = {s: _tilt_basis(panel, spec) for s, spec in specs.items()}
         self.t = {s: basis_matrix(spec, self.Z) for s, spec in specs.items()
                   if spec.family == "exponential_tilt"}
+
+    def moment_system(self, s: int, aligned) -> tuple:
+        """What the moment match's Newton solve for tilted source s reuses:
+        the panel and s's tilt basis, its basis mean over its own rows, and at
+        the rows of the `aligned` sources the basis, ρ_s and the row map."""
+        t, on = self.t[s], np.isin(self.src, sorted(aligned))
+        return (self.panel, self.basis[s], t[self.src == s].mean(axis=0), t[on],
+                self.rho_rows[on, self.S.index(s)], self.rmap.take(np.flatnonzero(on)))
 
 
 class FittedNuisance:

@@ -86,11 +86,7 @@ def test_moment_match_residual_never_rises(monkeypatch):
 def test_pair_jacobian_matches_finite_differences():
     data, design = _tilted_instance(600, beta_true=0.4, seed=3)
     nuis = fit_nuisance_bundle(data, design)
-    # the pair's moment system, read from the bundle's β-free inputs at index 2
-    inp = nuis.weak_inputs[2]
-    aligned = inp.src == 1
-    system = (inp.panel, inp.basis[2], inp.t[2][inp.src == 2].mean(axis=0), inp.t[2][aligned],
-              inp.rho_rows[aligned, inp.S.index(2)], inp.rmap.take(np.flatnonzero(aligned)))
+    system = nuis.weak_inputs[2].moment_system(2, design.aligned_at(2))
     b = np.array([0.3])
     m, J = _pair_moment_and_jac(b, *system)
     h = 1e-6

@@ -199,7 +199,7 @@ def test_known_beta_gradient_pointwise(law_pass):
     lam = lambda_prev(nuis.ratio_fits(3), nuis.delta, Z[:, :2])
     want = lam / _oracle_wstar(law, Z) * seed.rows[3] / 1.0  # S_3 holds the full mass
     src_S = law.src[mach.inp.rows]
-    lam_dag = nuis.delta_of(mach.inp.S) / mach.inp.dt_rows.sum(axis=1)
+    lam_dag = nuis.delta_of(mach.inp.S) / mach.dt_rows.sum(axis=1)
     for s in mach.inp.Wk:
         lam_dag = np.where(src_S == s, lam_dag / mach.wst_own[s], lam_dag)
     got = lam_dag * seed.rows[3][mach.inp.rows] / nuis.delta_of(mach.inp.S)
@@ -268,7 +268,7 @@ def test_lambda_dagger_values(law):
     mach = _IndexMachine(nuis, law.beta_param(), 3)
     Z = law.dataset().z
     lam = lambda_prev(nuis.ratio_fits(3), nuis.delta, Z[:, :2])
-    got = nuis.delta_of(mach.inp.S) / mach.inp.dt_rows.sum(axis=1)
+    got = nuis.delta_of(mach.inp.S) / mach.dt_rows.sum(axis=1)
     on1 = law.src == 1
     np.testing.assert_allclose(got[on1], lam[on1], atol=1e-12)
     on2 = law.src == 2
