@@ -8,7 +8,6 @@ from .estimator import (
     EstimatorVariant,
     apply_variant,
     one_step_estimate,
-    sensitivity_interval,
     wald_interval,
 )
 from .gradients import (
@@ -49,7 +48,6 @@ from .weights import (
     WeightSpec,
     basis_matrix,
     complex_family,
-    eval_weight_many,
     parse_term,
 )
 
@@ -77,7 +75,6 @@ __all__ = [
     "complex_family",
     "compute_pass",
     "errors",
-    "eval_weight_many",
     "fit_nuisance_bundle",
     "fit_propensity",
     "generate_dataset",
@@ -89,7 +86,6 @@ __all__ = [
     "parse_term",
     "run_monte_carlo",
     "seed_gradient",
-    "sensitivity_interval",
     "study_design",
     "summary_to_csv",
     "true_parameters",

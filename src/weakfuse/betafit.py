@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import _EPS_W, _tilt_field
+from .gradients import _EPS_W
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance
 
@@ -29,16 +29,18 @@ class MomentMatchResult:
         return all(self.converged.values())
 
 
-def _pair_moment_and_jac(b, panel, basis, tbar, t_a, rho_a, rmap):
-    """Moment residual and its Jacobian at b. Nothing is clipped, so a b out
-    of range gives non-finite values, which the line search rejects."""
-    raw = _tilt_field(panel, b, basis)
+def _pair_moment_and_jac(b, shift, tbar, rho_a, rmap):
+    """Moment residual and its Jacobian at b, from the pair's `WeakShift` at
+    the aligned rows. Nothing is clipped, so a b out of range gives
+    non-finite values, which the line search rejects."""
+    raw = shift.field(b)
+    t_a = shift.t
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the normalizer and E_Q[w t | e] reach the rows in one row-map read
         at = rmap.apply(np.column_stack([np.maximum(raw[:, 0], _EPS_W),
-                                         basis[0] * raw[:, 1:]]))
+                                         shift.G * raw[:, 1:]]))
         wf_rows = at[:, 0]
-        wtilda = rho_a * np.exp(t_a @ b) / wf_rows
+        wtilda = rho_a * shift.weight(b) / wf_rows
         D = wtilda.sum()
         N = t_a.T @ wtilda
         m = N / D - tbar

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 from .betafit import moment_match_beta
-from .errors import BadLevel, NegativeDelta
+from .errors import BadLevel
 from .gradients import EstimandSpec, compute_pass, seed_gradient
 from .model import FusionDesign, validate_design
 from .nuisance import NuisanceOptions, fit_nuisance_bundle
@@ -87,15 +87,6 @@ def wald_interval(estimate: float, se: float, level: float = _LEVEL) -> tuple[fl
         raise BadLevel(f"confidence level must be in (0, 1), got {level!r}")
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return estimate - z * se, estimate + z * se
-
-
-def sensitivity_interval(estimate: float, se: float, delta: float,
-                         level: float = _LEVEL) -> tuple[float, float]:
-    """Wald interval widened by ±delta to cover bounded alignment violations."""
-    if delta < 0:
-        raise NegativeDelta(f"sensitivity radius must be nonnegative, got {delta}")
-    lo, hi = wald_interval(estimate, se, level)
-    return lo - delta, hi + delta
 
 
 @dataclass

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .model import BetaParam, layout_from_design
 from .nuisance import FittedNuisance, _chunks, _smooth_at_train, silverman_bandwidths
-from .weights import eval_weight_many
 
 _EIG_TOL = 1e-10
 _EPS_W = 1e-8       # floor on a tilt normalizer, in the engine and the moment match
@@ -206,47 +205,13 @@ def _batched_pinv(M: np.ndarray):
     return pinv, dropped
 
 
-def _shift_chunk(b, G, rows, W, vals, buf, tmp):
-    """A weak pair's unnormalized shift at b on a chunk of a weight block,
-    given the prefactors G of its `_tilt_basis` and its vals gathered at the
-    block's columns, and the shift's row means against [1, ψ] (a step has
-    the normalizer only). A tilt's shift is formed in `buf` and W times it
-    in `tmp`, which may be `buf` when only the means are wanted; a step's
-    shift is its gathered values, to be read only."""
-    if G is None:
-        return vals[0], (W @ vals[0])[:, None]
-    Vc, Pc = vals
-    np.exp(np.dot(G[rows] * b, Pc.T, out=buf), out=buf)
-    return buf, np.multiply(W, buf, out=tmp) @ Vc
-
-
-def _tilt_field(panel, b, basis):
-    """A weak pair's shift at b on a panel, given its `_tilt_basis`, as the
-    field of its row means: the normalizer, then E_Q[w ψ | e] for a tilt.
-
-    No exponent is clipped: `exp` overflows silently into a non-finite
-    field, which the engine reports as `NonFiniteNormalizer` and the moment
-    match counts as a trial step that did not lower its residual.
-
-    A tilt at b = 0 with finite factors has the shift exp(±0) = 1 exactly,
-    so its field is W·[1, ψ], formed without exponent or product."""
-    G, vals = basis
-    out = np.zeros((panel.eval_states.shape[0], 1 if G is None else vals[0].shape[1]))
-    flat = (G is not None and not np.any(b)
-            and np.isfinite(G).all() and np.isfinite(vals[1]).all())
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, W, _, vc, (buf,) in _chunks(panel, *vals, scratch=1):
-            out[rows] = W @ vc[0] if flat else _shift_chunk(b, G, rows, W, vc, buf, buf)[1]
-    return out
-
-
 class _IndexMachine:
     """All (E, T) machinery for one relevant index with weak sources, at a
     fixed parameter value. Its β-free inputs (the S_j rows and their row
-    map, the density ratios, the tilt bases and basis values) are the
-    bundle's `WeakIndexInputs` `inp`, built once; it forms only what β and
-    the seed change, and δ_m ρ_m at the rows (`dt_rows`), which lives no
-    longer than the pass.
+    map, the density ratios, each weak source's shift) are the bundle's
+    `WeakIndexInputs` `inp`, built once; it forms only what β and the seed
+    change, and δ_m ρ_m at the rows (`dt_rows`), which lives no longer than
+    the pass.
 
     Every conditional moment the projection needs is a row mean of r times a
     product of at most two normalized shifts against a value column (1, each
@@ -271,17 +236,16 @@ class _IndexMachine:
         # value columns: 1, then each tilt term ψ, then each seed column; the
         # arrays each weak source's shift reads follow them in the sweep's `_chunks`
         cols = [np.ones(T)]
-        shifts = {}                                 # (b, G, span of its arrays)
+        shifts = {}                                 # (b, shift, span of its arrays)
         vals = []
         self.psi_cols: dict[int, slice] = {}
         for s in inp.Wk:
             b = beta.values[offs.get((j, s), slice(0, 0))]     # empty for a truncation
-            G, vs = inp.basis[s]
-            shifts[s] = (b, G, slice(1 + len(vals), 1 + len(vals) + len(vs)))
-            vals.extend(vs)
-            if G is not None:
-                self.psi_cols[s] = slice(len(cols), len(cols) + vs[1].shape[1])
-                cols.extend(vs[1].T)
+            shift = inp.shifts[s]
+            shifts[s] = (b, shift, slice(1 + len(vals), 3 + len(vals)))
+            vals.extend(shift.vals)
+            self.psi_cols[s] = slice(len(cols), len(cols) + shift.G.shape[1])
+            cols.extend(shift.V[:, 1:].T)
         self.seed_cols = slice(len(cols), len(cols) + len(sep or ()))
         cols.extend(np.broadcast_to(col, (T,)) for _, col in sep or ())
         V = np.column_stack(cols)
@@ -303,13 +267,10 @@ class _IndexMachine:
                     f"at {bad} states; the shift parameter diverged")
             n_floor += int(np.sum(raw[s][:, 0] < _EPS_W))
             self.wfield[s] = wf = np.maximum(raw[s][:, 0], _EPS_W)
-            b, G, _ = shifts[s]
-            if G is not None:
-                self.et[s] = G * raw[s][:, 1:] / wf[:, None]
+            b, shift, _ = shifts[s]
+            self.et[s] = shift.G * raw[s][:, 1:] / wf[:, None]
             with np.errstate(over="ignore"):
-                w = (np.exp(inp.t[s] @ b) if s in inp.t     # eval_weight_many's tilt
-                     else eval_weight_many(design.spec_for(j, s), b, inp.Z))
-                ws = w / inp.rmap.apply(wf)
+                ws = shift.weight(b) / inp.rmap.apply(wf)
             self.wst_own[s] = np.clip(ws, *nuisance.options.ratio_clip)   # like any ratio
             clipped |= self.wst_own[s] != ws
         n_clip = int(clipped.sum())
@@ -353,7 +314,7 @@ class _IndexMachine:
         to chunk and dies with the sweep."""
         inp = self.inp
         E = inp.panel.eval_states.shape[0]
-        raw = {s: np.zeros((E, 1 + inp.t[s].shape[1] if s in inp.t else 1)) for s in inp.Wk}
+        raw = {s: np.zeros((E, inp.shifts[s].V.shape[1])) for s in inp.Wk}
         keys = [(), *((s,) for s in inp.Wk), *combinations_with_replacement(inp.Wk, 2)]
         self.wv = np.zeros((E, V.shape[1]))
         self.mom = {key: np.zeros((E, V.shape[1])) for key in keys}
@@ -364,8 +325,8 @@ class _IndexMachine:
                 self.wv[rows] = W @ Vc
                 wst = {}
                 for s, buf in zip(inp.Wk, wbuf):
-                    b, G, span = shifts[s]
-                    w, raw[s][rows] = _shift_chunk(b, G, rows, W, vc[span], buf, tmp)
+                    b, shift, span = shifts[s]
+                    w, raw[s][rows] = shift.chunk(b, rows, W, vc[span], buf, tmp)
                     wst[s] = np.divide(w, np.maximum(raw[s][rows, 0], _EPS_W)[:, None], out=buf)
                 for a, m in enumerate(inp.S):       # r = 1 / (0 + t₀ + t₁ + …), then W·r
                     dt = inp.dt_e[rows, a:a + 1]
@@ -520,22 +481,20 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
         E = inp.panel.eval_states.shape[0]
         q = mach.wv.shape[1]
 
-        # ---- efficient scores for every tilted pair at this index; a
-        # truncation has no parameter and so no score ----
+        # ---- efficient scores for every weak pair at this index; a
+        # truncation has no parameter, so its slice and score are empty ----
         for s in inp.Wk:
-            if s not in inp.t:
-                continue
-            sl = offs[(j, s)]
+            shift, sl = inp.shifts[s], offs.get((j, s), slice(0, 0))
             sidx = inp.S.index(s)
             r_own_s = mach.dt_rows[:, sidx] * mach.wst_own[s] * mach.R_own
-            resid_own = inp.t[s] - inp.rmap.apply(mach.et[s])
+            resid_own = shift.t - inp.rmap.apply(mach.et[s])
             scores_raw[inp.rows, sl] = (inp.src == s)[:, None] * resid_own
             scores_eff[:, sl] = scores_raw[:, sl]
             dt_s = inp.dt_e[:, sidx]
             for c in range(resid_own.shape[1]):
                 # a = δ̃_s w*_s r (t_c - E_Q[w*_s t_c | e]) with t_c = g_c ψ_c
                 alpha = np.zeros((E, q))
-                alpha[:, mach.psi_cols[s].start + c] = dt_s * inp.basis[s][0][:, c]
+                alpha[:, mach.psi_cols[s].start + c] = dt_s * shift.G[:, c]
                 alpha[:, 0] = -dt_s * mach.et[s][:, c]
                 scores_eff[inp.rows, sl.start + c] -= mach.project(
                     (s,), alpha, r_own_s * resid_own[:, c])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -435,7 +435,10 @@ class KernelPanel(_BlockPanel):
             x = zprev_all[:, col]
             lo, hi = float(x.min()), float(x.max())
             if hi <= lo:
-                hi = lo + 1.0
+                # a constant column: an axis of width 1, or |lo| 2^-30 where its
+                # points would repeat, below lo where lo + width overflows
+                pad = max(1.0, abs(lo) * 2.0 ** -30)
+                lo, hi = (lo, lo + pad) if lo + pad < math.inf else (lo - pad, lo)
             points = options.grid_points
             if c > 1:
                 root = round(data.n ** (1.0 / c))
@@ -522,18 +525,77 @@ class KernelPanel(_BlockPanel):
         return self.mean_field(nuisance.rowmaps[self.j + 1].take(self.train_idx).apply(field))
 
 
-def _tilt_basis(panel, spec):
-    """β-free factors of a weak pair's shift on a panel, as (G, vals): for a
-    tilt, the prefactors G at the states and vals = (V, Ψ), the value columns
-    V = [1, ψ] at the training values and their ψ part Ψ, kept apart so that
-    its gathers are contiguous; for a truncation, G is None and vals holds
-    the step at the training values."""
-    if spec.family != "exponential_tilt":
-        return None, ((panel.zj >= spec.threshold).astype(float),)
-    G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
-    V = np.column_stack([np.ones(panel.zj.size)]
-                        + [t.terminal_values(panel.zj) for t in spec.terms])
-    return G, (V, V[:, 1:])
+@dataclass(frozen=True, eq=False)
+class WeakShift:
+    """A weak pair's shift w(z̄_j; b) from the target law at index j, in
+    β-free factors on the index's `panel` and at the S_j rows: the
+    prefactors `G` at the states, the value columns V = [1, ψ] at the
+    training values and the basis values `t` at the rows. A tilt is
+    w = exp(Σ_c b_c G_c ψ_c); a truncation is the parameter-free step
+    1{z_j >= threshold}, held as V = [step] and as `step` at the rows, and
+    its G, ψ and t have no columns, so that readers size and slice both
+    alike. Every tilt exponent is formed by `chunk` or `weight`.
+
+    No exponent is clipped: `exp` overflows silently into a non-finite
+    value, which the engine reports as `NonFiniteNormalizer` and the moment
+    match counts as a trial step that did not lower its residual."""
+
+    panel: object
+    G: np.ndarray
+    V: np.ndarray
+    t: np.ndarray
+    step: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, panel, spec, Z: np.ndarray) -> "WeakShift":
+        """The shift of `spec` on `panel`, with rows z̄_j `Z`."""
+        if spec.family != "exponential_tilt":
+            step = (panel.zj >= spec.threshold).astype(float)[:, None]
+            return cls(panel, np.empty((panel.eval_states.shape[0], 0)), step,
+                       np.empty((Z.shape[0], 0)),
+                       (Z[:, spec.index - 1] >= spec.threshold).astype(float))
+        G = np.column_stack([t.prefactor(panel.eval_states) for t in spec.terms])
+        V = np.column_stack([np.ones(panel.zj.size)]
+                            + [t.terminal_values(panel.zj) for t in spec.terms])
+        return cls(panel, G, V, basis_matrix(spec, Z))
+
+    @property
+    def vals(self) -> tuple:
+        """The training-side arrays a chunk reads, V and its ψ part Ψ, kept
+        apart so that the gathers of Ψ are contiguous."""
+        return self.V, self.V[:, 1:]
+
+    def chunk(self, b, rows, W, vals, buf, tmp):
+        """The shift at b on a chunk of a weight block, given `vals` gathered
+        at the block's columns, and its row means against V. A tilt's shift
+        is formed in `buf` and W times it in `tmp`, which may be `buf` when
+        only the means are wanted; a step's shift is its gathered values, to
+        be read only."""
+        Vc, Pc = vals
+        if self.step is not None:
+            return Vc[:, 0], W @ Vc
+        np.exp(np.dot(self.G[rows] * b, Pc.T, out=buf), out=buf)
+        return buf, np.multiply(W, buf, out=tmp) @ Vc
+
+    def field(self, b) -> np.ndarray:
+        """The shift at b as the field of its row means against V: the
+        normalizer, then E_Q[w ψ | e]. A shift at b = 0 with finite factors
+        is exp(±0) = 1 exactly, or the step, so its field is W·V, formed
+        without exponent or product."""
+        out = np.zeros((self.panel.eval_states.shape[0], self.V.shape[1]))
+        flat = not np.any(b) and np.isfinite(self.G).all() and np.isfinite(self.V[:, 1:]).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, W, _, vc, (buf,) in _chunks(self.panel, *self.vals, scratch=1):
+                out[rows] = W @ vc[0] if flat else self.chunk(b, rows, W, vc, buf, buf)[1]
+        return out
+
+    def weight(self, b) -> np.ndarray:
+        """The shift at b at the rows."""
+        return self.step if self.step is not None else np.exp(self.t @ b)
+
+    def take(self, on: np.ndarray) -> "WeakShift":
+        """The shift at the rows selected by the mask `on`."""
+        return replace(self, t=self.t[on], step=None if self.step is None else self.step[on])
 
 
 class WeakIndexInputs:
@@ -541,8 +603,8 @@ class WeakIndexInputs:
     with weak sources: sorted sources `S` and weak sources `Wk`; the S_j
     `rows` with their sources `src`, z̄_j `Z` and map `rmap` onto the panel;
     per m in S, δ_m (`delta`), δ_m ρ_m at the states (`dt_e`) and ρ_m at the
-    rows (`rho_rows`); per weak source its `_tilt_basis`, and for a tilt its
-    basis values `t` at the rows."""
+    rows (`rho_rows`); and per weak source its `WeakShift` (`shifts`), the
+    one owner of its tilt-or-step factors."""
 
     def __init__(self, nuisance: FittedNuisance, j: int):
         design, data = nuisance.design, nuisance.data
@@ -558,17 +620,14 @@ class WeakIndexInputs:
         self.dt_e = np.column_stack([ratio.rho(m, panel.eval_states) for m in self.S]) * self.delta
         self.rho_rows = np.take(np.column_stack(
             [ratio.rho(m, data.z[:, :j - 1]) for m in self.S]), self.rows, axis=0)
-        specs = {s: design.spec_for(j, s) for s in self.Wk}
-        self.basis = {s: _tilt_basis(panel, spec) for s, spec in specs.items()}
-        self.t = {s: basis_matrix(spec, self.Z) for s, spec in specs.items()
-                  if spec.family == "exponential_tilt"}
+        self.shifts = {s: WeakShift.of(panel, design.spec_for(j, s), self.Z) for s in self.Wk}
 
     def moment_system(self, s: int, aligned) -> tuple:
         """What the moment match's Newton solve for tilted source s reuses:
-        the panel and s's tilt basis, its basis mean over its own rows, and at
-        the rows of the `aligned` sources the basis, ρ_s and the row map."""
-        t, on = self.t[s], np.isin(self.src, sorted(aligned))
-        return (self.panel, self.basis[s], t[self.src == s].mean(axis=0), t[on],
+        s's shift at the rows of the `aligned` sources, its basis mean over
+        its own rows, and ρ_s and the row map at the aligned rows."""
+        shift, on = self.shifts[s], np.isin(self.src, sorted(aligned))
+        return (shift.take(on), shift.t[self.src == s].mean(axis=0),
                 self.rho_rows[on, self.S.index(s)], self.rmap.take(np.flatnonzero(on)))
 
 
@@ -580,7 +639,9 @@ class FittedNuisance:
     fits at the indices with weak sources (`ratio_fits` raises
     `NuisanceMissing` at any other index), and the flags of the fallbacks
     that fired while fitting them; at those indices `weak_inputs` holds the
-    moment match's and the engine's β-free inputs (`WeakIndexInputs`), built once.
+    moment match's and the engine's β-free inputs (`WeakIndexInputs`), built
+    once, among them each weak pair's shift record (`WeakShift`), which alone
+    decides between a tilt and a step and forms every tilt exponent.
     Weight-dependent fields (normalizers, score means, fusion-matrix moments)
     are computed per β by the gradient engine, so refreshing β never touches
     the β-free fits, and nothing here changes after construction.

@@ -189,17 +189,6 @@ def basis_matrix(spec: WeightSpec, zbar: np.ndarray) -> np.ndarray:
     return np.column_stack([t.evaluate(zbar) for t in spec.terms])
 
 
-def eval_weight_many(spec: WeightSpec, beta_js: np.ndarray, zbar: np.ndarray) -> np.ndarray:
-    """Vectorized weight evaluation on rows of z̄_j prefixes."""
-    zbar = np.atleast_2d(np.asarray(zbar, dtype=float))
-    beta_js = np.asarray(beta_js, dtype=float).ravel()
-    if beta_js.size != spec.nparams:
-        raise ValueError(f"expected {spec.nparams} parameters, got {beta_js.size}")
-    if spec.family == "truncated_above_threshold":
-        return (zbar[:, spec.index - 1] >= spec.threshold).astype(float)
-    return np.exp(basis_matrix(spec, zbar) @ beta_js)
-
-
 def complex_family(index: int) -> list[BasisTerm]:
     """Deterministic ordered pool of redundant tilt terms for one index.
 

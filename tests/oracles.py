@@ -27,7 +27,8 @@ from weakfuse.nuisance import (
     _GaussRows,
     silverman_bandwidths,
 )
-from weakfuse.weights import WeightSpec
+from weakfuse.estimator import wald_interval
+from weakfuse.weights import WeightSpec, basis_matrix
 
 
 def lambda_prev(ratio_fits, delta, Zprev) -> np.ndarray:
@@ -56,6 +57,25 @@ def gradient_aligned_only(seed, nuisance: FittedNuisance) -> np.ndarray:
         aj = sorted(design.aligned_at(j))
         out += np.isin(src, aj) * seed.rows[j] / nuisance.delta_of(aj)
     return out
+
+
+def eval_weight_many(spec: WeightSpec, beta_js: np.ndarray, zbar: np.ndarray) -> np.ndarray:
+    """A weight model's w(z̄_j; β) on rows of z̄_j prefixes, straight from its
+    definition: exp(t(z̄_j) · β) for a tilt, 1{z_j >= threshold} for a step."""
+    zbar = np.atleast_2d(np.asarray(zbar, dtype=float))
+    beta_js = np.asarray(beta_js, dtype=float).ravel()
+    if beta_js.size != spec.nparams:
+        raise ValueError(f"expected {spec.nparams} parameters, got {beta_js.size}")
+    if spec.family == "truncated_above_threshold":
+        return (zbar[:, spec.index - 1] >= spec.threshold).astype(float)
+    return np.exp(basis_matrix(spec, zbar) @ beta_js)
+
+
+def sensitivity_interval(estimate: float, se: float, delta: float,
+                         level: float) -> tuple[float, float]:
+    """Wald interval widened by ±delta, one sensitivity row at a time."""
+    lo, hi = wald_interval(estimate, se, level)
+    return lo - delta, hi + delta
 
 
 def beta_slice(beta: BetaParam, j: int, s: int) -> np.ndarray:

@@ -27,12 +27,12 @@ from weakfuse.cli import (
     parse_config,
     parse_config_dict,
 )
-from weakfuse.estimator import one_step_estimate, sensitivity_interval, wald_interval
+from weakfuse.estimator import one_step_estimate, wald_interval
 from weakfuse.gradients import EstimandSpec
 from weakfuse.model import layout_from_design
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 
-from oracles import ingest_csv_by_csv_reader
+from oracles import ingest_csv_by_csv_reader, sensitivity_interval
 from test_estimator import _first_rows
 
 
@@ -540,6 +540,48 @@ def test_small_study_inputs_exit_one_naming_the_cause(tmp_path, capsys, seed, ro
     assert message in capsys.readouterr().err
 
 
+def _two_coordinates(blob, relevant=(1, 2)):
+    """The study config read as d = 2 over the CSV's z1 and z3, all aligned."""
+    blob["columns"] = {"z": ["z1", "z3"], "source": "source"}
+    blob["design"] = {"d": 2, "k": 4, "relevant": list(relevant),
+                      "aligned": {"1": [1, 2, 3, 4], "2": [1, 2, 3, 4]}}
+    blob["estimand"] = {"kind": "working_linear"}
+
+
+def _weak_below_the_moment(blob):
+    blob["estimand"] = {"kind": "moment", "index": 3}
+    blob["design"]["relevant"] = [1, 2, 3]
+    blob["design"]["aligned"]["2"] = [1, 3, 4]
+    blob["design"]["weak"]["2"] = [2]
+    blob["design"]["weight_specs"]["2,2"] = {"family": "exponential_tilt", "terms": ["z2"]}
+
+
+@pytest.mark.parametrize("edit, z_edit, message", [
+    (lambda blob: blob["design"].update(relevant=[2, 3]), None,
+     "indices 1 and 3 must be relevant for this estimand"),
+    (lambda blob: blob.update(estimand={"kind": "working_linear"}), None,
+     "the working-linear estimand needs d = 2"),
+    (lambda blob: _two_coordinates(blob, relevant=(2,)), None,
+     "indices 1 and 2 must be relevant for this estimand"),
+    (_two_coordinates, _constant_z1, "covariate is (numerically) constant"),
+    (lambda blob: blob.update(estimand={"kind": "moment", "index": 4}), None,
+     "moment index 4 exceeds d = 3"),
+    (lambda blob: blob.update(estimand={"kind": "moment", "index": 3}), None,
+     "moment of index 3 needs index 2 to be relevant"),
+    (_weak_below_the_moment, None, "weak sources below the moment index are not supported"),
+])
+def test_an_estimand_the_design_cannot_seed_exits_one_naming_it(tmp_path, capsys, edit,
+                                                                  z_edit, message):
+    blob = default_config_dict()
+    edit(blob)
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    data = _data_csv(tmp_path, _first_rows(1, [60] * 4, z_edit))
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _study_config(tmp_path, seed=11):
     blob = default_config_dict()
     blob["seed"] = seed
@@ -724,6 +766,15 @@ def test_user_errors_exit_one(tmp_path, capsys):
     # usage problem
     assert main(["simulate", "--scenario", "sideways", "--seed", "1",
                  "--out", str(tmp_path / "x.csv")]) == 1
+    # a variant list with no variant in it
+    assert main(["simulate", "--scenario", "fully_aligned", "--seed", "1", "--variants", ",",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.endswith("error: no variants given\n")
+    # a design for four sources on data with three
+    three = _data_csv(tmp_path, _first_rows(1, [60, 60, 60, 0]))
+    assert main(["estimate", "--config", str(_study_config(tmp_path)), "--data", str(three),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: design is for d=3, k=4; data has d=3, k=3\n"
     # malformed config
     bad = tmp_path / "bad.json"
     bad.write_text('{"design": {"d": 3, "k": 4, "wieght": 1}}')
@@ -818,7 +869,7 @@ def test_sensitivity_rejects_a_negative_delta_before_reading_data(tmp_path, caps
 
 def test_sensitivity_sweep_matches_sensitivity_interval_row_by_row(tmp_path, monkeypatch):
     # the sweep widens one Wald interval per row; every byte equals a
-    # rendering that calls sensitivity_interval at each delta
+    # rendering that calls the oracle sensitivity_interval at each delta
     reports = []
 
     def recorded(*args, **kwargs):
@@ -841,6 +892,11 @@ def test_sensitivity_sweep_matches_sensitivity_interval_row_by_row(tmp_path, mon
                                                 hi - lo, t_hi - t_lo)))
     assert len(lines) == 502
     assert out.read_text() == "\n".join(lines) + "\n"
+    # delta 0 is the Wald interval; the last delta widens it by 0.5 each side
+    lo0, hi0 = wald_interval(fused.estimate, fused.se, level)
+    first, last = ([float(v) for v in line.split(",")[3:5]] for line in (lines[1], lines[-1]))
+    assert first == [lo0, hi0]
+    assert last == [lo0 - 0.5, hi0 + 0.5]
 
 
 def test_simulate_bounds_threads(tmp_path, monkeypatch, capsys):
@@ -950,6 +1006,13 @@ def test_bandwidth_option_is_rejected(tmp_path, capsys):
     (("options",), 0, "config.options: expected an object"),
     (("columns",), [], "config.columns: expected an object"),
     (("design", "weight_specs"), False, "config.design.weight_specs: expected an object"),
+    (("design",), 0, "config.design: required object"),
+    (("design", "relevant"), 3, "config.design.relevant: expected a list of integers"),
+    (("design", "aligned"), [], "config.design.aligned: expected an object keyed by index"),
+    (("design", "weak", "x"), [2], "config.design.weak.x: index keys must be integers"),
+    (("design", "weight_specs", "3,2"), "tilt",
+     "config.design.weight_specs.3,2: expected an object"),
+    (("variant",), 3, "config.variant: expected an object or string"),
 ])
 def test_malformed_options_exit_before_reading_data(tmp_path, capsys, path, value, message):
     blob = default_config_dict()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from weakfuse.errors import (
     BadLevel,
     InsufficientData,
-    NegativeDelta,
     NonFiniteNormalizer,
     StructuralError,
     WeakfuseError,
@@ -20,7 +19,6 @@ from weakfuse.estimator import (
     EstimatorVariant,
     apply_variant,
     one_step_estimate,
-    sensitivity_interval,
     wald_interval,
 )
 import weakfuse.estimator
@@ -210,19 +208,6 @@ def test_wald_interval_width_grows_with_level():
 def test_wald_interval_rejects_bad_level(bad):
     with pytest.raises(BadLevel):
         wald_interval(0.0, 1.0, level=bad)
-
-
-def test_sensitivity_interval_widens_by_delta():
-    lo, hi = wald_interval(0.2, 0.01)
-    slo, shi = sensitivity_interval(0.2, 0.01, 0.03)
-    assert slo == pytest.approx(lo - 0.03, abs=1e-15)
-    assert shi == pytest.approx(hi + 0.03, abs=1e-15)
-    assert sensitivity_interval(0.2, 0.01, 0.0) == (lo, hi)
-
-
-def test_sensitivity_interval_rejects_negative_delta():
-    with pytest.raises(NegativeDelta):
-        sensitivity_interval(0.2, 0.01, -0.1)
 
 
 def test_report_json_dict_shape():

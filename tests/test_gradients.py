@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,22 +7,20 @@ import pytest
 import weakfuse.estimator as estimator
 import weakfuse.nuisance as nuisance
 from weakfuse.betafit import moment_match_beta
-from weakfuse.errors import StructuralError
+from weakfuse.errors import NuisanceMissing, StructuralError
 from weakfuse.gradients import (
     EstimandSpec,
     _batched_pinv,
     _IndexMachine,
-    _shift_chunk,
-    _tilt_field,
     compute_pass,
     seed_gradient,
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
-from weakfuse.nuisance import NuisanceOptions, _chunks, _tilt_basis, fit_nuisance_bundle
+from weakfuse.nuisance import NuisanceOptions, WeakShift, _chunks, fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design, true_parameters
 from weakfuse.weights import WeightSpec
 
-from oracles import DiscreteLaw, gradient_aligned_only, lambda_prev
+from oracles import DiscreteLaw, dense_weights, eval_weight_many, gradient_aligned_only, lambda_prev
 from test_betafit import _tilted_instance
 
 
@@ -61,6 +60,13 @@ def test_estimand_spec_validation():
         with pytest.raises(StructuralError, match=f"{field}: not read by kind '{kind}'"):
             EstimandSpec(kind, **{field: "intercept" if field == "coefficient" else 2})
     assert EstimandSpec() == EstimandSpec("ate", coefficient="slope", index=1, power=1)
+
+
+def test_mean_difference_seed_needs_a_fitted_propensity():
+    # a bundle fitted without the estimand has no propensity for its seed
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=60), 1, 0)
+    with pytest.raises(NuisanceMissing, match="^no fitted propensity in the bundle$"):
+        seed_gradient(ATE, fit_nuisance_bundle(data, study_design()))
 
 
 def test_seed_rows_match_exact_tower(law_pass):
@@ -394,21 +400,21 @@ def test_shift_exponent_is_bit_exact(terms):
     rows = np.arange(special.size)
     W = np.ones((special.size, special.size))
     buf, tmp = np.empty_like(W), np.empty_like(W)
+    V = np.column_stack([np.ones(special.size), P])
+    shift = WeakShift(None, G, V, np.empty((0, terms)))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _shift_chunk(b, G, rows, W, (np.column_stack([np.ones(special.size), P]), P),
-                           buf, tmp)[0]
+        got = shift.chunk(b, rows, W, (V, P), buf, tmp)[0]
         want = np.exp((np.multiply if terms == 1 else np.matmul)(G * b, P.T))
     assert got.tobytes() == want.tobytes()
 
 
-def _exp_path_field(panel, b, basis):
-    """A tilt field by the exponent path alone: exp of each chunk's tilt
-    exponent, then the shift's row means against [1, ψ]."""
-    G, vals = basis
-    out = np.zeros((panel.eval_states.shape[0], vals[0].shape[1]))
+def _exp_path_field(shift, b):
+    """A shift's field by the exponent path alone: each chunk's shift, then
+    its row means against V."""
+    out = np.zeros((shift.panel.eval_states.shape[0], shift.V.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, W, _, vc, (buf,) in _chunks(panel, *vals, scratch=1):
-            out[rows] = _shift_chunk(b, G, rows, W, vc, buf, buf)[1]
+        for rows, W, _, vc, (buf,) in _chunks(shift.panel, *shift.vals, scratch=1):
+            out[rows] = shift.chunk(b, rows, W, vc, buf, buf)[1]
     return out
 
 
@@ -419,18 +425,42 @@ def test_tilt_field_at_zero_matches_the_exponent_path(pair, zero):
     # it equals the exponent path bit for bit, and a -inf ψ (log 0) or an
     # infinite prefactor still gives the same non-finite field
     nuis = _study_pass_inputs(300)[0]
-    panel = nuis.panel(3)
-    G, (V, _) = _tilt_basis(panel, nuis.design.spec_for(*pair))
-    V_inf, G_inf = V.copy(), G.copy()
+    shift = nuis.weak_inputs[pair[0]].shifts[pair[1]]
+    V_inf, G_inf = shift.V.copy(), shift.G.copy()
     V_inf[7, 1] = -np.inf
     G_inf[5, 0] = np.inf
-    b = np.full(G.shape[1], zero)
+    b = np.full(shift.G.shape[1], zero)
     fields = []
-    for basis in ((G, (V, V[:, 1:])), (G, (V_inf, V_inf[:, 1:])), (G_inf, (V, V[:, 1:]))):
-        got = _tilt_field(panel, b, basis)
-        assert _bits(got) == _bits(_exp_path_field(panel, b, basis))
+    for sh in (shift, replace(shift, V=V_inf), replace(shift, G=G_inf)):
+        got = sh.field(b)
+        assert _bits(got) == _bits(_exp_path_field(sh, b))
         fields.append(got)
     assert [np.isfinite(f).all() for f in fields] == [True, False, False]
+
+
+@pytest.mark.parametrize("family", ["tilt", "truncation"])
+def test_shift_record_matches_the_weight_oracle(family):
+    # source 2 at index 3 of the study data, at a random β: the record's row
+    # weight is the oracle's w(z̄_3; β) at the S_3 rows bit for bit; its
+    # field is the exponent path's bit for bit, and the oracle's row means
+    # of w·[1, ψ] against the dense panel weights, state by state
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1, 0)
+    design = study_design() if family == "tilt" else _study_truncation_design()
+    inp = fit_nuisance_bundle(data, design, ATE).weak_inputs[3]
+    shift, spec = inp.shifts[2], design.spec_for(3, 2)
+    b = np.random.default_rng(24).normal(scale=0.5, size=spec.nparams)
+    assert _bits(shift.weight(b)) == _bits(eval_weight_many(spec, b, inp.Z))
+    field = shift.field(b)
+    assert _bits(field) == _bits(_exp_path_field(shift, b))
+    W = dense_weights(inp.panel, data)
+    W /= W.sum(axis=1, keepdims=True)
+    zj = inp.panel.zj
+    w = np.array([eval_weight_many(spec, b, np.column_stack([np.tile(e, (zj.size, 1)), zj]))
+                  for e in inp.panel.eval_states])
+    psi = [term.terminal_values(zj) for term in spec.terms]
+    want = np.column_stack([(W * w) @ v for v in (np.ones(zj.size), *psi)])
+    assert field.shape == want.shape == (inp.panel.eval_states.shape[0], 1 + spec.nparams)
+    np.testing.assert_allclose(field, want, rtol=1e-12, atol=0)
 
 
 def _bits(a) -> tuple:

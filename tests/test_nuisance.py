@@ -458,6 +458,21 @@ def test_tensor_grid_caps_an_axis_whose_bandwidth_is_floored():
     assert np.all(np.isfinite(field))
 
 
+@pytest.mark.parametrize("value", [1e17, -1e17, 1e100, -1e150])
+def test_a_constant_axis_far_from_zero_maps_rows_with_finite_weights(value):
+    # lo + 1 == lo beyond 2^53, so a constant z1 there needs a wider axis,
+    # whose points stay distinct; each row then reads its corners with
+    # finite weights that sum to one (a 0 / 0 here warns, an error in tests)
+    rng = np.random.default_rng(29)
+    z = np.column_stack([np.full(40, value), rng.uniform(0.0, 1.0, (40, 2))])
+    panel = KernelPanel(3, Dataset(z, np.ones(40, dtype=int), k=1), np.arange(40),
+                        NuisanceOptions())
+    assert np.all(np.diff(panel.axes[0]) > 0)
+    rmap = panel.row_map(z[:, :2])
+    assert np.all(np.isfinite(rmap.weight))
+    np.testing.assert_allclose(rmap.weight.sum(axis=0), 1.0, rtol=1e-15)
+
+
 def test_kernel_panel_weights_at_matches_kernel():
     rng = np.random.default_rng(25)
     data = _panel_data(200, rng, d=2)

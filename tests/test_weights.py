@@ -16,11 +16,10 @@ from weakfuse.weights import (
     WeightSpec,
     basis_matrix,
     complex_family,
-    eval_weight_many,
     parse_term,
 )
 
-from oracles import DiscreteLaw, assemble_beta
+from oracles import DiscreteLaw, assemble_beta, eval_weight_many
 
 
 # ---------------------------------------------------------------------------
