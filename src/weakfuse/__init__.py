@@ -41,7 +41,6 @@ from .simulation import (
     run_monte_carlo,
     study_design,
     summary_to_csv,
-    true_parameters,
 )
 from .weights import (
     BasisTerm,
@@ -88,7 +87,6 @@ __all__ = [
     "seed_gradient",
     "study_design",
     "summary_to_csv",
-    "true_parameters",
     "validate_design",
     "wald_interval",
 ]

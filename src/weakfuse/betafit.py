@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import _EPS_W
 from .model import BetaParam, layout_from_design
-from .nuisance import FittedNuisance
+from .nuisance import _EPS_W, FittedNuisance
 
 _MM_TOL = 1e-8
 _MM_MAX_ITER = 200

@@ -29,7 +29,8 @@ class NonBinaryTreatment(WeakfuseError):
 
 
 class NuisanceMissing(WeakfuseError):
-    """A required fitted nuisance component is absent from the bundle."""
+    """The bundle fitted no panel (or density ratio) at the index asked for:
+    it fits them at relevant indices (with weak sources) only."""
 
 
 class UnsupportedFamily(WeakfuseError):

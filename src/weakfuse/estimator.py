@@ -130,19 +130,20 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
     variant keeps (none for `target_only` and `naive_fusion`), and return the
     one-step estimate with a Wald interval.
 
-    The report's `flags` name every fallback that fired: the fit-time flags
-    of the nuisance bundle, `UserWarning` for a validation note,
-    `NoConvergence` from the moment match, and the flags of both engine
-    passes. `clip_counts` are the counts of the seeded pass at β̂.
+    The report's `flags` name every fallback that fired, by the stage that
+    raised it: `UserWarning` for a validation note; the bundle's fit-time
+    `SingularBandwidth` and ratio `SeparationWarning`; the seed's propensity
+    `SeparationWarning`; `NoConvergence` from the moment match; and the
+    engine passes' flags. `clip_counts` are the counts of the seeded pass at β̂.
     """
     if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
         raise BadLevel(f"confidence level must be in (0, 1), got {level!r}")
     variant = variant or EstimatorVariant()
     design_v = apply_variant(design, variant)
     notes = validate_design(design_v, data)
-    bundle = fit_nuisance_bundle(data, design_v, estimand, options)
+    bundle = fit_nuisance_bundle(data, design_v, options)
     seed = seed_gradient(estimand, bundle)
-    flags = set(bundle.flags)
+    flags = set(bundle.flags | seed.flags)
     if notes:
         flags.add("UserWarning")
 

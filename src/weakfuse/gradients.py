@@ -19,17 +19,18 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (
-    NonFiniteNormalizer,
-    NuisanceMissing,
-    SingularJacobian,
-    StructuralError,
-)
+from .errors import NonFiniteNormalizer, SingularJacobian, StructuralError
 from .model import BetaParam, layout_from_design
-from .nuisance import FittedNuisance, _chunks, _smooth_at_train, silverman_bandwidths
+from .nuisance import (
+    _EPS_W,
+    FittedNuisance,
+    _chunks,
+    _smooth_at_train,
+    fit_propensity,
+    silverman_bandwidths,
+)
 
 _EIG_TOL = 1e-10
-_EPS_W = 1e-8       # floor on a tilt normalizer, in the engine and the moment match
 
 
 @dataclass(frozen=True)
@@ -74,41 +75,44 @@ class GradientSeed:
     `sep[j]` holds the same function on the index-j panel as a short sum of
     (state coefficient field, value column) products, which is what the
     weak-index machinery consumes. Increments are exactly mean-zero against
-    the panel's conditional weights at every state.
+    the panel's conditional weights at every state. `flags` holds
+    `SeparationWarning` when the mean difference's propensity needed a ridge.
     """
 
-    estimand: EstimandSpec
     plugin: float
     rows: dict[int, np.ndarray]
     sep: dict[int, list[tuple[np.ndarray, np.ndarray]]]
+    flags: frozenset[str]
 
 
 def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientSeed:
-    """Build the inner-gradient seed for an estimand from the fitted bundle."""
+    """Build the inner-gradient seed for an estimand from the fitted bundle;
+    the mean difference first fits its propensity with the bundle's options."""
     design = nuisance.design
     data = nuisance.data
     Z = data.z
     rmaps = nuisance.rowmaps
     rows: dict[int, np.ndarray] = {}
     sep: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    flags = frozenset()
 
     if estimand.kind == "ate":
+        propensity = fit_propensity(data, design, nuisance.options)
+        flags = frozenset({"SeparationWarning"} if propensity.ridged else ())
         if data.d != 3:
             raise StructuralError("the mean-difference estimand needs d = 3")
         if 1 not in design.relevant or 3 not in design.relevant:
             raise StructuralError("indices 1 and 3 must be relevant for this estimand")
-        if nuisance.propensity is None:
-            raise NuisanceMissing("no fitted propensity in the bundle")
         p3 = nuisance.panel(3)
         if not p3.binary[1]:         # a continuous z2 has no two arms to read
             raise StructuralError("the mean-difference estimand needs a binary z2")
         mu_field = p3.mean_field(p3.zj)                      # E[Y | z1, z2] on states
         st = p3.eval_states
-        pi_st = nuisance.propensity.predict(st[:, 0])
+        pi_st = propensity.predict(st[:, 0])
         h_st = st[:, 1] / pi_st - (1.0 - st[:, 1]) / (1.0 - pi_st)
         sep[3] = [(h_st, p3.zj.copy()), (-h_st * mu_field, np.ones(p3.zj.size))]
         mu_rows = rmaps[3].apply(mu_field)
-        pi_rows = nuisance.propensity.predict(Z[:, 0])
+        pi_rows = propensity.predict(Z[:, 0])
         h_rows = Z[:, 1] / pi_rows - (1.0 - Z[:, 1]) / (1.0 - pi_rows)
         rows[3] = h_rows * (Z[:, 2] - mu_rows)
 
@@ -181,7 +185,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
             rows[j] = m_rows[j] - lower
         sep[jm] = [(np.ones(1), vals_tr), (-fields[jm - 1], np.ones(pjm.zj.size))]
 
-    return GradientSeed(estimand=estimand, plugin=plugin, rows=rows, sep=sep)
+    return GradientSeed(plugin=plugin, rows=rows, sep=sep, flags=flags)
 
 
 def _batched_pinv(M: np.ndarray):

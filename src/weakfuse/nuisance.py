@@ -32,6 +32,7 @@ _H_FLOOR = 1e-6
 _MAX_GRID_POINTS = 2001
 _CHUNK_BYTES = 1 << 18      # one float temporary per row chunk: about 256 KiB, cache-sized
 _STORE_BYTES = 1 << 24      # a re-read block up to 16 MiB is kept; any other is rebuilt per read
+_EPS_W = 1e-8               # floor on a `WeakShift` normalizer, in the engine and the moment match
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,14 @@ class NuisanceOptions:
 
 def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
     """Per-column rule-of-thumb bandwidths, and whether any was floored
-    (a constant column)."""
+    (a constant column); a std that overflows is taken from X - X[0]."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, p = X.shape
-    sd = X.std(axis=0, ddof=1) if n > 1 else np.zeros(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = X.std(axis=0, ddof=1) if n > 1 else np.zeros(p)
+    bad = ~np.isfinite(sd)
+    if bad.any():
+        sd[bad] = (X[:, bad] - X[0, bad]).std(axis=0, ddof=1)
     factor = (4.0 / ((p + 2) * n)) ** (1.0 / (p + 4))
     h = sd * factor
     floored = bool(np.any(h < _H_FLOOR))
@@ -83,16 +88,18 @@ def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
 def _gauss_weights(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Unnormalized Gaussian product-kernel weights, shape (m, n), built in
     place from the first column's squared scaled distance; a temporary of
-    the same shape is allocated only when there is a second column."""
+    the same shape is allocated only when there is a second column. A
+    scaled distance that overflows is inf, whose weight is exactly 0."""
     d2 = np.subtract.outer(Xq[:, 0], Xt[:, 0])
-    d2 /= h[0]
-    d2 *= d2
     diff = np.empty_like(d2) if Xt.shape[1] > 1 else None
-    for c in range(1, Xt.shape[1]):
-        np.subtract.outer(Xq[:, c], Xt[:, c], out=diff)
-        diff /= h[c]
-        diff *= diff
-        d2 += diff
+    with np.errstate(over="ignore"):
+        d2 /= h[0]
+        d2 *= d2
+        for c in range(1, Xt.shape[1]):
+            np.subtract.outer(Xq[:, c], Xt[:, c], out=diff)
+            diff /= h[c]
+            diff *= diff
+            d2 += diff
     d2 *= -0.5      # exact, so exp sees the same exponent as -0.5 * d2
     return np.exp(d2, out=d2)
 
@@ -383,7 +390,8 @@ class KernelPanel(_BlockPanel):
 
     Fields are Nadaraya-Watson means over the training rows, evaluated at a
     fixed set of conditioning states: a tensor grid over the c continuous
-    past coordinates, one `np.linspace` axis each over the data's range,
+    past coordinates, one `np.linspace` axis each over the data's range
+    with repeated points dropped (a range of a few ulps repeats them),
     crossed with exact branches of the binary past coordinates, one weight
     block per branch with training rows. The Gaussian kernel acts only on
     the continuous coordinates; binary ones are matched exactly. Rows map
@@ -448,7 +456,7 @@ class KernelPanel(_BlockPanel):
                 span, h_min = hi - lo, min(h[a] for h in self.h)
                 points = max(2, root if span > (root - 1) * h_min
                              else math.ceil(span / h_min) + 1)
-            self.axes.append(np.linspace(lo, hi, points))
+            self.axes.append(np.unique(np.linspace(lo, hi, points)))
         Xq = np.array(list(itertools.product(*self.axes)), dtype=float)
 
         combos: list[tuple[float, ...]] = [()]
@@ -632,13 +640,14 @@ class WeakIndexInputs:
 
 
 class FittedNuisance:
-    """Everything the estimator and gradient engine need, fitted once.
+    """Everything the estimator and gradient engine need from the data and
+    the design alone, fitted once; the propensity is the seed's own fit.
 
     Holds source frequencies, per-index panels with the row map of every data
-    row onto each panel's states, the propensity, the marginal density-ratio
-    fits at the indices with weak sources (`ratio_fits` raises
-    `NuisanceMissing` at any other index), and the flags of the fallbacks
-    that fired while fitting them; at those indices `weak_inputs` holds the
+    row onto each panel's states, the marginal density-ratio fits at the
+    indices with weak sources (`ratio_fits` raises `NuisanceMissing` at any
+    other index), and the flags of the fallbacks that fired while fitting
+    them; at those indices `weak_inputs` holds the
     moment match's and the engine's β-free inputs (`WeakIndexInputs`), built
     once, among them each weak pair's shift record (`WeakShift`), which alone
     decides between a tilt and a step and forms every tilt exponent.
@@ -649,8 +658,7 @@ class FittedNuisance:
 
     def __init__(self, data: Dataset, design: FusionDesign, options: NuisanceOptions,
                  delta: dict[int, float], panels: dict[int, object],
-                 ratios: dict[int, MarginalRatioFits], propensity: PropensityFit | None,
-                 flags: frozenset[str] = frozenset()):
+                 ratios: dict[int, MarginalRatioFits], flags: frozenset[str] = frozenset()):
         self.data = data
         self.design = design
         self.options = options
@@ -661,7 +669,6 @@ class FittedNuisance:
                         for j, p in panels.items()}
         self.weak_inputs = {j: WeakIndexInputs(self, j)
                             for j in design.relevant if design.weak_at(j)}
-        self.propensity = propensity
         self.flags = flags
 
     def panel(self, j: int):
@@ -680,15 +687,15 @@ class FittedNuisance:
         return float(sum(self.delta[s] for s in sources))
 
 
-def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
+def fit_nuisance_bundle(data: Dataset, design: FusionDesign,
                         options: NuisanceOptions | None = None) -> FittedNuisance:
-    """Fit every β-free nuisance component a design and estimand require.
+    """Fit every β-free nuisance component the design requires.
     Only the panels at indices with weak sources keep their weight blocks:
     the moment match and the engine sweep those once per β, while every
     other panel is read by the seed and at most one tail adjustment. Density
     ratios are fitted only at those indices too, since nothing reads a ratio
-    at an index whose sources are all aligned; so `SeparationWarning` comes
-    from the propensity or from a ratio fit the estimate reads."""
+    at an index whose sources are all aligned; so the bundle's
+    `SeparationWarning` comes from a ratio fit the estimate reads."""
     options = options or NuisanceOptions()
     if data.n == 0:
         raise StructuralError("empty dataset")
@@ -701,13 +708,9 @@ def fit_nuisance_bundle(data: Dataset, design: FusionDesign, estimand=None,
     for j in design.relevant:
         if design.weak_at(j):
             ratios[j] = MarginalRatioFits(j, design, data, options)
-    propensity = None
-    if getattr(estimand, "kind", None) == "ate":
-        propensity = fit_propensity(data, design, options)
     flags = set()
     if any(p.floored for p in panels.values()):
         flags.add("SingularBandwidth")
-    if any(r.ridged for r in ratios.values()) or (propensity is not None and propensity.ridged):
+    if any(r.ridged for r in ratios.values()):
         flags.add("SeparationWarning")
-    return FittedNuisance(data, design, options, delta, panels, ratios, propensity,
-                          frozenset(flags))
+    return FittedNuisance(data, design, options, delta, panels, ratios, frozenset(flags))

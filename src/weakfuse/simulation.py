@@ -1,5 +1,5 @@
-"""Simulation study harness: the four-source data-generating process, truth
-computations, and a Monte Carlo runner that aggregates bias, variance, and
+"""Simulation study harness: the four-source data-generating process, its
+target value `PSI_TRUE`, and a Monte Carlo runner that aggregates bias, variance, and
 coverage per scenario and estimator variant."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidShape
 from .estimator import EstimatorVariant, one_step_estimate
 from .gradients import EstimandSpec
-from .model import BetaParam, Dataset, FusionDesign, layout_from_design
+from .model import Dataset, FusionDesign
 from .nuisance import NuisanceOptions
 from .weights import WeightSpec
 
@@ -25,7 +25,7 @@ ALIGNMENT_LEVELS = {
     "poorly_aligned": 0.7,
 }
 SHIFT_KINDS = ("none", "beta_shift")
-PSI_TRUE = 1.0 / 6.0
+PSI_TRUE = 1.0 / 6.0       # the arm contrast of Beta means, 2/3 - 1/2, free of z1
 
 
 def study_design() -> FusionDesign:
@@ -123,14 +123,6 @@ def generate_dataset(scenario: Scenario, seed: int, rep: int = 0) -> Dataset:
         blocks.append(np.column_stack([z1, z2, z3]))
         labels.append(np.full(n, s, dtype=int))
     return Dataset(np.vstack(blocks), np.concatenate(labels), k=4)
-
-
-def true_parameters(scenario: Scenario) -> tuple[float, BetaParam]:
-    """Closed-form truth: the arm contrast of Beta means is z1-free and equals
-    2/3 - 1/2; every tilt coordinate equals -epsilon on the study bases."""
-    layout = layout_from_design(study_design())
-    beta = BetaParam(np.full(sum(c for _, _, c in layout), -scenario.epsilon), layout)
-    return PSI_TRUE, beta
 
 
 @dataclass

@@ -28,6 +28,7 @@ from weakfuse.nuisance import (
     silverman_bandwidths,
 )
 from weakfuse.estimator import wald_interval
+from weakfuse.simulation import PSI_TRUE, study_design
 from weakfuse.weights import WeightSpec, basis_matrix
 
 
@@ -377,7 +378,7 @@ class DiscreteLaw:
         ratios = {1: _ExactRatio(self, 1, [1]), 2: _ExactRatio(self, 2, [1]),
                   3: _ExactRatio(self, 3, [1, 2, 3])}
         return FittedNuisance(self.dataset(), self.design(), options or NuisanceOptions(),
-                              dict(self.DELTA), panels, ratios, None)
+                              dict(self.DELTA), panels, ratios)
 
     # ---- dense projection oracle ----
 
@@ -532,3 +533,12 @@ def ingest_csv_by_csv_reader(path: str, mapping: dict) -> tuple[Dataset, dict]:
     label_map = {lab: i + 1 for i, lab in enumerate(uniq)}
     source = np.array([label_map[lab] for lab in raw_labels], dtype=int)
     return Dataset(z, source, k=len(uniq)), label_map
+
+
+def true_parameters(scenario) -> tuple[float, BetaParam]:
+    """The study's closed-form truth: the arm contrast of Beta means is
+    z1-free and equals 2/3 - 1/2; every tilt coordinate equals -epsilon on
+    the study bases."""
+    layout = layout_from_design(study_design())
+    beta = BetaParam(np.full(sum(c for _, _, c in layout), -scenario.epsilon), layout)
+    return PSI_TRUE, beta

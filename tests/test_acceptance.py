@@ -127,7 +127,7 @@ def test_criterion_5_orthogonality_and_ordering(verdict):
     sc = named_scenario("moderately_aligned", n_per_source=2000)
     data = generate_dataset(sc, seed=505)
     estimand = EstimandSpec("ate")
-    bundle = fit_nuisance_bundle(data, study_design(), estimand)
+    bundle = fit_nuisance_bundle(data, study_design())
     seed = seed_gradient(estimand, bundle)
     beta, _ = compute_pass(bundle, moment_match_beta(bundle).beta).newton_step()
     final = compute_pass(bundle, beta, seed)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakfuse.betafit import _pair_moment_and_jac, moment_match_beta
-from weakfuse.gradients import EstimandSpec, compute_pass, information_matrix
+from weakfuse.gradients import compute_pass, information_matrix
 from weakfuse.model import (
     Dataset,
     FusionDesign,
@@ -66,7 +66,7 @@ def test_moment_match_residual_never_rises(monkeypatch):
     # stalls instead of climbing
     data = generate_dataset(named_scenario(
         "poorly_aligned", covariate_shift="beta_shift", n_per_source=60), 1, 3)
-    nuis = fit_nuisance_bundle(data, study_design(), EstimandSpec("ate"))
+    nuis = fit_nuisance_bundle(data, study_design())
     seen = []
     solve = np.linalg.solve
 

@@ -411,6 +411,7 @@ def _assert_ingest_matches_reference(path, text):
     "z1,z2,source\n1,2,a\n3\n",                               # ragged, short
     "z1,z2,source\n1,2,a,extra\n3,4,b\n",                     # ragged, long
     "z1,z2,source\n1,2\n",                                     # missing label
+    "z1,z2,source\n1,2,a\n   \n3,4,b\n",                       # whitespace-only line
     "z1,z2,source\n1,2,é\n3,4,日本\n5,6,e\n",                  # non-ASCII labels
     "z1,z2,source\n\u0661\u0662,2,a\n",                        # Arabic-Indic digits
     "z1,z2,source\n\u20032,2,a\n",                             # Unicode space
@@ -523,12 +524,22 @@ def _constant_z1(z, source):
     z[:, 0] = 1.3
 
 
+def _three_rows_of(s, to):
+    """A data edit that keeps three rows of source s and relabels the rest
+    as source `to`."""
+    def edit(z, source):
+        source[np.flatnonzero(source == s)[3:]] = to
+    return edit
+
+
 @pytest.mark.parametrize("seed, rows, edit, message", [
     # the index-3 panel's z2 = 0 branch holds one training row
     (1, 5, None, "error: index 3, branch z2 = 0: 1 training row\n"),
     # the moment match diverges with every normalizer finite
     (247147, 20, _constant_z1,
      "error: tilt normalizer or moments for index 3, source 2 are not finite at 18 states"),
+    # the weak source 2 keeps three rows, too few for its density ratio
+    (1, 60, _three_rows_of(2, 3), "error: too few rows to fit the ratio for source 2\n"),
 ])
 def test_small_study_inputs_exit_one_naming_the_cause(tmp_path, capsys, seed, rows, edit,
                                                       message):
@@ -546,6 +557,12 @@ def _two_coordinates(blob, relevant=(1, 2)):
     blob["design"] = {"d": 2, "k": 4, "relevant": list(relevant),
                       "aligned": {"1": [1, 2, 3, 4], "2": [1, 2, 3, 4]}}
     blob["estimand"] = {"kind": "working_linear"}
+
+
+def _index2_scope_is_source_4(blob):
+    blob["design"]["aligned"]["2"] = [4]
+    blob["design"]["weak"]["3"] = [2, 3]
+    del blob["design"]["weight_specs"]["3,4"]
 
 
 def _weak_below_the_moment(blob):
@@ -569,6 +586,8 @@ def _weak_below_the_moment(blob):
     (lambda blob: blob.update(estimand={"kind": "moment", "index": 3}), None,
      "moment of index 3 needs index 2 to be relevant"),
     (_weak_below_the_moment, None, "weak sources below the moment index are not supported"),
+    # the mean difference's propensity trains on three rows
+    (_index2_scope_is_source_4, _three_rows_of(4, 1), "too few rows in the index-2 scope"),
 ])
 def test_an_estimand_the_design_cannot_seed_exits_one_naming_it(tmp_path, capsys, edit,
                                                                   z_edit, message):
@@ -775,6 +794,12 @@ def test_user_errors_exit_one(tmp_path, capsys):
     assert main(["estimate", "--config", str(_study_config(tmp_path)), "--data", str(three),
                  "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == "error: design is for d=3, k=4; data has d=3, k=3\n"
+    # a whitespace-only line is a row whose first cell is not a number
+    blank = tmp_path / "blank.csv"
+    blank.write_text("z1,z2,z3,source\n1.5,1,0.3,1\n   \n1.2,0,0.4,2\n")
+    assert main(["estimate", "--config", str(_study_config(tmp_path)), "--data", str(blank),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: non-numeric value '   ' at row 3, column 'z1'\n"
     # malformed config
     bad = tmp_path / "bad.json"
     bad.write_text('{"design": {"d": 3, "k": 4, "wieght": 1}}')
@@ -1108,7 +1133,8 @@ def test_an_unwritable_out_exits_one_naming_it(tmp_path, monkeypatch, capsys, co
                             "--delta-grid", "0:0.1:0.05"]}[command]
     before = sorted(tmp_path.rglob("*"))
     for out, message in ((tmp_path / "missing" / "out.txt", "No such file or directory"),
-                         (tmp_path / "dir", "Is a directory")):
+                         (tmp_path / "dir", "Is a directory"),
+                         (cfgp / "out.txt", "Not a directory")):
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: cannot write {out}: {message}\n"
         assert sorted(tmp_path.rglob("*")) == before

@@ -349,6 +349,21 @@ def test_mean_difference_needs_three_coordinates():
         one_step_estimate(data, design, EstimandSpec("ate"))
 
 
+@pytest.mark.parametrize("variant, estimate", [
+    ("target_only", -0.03761502004170426), ("efficient_fusion", -0.04961742177085336)])
+def test_a_separated_propensity_reaches_the_report(variant, estimate):
+    # z2 = 1{z1 > 1.5} splits the arms along z1, so the propensity's logistic
+    # fit needs its ridge; target_only fits no density ratio, so there the
+    # flag can only come from the seed's propensity
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1, 0)
+    z = data.z.copy()
+    z[:, 1] = z[:, 0] > 1.5
+    rep = one_step_estimate(Dataset(z, data.source, k=data.k), study_design(),
+                            EstimandSpec("ate"), EstimatorVariant(variant))
+    assert rep.flags == ["SeparationWarning"]
+    assert rep.estimate == pytest.approx(estimate, rel=1e-12)
+
+
 def _linear_instance(n_per, beta_true=-0.6, sigma=0.4, seed=10):
     """d = 2 with a linear outcome; source 2's outcome is a normal tilted by
     exp(b*y), which is the same normal with mean shifted by b*sigma^2."""

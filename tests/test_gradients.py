@@ -7,7 +7,7 @@ import pytest
 import weakfuse.estimator as estimator
 import weakfuse.nuisance as nuisance
 from weakfuse.betafit import moment_match_beta
-from weakfuse.errors import NuisanceMissing, StructuralError
+from weakfuse.errors import StructuralError
 from weakfuse.gradients import (
     EstimandSpec,
     _batched_pinv,
@@ -17,10 +17,17 @@ from weakfuse.gradients import (
 )
 from weakfuse.model import BetaParam, Dataset, FusionDesign, layout_from_design
 from weakfuse.nuisance import NuisanceOptions, WeakShift, _chunks, fit_nuisance_bundle
-from weakfuse.simulation import generate_dataset, named_scenario, study_design, true_parameters
+from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import WeightSpec
 
-from oracles import DiscreteLaw, dense_weights, eval_weight_many, gradient_aligned_only, lambda_prev
+from oracles import (
+    DiscreteLaw,
+    dense_weights,
+    eval_weight_many,
+    gradient_aligned_only,
+    lambda_prev,
+    true_parameters,
+)
 from test_betafit import _tilted_instance
 
 
@@ -60,13 +67,6 @@ def test_estimand_spec_validation():
         with pytest.raises(StructuralError, match=f"{field}: not read by kind '{kind}'"):
             EstimandSpec(kind, **{field: "intercept" if field == "coefficient" else 2})
     assert EstimandSpec() == EstimandSpec("ate", coefficient="slope", index=1, power=1)
-
-
-def test_mean_difference_seed_needs_a_fitted_propensity():
-    # a bundle fitted without the estimand has no propensity for its seed
-    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=60), 1, 0)
-    with pytest.raises(NuisanceMissing, match="^no fitted propensity in the bundle$"):
-        seed_gradient(ATE, fit_nuisance_bundle(data, study_design()))
 
 
 def test_seed_rows_match_exact_tower(law_pass):
@@ -337,7 +337,7 @@ def test_compute_pass_is_stateless(law_pass):
 
 def _study_pass_inputs(n_per_source, cross_fit=False):
     scenario = named_scenario("moderately_aligned", n_per_source=n_per_source)
-    nuis = fit_nuisance_bundle(generate_dataset(scenario, 1, 0), study_design(), ATE,
+    nuis = fit_nuisance_bundle(generate_dataset(scenario, 1, 0), study_design(),
                                NuisanceOptions(cross_fit=cross_fit))
     return nuis, true_parameters(scenario)[1], seed_gradient(ATE, nuis)
 
@@ -358,8 +358,7 @@ def _chunk_case_inputs(case):
         return nuis, law.beta_param(), seed_gradient(MOMENT3, nuis)
     if case == "study_truncation":
         scenario = named_scenario("moderately_aligned", n_per_source=300)
-        nuis = fit_nuisance_bundle(generate_dataset(scenario, 1, 0),
-                                   _study_truncation_design(), ATE)
+        nuis = fit_nuisance_bundle(generate_dataset(scenario, 1, 0), _study_truncation_design())
         return nuis, moment_match_beta(nuis).beta, seed_gradient(ATE, nuis)
     return _study_pass_inputs(300, cross_fit=case == "study_cross_fit")
 
@@ -446,7 +445,7 @@ def test_shift_record_matches_the_weight_oracle(family):
     # of w·[1, ψ] against the dense panel weights, state by state
     data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1, 0)
     design = study_design() if family == "tilt" else _study_truncation_design()
-    inp = fit_nuisance_bundle(data, design, ATE).weak_inputs[3]
+    inp = fit_nuisance_bundle(data, design).weak_inputs[3]
     shift, spec = inp.shifts[2], design.spec_for(3, 2)
     b = np.random.default_rng(24).normal(scale=0.5, size=spec.nparams)
     assert _bits(shift.weight(b)) == _bits(eval_weight_many(spec, b, inp.Z))

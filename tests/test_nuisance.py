@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -16,9 +15,10 @@ from weakfuse.errors import (
 import weakfuse.nuisance as nuisance
 from weakfuse.betafit import moment_match_beta
 from weakfuse.estimator import EstimatorVariant, apply_variant, one_step_estimate
-from weakfuse.gradients import _EPS_W, EstimandSpec, _IndexMachine, compute_pass, seed_gradient
+from weakfuse.gradients import EstimandSpec, _IndexMachine, compute_pass, seed_gradient
 from weakfuse.model import Dataset, FusionDesign, layout_from_design
 from weakfuse.nuisance import (
+    _EPS_W,
     KernelPanel,
     MarginalRatioFits,
     NuisanceOptions,
@@ -458,19 +458,30 @@ def test_tensor_grid_caps_an_axis_whose_bandwidth_is_floored():
     assert np.all(np.isfinite(field))
 
 
-@pytest.mark.parametrize("value", [1e17, -1e17, 1e100, -1e150])
+_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize("value", [
+    1e17, -1e17, 1e100, -1e150, 1e200, -1e250, _MAX, -_MAX,
+    pytest.param([1e17, np.nextafter(1e17, np.inf)], id="1e17-alternating-ulp")])
 def test_a_constant_axis_far_from_zero_maps_rows_with_finite_weights(value):
     # lo + 1 == lo beyond 2^53, so a constant z1 there needs a wider axis,
-    # whose points stay distinct; each row then reads its corners with
-    # finite weights that sum to one (a 0 / 0 here warns, an error in tests)
+    # whose points stay distinct, as they do over a range of a few ulps,
+    # where linspace repeats them; each row then reads its corners with
+    # finite weights that sum to one. A constant column's std overflows from
+    # 1e200 on, and the Gaussian's far states overflow to weights of 0 (any
+    # warning here is an error in tests)
     rng = np.random.default_rng(29)
-    z = np.column_stack([np.full(40, value), rng.uniform(0.0, 1.0, (40, 2))])
+    z1 = np.resize(value, 40)
+    z = np.column_stack([z1, rng.uniform(0.0, 1.0, (40, 2))])
     panel = KernelPanel(3, Dataset(z, np.ones(40, dtype=int), k=1), np.arange(40),
                         NuisanceOptions())
+    assert np.all(np.isfinite(panel.h[0]))
     assert np.all(np.diff(panel.axes[0]) > 0)
     rmap = panel.row_map(z[:, :2])
     assert np.all(np.isfinite(rmap.weight))
     np.testing.assert_allclose(rmap.weight.sum(axis=0), 1.0, rtol=1e-15)
+    assert np.all(np.isfinite(panel.mean_field(panel.zj)))
 
 
 def test_kernel_panel_weights_at_matches_kernel():
@@ -735,7 +746,14 @@ def test_bundle_wiring_and_deltas():
         bundle.panel(9)
     assert bundle.delta_of([1, 2]) == pytest.approx(
         bundle.delta[1] + bundle.delta[2], rel=1e-15)
-    assert bundle.propensity is None
+
+
+def test_bundle_rejects_an_empty_dataset():
+    # the CLI never reaches this: ingest rejects a file with no data rows
+    data = Dataset(np.empty((0, 2)), np.empty(0, dtype=int), k=1)
+    design = FusionDesign(d=2, k=1, relevant=(1, 2), aligned={1: {1}, 2: {1}})
+    with pytest.raises(StructuralError, match="^empty dataset$"):
+        fit_nuisance_bundle(data, design)
 
 
 @pytest.fixture(scope="module")
@@ -751,8 +769,7 @@ def test_bundle_keeps_blocks_only_at_indices_with_weak_sources(study_data, varia
     # the β sweeps re-read the blocks of indices with weak sources; every
     # other block is read a fixed few times and streamed on each read
     design = apply_variant(study_design(), EstimatorVariant.parse(variant))
-    bundle = fit_nuisance_bundle(study_data, design, EstimandSpec("ate"),
-                                 NuisanceOptions(cross_fit=cross_fit))
+    bundle = fit_nuisance_bundle(study_data, design, NuisanceOptions(cross_fit=cross_fit))
     kept = {j: [src._kept is not None for _, _, src in p.blocks]
             for j, p in bundle.panels.items()}
     assert kept == {j: [bool(design.weak_at(j))] * len(bundle.panel(j).blocks)
@@ -808,8 +825,7 @@ def test_bundle_registers_outcome_regression_for_ate():
     data = Dataset(np.column_stack([z1, z2, z3]), np.ones(n, dtype=int), k=1)
     design = FusionDesign(d=3, k=1, relevant=(1, 2, 3),
                           aligned={1: {1}, 2: {1}, 3: {1}})
-    bundle = fit_nuisance_bundle(data, design, estimand=types.SimpleNamespace(kind="ate"))
-    assert bundle.propensity is not None
+    bundle = fit_nuisance_bundle(data, design)
     # the outcome regression is the terminal panel's mean field of z3
     panel = bundle.panel(3)
     point = panel.row_map(np.array([[1.5, 1.0]]))

@@ -19,10 +19,9 @@ from weakfuse.simulation import (
     run_monte_carlo,
     study_design,
     summary_to_csv,
-    true_parameters,
 )
 
-from oracles import assemble_beta
+from oracles import assemble_beta, true_parameters
 
 FAST = NuisanceOptions()
 # a small, badly overlapping cell: at master seed 1, reps 0, 1 and 3 (of
@@ -243,7 +242,7 @@ def test_engine_rejects_an_overflowing_beta():
     # normalizer; the engine names the pair instead of failing in eigh
     data = generate_dataset(POOR, 1, 3)
     design = study_design()
-    bundle = fit_nuisance_bundle(data, design, EstimandSpec("ate"))
+    bundle = fit_nuisance_bundle(data, design)
     beta = assemble_beta(layout_from_design(design), {
         (3, 2): [-20.9, -1708.0], (3, 3): [-0.9], (3, 4): [-4.25]})
     with pytest.raises(NonFiniteNormalizer, match="index 3, source 2"):
