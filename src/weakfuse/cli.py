@@ -190,8 +190,7 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     opt = _given(cfg, "options", {})
     if not isinstance(opt, dict):
         raise ParseError("config.options: expected an object")
-    opt = _kwargs(opt, {"ratio_clip", "propensity_clip", "grid_points", "cross_fit"},
-                  "config.options")
+    opt = _kwargs(opt, {"ratio_clip", "propensity_clip", "cross_fit"}, "config.options")
     try:
         options = NuisanceOptions(**opt)
     except WeakfuseError as exc:

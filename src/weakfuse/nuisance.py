@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .weights import basis_matrix
 
 _MIN_ROWS = 5
 _H_FLOOR = 1e-6
-_MAX_GRID_POINTS = 2001
+_GRID_POINTS = 301          # the axis length of a panel with one continuous past coordinate
 _CHUNK_BYTES = 1 << 18      # one float temporary per row chunk: about 256 KiB, cache-sized
 _STORE_BYTES = 1 << 24      # a re-read block up to 16 MiB is kept; any other is rebuilt per read
 _EPS_W = 1e-8               # floor on a `WeakShift` normalizer, in the engine and the moment match
@@ -38,15 +38,10 @@ _EPS_W = 1e-8               # floor on a `WeakShift` normalizer, in the engine a
 @dataclass(frozen=True)
 class NuisanceOptions:
     """Fit options, checked on construction: each clip is a pair
-    0 < lo <= hi (hi < 1 for the propensity), and `grid_points` lies in
-    2.._MAX_GRID_POINTS, since a grid weight block holds grid_points ×
-    training rows floats. `grid_points` is the grid's size along a panel's
-    continuous past coordinate when there is exactly one; with two or more,
-    the bandwidths and the data rows size each axis (see `KernelPanel`)."""
+    0 < lo <= hi (hi < 1 for the propensity)."""
 
     ratio_clip: tuple[float, float] = (1e-3, 1e3)
     propensity_clip: tuple[float, float] = (0.01, 0.99)
-    grid_points: int = 301
     cross_fit: bool = False
 
     def __post_init__(self):
@@ -59,10 +54,6 @@ class NuisanceOptions:
                 raise ParseError(f"{name}: expected [lo, hi] with 0 < lo <= hi{bound}, "
                                  f"got {pair!r}")
             object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
-        if not (isinstance(self.grid_points, Integral)
-                and 2 <= self.grid_points <= _MAX_GRID_POINTS):
-            raise ParseError(f"grid_points: expected an integer in 2..{_MAX_GRID_POINTS}, "
-                             f"got {self.grid_points!r}")
         if not isinstance(self.cross_fit, bool):
             raise ParseError(f"cross_fit: expected true or false, got {self.cross_fit!r}")
 
@@ -396,7 +387,7 @@ class KernelPanel(_BlockPanel):
     block per branch with training rows. The Gaussian kernel acts only on
     the continuous coordinates; binary ones are matched exactly. Rows map
     onto states by multilinear interpolation in their grid cell. An axis has
-    `grid_points` points when c = 1; when c >= 2 it has
+    `_GRID_POINTS` points when c = 1; when c >= 2 it has
     max(2, min(ceil(range / h) + 1, floor(n^(1/c)))) points, h being the
     axis's smallest bandwidth over the folds and n the data rows, so that
     its spacing is at most h and a branch never holds more than n states.
@@ -447,7 +438,7 @@ class KernelPanel(_BlockPanel):
                 # points would repeat, below lo where lo + width overflows
                 pad = max(1.0, abs(lo) * 2.0 ** -30)
                 lo, hi = (lo, lo + pad) if lo + pad < math.inf else (lo - pad, lo)
-            points = options.grid_points
+            points = _GRID_POINTS
             if c > 1:
                 root = round(data.n ** (1.0 / c))
                 root -= root ** c > data.n

@@ -163,7 +163,7 @@ def test_truncation_threshold_lands_in_the_spec():
 # non-default values measured to move the estimate or its se on one
 # 300-row-per-source study replicate
 BINDING_OPTIONS = {"ratio_clip": [0.8, 1.25], "propensity_clip": [0.55, 0.6],
-                   "grid_points": 51, "cross_fit": True}
+                   "cross_fit": True}
 
 
 def test_every_parsed_option_changes_the_estimate():
@@ -676,7 +676,6 @@ _STUDY_CONFIG_TEXT = """\
   "level": 0.95,
   "options": {
     "cross_fit": false,
-    "grid_points": 301,
     "propensity_clip": [
       0.01,
       0.99
@@ -999,21 +998,25 @@ def test_mean_difference_rejects_a_non_binary_treatment(tmp_path, capsys, k, ali
     assert "needs a binary z2" in capsys.readouterr().err
 
 
-def test_bandwidth_option_is_rejected(tmp_path, capsys):
+# options that were once parsed: the bandwidths are Silverman's, and a
+# panel sizes its own grid
+@pytest.mark.parametrize("key, value", [("bandwidth", "silverman"), ("grid_points", 301)],
+                         ids=["bandwidth", "grid_points"])
+def test_bandwidth_option_is_rejected(tmp_path, capsys, key, value):
     blob = default_config_dict()
-    blob["options"]["bandwidth"] = "silverman"
+    blob["options"][key] = value
     cfgp = tmp_path / "config.json"
     cfgp.write_text(json.dumps(blob))
     data = _study_csv(tmp_path, n=60, seed=3)
     assert main(["estimate", "--config", str(cfgp), "--data", str(data),
                  "--out", str(tmp_path / "r.json")]) == 1
-    assert "config.options.bandwidth: unknown key" in capsys.readouterr().err
+    assert f"config.options.{key}: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (("options", "grid_points"), 0, "config.options: grid_points: expected an integer"),
-    (("options", "grid_points"), 1, "config.options: grid_points: expected an integer"),
-    (("options", "grid_points"), 2002, "config.options: grid_points: expected an integer"),
+    (("options", "grid_points"), 0, "config.options.grid_points: unknown key"),
+    (("options", "grid_points"), 1, "config.options.grid_points: unknown key"),
+    (("options", "grid_points"), 2002, "config.options.grid_points: unknown key"),
     (("options", "ratio_clip"), "ab", "config.options: ratio_clip: expected [lo, hi]"),
     (("options", "ratio_clip"), [5, 0.1], "config.options: ratio_clip: expected [lo, hi]"),
     (("options", "propensity_clip"), [0.9, 0.1],
