@@ -119,8 +119,9 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         # arm means as functions of z1 come from the same index-3 fields, read
         # along the two branches, so their contrast is exactly centered below
         p1 = nuisance.panel(1)
-        mu1_rows = p3.row_map(np.column_stack([Z[:, 0], np.ones(data.n)])).apply(mu_field)
-        mu0_rows = p3.row_map(np.column_stack([Z[:, 0], np.zeros(data.n)])).apply(mu_field)
+        every = np.arange(data.n)
+        mu1_rows = p3.row_map(np.column_stack([Z[:, 0], np.ones(data.n)]), every).apply(mu_field)
+        mu0_rows = p3.row_map(np.column_stack([Z[:, 0], np.zeros(data.n)]), every).apply(mu_field)
         contrast_rows = mu1_rows - mu0_rows
         contrast_tr = contrast_rows[p1.train_idx]
         plugin = float(p1.mean_field(contrast_tr)[0])
@@ -137,7 +138,7 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         muy_field = p2.mean_field(p2.zj)
         muy_rows = rmaps[2].apply(muy_field)
         x_tr = p1.zj                                        # covariate draws under Q
-        muy_tr = p2.row_map(x_tr[:, None]).apply(muy_field)
+        muy_tr = rmaps[2].take(p1.train_idx).apply(muy_field)
         V = np.column_stack([np.ones(x_tr.size), x_tr])
         G = (V.T @ V) / x_tr.size
         if np.linalg.cond(G) > 1e12:

@@ -399,8 +399,8 @@ class KernelPanel(_BlockPanel):
     `train_idx` and `zj` list fold 0's rows, then fold 1's. Each fold has its
     own copy of the states (fold 1's after fold 0's), its own blocks and its
     own Silverman bandwidths `h[f]`; `floored` records that any bandwidth hit
-    its floor. A data row that trained fold 0 reads fold 1's fields, and
-    every other row reads fold 0's.
+    its floor. A data row that trained one fold reads the other fold's
+    fields, and data row i that trained neither reads fold i % 2's.
 
     `keep` says that the blocks are read more than once, so that each one
     within `_STORE_BYTES` is kept rather than rebuilt on every read.
@@ -497,8 +497,9 @@ class KernelPanel(_BlockPanel):
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
         """Map any rows onto fold 0's states: each row reads the 2^c corners
         of its grid cell, clipped to the grid, with product weights; with
-        two folds, the data rows in `row_idx` that trained fold 0 move to
-        the same states of fold 1."""
+        two folds, each data row in `row_idx` moves to the same states of
+        one fold: the fold it did not train, or fold `row_idx % 2` if it
+        trained neither."""
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
         stride = math.prod(g.size for g in self.axes)
         idx, weight = [self._branch_of(Zprev) * stride], [np.ones(Zprev.shape[0])]
@@ -513,7 +514,9 @@ class KernelPanel(_BlockPanel):
         idx = np.array(idx)
         if len(self.folds) > 1 and row_idx is not None:
             E = self.eval_states.shape[0] // len(self.folds)
-            idx += E * np.isin(row_idx, self.train_idx[self.folds[0][1]])
+            idx += E * np.where(np.isin(row_idx, self.train_idx),
+                                np.isin(row_idx, self.train_idx[self.folds[0][1]]),
+                                np.asarray(row_idx) % 2)
         return RowMap(idx, np.array(weight))
 
     def next_mean(self, field: np.ndarray, nuisance: FittedNuisance) -> np.ndarray:

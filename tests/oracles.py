@@ -193,7 +193,9 @@ class ExactPanel(_BlockPanel):
             raise StructuralError("the exact layout maps only the full dataset")
         idx = np.arange(n)
         if len(self.folds) > 1 and row_idx is not None:
-            idx = idx + n * np.isin(row_idx, self.train_idx[self.folds[0][1]])
+            idx = idx + n * np.where(np.isin(row_idx, self.train_idx),
+                                     np.isin(row_idx, self.train_idx[self.folds[0][1]]),
+                                     np.asarray(row_idx) % 2)
         return RowMap(idx[None], np.ones((1, n)))
 
     next_mean = KernelPanel.next_mean
