@@ -58,16 +58,24 @@ class NuisanceOptions:
             raise ParseError(f"cross_fit: expected true or false, got {self.cross_fit!r}")
 
 
-def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Per-column rule-of-thumb bandwidths, and whether any was floored
-    (a constant column); a std that overflows is taken from X - X[0]."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, p = X.shape
+def _column_std(X: np.ndarray, ddof: int) -> np.ndarray:
+    """Each column's standard deviation: exactly 0 for a column whose values
+    are all equal, and taken from X - X[0] where `X.std` overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sd = X.std(axis=0, ddof=1) if n > 1 else np.zeros(p)
+        sd = X.std(axis=0, ddof=ddof)
     bad = ~np.isfinite(sd)
     if bad.any():
-        sd[bad] = (X[:, bad] - X[0, bad]).std(axis=0, ddof=1)
+        sd[bad] = (X[:, bad] - X[0, bad]).std(axis=0, ddof=ddof)
+    sd[np.all(X == X[0], axis=0)] = 0.0
+    return sd
+
+
+def silverman_bandwidths(X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per-column rule-of-thumb bandwidths, and whether any was floored
+    (a constant column)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, p = X.shape
+    sd = _column_std(X, ddof=1) if n > 1 else np.zeros(p)
     factor = (4.0 / ((p + 2) * n)) ** (1.0 / (p + 4))
     h = sd * factor
     floored = bool(np.any(h < _H_FLOOR))
@@ -155,20 +163,6 @@ def fit_propensity(data: Dataset, design: FusionDesign,
     return PropensityFit(coef=coef, clip=options.propensity_clip, ridged=ridged)
 
 
-def _ratio_features(Zprev: np.ndarray, binary: np.ndarray,
-                    center: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Cubic expansion of continuous coordinates, binaries passed through."""
-    Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
-    cols = [np.ones(Zprev.shape[0])]
-    for c in range(Zprev.shape[1]):
-        if binary[c]:
-            cols.append(Zprev[:, c])
-        else:
-            u = (Zprev[:, c] - center[c]) / scale[c]
-            cols.extend([u, u * u, u * u * u])
-    return np.column_stack(cols)
-
-
 class MarginalRatioFits:
     """Fitted marginal density ratios rho_s = p(z̄_{j-1}|s) / p(z̄_{j-1}|A_j)
     for every source participating at index j, via logistic classification
@@ -185,7 +179,6 @@ class MarginalRatioFits:
         self._ld: dict[int, float] = {}
         self._diag: dict[int, OverlapDiagnostics] = {}
         p = j - 1
-        self._p = p
         if p == 0:
             for s in self.sources:
                 self._coef[s] = None
@@ -193,13 +186,14 @@ class MarginalRatioFits:
                 self._diag[s] = OverlapDiagnostics(1.0, 1.0, 0.0)
             return
         Zfull = data.z[:, :p]
-        self._binary = _binary_columns(Zfull)
-        self._center = Zfull.mean(axis=0)
-        sd = Zfull.std(axis=0)
-        self._scale = np.where(sd > 1e-12, sd, 1.0)
+        sd = _column_std(Zfull, ddof=0)
+        self._cols = np.flatnonzero(sd > 0)     # a constant column has no features
+        self._binary = _binary_columns(Zfull)[self._cols]
+        self._center = Zfull.mean(axis=0)[self._cols]
+        self._scale = np.where(sd > 1e-12, sd, 1.0)[self._cols]
         aligned = design.aligned_at(j)
         pool_rows = data.rows_in(aligned)
-        X0 = _ratio_features(Zfull[pool_rows], self._binary, self._center, self._scale)
+        X0 = self._features(Zfull[pool_rows])
         single_aligned = min(aligned) if len(aligned) == 1 else None
         for s in self.sources:
             rows_s = data.rows_of(s)
@@ -209,7 +203,7 @@ class MarginalRatioFits:
                 self._coef[s] = None  # identical laws, ratio is exactly one
                 self._ld[s] = 0.0
             else:
-                X1 = _ratio_features(Zfull[rows_s], self._binary, self._center, self._scale)
+                X1 = self._features(Zfull[rows_s])
                 X = np.vstack([X0, X1])
                 yy = np.concatenate([np.zeros(X0.shape[0]), np.ones(X1.shape[0])])
                 self._coef[s], ridged = _logistic_fit(X, yy)
@@ -223,6 +217,18 @@ class MarginalRatioFits:
                 frac_clipped=float(np.mean((vals < lo) | (vals > hi))),
             )
 
+    def _features(self, Zprev: np.ndarray) -> np.ndarray:
+        """Cubic expansion of the continuous past columns, binaries passed
+        through; a constant column has no features."""
+        cols = [np.ones(Zprev.shape[0])]
+        for c, binary, center, scale in zip(self._cols, self._binary, self._center, self._scale):
+            if binary:
+                cols.append(Zprev[:, c])
+            else:
+                u = (Zprev[:, c] - center) / scale
+                cols.extend([u, u * u, u * u * u])
+        return np.column_stack(cols)
+
     def _rho_unclipped(self, s: int, Zprev: np.ndarray) -> np.ndarray:
         Zprev = np.atleast_2d(np.asarray(Zprev, dtype=float))
         coef = self._coef.get(s)
@@ -230,7 +236,7 @@ class MarginalRatioFits:
             raise NuisanceMissing(f"source {s} not fitted at index {self.j}")
         if coef is None:
             return np.ones(Zprev.shape[0])
-        X = _ratio_features(Zprev[:, : self._p], self._binary, self._center, self._scale)
+        X = self._features(Zprev)
         eta = np.clip(X @ coef + self._ld[s], -np.log(1e6), np.log(1e6))
         return np.exp(eta)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tracemalloc
 import warnings
@@ -1014,9 +1015,9 @@ def test_bandwidth_option_is_rejected(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (("options", "grid_points"), 0, "config.options.grid_points: unknown key"),
-    (("options", "grid_points"), 1, "config.options.grid_points: unknown key"),
-    (("options", "grid_points"), 2002, "config.options.grid_points: unknown key"),
+    (("options", "grid_points"), 0, "grid_points: unknown key"),
+    (("options", "grid_points"), 1, "grid_points: unknown key"),
+    (("options", "grid_points"), 2002, "grid_points: unknown key"),
     (("options", "ratio_clip"), "ab", "config.options: ratio_clip: expected [lo, hi]"),
     (("options", "ratio_clip"), [5, 0.1], "config.options: ratio_clip: expected [lo, hi]"),
     (("options", "propensity_clip"), [0.9, 0.1],
@@ -1141,6 +1142,13 @@ def test_an_unwritable_out_exits_one_naming_it(tmp_path, monkeypatch, capsys, co
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: cannot write {out}: {message}\n"
         assert sorted(tmp_path.rglob("*")) == before
+    # a device that takes no bytes passes the check and fails at the write,
+    # after the command has run
+    if os.path.exists("/dev/full"):
+        monkeypatch.undo()
+        assert main(argv + ["--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: cannot write /dev/full: No space left on device\n"), err
 
 
 def test_a_huge_design_d_builds_no_column_names(tmp_path, capsys):

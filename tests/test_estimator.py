@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -573,6 +574,42 @@ def test_cross_fit_estimate_does_not_depend_on_row_order():
             out.append(est.std(ddof=1) / np.mean([r.se for r in reports]))
     for v, out in spread.items():
         assert np.median(out) <= 0.2, (v, out)
+
+
+def _swap_sources_3_and_4(data):
+    source = data.source.copy()
+    source[data.source == 3], source[data.source == 4] = 4, 3
+    design = study_design()
+    specs = {(j, {3: 4, 4: 3}.get(s, s)): spec for (j, s), spec in design.weight_specs}
+    return Dataset(data.z, source, k=data.k), FusionDesign(
+        design.d, design.k, design.relevant, dict(design.aligned), dict(design.weak), specs)
+
+
+@functools.cache
+def _invariance_base():
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1, 0)
+    return data, one_step_estimate(data, study_design(), EstimandSpec("ate"))
+
+
+@settings(max_examples=4, deadline=None)
+@given(perm=st.permutations(range(1200)))
+def test_estimate_ignores_row_order_and_source_labels(perm):
+    # without cross-fitting, neither the order of the 1200 rows nor the
+    # labels of two weak sources, their weight models going with them, are
+    # part of the estimate: only summation order may move it
+    data, base = _invariance_base()
+    data = _permuted(data, np.array(perm))
+    moved = one_step_estimate(data, study_design(), EstimandSpec("ate"))
+    assert moved.flags == base.flags
+    np.testing.assert_allclose([moved.estimate, moved.se], [base.estimate, base.se],
+                               rtol=1e-12, atol=0)
+    swapped = one_step_estimate(*_swap_sources_3_and_4(data), EstimandSpec("ate"))
+    assert swapped.flags == base.flags
+    np.testing.assert_allclose([swapped.estimate, swapped.se], [base.estimate, base.se],
+                               rtol=1e-12, atol=0)
+    # β lists pair (3, 2)'s two terms, then (3, 3)'s one, then (3, 4)'s one
+    np.testing.assert_allclose(swapped.beta, np.array(base.beta)[[0, 1, 3, 2]],
+                               rtol=1e-12, atol=0)
 
 
 def test_study_estimate_frees_the_sweep_scratch():

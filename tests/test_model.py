@@ -245,3 +245,7 @@ def test_layout_from_design_and_mask():
     # a truncation has no parameter, so no block
     spec_t = WeightSpec("truncated_above_threshold", 2, threshold=0.5)
     assert layout_from_design(small_design(weak={2: {2}}, weight_specs={(2, 2): spec_t})) == ()
+    # a weak pair without a weight model has no block to give
+    with pytest.raises(StructuralError) as err:
+        layout_from_design(small_design(weight_specs={}))
+    assert str(err.value) == "no weight model for weak source 2 at index 2"

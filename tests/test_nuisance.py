@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,21 +78,38 @@ def test_silverman_floors_constant_column():
     bundle = fit_nuisance_bundle(data, design)
     assert bundle.panel(3).floored
     assert bundle.flags == frozenset({"SingularBandwidth"})
+    # far from zero a constant column's std is exactly 0 too, alone or beside
+    # a varying column, where it was rounding noise (h about 7e83 at 1e100)
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1e100, -1e150, 1e200):
+            for X in (np.full((200, 1), value),
+                      np.column_stack([np.full(200, value), rng.uniform(size=200)])):
+                h, floored = silverman_bandwidths(X)
+                assert floored and h[0] == nuisance._H_FLOOR, (value, h)
 
 
 def test_grid_panel_records_a_floored_bandwidth():
     # a constant z1 floors the grid panel's bandwidth at index 2, and the
-    # floor reaches the estimate's flags
+    # floor reaches the estimate's flags; z1 gives the ratio fit no
+    # features, so the ratio is flat over the panel's padded axis, and far
+    # from zero nothing overflows
     rng = np.random.default_rng(0)
     z2 = np.concatenate([rng.beta(2, 2, 200), rng.beta(2.5, 2, 200)])
-    data = Dataset(np.column_stack([np.full(400, 0.7), z2]), np.repeat([1, 2], 200), k=2)
     design = FusionDesign(d=2, k=2, relevant=(1, 2), aligned={1: {1, 2}, 2: {1}},
                           weak={2: {2}}, weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
-    bundle = fit_nuisance_bundle(data, design)
-    assert len(bundle.panel(2).axes) == 1
-    assert bundle.panel(2).floored
-    report = one_step_estimate(data, design, EstimandSpec("moment", index=2))
-    assert "SingularBandwidth" in report.flags
+    for value in (0.7, 1e200):
+        data = Dataset(np.column_stack([np.full(400, value), z2]), np.repeat([1, 2], 200), k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle = fit_nuisance_bundle(data, design)
+            report = one_step_estimate(data, design, EstimandSpec("moment", index=2))
+        assert len(bundle.panel(2).axes) == 1
+        assert bundle.panel(2).floored
+        rho = bundle.ratio_fits(2).rho(2, bundle.panel(2).eval_states)
+        assert np.all(rho == rho[0])
+        assert "SingularBandwidth" in report.flags
 
 
 def test_kernel_regression_constant_is_flat():
