@@ -18,7 +18,6 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -268,25 +267,9 @@ def default_config_dict() -> dict:
     }, default=list))
 
 
-class _DefaultZ(Sequence):
-    """The z columns of a config without `columns`, z1..zd, each named only
-    when read, so that a huge d builds no names before the header lacks one."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def __len__(self) -> int:
-        return self.d
-
-    def __getitem__(self, i: int) -> str:
-        if not 0 <= i < self.d:
-            raise IndexError(i)
-        return f"z{i + 1}"
-
-
 def _default_columns(d: int) -> dict:
     """The column mapping of a config without `columns`: z1..zd and source."""
-    return {"z": _DefaultZ(d), "source": "source"}
+    return {"z": [f"z{j}" for j in range(1, d + 1)], "source": "source"}
 
 
 def config_hash(cfg: dict) -> str:
@@ -300,11 +283,14 @@ def _column_index(path: str, header: list, n_body: int, zcols: list, scol) -> di
     """The position of every mapped column in the header row; a missing
     column or an empty body raises."""
     header = [h.strip() for h in header]
+    first = {}
+    for pos, name in enumerate(header):
+        first.setdefault(name, pos)
     index = {}
     for col in itertools.chain(zcols, [scol]):
-        if col not in header:
+        if not isinstance(col, str) or col not in first:    # a name may be any JSON value
             raise MissingColumn(f"column {col!r} not in header {header}")
-        index[col] = header.index(col)
+        index[col] = first[col]
     if not n_body:
         raise EmptyFile(f"{path} has a header but no data rows")
     return index
@@ -385,7 +371,7 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
     """
     zcols = mapping.get("z")
     scol = mapping.get("source")
-    if not zcols or not isinstance(zcols, (list, _DefaultZ)) or not scol:
+    if not zcols or not isinstance(zcols, list) or not scol:
         raise ParseError('column mapping needs "z" (list) and "source" (name)')
     text = _read_text(path, "data")
     plain = '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n"))

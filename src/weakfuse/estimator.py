@@ -4,7 +4,7 @@ and the reportable result object."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from statistics import NormalDist
 
 from .betafit import moment_match_beta
@@ -59,26 +59,19 @@ def apply_variant(design: FusionDesign, variant: EstimatorVariant) -> FusionDesi
         return design
     if variant.kind == "target_only":
         aligned = {j: frozenset({1}) for j in range(1, design.d + 1)}
-        return FusionDesign(d=design.d, k=design.k, relevant=design.relevant,
-                            aligned=aligned, weak={}, weight_specs={})
+        return replace(design, aligned=aligned, weak={}, weight_specs={})
     if variant.kind == "naive_fusion":
         aligned = {j: design.sources_at(j) or frozenset({1})
                    for j in range(1, design.d + 1)}
-        return FusionDesign(d=design.d, k=design.k, relevant=design.relevant,
-                            aligned=aligned, weak={}, weight_specs={})
+        return replace(design, aligned=aligned, weak={}, weight_specs={})
     specs = {}
-    for (j, s) in design.weak_pairs():
-        spec = design.spec_for(j, s)
-        if spec.family != "exponential_tilt":
-            specs[(j, s)] = spec
-            continue
-        have = [t.text() for t in spec.terms]
-        pool = [t for t in complex_family(j) if t.text() not in have]
-        extra = pool[:variant.extra_terms]
-        specs[(j, s)] = WeightSpec("exponential_tilt", j, spec.terms + tuple(extra))
-    return FusionDesign(d=design.d, k=design.k, relevant=design.relevant,
-                        aligned=dict(design.aligned), weak=dict(design.weak),
-                        weight_specs=specs)
+    for (j, s), spec in design.weight_specs:
+        if spec.family == "exponential_tilt":
+            have = [t.text() for t in spec.terms]
+            pool = [t for t in complex_family(j) if t.text() not in have]
+            spec = WeightSpec("exponential_tilt", j, spec.terms + tuple(pool[:variant.extra_terms]))
+        specs[(j, s)] = spec
+    return replace(design, weight_specs=specs)
 
 
 def wald_interval(estimate: float, se: float, level: float = _LEVEL) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ParseError, StructuralError
 from .weights import WeightSpec
 
 
@@ -47,9 +47,11 @@ class Dataset:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "k", int(k))
+        order = np.argsort(source, kind="stable")     # each source's rows stay in order
+        cuts = np.searchsorted(source[order], np.arange(1, k + 2))
         object.__setattr__(
             self, "_rows_by_source",
-            {s: np.flatnonzero(source == s) for s in range(1, k + 1)},
+            {s: order[cuts[s - 1]:cuts[s]] for s in range(1, k + 1)},
         )
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -75,18 +77,23 @@ class Dataset:
     def source_counts(self) -> dict[int, int]:
         return {s: self.rows_of(s).size for s in range(1, self.k + 1)}
 
-def _freeze_sets(m: Mapping[int, Iterable[int]]) -> tuple[tuple[int, frozenset[int]], ...]:
-    return tuple(sorted((int(j), frozenset(int(s) for s in v)) for j, v in m.items()))
+def _freeze_sets(m) -> dict[int, frozenset[int]]:
+    """A mapping, or its (index, sources) pairs as `dataclasses.replace` passes
+    a design's own field, as a map sorted by index."""
+    return dict(sorted((int(j), frozenset(int(s) for s in v)) for j, v in dict(m).items()))
 
 
 @dataclass(frozen=True)
 class FusionDesign:
     """Alignment structure plus weight models for the weakly aligned pairs.
 
-    `aligned` must cover every index 1..d; `weak` may be sparse. `relevant`
+    `aligned` must cover every index 1..d; `weak` may be sparse, and every
+    weak pair, and only those, has a weight model for its index. `relevant`
     lists the indices whose conditionals enter the estimand (the gradient
     engine only builds machinery there, but alignment of the remaining indices
-    still matters for scoping regressions such as the propensity).
+    still matters for scoping regressions such as the propensity). Every rule
+    that reads only the design is checked here, reading the declared entries
+    alone, so neither building nor reading a design costs more as d grows.
     """
 
     d: int
@@ -105,13 +112,18 @@ class FusionDesign:
         weak: Mapping[int, Iterable[int]] | None = None,
         weight_specs: Mapping[tuple[int, int], WeightSpec] | None = None,
     ):
+        amap, wmap = _freeze_sets(aligned), _freeze_sets(weak or {})
+        smap = dict(sorted(((int(j), int(s)), sp)
+                           for (j, s), sp in dict(weight_specs or {}).items()))
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "relevant", tuple(sorted(int(j) for j in relevant)))
-        object.__setattr__(self, "aligned", _freeze_sets(aligned))
-        object.__setattr__(self, "weak", _freeze_sets(weak or {}))
-        specs = tuple(sorted(((int(j), int(s)), sp) for (j, s), sp in (weight_specs or {}).items()))
-        object.__setattr__(self, "weight_specs", specs)
+        object.__setattr__(self, "aligned", tuple(amap.items()))
+        object.__setattr__(self, "weak", tuple(wmap.items()))
+        object.__setattr__(self, "weight_specs", tuple(smap.items()))
+        object.__setattr__(self, "_aligned_map", amap)
+        object.__setattr__(self, "_weak_map", wmap)
+        object.__setattr__(self, "_spec_map", smap)
         if self.d < 1 or self.k < 1:
             raise StructuralError("need d >= 1 and k >= 1")
         if not self.relevant:
@@ -119,21 +131,41 @@ class FusionDesign:
         for j in self.relevant:
             if not 1 <= j <= self.d:
                 raise StructuralError(f"relevant index {j} outside 1..{self.d}")
-        for j, _ in self.aligned + self.weak:
+        for j in [*amap, *wmap]:
             if not 1 <= j <= self.d:
                 raise StructuralError(f"index {j} outside 1..{self.d}")
+        filled = [j for j, a in amap.items() if a]      # sorted, distinct, within 1..d
+        if len(filled) < self.d:
+            gap = next((i for i, j in enumerate(filled, 1) if i != j), len(filled) + 1)
+            raise StructuralError(f"aligned set A_{gap} is empty")
+        for j in sorted(amap.keys() | wmap.keys()):
+            a, w = self.aligned_at(j), self.weak_at(j)
+            if a & w:
+                raise StructuralError(f"sources {sorted(a & w)} are in both A_{j} and W_{j}")
+            for s in sorted(a | w):
+                if not 1 <= s <= self.k:
+                    raise StructuralError(f"source {s} at index {j} outside 1..{self.k}")
+            for s in sorted(w):
+                if (j, s) not in smap:
+                    raise StructuralError(f"no weight model for weak source {s} at index {j}")
+        for (j, s), spec in smap.items():
+            if s not in self.weak_at(j):
+                raise StructuralError(
+                    f"weight model given for ({j}, {s}) but source not weak there")
+            if spec.index != j:
+                raise ParseError(f"weight model for index {spec.index} used at index {j}")
 
     def aligned_at(self, j: int) -> frozenset[int]:
-        return dict(self.aligned).get(j, frozenset())
+        return self._aligned_map.get(j, frozenset())
 
     def weak_at(self, j: int) -> frozenset[int]:
-        return dict(self.weak).get(j, frozenset())
+        return self._weak_map.get(j, frozenset())
 
     def sources_at(self, j: int) -> frozenset[int]:
         return self.aligned_at(j) | self.weak_at(j)
 
     def spec_for(self, j: int, s: int) -> WeightSpec | None:
-        return dict(self.weight_specs).get((j, s))
+        return self._spec_map.get((j, s))
 
     def weak_pairs(self) -> tuple[tuple[int, int], ...]:
         """(j, s) pairs with s weakly aligned at a relevant index, sorted."""
@@ -150,7 +182,9 @@ class OverlapDiagnostics:
 
 
 def validate_design(design: FusionDesign, data: Dataset) -> tuple[str, ...]:
-    """Check a design against a dataset; hard violations raise StructuralError.
+    """Check a design against a dataset: the same d and k, and rows for every
+    source the design names; a violation raises StructuralError. The rules
+    that read only the design hold once it is built.
 
     Soft issues (weak sources at an index the estimand ignores) are returned
     as notes, not raised.
@@ -159,32 +193,14 @@ def validate_design(design: FusionDesign, data: Dataset) -> tuple[str, ...]:
         raise StructuralError(
             f"design is for d={design.d}, k={design.k}; data has d={data.d}, k={data.k}"
         )
-    counts = data.source_counts()
-    warn: list[str] = []
-    weak_map = dict(design.weak)
-    spec_map = dict(design.weight_specs)
-    for j in range(1, design.d + 1):
-        a = design.aligned_at(j)
-        w = design.weak_at(j)
-        if not a:
-            raise StructuralError(f"aligned set A_{j} is empty")
-        if a & w:
-            raise StructuralError(f"sources {sorted(a & w)} are in both A_{j} and W_{j}")
-        for s in sorted(a | w):
-            if not 1 <= s <= design.k:
-                raise StructuralError(f"source {s} at index {j} outside 1..{design.k}")
-            if counts.get(s, 0) == 0:
-                raise StructuralError(f"source {s} referenced at index {j} has no rows")
-        for s in sorted(w):
-            if (j, s) not in spec_map:
-                raise StructuralError(f"no weight model for weak source {s} at index {j}")
-        if w and j not in design.relevant:
-            warn.append(f"weak sources at index {j} are ignored (index not relevant)")
-    for (j, s), spec in spec_map.items():
-        if s not in weak_map.get(j, frozenset()):
-            raise StructuralError(f"weight model given for ({j}, {s}) but source not weak there")
-        spec.check_index(j)
-    return tuple(warn)
+    empty = {s for s, c in data.source_counts().items() if c == 0}
+    for j in sorted({j for j, _ in design.aligned + design.weak}):
+        missing = design.sources_at(j) & empty
+        if missing:
+            raise StructuralError(f"source {min(missing)} referenced at index {j} has no rows")
+    relevant = set(design.relevant)
+    return tuple(f"weak sources at index {j} are ignored (index not relevant)"
+                 for j, w in design.weak if w and j not in relevant)
 
 
 @dataclass(frozen=True)
@@ -232,12 +248,6 @@ class BetaParam:
 def layout_from_design(design: FusionDesign) -> tuple[tuple[int, int, int], ...]:
     """Parameter layout implied by a design's weak pairs, sorted by (j, s).
     A truncation has no parameter and so no block."""
-    out = []
-    for j, s in design.weak_pairs():
-        spec = design.spec_for(j, s)
-        if spec is None:
-            raise StructuralError(f"no weight model for weak source {s} at index {j}")
-        if spec.nparams:
-            out.append((j, s, spec.nparams))
-    return tuple(out)
+    return tuple((j, s, design.spec_for(j, s).nparams) for j, s in design.weak_pairs()
+                 if design.spec_for(j, s).nparams)
 

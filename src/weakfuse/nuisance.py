@@ -60,12 +60,16 @@ class NuisanceOptions:
 
 def _column_std(X: np.ndarray, ddof: int) -> np.ndarray:
     """Each column's standard deviation: exactly 0 for a column whose values
-    are all equal, and taken from X - X[0] where `X.std` overflows."""
+    are all equal, and taken from X - X[0] where `X.std` overflows, with the
+    column scaled by the power of two above its largest magnitude, which
+    changes no bit of the result unless X - X[0] would overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         sd = X.std(axis=0, ddof=ddof)
     bad = ~np.isfinite(sd)
     if bad.any():
-        sd[bad] = (X[:, bad] - X[0, bad]).std(axis=0, ddof=ddof)
+        e = np.frexp(np.abs(X[:, bad]).max(axis=0))[1]
+        Xs = np.ldexp(X[:, bad], -e)
+        sd[bad] = np.ldexp((Xs - Xs[0]).std(axis=0, ddof=ddof), e)
     sd[np.all(X == X[0], axis=0)] = 0.0
     return sd
 
@@ -189,7 +193,8 @@ class MarginalRatioFits:
         sd = _column_std(Zfull, ddof=0)
         self._cols = np.flatnonzero(sd > 0)     # a constant column has no features
         self._binary = _binary_columns(Zfull)[self._cols]
-        self._center = Zfull.mean(axis=0)[self._cols]
+        with np.errstate(over="ignore"):     # a constant column's mean is never read
+            self._center = Zfull.mean(axis=0)[self._cols]
         self._scale = np.where(sd > 1e-12, sd, 1.0)[self._cols]
         aligned = design.aligned_at(j)
         pool_rows = data.rows_in(aligned)

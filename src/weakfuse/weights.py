@@ -171,10 +171,6 @@ class WeightSpec:
     def nparams(self) -> int:
         return len(self.terms)
 
-    def check_index(self, j: int) -> None:
-        if j != self.index:
-            raise ParseError(f"weight model for index {self.index} used at index {j}")
-
     @classmethod
     def tilt(cls, index: int, term_texts: Sequence[str]) -> "WeightSpec":
         return cls("exponential_tilt", index,

@@ -44,6 +44,51 @@ def lambda_prev(ratio_fits, delta, Zprev) -> np.ndarray:
     return dsum / den
 
 
+def design_rules(d, k, relevant, aligned, weak, specs, data: Dataset) -> tuple[str, ...]:
+    """Every rule a fusion design must obey, as one function of the raw
+    declaration and a dataset, in the order of a per-index sweep over 1..d:
+    raises the error a faulty design raises and returns the notes of a sound
+    one. `aligned` and `weak` map an index to its sources, `specs` a (j, s)
+    pair to its weight model."""
+    relevant = sorted(relevant)
+    if d < 1 or k < 1:
+        raise StructuralError("need d >= 1 and k >= 1")
+    if not relevant:
+        raise StructuralError("relevant index set is empty")
+    for j in relevant:
+        if not 1 <= j <= d:
+            raise StructuralError(f"relevant index {j} outside 1..{d}")
+    for j in sorted(aligned) + sorted(weak):
+        if not 1 <= j <= d:
+            raise StructuralError(f"index {j} outside 1..{d}")
+    if data.d != d or data.k != k:
+        raise StructuralError(f"design is for d={d}, k={k}; data has d={data.d}, k={data.k}")
+    counts = data.source_counts()
+    notes = []
+    for j in range(1, d + 1):
+        a, w = set(aligned.get(j, ())), set(weak.get(j, ()))
+        if not a:
+            raise StructuralError(f"aligned set A_{j} is empty")
+        if a & w:
+            raise StructuralError(f"sources {sorted(a & w)} are in both A_{j} and W_{j}")
+        for s in sorted(a | w):
+            if not 1 <= s <= k:
+                raise StructuralError(f"source {s} at index {j} outside 1..{k}")
+            if counts.get(s, 0) == 0:
+                raise StructuralError(f"source {s} referenced at index {j} has no rows")
+        for s in sorted(w):
+            if (j, s) not in specs:
+                raise StructuralError(f"no weight model for weak source {s} at index {j}")
+        if w and j not in relevant:
+            notes.append(f"weak sources at index {j} are ignored (index not relevant)")
+    for (j, s), spec in sorted(specs.items(), key=lambda item: item[0]):
+        if s not in weak.get(j, ()):
+            raise StructuralError(f"weight model given for ({j}, {s}) but source not weak there")
+        if spec.index != j:
+            raise ParseError(f"weight model for index {spec.index} used at index {j}")
+    return tuple(notes)
+
+
 def gradient_aligned_only(seed, nuisance: FittedNuisance) -> np.ndarray:
     """Per-row aligned-only gradient: each relevant index contributes its seed
     increment on rows of its aligned sources, scaled by 1/P(S in A_j). The

@@ -26,7 +26,7 @@ import weakfuse.estimator
 import weakfuse.nuisance
 from weakfuse.betafit import moment_match_beta
 from weakfuse.gradients import EstimandSpec, compute_pass
-from weakfuse.model import Dataset, FusionDesign
+from weakfuse.model import Dataset, FusionDesign, validate_design
 from weakfuse.nuisance import MarginalRatioFits, NuisanceOptions, fit_nuisance_bundle
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 from weakfuse.weights import BasisTerm, WeightSpec, complex_family
@@ -145,6 +145,19 @@ def test_apply_variant_overparametrized_skips_existing_terms():
     pool = [t.text() for t in complex_family(3)]
     assert texts == ["z1*log(z3)", "z1*z2*log(z3)", pool[0]]
     assert pool[0] == "log(z3)"
+
+
+def test_apply_variant_overparametrized_keeps_a_weight_model_at_an_ignored_index():
+    # a weak pair at an index the estimand ignores keeps its weight model, so
+    # the padded design is valid and still notes the ignored index (it raised
+    # "no weight model" when only the relevant pairs' models were copied)
+    design = FusionDesign(d=2, k=2, relevant=(1,), aligned={1: {1}, 2: {1}}, weak={2: {2}},
+                          weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
+    out = apply_variant(design, EstimatorVariant("overparametrized", extra_terms=1))
+    assert [t.text() for t in out.spec_for(2, 2).terms] == ["z2", "log(z2)"]
+    data = Dataset(np.full((4, 2), 0.5), np.array([1, 2, 1, 2]), k=2)
+    assert validate_design(out, data) == (
+        "weak sources at index 2 are ignored (index not relevant)",)
 
 
 def test_apply_variant_overparametrized_leaves_truncation_alone():

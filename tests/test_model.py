@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakfuse.errors import ParseError, StructuralError
 from weakfuse.model import (
@@ -11,7 +15,7 @@ from weakfuse.model import (
 )
 from weakfuse.weights import WeightSpec, parse_term
 
-from oracles import DiscreteLaw, assemble_beta, beta_slice
+from oracles import DiscreteLaw, assemble_beta, beta_slice, design_rules
 
 
 def _spec(j, terms):
@@ -46,6 +50,11 @@ def test_dataset_basic_shape_and_counts():
     np.testing.assert_array_equal(data.rows_of(1), [0, 2])
     np.testing.assert_array_equal(data.rows_of(2), [1])
     assert data.rows_of(7).size == 0
+    # shuffled labels, some with no rows, against a scan per label
+    source = np.random.default_rng(5).choice([1, 2, 4, 6], size=300)
+    data = Dataset(np.zeros((300, 1)), source, k=7)
+    for s in range(1, 8):
+        np.testing.assert_array_equal(data.rows_of(s), np.flatnonzero(source == s))
 
 
 def test_dataset_rejects_bad_inputs():
@@ -103,6 +112,25 @@ def test_design_rejects_bad_indices():
         FusionDesign(d=1, k=1, relevant=(1,), aligned={1: {1}, 2: {1}})
 
 
+def test_design_checks_read_only_the_declared_entries():
+    # a design must name A_j for every j, so a huge d with one entry is
+    # refused at once, naming the first index without one
+    start = time.perf_counter()
+    with pytest.raises(StructuralError, match=r"^aligned set A_2 is empty$"):
+        FusionDesign(d=10 ** 18, k=1, relevant=(1,), aligned={1: {1}})
+    with pytest.raises(StructuralError, match=r"^aligned set A_3 is empty$"):
+        FusionDesign(d=10 ** 18, k=1, relevant=(1,), aligned={1: {1}, 2: {1}, 4: {1}})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_design_is_hashable_and_compares_by_its_fields():
+    design = small_design()
+    again = small_design(aligned={2: [1], 1: (1,)})
+    assert design == again and hash(design) == hash(again)
+    assert design != small_design(relevant=(2,))
+    assert {design: 1}[again] == 1
+
+
 def _tiny_data(d=2, k=2, n=8):
     rng = np.random.default_rng(0)
     z = rng.uniform(0.1, 0.9, size=(n, d))
@@ -156,10 +184,106 @@ def test_validate_design_notes_irrelevant_weak_index():
 
 
 def test_validate_design_spec_index_mismatch():
-    # weight model written for index 1 attached to index 2
-    design = small_design(weight_specs={(2, 2): _spec(1, ["z1"])})
+    # weight model written for index 1 attached to index 2: the design is
+    # refused when built, before any data is read
     with pytest.raises(ParseError, match="index 1 used at index 2"):
-        validate_design(design, _tiny_data())
+        small_design(weight_specs={(2, 2): _spec(1, ["z1"])})
+
+
+_FAULTS = ("empty_aligned", "both", "source_outside", "index_outside", "relevant_outside",
+           "relevant_empty", "no_spec", "spec_not_weak", "spec_index", "data_d", "data_k",
+           "no_rows")
+
+
+def _truncation(index):
+    return WeightSpec("truncated_above_threshold", index, threshold=0.5)
+
+
+@st.composite
+def _declarations(draw):
+    """A sound design over d <= 4 indices and k <= 4 sources with a dataset
+    that fits it, then up to three faults, each drawn from those that apply."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    aligned, weak, specs = {}, {}, {}
+    for j in range(1, d + 1):
+        aligned[j] = set(draw(st.frozensets(st.integers(1, k), min_size=1)))
+        w = {s for s in range(1, k + 1) if s not in aligned[j] and draw(st.booleans())}
+        if w or draw(st.booleans()):
+            weak[j] = set(w)
+        specs.update({(j, s): _truncation(j) for s in w})
+    decl = dict(d=d, k=k, relevant=draw(st.lists(st.integers(1, d), min_size=1, max_size=3)),
+                aligned=aligned, weak=weak, specs=specs)
+    data_d, data_k, missing = d, k, set()
+    faults = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):     # mostly one fault
+        weak_pairs = sorted(specs)
+        named = sorted(set().union(*aligned.values(), *weak.values()) & set(range(1, k + 1)))
+        applies = [f for f in _FAULTS
+                   if (f not in ("no_spec", "spec_index") or weak_pairs)
+                   and (f != "no_rows" or named)]
+        fault = draw(st.sampled_from(applies))
+        faults.append(fault)
+        j = draw(st.integers(1, d))
+        if fault == "empty_aligned":
+            if draw(st.booleans()):
+                aligned[j] = set()
+            else:
+                aligned.pop(j, None)
+        elif fault == "both":
+            s = draw(st.sampled_from(sorted(aligned.get(j) or {1})))
+            weak.setdefault(j, set()).add(s)
+            specs[(j, s)] = _truncation(j)
+        elif fault == "source_outside":
+            aligned.setdefault(j, set()).add(draw(st.sampled_from([0, k + 1])))
+        elif fault == "index_outside":
+            block = aligned if draw(st.booleans()) else weak
+            block[draw(st.sampled_from([0, d + 1]))] = {1}
+        elif fault == "relevant_outside":
+            decl["relevant"] = decl["relevant"] + [draw(st.sampled_from([0, d + 1]))]
+        elif fault == "relevant_empty":
+            decl["relevant"] = []
+        elif fault == "no_spec":
+            del specs[draw(st.sampled_from(weak_pairs))]
+        elif fault == "spec_not_weak":
+            s = draw(st.sampled_from([s for s in range(1, k + 2) if s not in weak.get(j, ())]))
+            specs[(j, s)] = _truncation(j)
+        elif fault == "spec_index":
+            pair = draw(st.sampled_from(weak_pairs))
+            specs[pair] = _truncation(draw(st.sampled_from([i for i in range(5) if i != pair[0]])))
+        elif fault == "data_d":
+            data_d += 1
+        elif fault == "data_k":
+            data_k += 1
+        else:
+            missing.add(draw(st.sampled_from(named)))
+    labels = [s for s in range(1, data_k + 1) if s not in missing] * 2
+    data = Dataset(np.full((len(labels), data_d), 0.5), np.array(labels, dtype=int), k=data_k)
+    return decl, data, faults
+
+
+def _outcome(rules):
+    try:
+        return "ok", rules()
+    except Exception as exc:     # the type and the message are what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_declarations())
+def test_design_rules_match_the_reference(case):
+    # FusionDesign then validate_design apply the reference's rules: a sound
+    # design gives the same notes, a design with one fault the same error,
+    # and one with more is accepted by both or refused by both
+    decl, data, faults = case
+    got = _outcome(lambda: validate_design(
+        FusionDesign(decl["d"], decl["k"], decl["relevant"], decl["aligned"], decl["weak"],
+                     decl["specs"]), data))
+    want = _outcome(lambda: design_rules(data=data, **decl))
+    if len(faults) <= 1:
+        assert got == want, faults
+        assert (got[0] == "ok") == (not faults), faults
+    else:
+        assert (got[0] == "ok") == (want[0] == "ok"), (faults, got, want)
 
 
 def test_validate_design_union_within_sources():
@@ -245,7 +369,7 @@ def test_layout_from_design_and_mask():
     # a truncation has no parameter, so no block
     spec_t = WeightSpec("truncated_above_threshold", 2, threshold=0.5)
     assert layout_from_design(small_design(weak={2: {2}}, weight_specs={(2, 2): spec_t})) == ()
-    # a weak pair without a weight model has no block to give
+    # a weak pair without a weight model is refused when the design is built
     with pytest.raises(StructuralError) as err:
-        layout_from_design(small_design(weight_specs={}))
+        small_design(weight_specs={})
     assert str(err.value) == "no weight model for weak source 2 at index 2"

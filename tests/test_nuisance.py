@@ -88,6 +88,10 @@ def test_silverman_floors_constant_column():
                       np.column_stack([np.full(200, value), rng.uniform(size=200)])):
                 h, floored = silverman_bandwidths(X)
                 assert floored and h[0] == nuisance._H_FLOOR, (value, h)
+        # a column that spans more than the float range still has a finite spread
+        X = np.column_stack([np.tile([-1e308, 1e308], 20), rng.uniform(size=40)])
+        h, floored = silverman_bandwidths(X)
+        assert not floored and np.all(np.isfinite(h)) and h[0] > 1e307, h
 
 
 def test_grid_panel_records_a_floored_bandwidth():
@@ -99,7 +103,7 @@ def test_grid_panel_records_a_floored_bandwidth():
     z2 = np.concatenate([rng.beta(2, 2, 200), rng.beta(2.5, 2, 200)])
     design = FusionDesign(d=2, k=2, relevant=(1, 2), aligned={1: {1, 2}, 2: {1}},
                           weak={2: {2}}, weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
-    for value in (0.7, 1e200):
+    for value in (0.7, 1e200, 1e306, np.finfo(float).max):
         data = Dataset(np.column_stack([np.full(400, value), z2]), np.repeat([1, 2], 200), k=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -102,9 +102,6 @@ def test_weight_spec_tilt():
     spec = WeightSpec.tilt(3, ["z1*log(z3)", "z1*z2*log(z3)"])
     assert spec.family == "exponential_tilt"
     assert spec.nparams == 2
-    spec.check_index(3)
-    with pytest.raises(ParseError, match="used at index"):
-        spec.check_index(2)
 
 
 def test_weight_spec_guards():
