@@ -490,10 +490,9 @@ def cmd_sensitivity(args) -> int:
     fused = one_step_estimate(data, cfg.design, cfg.estimand, variant=cfg.variant,
                               options=cfg.options, level=cfg.level,
                               seed_value=cfg.seed)
-    target = one_step_estimate(data, cfg.design, cfg.estimand,
-                               variant=EstimatorVariant("target_only"),
-                               options=cfg.options, level=cfg.level,
-                               seed_value=cfg.seed)
+    target = fused if cfg.variant.kind == "target_only" else one_step_estimate(
+        data, cfg.design, cfg.estimand, variant=EstimatorVariant("target_only"),
+        options=cfg.options, level=cfg.level, seed_value=cfg.seed)
     t_lo, t_hi = wald_interval(target.estimate, target.se, cfg.level)
     lo0, hi0 = wald_interval(fused.estimate, fused.se, cfg.level)
     # each row is `sensitivity_interval` at its delta: the Wald interval

@@ -97,12 +97,12 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
     flags = frozenset()
 
     if estimand.kind == "ate":
-        propensity = fit_propensity(data, design, nuisance.options)
-        flags = frozenset({"SeparationWarning"} if propensity.ridged else ())
         if data.d != 3:
             raise StructuralError("the mean-difference estimand needs d = 3")
         if 1 not in design.relevant or 3 not in design.relevant:
             raise StructuralError("indices 1 and 3 must be relevant for this estimand")
+        propensity = fit_propensity(data, design, nuisance.options)
+        flags = frozenset({"SeparationWarning"} if propensity.ridged else ())
         p3 = nuisance.panel(3)
         if not p3.binary[1]:         # a continuous z2 has no two arms to read
             raise StructuralError("the mean-difference estimand needs a binary z2")

@@ -37,6 +37,11 @@ class Dataset:
             raise StructuralError("source labels must be one per row")
         if not np.all(np.isfinite(z)):
             raise StructuralError("non-finite outcome values")
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(~np.isfinite(np.ptp(z, axis=0))) if z.shape[0] else []
+        if len(wide):           # a grid axis over such a column would not be finite
+            raise StructuralError(f"column z{wide[0] + 1} spans more than the float range "
+                                  f"(its max - min is not finite)")
         if source.size and not np.all(source == source.astype(int)):
             raise StructuralError("source labels must be integers")
         source = source.astype(int)

@@ -58,18 +58,25 @@ class NuisanceOptions:
             raise ParseError(f"cross_fit: expected true or false, got {self.cross_fit!r}")
 
 
+def _pow2_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X with each column scaled by the power of two above its largest
+    magnitude, which is exact, and the exponents of those powers."""
+    e = np.frexp(np.abs(X).max(axis=0))[1]
+    return np.ldexp(X, -e), e
+
+
 def _column_std(X: np.ndarray, ddof: int) -> np.ndarray:
     """Each column's standard deviation: exactly 0 for a column whose values
     are all equal, and taken from X - X[0] where `X.std` overflows, with the
-    column scaled by the power of two above its largest magnitude, which
-    changes no bit of the result unless X - X[0] would overflow."""
+    column scaled by `_pow2_scaled`, which changes no bit of the result
+    unless X - X[0] would overflow. A column that spans more than the float
+    range has an infinite std, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         sd = X.std(axis=0, ddof=ddof)
-    bad = ~np.isfinite(sd)
-    if bad.any():
-        e = np.frexp(np.abs(X[:, bad]).max(axis=0))[1]
-        Xs = np.ldexp(X[:, bad], -e)
-        sd[bad] = np.ldexp((Xs - Xs[0]).std(axis=0, ddof=ddof), e)
+        bad = ~np.isfinite(sd)
+        if bad.any():
+            Xs, e = _pow2_scaled(X[:, bad])
+            sd[bad] = np.ldexp((Xs - Xs[0]).std(axis=0, ddof=ddof), e)
     sd[np.all(X == X[0], axis=0)] = 0.0
     return sd
 
@@ -92,7 +99,10 @@ def _gauss_weights(Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Unnormalized Gaussian product-kernel weights, shape (m, n), built in
     place from the first column's squared scaled distance; a temporary of
     the same shape is allocated only when there is a second column. A
-    scaled distance that overflows is inf, whose weight is exactly 0."""
+    scaled distance that overflows is inf, whose weight is exactly 0. The
+    Gaussian over zero columns is all ones."""
+    if not Xt.shape[1]:
+        return np.ones((Xq.shape[0], Xt.shape[0]))
     d2 = np.subtract.outer(Xq[:, 0], Xt[:, 0])
     diff = np.empty_like(d2) if Xt.shape[1] > 1 else None
     with np.errstate(over="ignore"):
@@ -193,8 +203,14 @@ class MarginalRatioFits:
         sd = _column_std(Zfull, ddof=0)
         self._cols = np.flatnonzero(sd > 0)     # a constant column has no features
         self._binary = _binary_columns(Zfull)[self._cols]
-        with np.errstate(over="ignore"):     # a constant column's mean is never read
-            self._center = Zfull.mean(axis=0)[self._cols]
+        # a varying column whose sum overflows is centered at the mean of its
+        # `_pow2_scaled` values, scaled back; a constant column's is never read
+        with np.errstate(over="ignore"):
+            center = Zfull.mean(axis=0)
+            big = ~np.isfinite(center)
+            Zs, e = _pow2_scaled(Zfull[:, big])
+            center[big] = np.ldexp(Zs.mean(axis=0), e)
+        self._center = center[self._cols]
         self._scale = np.where(sd > 1e-12, sd, 1.0)[self._cols]
         aligned = design.aligned_at(j)
         pool_rows = data.rows_in(aligned)
@@ -287,13 +303,12 @@ class RowMap:
 
 class _GaussRows:
     """Nadaraya-Watson weight rows of the query points `Xq` against the
-    training points `Xt`: Gaussian product-kernel rows with bandwidths `h`,
-    all ones when there is no kernel column. `rows(lo, hi)` returns rows
-    lo:hi, each scaled to sum to one, and which of them are degenerate: a
-    row whose mass is below 1e-12 keeps its raw weights. With `keep`, a
-    block of at most `_STORE_BYTES` is built once and kept; any other block
-    is rebuilt on every read, so it never holds more than the rows asked
-    for. Both give the same rows, bit for bit."""
+    training points `Xt`: Gaussian product-kernel rows with bandwidths `h`.
+    `rows(lo, hi)` returns rows lo:hi, each scaled to sum to one, and which
+    of them are degenerate: a row whose mass is below 1e-12 keeps its raw
+    weights. With `keep`, a block of at most `_STORE_BYTES` is built once
+    and kept; any other block is rebuilt on every read, so it never holds
+    more than the rows asked for. Both give the same rows, bit for bit."""
 
     def __init__(self, Xq: np.ndarray, Xt: np.ndarray, h: np.ndarray, keep: bool):
         self.Xq, self.Xt, self.h = Xq, Xt, h
@@ -301,9 +316,7 @@ class _GaussRows:
                       if keep and 8 * Xq.shape[0] * Xt.shape[0] <= _STORE_BYTES else None)
 
     def _build(self, lo: int, hi: int):
-        Xq = self.Xq[lo:hi]
-        W = (_gauss_weights(Xq, self.Xt, self.h) if self.Xt.shape[1]
-             else np.ones((Xq.shape[0], self.Xt.shape[0])))
+        W = _gauss_weights(self.Xq[lo:hi], self.Xt, self.h)
         wsum = W.sum(axis=1)
         deg = wsum < 1e-12
         W /= np.where(deg, 1.0, wsum)[:, None]
@@ -393,17 +406,17 @@ class KernelPanel(_BlockPanel):
     Fields are Nadaraya-Watson means over the training rows, evaluated at a
     fixed set of conditioning states: a tensor grid over the c continuous
     past coordinates, one `np.linspace` axis each over the data's range
-    with repeated points dropped (a range of a few ulps repeats them),
-    crossed with exact branches of the binary past coordinates, one weight
-    block per branch with training rows. The Gaussian kernel acts only on
+    with repeated points dropped (a range of a few ulps repeats them), in
+    one product after the binary past coordinates' values (the branches),
+    with one weight block per branch with training rows. The Gaussian acts on
     the continuous coordinates; binary ones are matched exactly. Rows map
     onto states by multilinear interpolation in their grid cell. An axis has
     `_GRID_POINTS` points when c = 1; when c >= 2 it has
     max(2, min(ceil(range / h) + 1, floor(n^(1/c)))) points, h being the
     axis's smallest bandwidth over the folds and n the data rows, so that
     its spacing is at most h and a branch never holds more than n states.
-    At c = 0 the grid is one state per branch, whose block averages the
-    branch's training rows.
+    At c = 0 a branch has one state, whose block is the Gaussian over zero
+    columns (all ones; `h[f]` is empty), so it reads the branch's mean.
 
     With `options.cross_fit` and at least 2 * _MIN_ROWS training rows, the
     rows split into two folds, `train_idx[::2]` and `train_idx[1::2]`, and
@@ -432,12 +445,11 @@ class KernelPanel(_BlockPanel):
         self.binary = _binary_columns(zprev_all)
         self.cont_cols = np.flatnonzero(~self.binary)
         self.bin_cols = np.flatnonzero(self.binary)
-        self._branch_vals = {int(c): np.unique(zprev_all[:, c]) for c in self.bin_cols}
+        self._branch_vals = [np.unique(zprev_all[:, c]) for c in self.bin_cols]
         c = self.cont_cols.size
 
         kerns = [data.z[np.ix_(fr, self.cont_cols)] for fr in fold_rows]
-        fits = [silverman_bandwidths(kern) if c else (np.array([1.0]), False)
-                for kern in kerns]
+        fits = [silverman_bandwidths(kern) for kern in kerns]
         self.h = [h for h, _ in fits]
         self.floored = any(floored for _, floored in fits)
         self.axes = []
@@ -459,29 +471,22 @@ class KernelPanel(_BlockPanel):
                 points = max(2, root if span > (root - 1) * h_min
                              else math.ceil(span / h_min) + 1)
             self.axes.append(np.unique(np.linspace(lo, hi, points)))
-        Xq = np.array(list(itertools.product(*self.axes)), dtype=float)
-
-        combos: list[tuple[float, ...]] = [()]
-        for col in self.bin_cols:
-            combos = [cb + (v,) for cb in combos for v in self._branch_vals[int(col)]]
-        G = Xq.shape[0]
-        states = np.zeros((len(combos) * G, p))
-        for b, combo in enumerate(combos):
-            st = states[b * G:(b + 1) * G]
-            st[:, self.cont_cols] = Xq
-            st[:, self.bin_cols] = combo
-        E = states.shape[0]
+        # the states: branches outer, grid points inner, as one product
+        grid = np.array(list(itertools.product(*self._branch_vals, *self.axes)), dtype=float)
+        states = grid[:, np.argsort(np.concatenate([self.bin_cols, self.cont_cols]))]
+        E, G = states.shape[0], math.prod(g.size for g in self.axes)
+        Xq = states[:G, self.cont_cols]
 
         folds, blocks = [], []
         T0 = 0
         for f, (fr, kern) in enumerate(zip(fold_rows, kerns)):
             tr_branch = self._branch_of(data.z[fr, :p])
-            for b, combo in enumerate(combos):
+            for b in range(E // G):
                 cols = np.flatnonzero(tr_branch == b)
                 # an empty branch reads the fold mean; a thin one cannot fit
                 if 0 < cols.size < _MIN_ROWS:
                     branch = ", ".join(f"z{col + 1} = {v:g}"
-                                       for col, v in zip(self.bin_cols, combo))
+                                       for col, v in zip(self.bin_cols, grid[b * G]))
                     raise InsufficientData(f"index {j}, branch {branch}: {cols.size} "
                                            f"training row{'s' * (cols.size > 1)}")
                 if cols.size:
@@ -492,18 +497,13 @@ class KernelPanel(_BlockPanel):
         super().__init__(np.vstack([states] * len(fold_rows)), blocks, tuple(folds))
 
     def _branch_of(self, Zprev: np.ndarray) -> np.ndarray:
-        """Branch id of each row, snapping to the nearest declared value."""
-        b = np.zeros(Zprev.shape[0], dtype=int)
-        stride = 1
-        for c in reversed(list(self.bin_cols)):
-            vals = self._branch_vals[int(c)]
-            pos = np.clip(np.searchsorted(vals, Zprev[:, c]), 0, len(vals) - 1)
-            left = np.maximum(pos - 1, 0)
-            use_left = np.abs(Zprev[:, c] - vals[left]) < np.abs(Zprev[:, c] - vals[pos])
-            pos = np.where(use_left, left, pos)
-            b += pos * stride
-            stride *= len(vals)
-        return b
+        """Branch id of each row: each binary column split at 0.5 and
+        clipped to the column's declared values, which picks the nearest of
+        them, as they lie in {0, 1}. (Adding zeros gives the rows' shape
+        when no column is binary.)"""
+        split = Zprev[:, self.bin_cols].T >= 0.5
+        return (np.ravel_multi_index(split, [v.size for v in self._branch_vals], mode="clip")
+                + np.zeros(Zprev.shape[0], dtype=int))
 
     def row_map(self, Zprev: np.ndarray, row_idx=None) -> RowMap:
         """Map any rows onto fold 0's states: each row reads the 2^c corners

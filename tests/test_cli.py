@@ -557,12 +557,12 @@ def test_small_study_inputs_exit_one_naming_the_cause(tmp_path, capsys, seed, ro
     assert message in capsys.readouterr().err
 
 
-def _two_coordinates(blob, relevant=(1, 2)):
+def _two_coordinates(blob, relevant=(1, 2), kind="working_linear"):
     """The study config read as d = 2 over the CSV's z1 and z3, all aligned."""
     blob["columns"] = {"z": ["z1", "z3"], "source": "source"}
     blob["design"] = {"d": 2, "k": 4, "relevant": list(relevant),
                       "aligned": {"1": [1, 2, 3, 4], "2": [1, 2, 3, 4]}}
-    blob["estimand"] = {"kind": "working_linear"}
+    blob["estimand"] = {"kind": kind}
 
 
 def _index2_scope_is_source_4(blob):
@@ -587,6 +587,10 @@ def _weak_below_the_moment(blob):
     (lambda blob: _two_coordinates(blob, relevant=(2,)), None,
      "indices 1 and 2 must be relevant for this estimand"),
     (_two_coordinates, _constant_z1, "covariate is (numerically) constant"),
+    # the design is checked before the propensity is fitted, whose error
+    # ("index-2 values outside {0, 1}", as z2 is the CSV's z3) would hide it
+    (lambda blob: _two_coordinates(blob, kind="ate"), None,
+     "the mean-difference estimand needs d = 3"),
     (lambda blob: blob.update(estimand={"kind": "moment", "index": 4}), None,
      "moment index 4 exceeds d = 3"),
     (lambda blob: blob.update(estimand={"kind": "moment", "index": 3}), None,
@@ -805,6 +809,15 @@ def test_user_errors_exit_one(tmp_path, capsys):
     assert main(["estimate", "--config", str(_study_config(tmp_path)), "--data", str(blank),
                  "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == "error: non-numeric value '   ' at row 3, column 'z1'\n"
+    # a column whose spread is not finite: a grid axis over it could not be
+    wide = tmp_path / "wide.csv"
+    top = repr(float(np.finfo(float).max))
+    wide.write_text("z1,z2,z3,source\n" + "".join(
+        f"{sign}{top},{i % 2},0.{i + 1},{i % 4 + 1}\n" for i, sign in enumerate("-+" * 10)))
+    assert main(["estimate", "--config", str(_study_config(tmp_path)), "--data", str(wide),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: column z1 spans more than the float range (its max - min is not finite)\n")
     # malformed config
     bad = tmp_path / "bad.json"
     bad.write_text('{"design": {"d": 3, "k": 4, "wieght": 1}}')
@@ -927,6 +940,35 @@ def test_sensitivity_sweep_matches_sensitivity_interval_row_by_row(tmp_path, mon
     first, last = ([float(v) for v in line.split(",")[3:5]] for line in (lines[1], lines[-1]))
     assert first == [lo0, hi0]
     assert last == [lo0 - 0.5, hi0 + 0.5]
+
+
+def test_a_target_only_sweep_estimates_once(tmp_path, monkeypatch):
+    # for a target_only config the fused report is the target-only one, so
+    # the sweep reads both widths from a single estimate
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(one_step_estimate(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(cli, "one_step_estimate", recorded)
+    data = _study_csv(tmp_path, n=60, seed=3)
+    blob = default_config_dict()
+    blob["variant"] = {"kind": "target_only"}
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    out = tmp_path / "sweep.csv"
+    grid = "0:0.01:0.001"
+    assert main(["sensitivity", "--config", str(cfgp), "--data", str(data),
+                 "--delta-grid", grid, "--out", str(out)]) == 0
+    report, = reports
+    assert report.variant == "target_only"
+    lo0, hi0 = wald_interval(report.estimate, report.se, parse_config(str(cfgp)).level)
+    lines = ["delta,estimate,se,ci_lo,ci_hi,width,target_only_width"]
+    for dlt in _parse_grid(grid):
+        lo, hi = lo0 - dlt, hi0 + dlt
+        lines.append(",".join(repr(v) for v in (dlt, report.estimate, report.se, lo, hi,
+                                                hi - lo, hi0 - lo0)))
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_simulate_bounds_threads(tmp_path, monkeypatch, capsys):

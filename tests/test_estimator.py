@@ -1,7 +1,9 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,6 +625,39 @@ def test_estimate_ignores_row_order_and_source_labels(perm):
     # β lists pair (3, 2)'s two terms, then (3, 3)'s one, then (3, 4)'s one
     np.testing.assert_allclose(swapped.beta, np.array(base.beta)[[0, 1, 3, 2]],
                                rtol=1e-12, atol=0)
+
+
+def test_a_single_source_index_with_no_later_reader_ignores_row_order():
+    # index 1 has one source, the target, which no later index reads, so the
+    # tail adjustment skips it; source 3's z2 is tilted by z2^0.5
+    rng = np.random.default_rng(5)
+    src = np.repeat([1, 2, 3], 300)
+    z1 = rng.uniform(0.0, 1.0, src.size)
+    z2 = rng.gamma(2.0 + z1 + 0.5 * (src == 3))
+    data = Dataset(np.column_stack([z1, z2]), src, k=3)
+    design = FusionDesign(d=2, k=3, relevant=(1, 2), aligned={1: {1}, 2: {2}},
+                          weak={2: {3}}, weight_specs={(2, 3): WeightSpec.tilt(2, ["log(z2)"])})
+    base = one_step_estimate(data, design, EstimandSpec("moment", index=2))
+    assert np.isfinite(base.estimate) and base.beta
+    for seed in (1, 2):
+        moved = one_step_estimate(_permuted(data, np.random.default_rng(seed).permutation(data.n)),
+                                  design, EstimandSpec("moment", index=2))
+        assert moved.flags == base.flags
+        np.testing.assert_allclose([moved.estimate, moved.se, *moved.beta],
+                                   [base.estimate, base.se, *base.beta], rtol=1e-12, atol=0)
+
+
+def test_readme_library_sketch_runs():
+    # the README's python block draws its own data: source 2's z2 is the
+    # target's shifted by 0.5, a tilt exp(0.5 z2), and the target mean is 0
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"```python\n(.*?)```", text, re.S)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    report = scope["report"]
+    assert report.flags == []
+    assert report.ci_lo < 0.0 < report.ci_hi
+    assert abs(report.beta[0] - 0.5) < 0.1
 
 
 def test_study_estimate_frees_the_sweep_scratch():

@@ -92,6 +92,11 @@ def test_silverman_floors_constant_column():
         X = np.column_stack([np.tile([-1e308, 1e308], 20), rng.uniform(size=40)])
         h, floored = silverman_bandwidths(X)
         assert not floored and np.all(np.isfinite(h)) and h[0] > 1e307, h
+        # up to the float maximum its std is infinite, without a warning
+        # (`Dataset` refuses such a column, as no grid axis over it is finite)
+        top = np.finfo(float).max
+        sd = nuisance._column_std(np.column_stack([np.tile([-top, top], 20), X[:, 1]]), 1)
+        assert sd[0] == np.inf and np.isfinite(sd[1]), sd
 
 
 def test_grid_panel_records_a_floored_bandwidth():
@@ -114,6 +119,28 @@ def test_grid_panel_records_a_floored_bandwidth():
         rho = bundle.ratio_fits(2).rho(2, bundle.panel(2).eval_states)
         assert np.all(rho == rho[0])
         assert "SingularBandwidth" in report.flags
+
+
+def test_an_overflowing_column_mean_changes_no_bit_of_the_estimate():
+    # z1 near the float maximum, whose sum overflows, centers the ratio
+    # features at the mean of its power-of-two-scaled values; every step is
+    # then exact under a power-of-two change of units, so the estimate, se
+    # and β equal those of the same data scaled by 2^-1000
+    rng = np.random.default_rng(0)
+    z2 = np.concatenate([rng.beta(2, 2, 200), rng.beta(2.5, 2, 200)])
+    z1 = rng.uniform(1e307, 1.7e308, 400)
+    design = FusionDesign(d=2, k=2, relevant=(1, 2), aligned={1: {1, 2}, 2: {1}},
+                          weak={2: {2}}, weight_specs={(2, 2): WeightSpec.tilt(2, ["z2"])})
+    reports = []
+    for scale in (0, -1000):
+        data = Dataset(np.column_stack([np.ldexp(z1, scale), z2]), np.repeat([1, 2], 200), k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports.append(one_step_estimate(data, design, EstimandSpec("moment", index=2)))
+    big, small = reports
+    assert (big.estimate, big.se, big.beta, big.flags) == (
+        small.estimate, small.se, small.beta, small.flags)
+    assert np.isfinite(big.estimate) and big.flags == []
 
 
 def test_kernel_regression_constant_is_flat():
