@@ -385,7 +385,7 @@ def ingest_csv(path: str, mapping: dict) -> tuple[Dataset, dict]:
     label_map = {lab: i + 1 for i, lab in enumerate(uniq)}
     source = np.array([label_map[lab] for lab in raw_labels], dtype=int)
     data = Dataset(z, source, k=len(uniq))
-    return data, {lab: label_map[lab] for lab in uniq}
+    return data, label_map
 
 
 # ------------------------------------------------------------- commands -----

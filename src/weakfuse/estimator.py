@@ -145,9 +145,11 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         flags.add("NoConvergence")
     first = compute_pass(bundle, mm.beta)
     beta, beta_se = first.newton_step()
+    flags |= first.flags
+    del first       # released before the seeded pass allocates its own arrays
     final = compute_pass(bundle, beta, seed)
     rows = final.efficient_rows()
-    flags |= first.flags | final.flags
+    flags |= final.flags
 
     n = data.n
     estimate = seed.plugin + float(rows.mean())

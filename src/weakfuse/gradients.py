@@ -119,10 +119,8 @@ def seed_gradient(estimand: EstimandSpec, nuisance: FittedNuisance) -> GradientS
         # arm means as functions of z1 come from the same index-3 fields, read
         # along the two branches, so their contrast is exactly centered below
         p1 = nuisance.panel(1)
-        every = np.arange(data.n)
-        mu1_rows = p3.row_map(np.column_stack([Z[:, 0], np.ones(data.n)]), every).apply(mu_field)
-        mu0_rows = p3.row_map(np.column_stack([Z[:, 0], np.zeros(data.n)]), every).apply(mu_field)
-        contrast_rows = mu1_rows - mu0_rows
+        contrast_rows = (rmaps[3].apply(p3.at_branch(mu_field, 1, 1.0))
+                         - rmaps[3].apply(p3.at_branch(mu_field, 1, 0.0)))
         contrast_tr = contrast_rows[p1.train_idx]
         plugin = float(p1.mean_field(contrast_tr)[0])
         rows[1] = contrast_rows - plugin
@@ -554,8 +552,7 @@ def compute_pass(nuisance: FittedNuisance, beta: BetaParam,
             # against the target conditional at every state; the panel trains
             # on the rows of m, in its own (fold) order
             cfield = panel.mean_field(tailval[np.searchsorted(m_rows, panel.train_idx)])
-            center_rows = nuisance.rowmaps[j].apply(cfield)[m_rows]
-            dtilde[m_rows] += tailval - center_rows
+            dtilde[m_rows] += tailval - nuisance.rowmaps[j].take(m_rows).apply(cfield)
 
     info = information_matrix(scores_eff)
     if t and info.eig_min < 1e-10:

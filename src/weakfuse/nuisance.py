@@ -530,6 +530,18 @@ class KernelPanel(_BlockPanel):
                                 np.asarray(row_idx) % 2)
         return RowMap(idx, np.array(weight))
 
+    def at_branch(self, field: np.ndarray, col: int, value: float) -> np.ndarray:
+        """`field` re-indexed so that each state reads the state of its own
+        fold and grid point whose binary past column `col` holds `value`,
+        split at 0.5 and clipped as `_branch_of` does: read through a row
+        map, it is the field read at the same rows with that column set."""
+        states = self.eval_states.copy()
+        states[:, col] = value
+        e = np.arange(states.shape[0])
+        E = e.size // len(self.folds)
+        G = math.prod(g.size for g in self.axes)
+        return field[e - e % E + self._branch_of(states) * G + e % G]
+
     def next_mean(self, field: np.ndarray, nuisance: FittedNuisance) -> np.ndarray:
         """E_Q[f(z̄_j) | z̄_{j-1}] at this panel's states, for f given as a
         field on the states of the index-(j+1) panel of `nuisance`: f is read

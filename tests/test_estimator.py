@@ -1,8 +1,10 @@
 import functools
+import gc
 import json
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +426,42 @@ def test_engine_pass_count(monkeypatch, variant, passes):
     one_step_estimate(data, study_design(), EstimandSpec("ate"),
                       variant=EstimatorVariant(variant))
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("cross_fit", [False, True])
+@pytest.mark.parametrize("variant", ["target_only", "naive_fusion", "efficient_fusion"])
+def test_an_ate_estimate_maps_the_rows_once_per_panel(monkeypatch, variant, cross_fit):
+    # the bundle maps every data row onto each panel once, and the seed's arm
+    # means read the index-3 map through re-indexed fields, with no map of
+    # their own; the study design has panels at indices 1 and 3
+    calls = []
+    real = weakfuse.nuisance.KernelPanel.row_map
+    monkeypatch.setattr(weakfuse.nuisance.KernelPanel, "row_map",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1)
+    one_step_estimate(data, study_design(), EstimandSpec("ate"), EstimatorVariant(variant),
+                      NuisanceOptions(cross_fit=cross_fit))
+    assert len(calls) == 2
+
+
+def test_the_first_engine_pass_is_released_before_the_second_starts(monkeypatch):
+    # the Newton step needs only the first pass's β, information and flags,
+    # so its score arrays are freed before the seeded pass allocates its own
+    passes = []
+    real = weakfuse.estimator.compute_pass
+
+    def tracking(*args, **kwargs):
+        if passes:
+            gc.collect()
+            assert passes[0]() is None, "the first pass is still reachable"
+        out = real(*args, **kwargs)
+        passes.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(weakfuse.estimator, "compute_pass", tracking)
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=300), 1)
+    one_step_estimate(data, study_design(), EstimandSpec("ate"))
+    assert len(passes) == 2
 
 
 def test_beta_free_engine_inputs_are_built_once_per_bundle(monkeypatch):

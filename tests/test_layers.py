@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import weakfuse
@@ -34,3 +36,16 @@ def test_no_module_imports_a_later_layer():
     upward = {(m, dep) for m in LAYERS for dep in _package_imports(src / f"{m}.py")
               if LAYERS.index(dep) >= LAYERS.index(m)}
     assert upward == set()
+
+
+def test_the_package_root_imports_nothing():
+    # each name has one import path, its defining module, so the root holds
+    # no import, and importing it loads no weakfuse module and not numpy
+    init = Path(weakfuse.__file__)
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import weakfuse; "
+            "print(sorted(m for m in sys.modules if m.startswith(('weakfuse.', 'numpy'))))")
+    out = subprocess.run([sys.executable, "-c", code, str(init.parent.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

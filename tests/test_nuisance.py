@@ -461,6 +461,36 @@ def test_kernel_panel_grid_mode_with_binary_stratum():
     assert rm1.apply(f)[0] - rm0.apply(f)[0] == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("case", ["plain", "cross_fit", "one_valued_z2", "two_binary"])
+def test_at_branch_read_through_a_row_map_equals_the_map_of_the_set_rows(case):
+    # the field re-indexed to a branch value, read through the data rows'
+    # map, is the field read through the map of the same rows with that
+    # column set to the value, bit for bit, cross-fit fold routing included
+    rng = np.random.default_rng(29)
+    n = 400
+    z = rng.uniform(0.1, 0.9, size=(n, 4))
+    z[:, 1] = 1.0 if case == "one_valued_z2" else rng.integers(0, 2, n)
+    if case == "two_binary":
+        z[:, 2] = rng.integers(0, 2, n)
+    j = 4 if case == "two_binary" else 3
+    data = Dataset(z[:, :j], np.ones(n, dtype=int), k=1)
+    train = np.arange(n) if case != "cross_fit" else np.flatnonzero(rng.random(n) < 0.7)
+    panel = KernelPanel(j, data, train, NuisanceOptions(cross_fit=case == "cross_fit"))
+    assert len(panel.folds) == (2 if case == "cross_fit" else 1)
+    every = np.arange(n)
+    rows = data.z[:, :j - 1]
+    rmap = panel.row_map(rows, row_idx=every)
+    E = panel.eval_states.shape[0]
+    for field in (rng.normal(size=E), rng.normal(size=(E, 2))):
+        for col in panel.bin_cols:
+            for value in (0.0, 1.0, 0.3, 2.0):
+                set_rows = rows.copy()
+                set_rows[:, col] = value
+                want = panel.row_map(set_rows, row_idx=every).apply(field)
+                got = rmap.apply(panel.at_branch(field, col, value))
+                assert got.tobytes() == want.tobytes(), (col, value)
+
+
 def test_kernel_panel_tensor_grid_maps_any_rows():
     # two continuous past coordinates: a tensor grid whose spacing is at most
     # the bandwidth unless floor(sqrt(n)) points per axis cap it (at 80 rows,
