@@ -1,8 +1,8 @@
 """Command-line front end: simulate / estimate / sensitivity / config-dump.
 
 All diagnostics go to standard error; result data goes to files only. Exit
-codes: 0 success, 1 user error (bad arguments, malformed config or data),
-2 internal error.
+codes: 0 success, 1 user error (a `WeakfuseError`: bad arguments, config or
+data), 2 internal error (any other exception, a fault in the program).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     NegativeDelta,
     NonNumericCell,
     ParseError,
-    SemanticError,
     WeakfuseError,
 )
 from .estimator import (
@@ -98,6 +97,15 @@ def _kwargs(obj: dict, allowed: set, path: str, ints=(), why: str = "unknown key
     return out
 
 
+def _prefixed(path: str, build, /, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a WeakfuseError it raises re-raised as a
+    ParseError whose message starts with the config path of the block."""
+    try:
+        return build(*args, **kwargs)
+    except WeakfuseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _as_int_list(val, path: str) -> list[int]:
     if not isinstance(val, list):
         raise ParseError(f"{path}: expected a list of integers")
@@ -149,20 +157,14 @@ def parse_config_dict(cfg: dict) -> RunConfig:
         texts = _given(body, "terms", [])
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise ParseError(f"{path}.terms: expected a list of strings")
-        try:
-            terms = tuple(parse_term(t, j) for t in texts)
-        except WeakfuseError as exc:
-            raise ParseError(f"{path}.terms: {exc}") from None
+        terms = _prefixed(f"{path}.terms", lambda: tuple(parse_term(t, j) for t in texts))
         try:
             specs[(j, s)] = WeightSpec(body.get("family"), j, terms, body.get("threshold"))
         except WeakfuseError as exc:
             raise ParseError(f"{path}.{exc}") from None     # the message names its field
 
-    try:
-        design = FusionDesign(d=d, k=k, relevant=tuple(relevant), aligned=aligned,
-                              weak=weak, weight_specs=specs)
-    except WeakfuseError as exc:
-        raise SemanticError(f"config.design: {exc}") from None
+    design = _prefixed("config.design", FusionDesign, d=d, k=k, relevant=tuple(relevant),
+                       aligned=aligned, weak=weak, weight_specs=specs)
 
     est = _given(cfg, "estimand", {})
     if not isinstance(est, dict):
@@ -171,29 +173,22 @@ def parse_config_dict(cfg: dict) -> RunConfig:
     reads = EstimandSpec._READS.get(kind, ()) if isinstance(kind, str) else ()
     est = _kwargs(est, {"kind", *reads}, "config.estimand", ("index", "power"),
                   f"not read by kind {kind!r}")
-    try:
-        estimand = EstimandSpec(**est)
-    except WeakfuseError as exc:
-        raise SemanticError(f"config.estimand: {exc}") from None
+    estimand = _prefixed("config.estimand", EstimandSpec, **est)
 
     var = _given(cfg, "variant", {})
     if not isinstance(var, (dict, str)):
         raise ParseError("config.variant: expected an object or string")
-    if isinstance(var, dict):
+    if isinstance(var, str):
+        variant = _prefixed("config.variant", EstimatorVariant.parse, var)
+    else:
         var = _kwargs(var, {"kind", "extra_terms"}, "config.variant", ("extra_terms",))
-    try:
-        variant = EstimatorVariant.parse(var) if isinstance(var, str) else EstimatorVariant(**var)
-    except ValueError as exc:
-        raise SemanticError(f"config.variant: {exc}") from None
+        variant = _prefixed("config.variant", EstimatorVariant, **var)
 
     opt = _given(cfg, "options", {})
     if not isinstance(opt, dict):
         raise ParseError("config.options: expected an object")
     opt = _kwargs(opt, {"ratio_clip", "propensity_clip", "cross_fit"}, "config.options")
-    try:
-        options = NuisanceOptions(**opt)
-    except WeakfuseError as exc:
-        raise ParseError(f"config.options: {exc}") from None
+    options = _prefixed("config.options", NuisanceOptions, **opt)
 
     level = _given(cfg, "level", _LEVEL)
     if not isinstance(level, (int, float)) or not 0 < level < 1:
@@ -239,6 +234,8 @@ def parse_config(path: str) -> RunConfig:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:     # an integer too long, or nesting too deep
+        raise ParseError(f"config {path}: {exc}") from None
     return parse_config_dict(cfg)
 
 
@@ -416,13 +413,13 @@ def _check_out(path: str):
 def _parse_variants(text: str) -> list[EstimatorVariant]:
     out = [EstimatorVariant.parse(item) for item in text.split(",") if item.strip()]
     if not out:
-        raise ValueError("no variants given")
+        raise ParseError("no variants given")
     return out
 
 
 def cmd_simulate(args) -> int:
     if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        raise ParseError(f"--threads must be at least 1, got {args.threads}")
     threads = min(args.threads, os.cpu_count() or 1)
     if threads < args.threads:
         print(f"note: --threads {args.threads} clamped to the {threads} available CPUs",
@@ -441,11 +438,7 @@ def _load_run(args):
     cfg = parse_config(args.config)
     mapping = cfg.columns or _default_columns(cfg.design.d)
     data, label_map = ingest_csv(args.data, mapping)
-    try:
-        notes = validate_design(cfg.design, data)
-    except WeakfuseError as exc:
-        raise SemanticError(str(exc)) from None
-    for note in notes:
+    for note in validate_design(cfg.design, data):
         print(f"note: {note}", file=sys.stderr)
     return cfg, data, label_map
 
@@ -458,7 +451,8 @@ def cmd_estimate(args) -> int:
     payload = report.to_json_dict()
     payload["source_map"] = label_map
     payload["config_hash"] = config_hash(cfg.raw)
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # one_step_estimate refuses a number that is not finite, so a NaN here is a fault
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(f"estimate {report.estimate:.6g} (se {report.se:.3g}) -> {args.out}",
           file=sys.stderr)
     return 0
@@ -469,15 +463,18 @@ def _parse_grid(text: str) -> list[float]:
     rounded to 12 decimals; at most _MAX_DELTAS of them."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError('delta grid looks like "start:stop:step"')
-    start, stop, step = (float(p) for p in parts)
+        raise ParseError(f'delta grid {text!r}: expected "start:stop:step"')
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise ParseError(f"delta grid {text!r}: start, stop and step must be numbers") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError("delta grid start, stop and step must be finite")
+        raise ParseError(f"delta grid {text!r}: start, stop and step must be finite")
     if step <= 0:
-        raise ValueError("delta grid step must be positive")
+        raise ParseError(f"delta grid {text!r}: step must be positive")
     span = (stop - start + 1e-12) / step
     if span >= _MAX_DELTAS:
-        raise ValueError(f"delta grid has more than {_MAX_DELTAS} points")
+        raise ParseError(f"delta grid {text!r} has more than {_MAX_DELTAS} points")
     count = math.floor(span) + 1 if span >= 0 else 0
     return [round(start + i * step, 12) for i in range(count)]
 
@@ -514,15 +511,11 @@ def cmd_config_dump(args) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse exits 2 on usage problems; those are user errors here
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,19 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         _check_out(args.out)
         return args.func(args)
-    except (WeakfuseError, ValueError) as exc:
+    except WeakfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

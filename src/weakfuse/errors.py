@@ -1,10 +1,12 @@
 """Exception types shared across the package.
 
-Hard failures are exceptions. Recoverable numerical conditions are not
-signalled here: each fitting step returns what happened as a value, and every
-estimate reports the fallbacks that fired as flag strings
-(`SeparationWarning`, `SingularBandwidth`, `UserWarning` for a validation
-note, `NoConvergence`, `RankDeficiency`, `SingularInformation`).
+Every error that the input causes (arguments, config, data, or data that give
+no finite estimate) is a `WeakfuseError`, on which the CLI exits 1; any other
+exception is a fault in the program (exit 2). Recoverable numerical
+conditions are not signalled here: each fitting step returns what happened
+as a value, and every estimate reports the fallbacks that fired as flag
+strings (`SeparationWarning`, `SingularBandwidth`, `UserWarning` for a
+validation note, `NoConvergence`, `RankDeficiency`, `SingularInformation`).
 """
 
 
@@ -54,12 +56,9 @@ class NegativeDelta(WeakfuseError):
 
 
 class ParseError(WeakfuseError):
-    """A config file, basis-term string, option or CLI grid could not be
-    parsed, or holds a value out of range."""
-
-
-class SemanticError(WeakfuseError):
-    """A parsed config is structurally valid but semantically inconsistent."""
+    """A config file, basis-term string, option, CLI argument, estimator
+    variant label or study scenario could not be parsed, or holds a value out
+    of range."""
 
 
 class MissingColumn(WeakfuseError):

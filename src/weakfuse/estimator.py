@@ -7,8 +7,10 @@ import math
 from dataclasses import asdict, dataclass, replace
 from statistics import NormalDist
 
+import numpy as np
+
 from .betafit import moment_match_beta
-from .errors import BadLevel
+from .errors import BadLevel, ParseError, StructuralError
 from .gradients import EstimandSpec, compute_pass, seed_gradient
 from .model import FusionDesign, validate_design
 from .nuisance import NuisanceOptions, fit_nuisance_bundle
@@ -16,6 +18,9 @@ from .weights import WeightSpec, complex_family
 
 _LEVEL = 0.95       # the default two-sided confidence level
 _VARIANT_KINDS = ("target_only", "naive_fusion", "efficient_fusion", "overparametrized")
+# the report's numbers that an estimate must give as finite values, in report order
+_FINITE_FIELDS = ("estimate", "se", "ci_lo", "ci_hi", "beta", "beta_se", "plugin",
+                  "gradient_variances")
 
 
 @dataclass(frozen=True)
@@ -34,11 +39,11 @@ class EstimatorVariant:
 
     def __post_init__(self):
         if self.kind not in _VARIANT_KINDS:
-            raise ValueError(f"unknown variant {self.kind!r}")
+            raise ParseError(f"unknown variant {self.kind!r}")
         if self.kind != "overparametrized" and self.extra_terms:
-            raise ValueError("extra_terms only applies to the overparametrized variant")
+            raise ParseError("extra_terms only applies to the overparametrized variant")
         if self.kind == "overparametrized" and self.extra_terms < 1:
-            raise ValueError("overparametrized variant needs extra_terms >= 1")
+            raise ParseError("overparametrized variant needs extra_terms >= 1")
 
     def label(self) -> str:
         if self.kind == "overparametrized":
@@ -49,12 +54,17 @@ class EstimatorVariant:
     def parse(cls, label: str) -> "EstimatorVariant":
         label = label.strip()
         if label.startswith("overparametrized+"):
-            return cls("overparametrized", extra_terms=int(label.split("+", 1)[1]))
+            try:
+                return cls("overparametrized", extra_terms=int(label.split("+", 1)[1]))
+            except ValueError:
+                raise ParseError(f"variant {label!r}: the count after '+' is not an integer") from None
         return cls(label)
 
 
 def apply_variant(design: FusionDesign, variant: EstimatorVariant) -> FusionDesign:
-    """Design actually handed to the fitting pipeline under a variant."""
+    """Design actually handed to the fitting pipeline under a variant. An
+    `overparametrized+N` whose N exceeds the terms of `complex_family` that
+    some tilt model does not already hold raises StructuralError."""
     if variant.kind == "efficient_fusion":
         return design
     if variant.kind == "target_only":
@@ -69,6 +79,9 @@ def apply_variant(design: FusionDesign, variant: EstimatorVariant) -> FusionDesi
         if spec.family == "exponential_tilt":
             have = [t.text() for t in spec.terms]
             pool = [t for t in complex_family(j) if t.text() not in have]
+            if variant.extra_terms > len(pool):
+                raise StructuralError(f"{variant.label()}: the weight model of pair ({j}, {s}) "
+                                      f"has only {len(pool)} unused terms to append")
             spec = WeightSpec("exponential_tilt", j, spec.terms + tuple(pool[:variant.extra_terms]))
         specs[(j, s)] = spec
     return replace(design, weight_specs=specs)
@@ -128,6 +141,8 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
     `SingularBandwidth` and ratio `SeparationWarning`; the seed's propensity
     `SeparationWarning`; `NoConvergence` from the moment match; and the
     engine passes' flags. `clip_counts` are the counts of the seeded pass at β̂.
+    Data that give a report number that is not finite (such as a moment that
+    overflows) raise StructuralError naming the first such field.
     """
     if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
         raise BadLevel(f"confidence level must be in (0, 1), got {level!r}")
@@ -151,9 +166,9 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
     rows = final.efficient_rows()
     flags |= final.flags
 
-    n = data.n
     estimate = seed.plugin + float(rows.mean())
-    se = float(rows.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    # n >= 5, since a kernel panel needs 5 training rows
+    se = float(rows.std(ddof=1) / math.sqrt(data.n))
     ci_lo, ci_hi = wald_interval(estimate, se, level)
     overlap = {}
     for j, rf in bundle.ratios.items():
@@ -161,7 +176,7 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
             diag = rf.overlap_diagnostics(s)
             if diag is not None and j > 1:
                 overlap[f"{j},{s}"] = [diag.min_ratio, diag.max_ratio, diag.frac_clipped]
-    return EstimateReport(
+    report = EstimateReport(
         estimate=estimate,
         se=se,
         ci_lo=ci_lo,
@@ -174,10 +189,15 @@ def one_step_estimate(data, design: FusionDesign, estimand: EstimandSpec,
         clip_counts=final.clip_counts,
         plugin=seed.plugin,
         gradient_variances={
-            "efficient": float(rows.var(ddof=1)) if n > 1 else float("nan"),
-            "fixed_beta": float(final.dtilde.var(ddof=1)) if n > 1 else float("nan"),
+            "efficient": float(rows.var(ddof=1)),
+            "fixed_beta": float(final.dtilde.var(ddof=1)),
         },
         flags=sorted(flags),
         overlap=overlap,
         seed=seed_value,
     )
+    for name in _FINITE_FIELDS:
+        value = getattr(report, name)
+        if not np.all(np.isfinite(list(value.values()) if isinstance(value, dict) else value)):
+            raise StructuralError(f"the data give no finite estimate: {name} is {value}")
+    return report

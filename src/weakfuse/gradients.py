@@ -387,6 +387,9 @@ def information_matrix(scores_eff: np.ndarray) -> InformationMatrix:
     info = S.T @ S / n
     if S.shape[1] == 0:
         return InformationMatrix(info, np.zeros((0, 0)), 0, 0.0, np.inf)
+    if not np.isfinite(info).all():
+        raise StructuralError("the data give no finite estimate: the efficient "
+                              "information is not finite")
     vals, vecs = np.linalg.eigh(0.5 * (info + info.T))
     eig_min = float(vals.min())
     keep = np.abs(vals) > 1e-12 * max(float(np.abs(vals).max()), 1e-300)

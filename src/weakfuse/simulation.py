@@ -11,11 +11,10 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidShape
-from .estimator import EstimatorVariant, one_step_estimate
+from .errors import InvalidShape, ParseError
+from .estimator import EstimatorVariant, apply_variant, one_step_estimate
 from .gradients import EstimandSpec
 from .model import Dataset, FusionDesign
-from .nuisance import NuisanceOptions
 from .weights import WeightSpec
 
 ALIGNMENT_LEVELS = {
@@ -57,13 +56,13 @@ class Scenario:
 
     def __post_init__(self):
         if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ParseError("epsilon must be nonnegative")
         if self.n_per_source < 50:
-            raise ValueError("need at least 50 rows per source")
+            raise ParseError("need at least 50 rows per source")
         if self.covariate_shift not in SHIFT_KINDS:
-            raise ValueError(f"unknown covariate shift {self.covariate_shift!r}")
-        for v in self.variants:
-            EstimatorVariant.parse(v)          # fail fast on bad labels
+            raise ParseError(f"unknown covariate shift {self.covariate_shift!r}")
+        for v in self.variants:     # fail fast on a label the study design cannot take
+            apply_variant(study_design(), EstimatorVariant.parse(v))
 
     def content_key(self) -> int:
         """Stable integer identity used in the seed schedule, so adding or
@@ -80,7 +79,7 @@ class Scenario:
 def named_scenario(name: str, covariate_shift: str = "none", n_per_source: int = 2000,
                    variants=None) -> Scenario:
     if name not in ALIGNMENT_LEVELS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {sorted(ALIGNMENT_LEVELS)}")
+        raise ParseError(f"unknown scenario {name!r}; choose from {sorted(ALIGNMENT_LEVELS)}")
     v = (tuple(x.label() if isinstance(x, EstimatorVariant) else str(x) for x in variants)
          if variants else Scenario.variants)
     return Scenario(name=name, epsilon=ALIGNMENT_LEVELS[name],
@@ -170,12 +169,12 @@ def summary_to_csv(rows: list[SummaryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_one(scenario: Scenario, variant: EstimatorVariant, rep: int, master_seed: int,
-             options: NuisanceOptions | None) -> ReplicateRecord:
+def _run_one(scenario: Scenario, variant: EstimatorVariant, rep: int,
+             master_seed: int) -> ReplicateRecord:
     data = generate_dataset(scenario, master_seed, rep)
     estimand = EstimandSpec("ate")
     report = one_step_estimate(data, study_design(), estimand, variant=variant,
-                               options=options, seed_value=master_seed)
+                               seed_value=master_seed)
     return ReplicateRecord(
         scenario=scenario.name, shift=scenario.covariate_shift, variant=variant.label(),
         rep=rep, estimate=report.estimate, se=report.se,
@@ -184,15 +183,15 @@ def _run_one(scenario: Scenario, variant: EstimatorVariant, rep: int, master_see
     )
 
 
-def run_monte_carlo(grid, reps: int, master_seed: int,
-                    options: NuisanceOptions | None = None,
-                    threads: int = 1,
+def run_monte_carlo(grid, reps: int, master_seed: int, threads: int = 1,
                     keep_replicates: bool = False):
     """Run the study grid; returns SummaryRow list, plus the per-replication
     records when `keep_replicates`. Replication failures are excluded from the
     aggregates with a flag; a cell aborts if more than 5% of its reps fail."""
     if reps < 1:
-        raise ValueError("reps must be at least 1")
+        raise ParseError("reps must be at least 1")
+    if master_seed < 0:
+        raise ParseError(f"seed must be nonnegative, got {master_seed}")
     rows: list[SummaryRow] = []
     records: list[ReplicateRecord] = []
     for scenario in grid:
@@ -201,7 +200,7 @@ def run_monte_carlo(grid, reps: int, master_seed: int,
             cell: list[ReplicateRecord] = []
             failures: list[str] = []
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = [pool.submit(_run_one, scenario, variant, r, master_seed, options)
+                futs = [pool.submit(_run_one, scenario, variant, r, master_seed)
                         for r in range(reps)]
                 for r, f in enumerate(futs):
                     try:

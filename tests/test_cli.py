@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import weakfuse.cli as cli
+import weakfuse.simulation as simulation
 from weakfuse.errors import (
     EmptyFile,
     MissingColumn,
     NonNumericCell,
     ParseError,
-    SemanticError,
     WeakfuseError,
 )
 from weakfuse.cli import (
@@ -31,7 +31,7 @@ from weakfuse.cli import (
 )
 from weakfuse.estimator import one_step_estimate, wald_interval
 from weakfuse.gradients import EstimandSpec
-from weakfuse.model import layout_from_design
+from weakfuse.model import Dataset, layout_from_design
 from weakfuse.simulation import generate_dataset, named_scenario, study_design
 
 from oracles import ingest_csv_by_csv_reader, sensitivity_interval
@@ -125,18 +125,18 @@ def test_config_bad_spec_key_shape():
         parse_config_dict(blob)
 
 
-def test_config_semantic_errors_are_semantic():
+def test_config_semantic_errors_name_their_block():
     blob = default_config_dict()
     blob["design"]["aligned"]["9"] = [1]
-    with pytest.raises(SemanticError, match="config.design"):
+    with pytest.raises(ParseError, match="config.design"):
         parse_config_dict(blob)
     blob = default_config_dict()
     blob["variant"] = {"kind": "fastest"}
-    with pytest.raises(SemanticError, match="config.variant"):
+    with pytest.raises(ParseError, match="config.variant"):
         parse_config_dict(blob)
     blob = default_config_dict()
     blob["estimand"] = {"kind": "median"}
-    with pytest.raises(SemanticError, match="config.estimand"):
+    with pytest.raises(ParseError, match="config.estimand"):
         parse_config_dict(blob)
 
 
@@ -253,6 +253,13 @@ def test_parse_config_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON at line 1"):
         parse_config(str(bad))
+    # an integer past the interpreter's digit limit, or nesting past its
+    # recursion limit, is bad input, not a fault in the program
+    for text, message in ((f'{{"seed": {"9" * 5000}}}', "5000 digits"),
+                          ("[" * 100_000 + "]" * 100_000, "recursion depth")):
+        bad.write_text(text)
+        with pytest.raises(ParseError, match=f"config {re.escape(str(bad))}: .*{message}"):
+            parse_config(str(bad))
 
 
 def test_config_hash_is_content_addressed():
@@ -493,9 +500,9 @@ def test_parse_grid_inclusive_endpoint():
     grid = _parse_grid("0:0.01:0.001")
     assert len(grid) == 11
     assert grid[0] == 0.0 and grid[-1] == 0.01
-    with pytest.raises(ValueError, match="start:stop:step"):
+    with pytest.raises(ParseError, match="start:stop:step"):
         _parse_grid("0:0.1")
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ParseError, match="positive"):
         _parse_grid("0:0.1:-0.01")
 
 
@@ -504,7 +511,7 @@ def test_parse_grid_length_cap():
     assert len(grid) == 501
     assert grid == [round(i * 0.0001, 12) for i in range(501)]
     assert len(_parse_grid(f"0:{_MAX_DELTAS - 1}:1")) == _MAX_DELTAS
-    with pytest.raises(ValueError, match="more than"):
+    with pytest.raises(ParseError, match="more than"):
         _parse_grid(f"0:{_MAX_DELTAS}:1")
     assert _parse_grid("1:0:0.5") == []
 
@@ -798,6 +805,10 @@ def test_user_errors_exit_one(tmp_path, capsys):
     assert main(["simulate", "--scenario", "fully_aligned", "--seed", "1", "--variants", ",",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.endswith("error: no variants given\n")
+    # a negative seed, which no random stream takes, before any replicate runs
+    assert main(["simulate", "--scenario", "fully_aligned", "--seed", "-1",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
     # a design for four sources on data with three
     three = _data_csv(tmp_path, _first_rows(1, [60, 60, 60, 0]))
     assert main(["estimate", "--config", str(_study_config(tmp_path)), "--data", str(three),
@@ -1073,7 +1084,8 @@ def test_bandwidth_option_is_rejected(tmp_path, capsys, key, value):
     (("design", "weight_specs", "3,4"),
      {"family": "truncated_above_threshold", "threshold": float("nan")},
      "config.design.weight_specs.3,4.threshold: truncation threshold must be a finite"),
-    (("variant",), "overparametrized+x", "config.variant: invalid literal for int()"),
+    (("variant",), "overparametrized+x",
+     "config.variant: variant 'overparametrized+x': the count after '+' is not an integer"),
     (("variant",), "overparametrized+0",
      "config.variant: overparametrized variant needs extra_terms >= 1"),
     # only a missing key or null takes a block's default
@@ -1161,6 +1173,83 @@ def test_internal_errors_exit_two(tmp_path, monkeypatch, capsys):
                "--n", "200", "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_a_value_error_inside_the_program_exits_two(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError; raised inside the estimator it is a
+    # fault in the program, not in the input, so it exits 2
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(cli, "one_step_estimate", no_convergence)
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", str(_study_config(tmp_path)),
+                 "--data", str(_study_csv(tmp_path, n=60, seed=3)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "internal error: LinAlgError: Eigenvalues did not converge\n")
+    assert not out.exists()
+
+
+def test_a_bad_number_in_an_argument_exits_one_naming_it(tmp_path, capsys):
+    # the message names the grid or the label, not only the text that float
+    # or int could not convert
+    assert main(["sensitivity", "--config", str(_study_config(tmp_path)),
+                 "--data", str(tmp_path / "missing.csv"), "--delta-grid", "a:1:0.1",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: delta grid 'a:1:0.1': start, stop and step must be numbers\n")
+    assert main(["simulate", "--scenario", "strongly_aligned", "--seed", "1",
+                 "--variants", "overparametrized+1.5", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: variant 'overparametrized+1.5': the count after '+' is not an integer\n")
+
+
+def test_more_extra_terms_than_the_pool_holds_exits_one(tmp_path, monkeypatch, capsys):
+    # pair (3, 2) of the study design holds 2 of the 8 terms of
+    # complex_family(3), so +7 would build the same model as +6
+    message = ("error: overparametrized+7: the weight model of pair (3, 2) has only 6 "
+               "unused terms to append\n")
+    blob = default_config_dict()
+    blob["variant"] = "overparametrized+7"
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", str(cfgp),
+                 "--data", str(_study_csv(tmp_path, n=60, seed=3)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # the scenario refuses it before any replicate runs
+    calls = []
+    monkeypatch.setattr(simulation, "_run_one", lambda *args: calls.append(args))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--scenario", "strongly_aligned", "--seed", "1", "--reps", "2",
+                 "--n", "200", "--variants", "target_only,overparametrized+7",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("estimand, relevant, scale, message", [
+    # z1 lies in [1, 2], so z1^2000 overflows and the moment is inf - inf
+    ({"kind": "moment", "index": 1, "power": 2000}, [1, 3], 1.0, "estimate is nan"),
+    # the rows' squares overflow, so the se is inf and the interval is +-inf
+    ({"kind": "moment", "index": 3}, [1, 2, 3], 1e160, "se is inf"),
+])
+def test_a_non_finite_estimate_exits_one_writing_nothing(tmp_path, capsys, estimand,
+                                                         relevant, scale, message):
+    blob = default_config_dict()
+    blob["variant"] = "target_only"
+    blob["estimand"] = estimand
+    blob["design"]["relevant"] = relevant
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(blob))
+    study = generate_dataset(named_scenario("moderately_aligned", n_per_source=100), seed=1)
+    data = _data_csv(tmp_path, Dataset(study.z * [1.0, 1.0, scale], study.source, k=4))
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", str(cfgp), "--data", str(data),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(f"error: the data give no finite estimate: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["config-dump", "simulate", "estimate", "sensitivity"])

@@ -16,6 +16,7 @@ from weakfuse.errors import (
     BadLevel,
     InsufficientData,
     NonFiniteNormalizer,
+    ParseError,
     StructuralError,
     WeakfuseError,
 )
@@ -96,11 +97,11 @@ def test_variant_parse_round_trip(label):
 
 
 def test_variant_rejections():
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ParseError, match="unknown variant"):
         EstimatorVariant("fastest")
-    with pytest.raises(ValueError, match="extra_terms only applies"):
+    with pytest.raises(ParseError, match="extra_terms only applies"):
         EstimatorVariant("naive_fusion", extra_terms=1)
-    with pytest.raises(ValueError, match="extra_terms >= 1"):
+    with pytest.raises(ParseError, match="extra_terms >= 1"):
         EstimatorVariant("overparametrized")
 
 
@@ -149,6 +150,37 @@ def test_apply_variant_overparametrized_skips_existing_terms():
     pool = [t.text() for t in complex_family(3)]
     assert texts == ["z1*log(z3)", "z1*z2*log(z3)", pool[0]]
     assert pool[0] == "log(z3)"
+
+
+def test_apply_variant_refuses_more_terms_than_the_pool_holds():
+    # the study's pair (3, 2) holds 2 of the 8 terms of complex_family(3): +6
+    # pads it with the other 6, and +7 is refused, not built as the +6 model
+    design = study_design()
+    out = apply_variant(design, EstimatorVariant.parse("overparametrized+6"))
+    assert ({t.text() for t in out.spec_for(3, 2).terms}
+            == {t.text() for t in complex_family(3)})
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=200), seed=1)
+    report = one_step_estimate(data, design, EstimandSpec("ate"),
+                               variant=EstimatorVariant.parse("overparametrized+6"))
+    assert len(report.beta) == 8 + 7 + 7
+    with pytest.raises(StructuralError, match=re.escape(
+            "overparametrized+7: the weight model of pair (3, 2) has only 6 unused terms")):
+        apply_variant(design, EstimatorVariant.parse("overparametrized+7"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_estimate_is_refused_naming_the_field():
+    # z1 lies in [1, 2], so z1^2000 overflows and the plug-in moment is inf - inf;
+    # the report would hold NaN with no flag
+    data = generate_dataset(named_scenario("moderately_aligned", n_per_source=100), seed=1)
+    with pytest.raises(StructuralError, match="no finite estimate: estimate is nan"):
+        one_step_estimate(data, study_design(), EstimandSpec("moment", power=2000),
+                          variant=EstimatorVariant("target_only"))
+    # z1 = 1e300 at every row overflows the efficient scores, which numpy's
+    # eigh would report as "Eigenvalues did not converge"
+    data = Dataset(data.z * [0.0, 1.0, 1.0] + [1e300, 0.0, 0.0], data.source, k=4)
+    with pytest.raises(StructuralError, match="no finite estimate: the efficient information"):
+        one_step_estimate(data, study_design(), EstimandSpec("ate"))
 
 
 def test_apply_variant_overparametrized_keeps_a_weight_model_at_an_ignored_index():

@@ -49,3 +49,23 @@ def test_the_package_root_imports_nothing():
     out = subprocess.run([sys.executable, "-c", code, str(init.parent.parent)],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_input_faults_have_one_error_type():
+    # an error that the input causes is a WeakfuseError, which the CLI reports
+    # as a user error (exit 1); a ValueError is left to mean a fault in the
+    # program (exit 2), so no module raises one, and no type re-labels another
+    src = Path(weakfuse.__file__).parent
+    raised, named = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                raised.append(f"{path.name}:{node.lineno}")
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name == "SemanticError":
+                named.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert raised == []
+    assert named == []

@@ -3,11 +3,11 @@ import pytest
 from scipy import stats
 
 import weakfuse.simulation as simulation
-from weakfuse.errors import InvalidShape, NonFiniteNormalizer
+from weakfuse.errors import InvalidShape, NonFiniteNormalizer, ParseError, StructuralError
 from weakfuse.estimator import one_step_estimate
 from weakfuse.gradients import EstimandSpec, compute_pass
-from weakfuse.model import layout_from_design
-from weakfuse.nuisance import NuisanceOptions, fit_nuisance_bundle
+from weakfuse.model import Dataset, layout_from_design
+from weakfuse.nuisance import fit_nuisance_bundle
 from weakfuse.simulation import (
     ALIGNMENT_LEVELS,
     CSV_HEADER,
@@ -23,7 +23,6 @@ from weakfuse.simulation import (
 
 from oracles import assemble_beta, true_parameters
 
-FAST = NuisanceOptions()
 # a small, badly overlapping cell: at master seed 1, reps 0, 1 and 3 (of
 # reps 0-3) end the moment match unconverged
 POOR = named_scenario("poorly_aligned", covariate_shift="beta_shift", n_per_source=60)
@@ -45,19 +44,22 @@ def test_named_scenario_maps_epsilon():
     assert sc.epsilon == 0.5
     assert sc.covariate_shift == "none"
     assert sc.variants == ("efficient_fusion",)
-    with pytest.raises(ValueError, match="unknown scenario"):
+    with pytest.raises(ParseError, match="unknown scenario"):
         named_scenario("perfectly_aligned")
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ParseError, match="nonnegative"):
         Scenario(name="x", epsilon=-0.1)
-    with pytest.raises(ValueError, match="at least 50"):
+    with pytest.raises(ParseError, match="at least 50"):
         Scenario(name="x", epsilon=0.0, n_per_source=10)
-    with pytest.raises(ValueError, match="covariate shift"):
+    with pytest.raises(ParseError, match="covariate shift"):
         Scenario(name="x", epsilon=0.0, covariate_shift="sideways")
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ParseError, match="unknown variant"):
         Scenario(name="x", epsilon=0.0, variants=("fastest",))
+    # pair (3, 2) of the study design has 6 unused terms of complex_family(3)
+    with pytest.raises(StructuralError, match=r"pair \(3, 2\) has only 6 unused terms"):
+        named_scenario("strongly_aligned", variants=("overparametrized+7",))
 
 
 def test_content_key_tracks_cell_identity():
@@ -172,8 +174,8 @@ def _tiny(name="strongly_aligned", variants=("target_only",), n=200, shift="none
 def test_seed_schedule_is_permutation_invariant():
     a = _tiny("strongly_aligned")
     b = _tiny("poorly_aligned")
-    fwd = run_monte_carlo([a, b], reps=2, master_seed=3, options=FAST)
-    rev = run_monte_carlo([b, a], reps=2, master_seed=3, options=FAST)
+    fwd = run_monte_carlo([a, b], reps=2, master_seed=3)
+    rev = run_monte_carlo([b, a], reps=2, master_seed=3)
     key = lambda r: (r.scenario, r.variant)
     for x, y in zip(sorted(fwd, key=key), sorted(rev, key=key)):
         assert x == y
@@ -182,8 +184,8 @@ def test_seed_schedule_is_permutation_invariant():
 def test_variant_order_does_not_touch_data():
     sc1 = _tiny(variants=("target_only", "naive_fusion"))
     sc2 = _tiny(variants=("naive_fusion", "target_only"))
-    fwd = run_monte_carlo([sc1], reps=2, master_seed=5, options=FAST)
-    rev = run_monte_carlo([sc2], reps=2, master_seed=5, options=FAST)
+    fwd = run_monte_carlo([sc1], reps=2, master_seed=5)
+    rev = run_monte_carlo([sc2], reps=2, master_seed=5)
     key = lambda r: r.variant
     for x, y in zip(sorted(fwd, key=key), sorted(rev, key=key)):
         assert x == y
@@ -191,18 +193,20 @@ def test_variant_order_does_not_touch_data():
 
 def test_single_rep_has_undefined_variance():
     rows = run_monte_carlo([_tiny(variants=("efficient_fusion",))],
-                           reps=1, master_seed=7, options=FAST)
+                           reps=1, master_seed=7)
     (row,) = rows
     assert np.isnan(row.var_e5)
     assert "var_undefined" in row.flags
     assert len(row.mean_beta) == 4
     assert row.sd_beta == []
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ParseError, match="at least 1"):
         run_monte_carlo([_tiny()], reps=0, master_seed=7)
+    with pytest.raises(ParseError, match="seed must be nonnegative"):
+        run_monte_carlo([_tiny()], reps=1, master_seed=-1)
 
 
 def test_keep_replicates_returns_records():
-    rows, recs = run_monte_carlo([_tiny()], reps=2, master_seed=9, options=FAST,
+    rows, recs = run_monte_carlo([_tiny()], reps=2, master_seed=9,
                                  keep_replicates=True)
     assert len(rows) == 1 and len(recs) == 2
     assert [r.rep for r in recs] == [0, 1]
@@ -212,8 +216,8 @@ def test_keep_replicates_returns_records():
 
 def test_threaded_run_matches_serial(capsys):
     grid = [_tiny(variants=("naive_fusion",))]
-    serial = run_monte_carlo(grid, reps=3, master_seed=13, options=FAST)
-    threaded = run_monte_carlo(grid, reps=3, master_seed=13, options=FAST, threads=2)
+    serial = run_monte_carlo(grid, reps=3, master_seed=13)
+    threaded = run_monte_carlo(grid, reps=3, master_seed=13, threads=2)
     assert serial == threaded
     # flags travel with each estimate, so threads can neither swap nor drop
     # them, and no fallback reaches stderr
@@ -250,7 +254,7 @@ def test_engine_rejects_an_overflowing_beta():
 
 
 def test_cell_aborts_when_too_many_reps_fail(monkeypatch):
-    def boom(scenario, variant, rep, master_seed, options):
+    def boom(scenario, variant, rep, master_seed):
         raise ValueError("boom")
     monkeypatch.setattr(simulation, "_run_one", boom)
     with pytest.raises(RuntimeError, match="replications failed"):
@@ -260,23 +264,40 @@ def test_cell_aborts_when_too_many_reps_fail(monkeypatch):
 def test_sporadic_failure_is_flagged_not_fatal(monkeypatch):
     real = simulation._run_one
 
-    def flaky(scenario, variant, rep, master_seed, options):
+    def flaky(scenario, variant, rep, master_seed):
         if rep == 0:
             raise ValueError("boom")
-        return real(scenario, variant, rep, master_seed, options)
+        return real(scenario, variant, rep, master_seed)
 
     monkeypatch.setattr(simulation, "_run_one", flaky)
-    rows = run_monte_carlo([_tiny(n=120)], reps=21, master_seed=15, options=FAST)
+    rows = run_monte_carlo([_tiny(n=120)], reps=21, master_seed=15)
     (row,) = rows
     assert row.reps == 20
     assert "failed:1" in row.flags
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_replicate_counts_as_failed(monkeypatch):
+    # rep 0's outcomes scaled by 1e160 give an infinite se, which the
+    # estimator refuses; the cell's bias and variance stay finite
+    real = simulation.generate_dataset
+
+    def scaled(scenario, seed, rep=0):
+        data = real(scenario, seed, rep)
+        return data if rep else Dataset(data.z * [1.0, 1.0, 1e160], data.source, k=4)
+
+    monkeypatch.setattr(simulation, "generate_dataset", scaled)
+    (row,) = run_monte_carlo([_tiny(n=120)], reps=21, master_seed=15)
+    assert row.reps == 20
+    assert "failed:1" in row.flags
+    assert np.isfinite(row.bias2_e5) and np.isfinite(row.var_e5)
 
 
 # -------------------------------------------------------------------- csv
 
 def test_csv_round_trips_floats_exactly():
     rows = run_monte_carlo([_tiny(variants=("efficient_fusion",))],
-                           reps=2, master_seed=17, options=FAST)
+                           reps=2, master_seed=17)
     text = summary_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -303,7 +324,7 @@ def test_csv_header_and_cells_are_fixed():
 
 
 def test_csv_spells_out_nan_variance():
-    rows = run_monte_carlo([_tiny()], reps=1, master_seed=19, options=FAST)
+    rows = run_monte_carlo([_tiny()], reps=1, master_seed=19)
     line = summary_to_csv(rows).strip().split("\n")[1]
     assert ",nan," in line
     assert "var_undefined" in line
